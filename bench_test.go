@@ -6,7 +6,7 @@
 //
 // Dataset sizes here are the harness's "small" scale so the suite
 // finishes quickly; use `go run ./cmd/sliderbench -table1 -scale paper`
-// for paper-sized runs. See EXPERIMENTS.md for recorded results.
+// for paper-sized runs.
 package slider_test
 
 import (

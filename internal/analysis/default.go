@@ -74,6 +74,12 @@ func DefaultCheckers(modPath string) []Checker {
 			{Pkg: reasoner, Recv: "Engine", Name: "deliverBatch"},
 			{Pkg: reasoner, Recv: "Engine", Name: "submit"},
 			{Pkg: reasoner, Recv: "Engine", Name: "runInstance"},
+			// The quiescence wake-up's raising side rides every routing
+			// pass and every instance: no clock read, whoever is parked.
+			{Pkg: reasoner, Recv: "Engine", Name: "enter"},
+			{Pkg: reasoner, Recv: "Engine", Name: "routed"},
+			{Pkg: reasoner, Recv: "Engine", Name: "finish"},
+			{Pkg: reasoner, Recv: "wake", Name: "raise"},
 			{Pkg: reasoner, Recv: "buffer", Name: "add"},
 			{Pkg: reasoner, Recv: "buffer", Name: "addBatch"},
 			// Store probe and insert paths the joins hammer.

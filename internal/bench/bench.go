@@ -51,8 +51,7 @@ func (f Fragment) Rules() []rules.Rule {
 }
 
 // Scale shrinks the paper's dataset sizes to fit the machine at hand.
-// Relative shapes (who wins, where gains shrink) are preserved; see
-// EXPERIMENTS.md for measured numbers per scale.
+// Relative shapes (who wins, where gains shrink) are preserved.
 type Scale int
 
 const (

@@ -109,7 +109,7 @@ func TestRhoDFClosureIsSmall(t *testing.T) {
 
 func TestRDFSClosureIsSubstantial(t *testing.T) {
 	// Table 1: BSBM RDFS closures run ≈ 30% of input; our synthetic mix
-	// lands somewhat lower (see EXPERIMENTS.md). Accept 12–60%.
+	// lands somewhat lower. Accept 12–60%.
 	input, inferred := closure(t, rules.RDFS(), Generate(Config{Triples: 20000, Seed: 7}))
 	ratio := float64(inferred) / float64(input)
 	if ratio < 0.12 || ratio > 0.60 {

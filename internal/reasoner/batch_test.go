@@ -115,47 +115,3 @@ func TestAddBatchClosedEngine(t *testing.T) {
 		t.Fatal("closed engine stored a triple")
 	}
 }
-
-// TestWaitBackoffCompletes exercises Wait's exponential backoff across a
-// slow trickle of adds: quiescence must still be detected promptly after
-// the last add, and buffered work must still get force-flushed.
-func TestWaitBackoffCompletes(t *testing.T) {
-	st := store.New()
-	// Big buffer + long timeout: only Wait's force-flush can drain it.
-	e := New(st, rules.RhoDF(), Config{BufferSize: 1 << 20, Timeout: time.Hour})
-	e.Add(sc(a, b))
-	e.Add(sc(b, c))
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	start := time.Now()
-	if err := e.Wait(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if elapsed := time.Since(start); elapsed > 10*time.Second {
-		t.Fatalf("Wait took %v despite force-flushing", elapsed)
-	}
-	if !st.Contains(sc(a, c)) {
-		t.Fatal("missing inferred (a sc c) after Wait")
-	}
-	if err := e.Close(ctx); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestWaitContextCancelDuringBackoff checks a cancelled context unblocks
-// Wait even while the backoff timer is at its widest.
-func TestWaitContextCancelDuringBackoff(t *testing.T) {
-	st := store.New()
-	e := New(st, rules.RhoDF(), Config{})
-	// Fake outstanding work so Wait spins in its backoff loop.
-	e.inflight.Add(1)
-	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-	defer cancel()
-	if err := e.Wait(ctx); err != context.DeadlineExceeded {
-		t.Fatalf("Wait = %v, want context.DeadlineExceeded", err)
-	}
-	e.inflight.Add(-1)
-	if err := e.Close(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-}

@@ -42,16 +42,25 @@ type Engine struct {
 
 	pool *pool
 	// inflight counts units of unfinished work: every triple sitting in
-	// a buffer or inside a running instance's delta contributes one.
-	// Quiescence (inference complete) is inflight == 0 with all buffers
-	// empty, which Wait polls for while force-flushing.
+	// a buffer or inside a queued or running instance's delta contributes
+	// one. Quiescence (inference complete) is inflight == 0.
 	inflight atomic.Int64
+	// busy counts instances queued or running: at zero, whatever is
+	// outstanding sits in buffers.
+	busy atomic.Int64
+	// idle is the quiescence wake-up, raised on every transition that
+	// can make a parked waiter's condition true (see wake.go).
+	idle wake
 
 	input      atomic.Int64
 	dupInput   atomic.Int64
 	inferred   atomic.Int64
 	duplicates atomic.Int64
 
+	// armed re-arms the parked timeout scanner on the inflight 0→>0
+	// transition; its one slot keeps a kick sent before the scanner parks.
+	armed        chan struct{}
+	scans        atomic.Int64 // scanner passes, for tests
 	stopTimeouts chan struct{}
 	timeoutsDone sync.WaitGroup
 	closed       atomic.Bool
@@ -80,8 +89,10 @@ func New(st *store.Store, ruleset []rules.Rule, cfg Config) *Engine {
 		store:        st,
 		graph:        rules.BuildDependencyGraph(ruleset),
 		byPred:       make(map[rdf.ID][]*module),
+		armed:        make(chan struct{}, 1),
 		stopTimeouts: make(chan struct{}),
 	}
+	e.idle.init()
 	for i, r := range ruleset {
 		m := &module{rule: r, buf: newBuffer(cfg.BufferSize), idx: i}
 		e.modules = append(e.modules, m)
@@ -220,12 +231,6 @@ func (e *Engine) AddBatchCtx(ctx context.Context, ts []rdf.Triple) []rdf.Triple 
 	return fresh
 }
 
-// Quiescent reports whether inference has drained: no triples buffered
-// and no rule instances queued or running. The batch-lifecycle watcher
-// polls it to close a flight's inference span; unlike Wait it never
-// flushes timed buffers, so observing quiescence does not perturb it.
-func (e *Engine) Quiescent() bool { return e.inflight.Load() == 0 }
-
 // route places t into the buffer of every module whose rule consumes its
 // predicate (plus all universal-input modules), flushing buffers that
 // reach capacity.
@@ -237,10 +242,32 @@ func (e *Engine) route(t rdf.Triple) {
 	for _, m := range e.universal {
 		e.deliver(m, t, obs)
 	}
+	e.routed()
+}
+
+// routed ends a routing pass: triples buffered under an idle pool are
+// work only a parked waiter's flush will start, so it is woken (under a
+// busy pool the last instance to finish does that). One atomic load
+// when nobody waits.
+func (e *Engine) routed() {
+	if e.idle.parked.Load() > 0 && e.busy.Load() == 0 {
+		e.idle.raise()
+	}
+}
+
+// enter accounts n triples entering a buffer and, on the 0→>0
+// transition, re-arms the parked timeout scanner.
+func (e *Engine) enter(n int) {
+	if e.inflight.Add(int64(n)) == int64(n) {
+		select {
+		case e.armed <- struct{}{}:
+		default:
+		}
+	}
 }
 
 func (e *Engine) deliver(m *module, t rdf.Triple, obs Observer) {
-	e.inflight.Add(1)
+	e.enter(1)
 	m.c.routed.Add(1)
 	if obs != nil {
 		obs.OnRoute(m.rule.Name(), t)
@@ -278,10 +305,11 @@ func (e *Engine) routeBatch(ts []rdf.Triple) {
 		}
 		e.deliverBatch(e.modules[i], bucket, obs)
 	}
+	e.routed()
 }
 
 func (e *Engine) deliverBatch(m *module, ts []rdf.Triple, obs Observer) {
-	e.inflight.Add(int64(len(ts)))
+	e.enter(len(ts))
 	m.c.routed.Add(int64(len(ts)))
 	if obs != nil {
 		for _, t := range ts {
@@ -300,15 +328,26 @@ func (e *Engine) deliverBatch(m *module, ts []rdf.Triple, obs Observer) {
 // submit schedules a rule-module instance; if the pool is stopped the
 // delta's work units are released so Wait cannot hang.
 func (e *Engine) submit(m *module, delta []rdf.Triple) {
+	e.busy.Add(1)
 	if !e.pool.submit(task{m: m, delta: delta}) {
-		e.inflight.Add(int64(-len(delta)))
+		e.finish(len(delta))
+	}
+}
+
+// finish retires one instance and its n work units; the one that leaves
+// the pool idle wakes the waiters — inference has quiesced, or what is
+// left is buffered and theirs to flush.
+func (e *Engine) finish(n int) {
+	e.inflight.Add(int64(-n))
+	if e.busy.Add(-1) == 0 {
+		e.idle.raise()
 	}
 }
 
 // runInstance executes one rule-module instance: the delta⋈store join
 // followed by distribution of the inferred triples (paper's Distributor).
 func (e *Engine) runInstance(tk task) {
-	defer e.inflight.Add(int64(-len(tk.delta)))
+	defer e.finish(len(tk.delta))
 	m := tk.m
 	m.c.executions.Add(1)
 
@@ -363,7 +402,8 @@ func (e *Engine) Err() error {
 }
 
 // timeoutLoop is the buffer-staleness scanner: a single goroutine flushes
-// buffers that sat inactive past the configured timeout.
+// buffers that sat inactive past the configured timeout. It ticks only
+// while work is outstanding; a quiescent engine parks it on armed.
 func (e *Engine) timeoutLoop() {
 	defer e.timeoutsDone.Done()
 	interval := e.cfg.Timeout / 4
@@ -373,10 +413,20 @@ func (e *Engine) timeoutLoop() {
 	ticker := time.NewTicker(interval)
 	defer ticker.Stop()
 	for {
+		for e.inflight.Load() == 0 {
+			ticker.Stop()
+			select {
+			case <-e.stopTimeouts:
+				return
+			case <-e.armed:
+			}
+			ticker.Reset(interval)
+		}
 		select {
 		case <-e.stopTimeouts:
 			return
 		case now := <-ticker.C:
+			e.scans.Add(1)
 			for _, m := range e.modules {
 				if batch := m.buf.takeStale(e.cfg.Timeout, now); batch != nil {
 					m.c.timeoutFlushes.Add(1)
@@ -408,41 +458,39 @@ func (e *Engine) flushAll() {
 // while waiting, so it does not wait out buffer timeouts — but only when
 // all outstanding work is sitting in buffers (no instance is running or
 // queued), so draining does not fragment inference into tiny deltas while
-// the thread pool is busy. Concurrent Add calls extend the wait.
+// the thread pool is busy. Concurrent Add calls extend the wait; ctx
+// aborts it.
 //
-// Polling backs off exponentially from 200µs to 2ms so a long wait does
-// not spin a core; forcing a flush (progress) resets the backoff.
-func (e *Engine) Wait(ctx context.Context) error {
-	const (
-		minDelay = 200 * time.Microsecond
-		maxDelay = 2 * time.Millisecond
-	)
-	delay := minDelay
-	timer := time.NewTimer(delay)
-	defer timer.Stop()
+// Quiescence is an event: a waiter parks on the engine's wake-up, raised
+// by the instance that leaves the pool idle, by a routing pass that
+// buffers triples under an idle pool, and by Close.
+func (e *Engine) Wait(ctx context.Context) error { return e.await(ctx, true) }
+
+// Quiesced blocks like Wait but never flushes a buffer, so observing
+// quiescence does not perturb it (the batch-lifecycle watcher's view).
+func (e *Engine) Quiesced(ctx context.Context) error { return e.await(ctx, false) }
+
+func (e *Engine) await(ctx context.Context, drain bool) error {
+	e.idle.parked.Add(1)
+	defer e.idle.parked.Add(-1)
 	for {
-		n := e.inflight.Load()
-		if n == 0 {
+		// Generation first, look second: a raise after the look closes
+		// this very channel.
+		woken := e.idle.gen()
+		if e.inflight.Load() == 0 {
 			return nil
 		}
-		// inflight counts buffered triples plus triples inside queued or
-		// running instances; when everything left is buffered, nothing
+		// An idle pool means everything left is buffered, and nothing
 		// will flush it except a (slow) timeout — do it now.
-		if int64(e.BufferedTriples()) >= n {
+		if drain && e.busy.Load() == 0 {
 			e.flushAll()
-			delay = minDelay
 		}
 		select {
 		case <-ctx.Done():
 			return ctx.Err()
-		case <-timer.C:
-		}
-		timer.Reset(delay)
-		if delay < maxDelay {
-			delay *= 2
-			if delay > maxDelay {
-				delay = maxDelay
-			}
+		case <-woken:
+		case <-e.strandedCheck():
+			e.assertNotStranded(woken)
 		}
 	}
 }
@@ -457,6 +505,9 @@ func (e *Engine) Close(ctx context.Context) error {
 	close(e.stopTimeouts)
 	e.timeoutsDone.Wait()
 	e.pool.stop()
+	// From here a flush releases its delta (submit on a stopped pool):
+	// anyone still parked looks again.
+	e.idle.raise()
 	return err
 }
 
@@ -486,14 +537,4 @@ func (e *Engine) Stats() Stats {
 		s.Modules = append(s.Modules, ms)
 	}
 	return s
-}
-
-// BufferedTriples reports the total number of triples currently sitting
-// in rule buffers (diagnostics / demo).
-func (e *Engine) BufferedTriples() int {
-	n := 0
-	for _, m := range e.modules {
-		n += m.buf.size()
-	}
-	return n
 }

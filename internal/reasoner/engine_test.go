@@ -518,21 +518,6 @@ func TestEngineGraphExposed(t *testing.T) {
 	}
 }
 
-func TestEngineBufferedTriples(t *testing.T) {
-	st := store.New()
-	e := New(st, rules.RhoDF(), Config{BufferSize: 1000, Timeout: time.Hour})
-	e.Add(sc(a, b))
-	if e.BufferedTriples() == 0 {
-		t.Fatal("triple not buffered")
-	}
-	if err := e.Close(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if e.BufferedTriples() != 0 {
-		t.Fatal("buffers not drained by Close")
-	}
-}
-
 func TestFlushReasonString(t *testing.T) {
 	if FlushFull.String() != "full" || FlushTimeout.String() != "timeout" ||
 		FlushExplicit.String() != "explicit" || FlushReason(9).String() != "unknown" {

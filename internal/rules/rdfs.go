@@ -56,7 +56,7 @@ func (r *classTriggerRule) Supports(src Source, t rdf.Triple) bool {
 //	rdfs4b  (x p y) → (y type Resource)   [y not a literal]
 //
 // It has universal input and is the rule responsible for the bulk of the
-// RDFS closure on instance-heavy ontologies (see EXPERIMENTS.md).
+// RDFS closure on instance-heavy ontologies.
 type resourceTypingRule struct{}
 
 func (resourceTypingRule) Name() string      { return "rdfs4" }

@@ -15,23 +15,20 @@
 // drain the batch joins covers later batches too. That is the number
 // view staleness is made of, which is what the trace is for.
 //
-// The watcher is a single lazily-started goroutine polling at
-// millisecond grain while flights are pending; view visibility is also
-// settled event-style by refreshView. Inert unless tracing produced
-// spans to track.
+// Both tails end on events, not polls: refreshView settles view.visible
+// at the install (notifyView), and a single lazily-started watcher
+// goroutine parks on the engine's quiescence wake-up (Engine.Quiesced)
+// to settle infer.rounds, holding one timer — the oldest tail's
+// deadline. Inert unless tracing produced spans to track.
 package slider
 
 import (
+	"context"
 	"sync"
 	"time"
 
 	"repro/internal/trace"
 )
-
-// lifecycleGrain is the watcher's polling period: fine enough that
-// span ends attribute sub-ViewMaxAge latencies, coarse enough that a
-// pending flight costs two atomic loads per tick.
-const lifecycleGrain = 2 * time.Millisecond
 
 // lifecycleSlack bounds how long a flight's tail spans stay open when
 // quiescence or visibility is never observed (no queries arrive, so no
@@ -53,9 +50,14 @@ type lifecycle struct {
 	r *Reasoner
 
 	mu      sync.Mutex
-	pending []*flightTail
+	pending []*flightTail // in tracking order, so in deadline order
 	running bool
 	closed  bool
+	// rewait cancels the watcher's current wait so it looks at pending
+	// again; inferring says that wait is on the engine too (else only
+	// on the head deadline, and a new tail must interrupt it).
+	rewait    context.CancelFunc
+	inferring bool
 }
 
 // track registers a just-acknowledged batch's asynchronous tail under
@@ -70,82 +72,96 @@ func (lc *lifecycle) track(parent *trace.Span, version uint64) {
 	}
 	ft.vis.SetInt("version", int64(version))
 	lc.mu.Lock()
+	defer lc.mu.Unlock()
 	if lc.closed {
-		lc.mu.Unlock()
-		ft.settle(true, true, "shutdown")
+		ft.settle("shutdown")
 		return
 	}
 	lc.pending = append(lc.pending, ft)
 	if !lc.running {
-		lc.running = true
+		lc.running, lc.inferring = true, true
 		go lc.watch()
+	} else if !lc.inferring {
+		lc.inferring = true
+		lc.rewait()
 	}
-	lc.mu.Unlock()
+}
+
+// sweep applies f to every pending tail and drops those it settled.
+// Callers hold mu.
+func (lc *lifecycle) sweep(f func(*flightTail)) {
+	keep := lc.pending[:0]
+	for _, ft := range lc.pending {
+		f(ft)
+		if ft.infer != nil || ft.vis != nil {
+			keep = append(keep, ft)
+		}
+	}
+	clear(lc.pending[len(keep):]) // do not pin settled tails
+	lc.pending = keep
 }
 
 // notifyView settles view-visibility spans for batches at or before
 // the just-installed view's version. Called by refreshView after the
 // install, with no reasoner locks held, so the precise install moment
-// is what the spans record (the watcher would add up to a grain of
-// skew).
+// is what the spans record. Nothing else has to watch for visibility:
+// track runs under the mark gate's read side, so every freeze that
+// includes the batch comes after its tail is registered.
 func (lc *lifecycle) notifyView(version uint64) {
 	if !trace.Enabled() {
 		return
 	}
 	lc.mu.Lock()
 	defer lc.mu.Unlock()
-	keep := lc.pending[:0]
-	for _, ft := range lc.pending {
+	lc.sweep(func(ft *flightTail) {
 		if ft.vis != nil && version >= ft.version {
 			ft.vis.End()
 			ft.vis = nil
 		}
-		if ft.infer != nil || ft.vis != nil {
-			keep = append(keep, ft)
-		}
-	}
-	clearTail(lc.pending, len(keep))
-	lc.pending = keep
+	})
 }
 
-// watch polls pending tails until none remain, then exits; track
-// restarts it for the next traced batch. Engine quiescence and the
-// installed view version are each one atomic-ish read, so an idle
-// pending list costs nothing measurable per grain.
+// watch settles infer.rounds at each engine quiescence and times out
+// tails past their deadline, until none remain; track restarts it for
+// the next traced batch.
 func (lc *lifecycle) watch() {
-	ticker := time.NewTicker(lifecycleGrain)
-	defer ticker.Stop()
-	for range ticker.C {
+	for {
 		lc.mu.Lock()
-		if lc.closed || len(lc.pending) == 0 {
+		now := time.Now()
+		lc.sweep(func(ft *flightTail) {
+			if now.After(ft.deadline) {
+				ft.settle("timeout")
+			}
+		})
+		n := len(lc.pending)
+		if n == 0 {
 			lc.running = false
 			lc.mu.Unlock()
 			return
 		}
-		quiescent := lc.r.engine.Quiescent()
-		viewV := lc.r.currentViewVersion()
-		now := time.Now()
-		keep := lc.pending[:0]
-		for _, ft := range lc.pending {
-			if ft.infer != nil && quiescent {
-				ft.infer.End()
-				ft.infer = nil
-			}
-			if ft.vis != nil && viewV >= ft.version {
-				ft.vis.End()
-				ft.vis = nil
-			}
-			if now.After(ft.deadline) {
-				ft.settle(ft.infer != nil, ft.vis != nil, "timeout")
-				ft.infer, ft.vis = nil, nil
-			}
-			if ft.infer != nil || ft.vis != nil {
-				keep = append(keep, ft)
-			}
-		}
-		clearTail(lc.pending, len(keep))
-		lc.pending = keep
+		// Quiescence ends every open infer span, so those still open are
+		// a suffix; last was acknowledged before the wait begins, so a
+		// quiescence the wait observes comes after its routing.
+		last := lc.pending[n-1]
+		inferring := last.infer != nil
+		ctx, cancel := context.WithDeadline(context.Background(), lc.pending[0].deadline)
+		lc.inferring, lc.rewait = inferring, cancel
 		lc.mu.Unlock()
+		if !inferring {
+			<-ctx.Done()
+		} else if lc.r.engine.Quiesced(ctx) == nil {
+			lc.mu.Lock()
+			open := true
+			lc.sweep(func(ft *flightTail) {
+				if open && ft.infer != nil {
+					ft.infer.End()
+					ft.infer = nil
+				}
+				open = open && ft != last
+			})
+			lc.mu.Unlock()
+		}
+		cancel()
 	}
 }
 
@@ -154,32 +170,22 @@ func (lc *lifecycle) watch() {
 // before tearing the engine down.
 func (lc *lifecycle) close() {
 	lc.mu.Lock()
+	defer lc.mu.Unlock()
 	lc.closed = true
-	pending := lc.pending
-	lc.pending = nil
-	lc.mu.Unlock()
-	for _, ft := range pending {
-		ft.settle(ft.infer != nil, ft.vis != nil, "shutdown")
+	lc.sweep(func(ft *flightTail) { ft.settle("shutdown") })
+	if lc.rewait != nil {
+		lc.rewait()
 	}
 }
 
-// settle ends the selected tail spans with an outcome attribute — used
+// settle ends the tail's open spans with an outcome attribute — used
 // when the watcher gives up rather than observes the real event.
-func (ft *flightTail) settle(infer, vis bool, outcome string) {
-	if infer && ft.infer != nil {
-		ft.infer.SetStr("outcome", outcome)
-		ft.infer.End()
+func (ft *flightTail) settle(outcome string) {
+	for _, sp := range []*trace.Span{ft.infer, ft.vis} {
+		if sp != nil {
+			sp.SetStr("outcome", outcome)
+			sp.End()
+		}
 	}
-	if vis && ft.vis != nil {
-		ft.vis.SetStr("outcome", outcome)
-		ft.vis.End()
-	}
-}
-
-// clearTail nils the dropped suffix after an in-place filter so the
-// backing array does not pin settled tails.
-func clearTail(s []*flightTail, from int) {
-	for i := from; i < len(s); i++ {
-		s[i] = nil
-	}
+	ft.infer, ft.vis = nil, nil
 }

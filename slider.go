@@ -191,12 +191,11 @@ type Reasoner struct {
 	markMu sync.RWMutex
 
 	// Shared read-session state (see view.go). viewMu guards the cached
-	// current view and the refreshing flag; refreshMu single-flights the
-	// quiesce-and-freeze.
+	// current view and viewFlight, which is non-nil while a caller is
+	// running the (single) quiesce-and-freeze and is closed when it ends.
 	viewMu     sync.Mutex
 	viewCur    *sharedView
-	refreshing bool
-	refreshMu  sync.Mutex
+	viewFlight chan struct{}
 	viewMaxAge time.Duration
 
 	// retractMu serializes whole retraction passes: a pass's prepared

@@ -16,7 +16,12 @@
 // when the store has not changed — or changed less than ViewMaxAge ago —
 // and only quiesces when the snapshot is both stale and old. Under a
 // steady mixed workload the refresh rate is bounded by ViewMaxAge, not
-// by query rate.
+// by query rate. One refresh runs at a time; what a caller arriving
+// meanwhile gets depends on the minimum version it needs (viewAtLeast).
+// A caller that needs nothing newer than the cache is served the
+// previous snapshot at once. A caller that needs its own acknowledged
+// writes (ViewMaxAge < 0) waits for the refresh and, if that one froze
+// before the write, runs the next.
 package slider
 
 import (
@@ -69,48 +74,66 @@ type View struct {
 // store is changing — and a session never blocks writers. ctx bounds the
 // quiescence wait a refresh may need; the returned session must be
 // Closed.
+//
+// Under a negative ViewMaxAge ("always current") the session is at or
+// past the store version observed at the call, so a caller finds its
+// own acknowledged batches, inferences included, in the first session
+// it opens (read-your-writes).
 func (r *Reasoner) View(ctx context.Context) (*View, error) {
-	r.viewMu.Lock()
-	cur := r.viewCur
-	if cur != nil {
-		// Reuse when the snapshot is current (store unchanged), young
-		// enough, or a refresh is already in flight — only the claiming
-		// caller pays for a refresh; everyone else keeps being served
-		// from the previous snapshot, so writers see at most one drain
-		// per ViewMaxAge no matter the query rate.
-		if cur.version == r.store.Version() || time.Since(cur.born) < r.viewMaxAge || r.refreshing {
+	var need uint64
+	if r.viewMaxAge < 0 {
+		need = r.store.Version()
+	}
+	return r.viewAtLeast(ctx, need)
+}
+
+// viewAtLeast is the one serving rule. The cached snapshot is served iff
+// it is at or past need and is current (store unchanged), young enough,
+// or being refreshed by someone else — only the claiming caller pays
+// for a refresh, so writers see at most one drain per ViewMaxAge no
+// matter the query rate. A caller the cache cannot serve joins the
+// refresh in flight (bounded by ctx) and looks again, claiming the next
+// one itself if that one froze too early or failed.
+func (r *Reasoner) viewAtLeast(ctx context.Context, need uint64) (*View, error) {
+	for {
+		r.viewMu.Lock()
+		cur, flight := r.viewCur, r.viewFlight
+		if cur != nil && cur.version >= need &&
+			(cur.version == r.store.Version() || time.Since(cur.born) < r.viewMaxAge || flight != nil) {
 			cur.refs.Add(1)
 			r.viewMu.Unlock()
 			return &View{r: r, shared: cur}, nil
 		}
-		r.refreshing = true
+		if flight == nil {
+			r.viewFlight = make(chan struct{})
+			r.viewMu.Unlock()
+			// The claimant's snapshot is frozen after its call began, so
+			// it is past need by construction.
+			return r.refreshView(ctx)
+		}
 		r.viewMu.Unlock()
-		v, err := r.refreshView(ctx)
-		r.viewMu.Lock()
-		r.refreshing = false
-		r.viewMu.Unlock()
-		return v, err
+		select {
+		case <-flight:
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
 	}
-	r.viewMu.Unlock()
-	// No snapshot yet: everyone has to wait for the first capture
-	// (refreshView single-flights via refreshMu and re-checks).
-	return r.refreshView(ctx)
 }
 
-// refreshView quiesces the engine, freezes a fresh snapshot and installs
-// it as the shared current one, returning a session on it. refreshMu
-// serializes captures; a caller that queued behind one reuses its result
-// when it is still current.
+// refreshView runs the refresh its caller claimed (viewFlight): it
+// quiesces the engine, freezes a fresh snapshot and installs it as the
+// shared current one, returning a session on it. However it ends —
+// installed, failed or panicking — the flight is cleared and closed
+// last, so joiners look again (at the new snapshot, if there is one)
+// and a failure cannot freeze the served snapshot.
 func (r *Reasoner) refreshView(ctx context.Context) (*View, error) {
-	r.refreshMu.Lock()
-	defer r.refreshMu.Unlock()
-	r.viewMu.Lock()
-	if cur := r.viewCur; cur != nil && cur.version == r.store.Version() {
-		cur.refs.Add(1)
+	defer func() {
+		r.viewMu.Lock()
+		flight := r.viewFlight
+		r.viewFlight = nil
 		r.viewMu.Unlock()
-		return &View{r: r, shared: cur}, nil
-	}
-	r.viewMu.Unlock()
+		close(flight)
+	}()
 	t0 := obs.NowIfEnabled()
 	// The refresh span lands in the trace of whichever flight paid for
 	// the capture (typically a query request's) — the quiesce-and-freeze
@@ -138,18 +161,6 @@ func (r *Reasoner) refreshView(ctx context.Context) (*View, error) {
 	// sessions: settle their pending view-visibility spans.
 	r.lc.notifyView(version)
 	return &View{r: r, shared: ns}, nil
-}
-
-// currentViewVersion reports the store version of the cached shared
-// view (0 when none is installed). Used by the lifecycle watcher to
-// decide whether a batch's triples have become visible to readers.
-func (r *Reasoner) currentViewVersion() uint64 {
-	r.viewMu.Lock()
-	defer r.viewMu.Unlock()
-	if r.viewCur == nil {
-		return 0
-	}
-	return r.viewCur.version
 }
 
 // freezeClosure quiesces inference and captures a copy-on-write view of

@@ -4,8 +4,11 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/rdf"
 )
 
 // TestViewSnapshotIsolation pins the read-session guarantee: a session
@@ -215,6 +218,9 @@ func TestViewConcurrentWithIngest(t *testing.T) {
 	if err := r.Wait(ctx); err != nil {
 		t.Fatal(err)
 	}
+	// Outlast ViewMaxAge: a snapshot younger than that may be served
+	// stale, and Wait no longer takes long enough to age one out.
+	time.Sleep(2 * time.Millisecond)
 	v, err := r.View(ctx)
 	if err != nil {
 		t.Fatal(err)
@@ -226,5 +232,203 @@ func TestViewConcurrentWithIngest(t *testing.T) {
 	}
 	if len(rows) != writers*perWriter {
 		t.Fatalf("final snapshot has %d members, want %d", len(rows), writers*perWriter)
+	}
+}
+
+// TestViewReadYourWrites pins the always-current contract: under a
+// negative max age a writer finds its acknowledged batch — inferences
+// included — in the first session it opens, every time, however many
+// other callers are opening sessions (and so running refreshes that
+// froze before the batch) beside it.
+func TestViewReadYourWrites(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	r := New(RhoDF, WithViewMaxAge(-1))
+	defer r.Close(ctx)
+	mustAdd(t, r, NewStatement(ex("C0"), IRI(SubClassOf), ex("C1")))
+
+	var readers sync.WaitGroup
+	stop := make(chan struct{})
+	for g := 0; g < 8; g++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				v, err := r.View(ctx)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				v.Close()
+			}
+		}()
+	}
+	for i := 0; i < 300; i++ {
+		m := ex(fmt.Sprintf("m%d", i))
+		if _, err := r.AddBatch([]Statement{NewStatement(m, IRI(Type), ex("C0"))}); err != nil {
+			t.Fatal(err)
+		}
+		v, err := r.View(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ok := v.Contains(NewStatement(m, IRI(Type), ex("C1")))
+		v.Close()
+		if !ok {
+			t.Fatalf("batch %d: its inferred triple is not in the first session opened after the ack", i)
+		}
+	}
+	close(stop)
+	readers.Wait()
+}
+
+// gatedReasoner is a ρdf reasoner with one more rule, which holds every
+// instance it is given (any rdfs:label triple starts one) while a gate
+// is set — so a test decides how long a refresh's drain takes.
+func gatedReasoner(opts ...Option) (*Reasoner, *atomic.Pointer[chan struct{}]) {
+	gate := new(atomic.Pointer[chan struct{}])
+	hold := &CustomRule{
+		RuleName: "hold",
+		In:       []rdf.ID{rdf.IDLabel},
+		Fn: func(Source, []Triple, func(Triple)) {
+			if g := gate.Load(); g != nil {
+				<-*g
+			}
+		},
+	}
+	return New(CustomFragment("rhodf+hold", append(RhoDF.Rules(), hold)...), opts...), gate
+}
+
+// heldRefresh makes the next refresh block in its drain: it sets the
+// gate, adds a label triple and starts a View call that has to claim
+// the refresh. It returns once that refresh is in flight.
+func heldRefresh(ctx context.Context, t *testing.T, r *Reasoner, gate *atomic.Pointer[chan struct{}], name string) (release func(), result <-chan error) {
+	t.Helper()
+	g := make(chan struct{})
+	gate.Store(&g)
+	mustAdd(t, r, NewStatement(ex(name), IRI(Label), Literal(name)))
+	errc := make(chan error, 1)
+	go func() {
+		v, err := r.View(ctx)
+		if err == nil {
+			v.Close()
+		}
+		errc <- err
+	}()
+	for {
+		r.viewMu.Lock()
+		inFlight := r.viewFlight != nil
+		r.viewMu.Unlock()
+		if inFlight {
+			return func() { gate.Store(nil); close(g) }, errc
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+}
+
+// TestViewServesPreviousDuringRefresh pins the other side of the rule:
+// under a positive max age only the claimant pays for a refresh, and a
+// caller arriving while it runs is served the previous snapshot at once.
+func TestViewServesPreviousDuringRefresh(t *testing.T) {
+	ctx := context.Background()
+	r, gate := gatedReasoner(WithViewMaxAge(time.Millisecond))
+	defer r.Close(ctx)
+	mustAdd(t, r, NewStatement(ex("a"), IRI(Type), ex("T")))
+	v0, err := r.View(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer v0.Close()
+	time.Sleep(2 * time.Millisecond) // age the snapshot out
+	release, refreshed := heldRefresh(ctx, t, r, gate, "held")
+
+	served := make(chan *View, 1)
+	go func() {
+		v, err := r.View(ctx)
+		if err != nil {
+			t.Error(err)
+		}
+		served <- v
+	}()
+	select {
+	case v := <-served:
+		if v.shared != v0.shared {
+			t.Error("caller beside a refresh was not served the previous snapshot")
+		}
+		v.Close()
+	case <-time.After(10 * time.Second):
+		t.Error("caller beside a refresh blocked on it")
+	}
+	release()
+	if err := <-refreshed; err != nil {
+		t.Fatal(err)
+	}
+}
+
+// panicCtx is a context whose Done panics: an injected fault in the
+// middle of a refresh (the drain selects on it).
+type panicCtx struct{ context.Context }
+
+func (panicCtx) Done() <-chan struct{} { panic("injected refresh failure") }
+
+// TestViewRefreshFailureDoesNotStick fails refreshes both ways — a panic
+// and an error — and checks neither leaves the refresh marked in flight:
+// a joiner takes over from a failed claimant, and later sessions are
+// fresh rather than frozen at the last good snapshot.
+func TestViewRefreshFailureDoesNotStick(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	r, gate := gatedReasoner(WithViewMaxAge(-1))
+	defer r.Close(ctx)
+	mustAdd(t, r, NewStatement(ex("C0"), IRI(SubClassOf), ex("C1")))
+	v, err := r.View(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v.Close()
+
+	mustAdd(t, r, NewStatement(ex("m1"), IRI(Type), ex("C0")))
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("the injected panic did not reach the caller")
+			}
+		}()
+		r.View(panicCtx{ctx})
+	}()
+
+	// A claimant whose ctx is cancelled mid-drain, with a joiner parked
+	// on its refresh.
+	claimCtx, abandon := context.WithCancel(ctx)
+	release, claimed := heldRefresh(claimCtx, t, r, gate, "held")
+	joined := make(chan bool, 1)
+	go func() {
+		v, err := r.View(ctx)
+		if err != nil {
+			t.Error(err)
+			joined <- false
+			return
+		}
+		defer v.Close()
+		joined <- v.Contains(NewStatement(ex("m1"), IRI(Type), ex("C1")))
+	}()
+	abandon()
+	if err := <-claimed; err != context.Canceled {
+		t.Fatalf("abandoned refresh = %v, want context.Canceled", err)
+	}
+	release()
+	if !<-joined {
+		t.Fatal("joiner of a failed refresh did not get a fresh session")
+	}
+	r.viewMu.Lock()
+	stuck := r.viewFlight != nil
+	r.viewMu.Unlock()
+	if stuck {
+		t.Fatal("a refresh is still marked in flight after all of them ended")
 	}
 }

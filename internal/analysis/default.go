@@ -45,8 +45,8 @@ func DefaultCheckers(modPath string) []Checker {
 		PkgPath: store,
 		RunType: "run",
 		Fields: map[string]bool{
-			"pairs": true, "subs": true, "subOff": true, "objs": true, "subIdx": true,
-			"objsD": true, "objOff": true, "subsByObj": true, "objIdx": true,
+			"pairs": true, "subs": true, "subOff": true, "objs": true,
+			"objsD": true, "objOff": true, "subsByObj": true,
 		},
 		Blessed: map[string]bool{
 			"buildRun": true, "buildRunFromOverlay": true, "mergeRuns": true,

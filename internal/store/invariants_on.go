@@ -76,15 +76,17 @@ func (p *partition) assertDead(s, o rdf.ID) {
 
 // checkRun validates a freshly built or merged run's CSR shape in both
 // directions: strictly ascending keys, monotone offsets bracketed by 0
-// and the pair count, strictly ascending values within every span, and
-// index maps consistent with the key slices. Runs are immutable after
-// publication, so passing here once means the shape holds forever.
+// and the pair count, and strictly ascending values within every span.
+// The key slices are the run's only index — objectsOf/subjectsOf binary
+// search them — so strictly ascending keys are what makes a probe find
+// its span (and the only span). Runs are immutable after publication,
+// so passing here once means the shape holds forever.
 func checkRun(r *run) {
-	checkDirection(r, "subject", r.subs, r.subOff, r.objs, r.subIdx)
-	checkDirection(r, "object", r.objsD, r.objOff, r.subsByObj, r.objIdx)
+	checkDirection(r, "subject", r.subs, r.subOff, r.objs)
+	checkDirection(r, "object", r.objsD, r.objOff, r.subsByObj)
 }
 
-func checkDirection(r *run, dir string, keys []rdf.ID, off []int32, vals []rdf.ID, idx map[rdf.ID]int32) {
+func checkDirection(r *run, dir string, keys []rdf.ID, off []int32, vals []rdf.ID) {
 	if len(vals) != r.pairs {
 		panic(fmt.Sprintf("store invariant: run %s direction holds %d values, want pairs=%d", dir, len(vals), r.pairs))
 	}
@@ -95,18 +97,12 @@ func checkDirection(r *run, dir string, keys []rdf.ID, off []int32, vals []rdf.I
 		panic(fmt.Sprintf("store invariant: run %s offsets not bracketed: off[0]=%d off[last]=%d len(vals)=%d",
 			dir, off[0], off[len(off)-1], len(vals)))
 	}
-	if len(idx) != len(keys) {
-		panic(fmt.Sprintf("store invariant: run %s index has %d entries for %d keys", dir, len(idx), len(keys)))
-	}
 	for i, k := range keys {
 		if i > 0 && keys[i-1] >= k {
 			panic(fmt.Sprintf("store invariant: run %s keys not strictly ascending at %d: %d >= %d", dir, i, keys[i-1], k))
 		}
 		if off[i] >= off[i+1] {
 			panic(fmt.Sprintf("store invariant: run %s key %d has empty or inverted span [%d:%d]", dir, k, off[i], off[i+1]))
-		}
-		if j, ok := idx[k]; !ok || int(j) != i {
-			panic(fmt.Sprintf("store invariant: run %s index maps key %d to %d, want %d", dir, k, j, i))
 		}
 		span := vals[off[i]:off[i+1]]
 		for j := 1; j < len(span); j++ {

@@ -43,7 +43,9 @@ func TestCheckRunDetectsCorruption(t *testing.T) {
 	corrupt("descending span", func(r *run) { r.objs[0], r.objs[1] = r.objs[1], r.objs[0] })
 	corrupt("offset drift", func(r *run) { r.subOff[1] = r.subOff[1] + 1 })
 	corrupt("pair count drift", func(r *run) { r.pairs++ })
-	corrupt("index drift", func(r *run) { r.subIdx[1] = 1 })
+	// Object keys sort 2,5,7: swapping two breaks what binary search
+	// relies on, so a probe for object 5 could miss its span.
+	corrupt("swapped object keys", func(r *run) { r.objsD[0], r.objsD[1] = r.objsD[1], r.objsD[0] })
 	// By (object, subject) the pairs sort (3,2),(1,5),(2,5),(1,7):
 	// indices 1 and 2 are object 5's span.
 	corrupt("object direction", func(r *run) { r.subsByObj[1], r.subsByObj[2] = r.subsByObj[2], r.subsByObj[1] })

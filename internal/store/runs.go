@@ -15,27 +15,26 @@ import (
 //
 // The layout is a compressed-sparse-row index in both directions:
 // subject→objects for (p, s, ?) probes and object→subjects for
-// (p, ?, o) probes. Each direction pays one O(1) map probe to find the
-// span and then yields a contiguous ascending slice — the shape the
-// galloping join intersection and the verbatim checkpoint stream want.
+// (p, ?, o) probes. The key slices are the index: each direction finds
+// a span by binary search over its strictly ascending keys and then
+// yields a contiguous ascending slice — the shape the galloping join
+// intersection and the verbatim checkpoint stream want. A run is six
+// plain arrays and a pair count: it costs its IDs and offsets, no more.
 type run struct {
 	pairs int
 
 	// Subject direction: subs holds the distinct subjects in ascending
 	// order; objs holds the objects grouped by subject (ascending within
 	// each group); subOff[i] is the objs offset of subs[i]'s span, with
-	// a final sentinel entry, so spans are subOff[i]:subOff[i+1]. subIdx
-	// maps subject → subs index for O(1) probes.
+	// a final sentinel entry, so spans are subOff[i]:subOff[i+1].
 	subs   []rdf.ID
 	subOff []int32
 	objs   []rdf.ID
-	subIdx map[rdf.ID]int32
 
 	// Object direction: the mirror image, sorted by (object, subject).
 	objsD     []rdf.ID
 	objOff    []int32
 	subsByObj []rdf.ID
-	objIdx    map[rdf.ID]int32
 }
 
 func comparePairs(a, b pair) int {
@@ -62,10 +61,6 @@ func buildRun(ps []pair) *run {
 		r.objs[i] = pr.o
 	}
 	r.subOff = append(r.subOff, int32(len(ps)))
-	r.subIdx = make(map[rdf.ID]int32, len(r.subs))
-	for i, s := range r.subs {
-		r.subIdx[s] = int32(i)
-	}
 
 	bo := make([]pair, len(ps))
 	copy(bo, ps)
@@ -84,10 +79,6 @@ func buildRun(ps []pair) *run {
 		r.subsByObj[i] = pr.s
 	}
 	r.objOff = append(r.objOff, int32(len(bo)))
-	r.objIdx = make(map[rdf.ID]int32, len(r.objsD))
-	for i, o := range r.objsD {
-		r.objIdx[o] = int32(i)
-	}
 	if invariantsEnabled {
 		checkRun(r)
 	}
@@ -108,9 +99,7 @@ func buildRunFromOverlay(so map[rdf.ID]*sEntry, subs []rdf.ID, os map[rdf.ID]idS
 	r.subs = slices.Clone(subs)
 	r.subOff = make([]int32, 0, len(subs)+1)
 	r.objs = make([]rdf.ID, 0, n)
-	r.subIdx = make(map[rdf.ID]int32, len(subs))
-	for i, s := range subs {
-		r.subIdx[s] = int32(i)
+	for _, s := range subs {
 		r.subOff = append(r.subOff, int32(len(r.objs)))
 		start := len(r.objs)
 		for o := range so[s].objs {
@@ -122,7 +111,7 @@ func buildRunFromOverlay(so map[rdf.ID]*sEntry, subs []rdf.ID, os map[rdf.ID]idS
 
 	// Object direction: os holds overlay pairs only, so it maps over
 	// directly.
-	r.objsD, r.objOff, r.subsByObj, r.objIdx = csrFromMap(os, n)
+	r.objsD, r.objOff, r.subsByObj = csrFromMap(os, n)
 	if invariantsEnabled {
 		checkRun(r)
 	}
@@ -130,7 +119,7 @@ func buildRunFromOverlay(so map[rdf.ID]*sEntry, subs []rdf.ID, os map[rdf.ID]idS
 }
 
 // csrFromMap lays one overlay direction out as a sorted CSR index.
-func csrFromMap(m map[rdf.ID]idSet, n int) (keys []rdf.ID, off []int32, vals []rdf.ID, idx map[rdf.ID]int32) {
+func csrFromMap(m map[rdf.ID]idSet, n int) (keys []rdf.ID, off []int32, vals []rdf.ID) {
 	keys = make([]rdf.ID, 0, len(m))
 	for k := range m {
 		keys = append(keys, k)
@@ -138,9 +127,7 @@ func csrFromMap(m map[rdf.ID]idSet, n int) (keys []rdf.ID, off []int32, vals []r
 	slices.Sort(keys)
 	off = make([]int32, 0, len(keys)+1)
 	vals = make([]rdf.ID, 0, n)
-	idx = make(map[rdf.ID]int32, len(keys))
-	for i, k := range keys {
-		idx[k] = int32(i)
+	for _, k := range keys {
 		off = append(off, int32(len(vals)))
 		start := len(vals)
 		for v := range m[k] {
@@ -149,14 +136,14 @@ func csrFromMap(m map[rdf.ID]idSet, n int) (keys []rdf.ID, off []int32, vals []r
 		slices.Sort(vals[start:])
 	}
 	off = append(off, int32(len(vals)))
-	return keys, off, vals, idx
+	return keys, off, vals
 }
 
 // objectsOf returns the run's objects of subject s, ascending (nil when
 // the subject is absent). The slice aliases the run; callers must not
 // mutate it.
 func (r *run) objectsOf(s rdf.ID) []rdf.ID {
-	i, ok := r.subIdx[s]
+	i, ok := slices.BinarySearch(r.subs, s)
 	if !ok {
 		return nil
 	}
@@ -167,15 +154,15 @@ func (r *run) objectsOf(s rdf.ID) []rdf.ID {
 // the object is absent). The slice aliases the run; callers must not
 // mutate it.
 func (r *run) subjectsOf(o rdf.ID) []rdf.ID {
-	i, ok := r.objIdx[o]
+	i, ok := slices.BinarySearch(r.objsD, o)
 	if !ok {
 		return nil
 	}
 	return r.subsByObj[r.objOff[i]:r.objOff[i+1]]
 }
 
-// contains reports pair membership: an O(1) subject probe plus a binary
-// search of the subject's object span.
+// contains reports pair membership: a binary search for the subject's
+// key, then one of its object span.
 func (r *run) contains(s, o rdf.ID) bool {
 	_, found := slices.BinarySearch(r.objectsOf(s), o)
 	return found
@@ -208,8 +195,8 @@ func mergeRuns(rs []*run) *run {
 		total += r.pairs
 	}
 	out := &run{pairs: total}
-	out.subs, out.subOff, out.objs, out.subIdx = mergeDirection(rs, total, false)
-	out.objsD, out.objOff, out.subsByObj, out.objIdx = mergeDirection(rs, total, true)
+	out.subs, out.subOff, out.objs = mergeDirection(rs, total, false)
+	out.objsD, out.objOff, out.subsByObj = mergeDirection(rs, total, true)
 	if invariantsEnabled {
 		checkRun(out)
 	}
@@ -220,7 +207,7 @@ func mergeRuns(rs []*run) *run {
 // spans stream in ascending key order within every run, so the merged
 // index is built by repeatedly taking the minimum head key and fusing
 // the (value-disjoint, sorted) spans of the runs that share it.
-func mergeDirection(rs []*run, total int, byObject bool) (keys []rdf.ID, off []int32, vals []rdf.ID, idx map[rdf.ID]int32) {
+func mergeDirection(rs []*run, total int, byObject bool) (keys []rdf.ID, off []int32, vals []rdf.ID) {
 	type cursor struct {
 		keys []rdf.ID
 		off  []int32
@@ -283,11 +270,7 @@ func mergeDirection(rs []*run, total int, byObject bool) (keys []rdf.ID, off []i
 		}
 	}
 	off = append(off, int32(len(vals)))
-	idx = make(map[rdf.ID]int32, len(keys))
-	for i, k := range keys {
-		idx[k] = int32(i)
-	}
-	return keys, off, vals, idx
+	return keys, off, vals
 }
 
 // appendMergedSorted appends the two-way merge of sorted, disjoint a and

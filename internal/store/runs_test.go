@@ -1,6 +1,7 @@
 package store
 
 import (
+	"maps"
 	"math/rand"
 	"slices"
 	"sync"
@@ -185,6 +186,113 @@ func TestSortedExtentsAcrossLayouts(t *testing.T) {
 		if subs := st.SubjectsAppend(nil, p, o); !slices.Equal(subs, []rdf.ID{1}) {
 			t.Fatalf("SubjectsAppend(%d) = %v, want [1]", o, subs)
 		}
+	}
+}
+
+// runFromOverlay builds a run through buildRunFromOverlay, laying pairs
+// out as the partition overlay maps the compactor flushes.
+func runFromOverlay(ps []pair) *run {
+	so := map[rdf.ID]*sEntry{}
+	os := map[rdf.ID]idSet{}
+	var subs []rdf.ID
+	for _, pr := range ps {
+		e := so[pr.s]
+		if e == nil {
+			e = &sEntry{objs: idSet{}}
+			so[pr.s] = e
+			subs = append(subs, pr.s)
+		}
+		e.objs[pr.o] = struct{}{}
+		if os[pr.o] == nil {
+			os[pr.o] = idSet{}
+		}
+		os[pr.o][pr.s] = struct{}{}
+	}
+	slices.Sort(subs)
+	return buildRunFromOverlay(so, subs, os, len(ps))
+}
+
+// checkRunProbes compares a run's objectsOf, subjectsOf and contains
+// with a map oracle over ps for every ID in [0, hi]: with keys drawn
+// from multiples of 3 above zero, that range covers every present key
+// and absent ones below the minimum, above the maximum and in every
+// gap — the cases a binary search over the key slice can get wrong.
+func checkRunProbes(t *testing.T, name string, r *run, ps []pair, hi rdf.ID) {
+	t.Helper()
+	objsOf := map[rdf.ID][]rdf.ID{}
+	subsOf := map[rdf.ID][]rdf.ID{}
+	has := map[pair]bool{}
+	for _, pr := range ps {
+		objsOf[pr.s] = append(objsOf[pr.s], pr.o)
+		subsOf[pr.o] = append(subsOf[pr.o], pr.s)
+		has[pr] = true
+	}
+	if r.pairs != len(ps) {
+		t.Fatalf("%s: run holds %d pairs, want %d", name, r.pairs, len(ps))
+	}
+	for k := rdf.ID(0); k <= hi; k++ {
+		want := slices.Sorted(slices.Values(objsOf[k]))
+		if got := r.objectsOf(k); !slices.Equal(got, want) {
+			t.Fatalf("%s: objectsOf(%d) = %v, want %v", name, k, got, want)
+		}
+		want = slices.Sorted(slices.Values(subsOf[k]))
+		if got := r.subjectsOf(k); !slices.Equal(got, want) {
+			t.Fatalf("%s: subjectsOf(%d) = %v, want %v", name, k, got, want)
+		}
+		for o := rdf.ID(0); o <= hi; o++ {
+			if got := r.contains(k, o); got != has[pair{s: k, o: o}] {
+				t.Fatalf("%s: contains(%d, %d) = %v, want %v", name, k, o, got, !got)
+			}
+		}
+	}
+}
+
+// TestRunProbesProperty pins the run's binary-search probes against a
+// map oracle for every way a run is built: from sorted pairs, from
+// overlay maps, and by merging 2–4 disjoint runs that share keys.
+func TestRunProbesProperty(t *testing.T) {
+	const hi = 3*16 + 2
+	fixed := map[string][]pair{
+		"empty":        nil,
+		"one pair":     {{s: 6, o: 9}},
+		"one subject":  {{s: 6, o: 3}, {s: 6, o: 9}, {s: 6, o: 48}},
+		"one object":   {{s: 3, o: 9}, {s: 24, o: 9}, {s: 48, o: 9}},
+		"extreme keys": {{s: 3, o: 48}, {s: 48, o: 3}},
+	}
+	for name, ps := range fixed {
+		sortPairs(ps)
+		checkRunProbes(t, name+"/buildRun", buildRun(ps), ps, hi)
+		checkRunProbes(t, name+"/overlay", runFromOverlay(ps), ps, hi)
+		checkRunProbes(t, name+"/merge", mergeRuns([]*run{buildRun(ps), buildRun(nil)}), ps, hi)
+	}
+	rng := rand.New(rand.NewSource(1))
+	for iter := 0; iter < 200; iter++ {
+		set := map[pair]bool{}
+		for n := rng.Intn(60); len(set) < n; {
+			set[pair{s: rdf.ID(3 * (1 + rng.Intn(16))), o: rdf.ID(3 * (1 + rng.Intn(16)))}] = true
+		}
+		ps := slices.Collect(maps.Keys(set))
+		sortPairs(ps)
+		checkRunProbes(t, "random/buildRun", buildRun(ps), ps, hi)
+		checkRunProbes(t, "random/overlay", runFromOverlay(ps), ps, hi)
+
+		// Deal the pairs to k disjoint inputs: subjects and objects recur
+		// across inputs, so the merge fuses spans under shared keys.
+		k := 2 + rng.Intn(3)
+		parts := make([][]pair, k)
+		for _, pr := range ps {
+			i := rng.Intn(k)
+			parts[i] = append(parts[i], pr)
+		}
+		ins := make([]*run, k)
+		for i, part := range parts {
+			if i%2 == 0 {
+				ins[i] = buildRun(part)
+			} else {
+				ins[i] = runFromOverlay(part)
+			}
+		}
+		checkRunProbes(t, "random/merge", mergeRuns(ins), ps, hi)
 	}
 }
 

@@ -1436,7 +1436,7 @@ func (v *View) PredicateStats(p rdf.ID) (triples, subjects, objects int) {
 // exist to protect. A subject's object set is evaluated atomically, so
 // the true hold bound is O(viewChunk + degree of the chunk's last
 // subject) — a pathological hub subject still costs its degree. Frozen
-// evaluation probes every run per subject (a map lookup each), so the
+// evaluation probes every run per subject (a binary search each), so the
 // per-pair cost is a few times a plain map walk; 1024 keeps the hold
 // around a millisecond even on a partition split across several runs.
 const viewChunk = 1024
@@ -1817,58 +1817,17 @@ func (v *View) Subjects(p, o rdf.ID) []rdf.ID {
 }
 
 // matchObject streams the frozen subjects of one (predicate, object) —
-// potentially most of the store for a hub object like a popular type —
-// by walking the partition's insertion-ordered subject list in
-// viewChunk-bounded slices and probing each subject's freeze-time
-// membership in O(1). Writers never wait behind more than one chunk, and
-// an early-terminating consumer (a query LIMIT) stops the walk after its
-// first chunks instead of paying for the whole extent. The walk's
-// resumability argument is ForEachWithPredicate's: each subject's
-// freeze-time membership is time-invariant and the list only appends.
+// the SubjectsAppend reconstruction from each run's object→subjects span
+// and the overlay's object map, with f run outside the locks. The trade:
+// one partition-lock hold of O(object extent + journal), the bound
+// Store.Subjects and SubjectsAppend carry, instead of bounded holds over
+// every subject of the partition. A selective object costs its answer;
+// a hub object costs its whole extent, even for a consumer that stops
+// after the first rows.
 func (v *View) matchObject(p, o rdf.ID, f func(rdf.Triple) bool) {
-	str := v.st.stripeFor(p)
-	str.mu.RLock()
-	part, ok := str.parts[p]
-	str.mu.RUnlock()
-	if !ok {
-		return
-	}
-	buf := pairBufs.Get().(*[]pair)
-	defer putPairs(buf)
-	// Chunks grow geometrically from a small start: an early-terminating
-	// consumer (a query LIMIT over a hub object) pays a few tiny holds on
-	// a partition writers are fighting for, while a full-extent scan
-	// amortises to viewChunk-sized rounds.
-	chunk := 256
-	for i := 0; ; {
-		part.mu.RLock()
-		if part.born >= v.epoch {
-			part.mu.RUnlock()
+	for _, s := range v.SubjectsAppend(nil, p, o) {
+		if !f(rdf.Triple{S: s, P: p, O: o}) {
 			return
-		}
-		out := (*buf)[:0]
-		// Bound the scan, not the matches: a selective object must not
-		// turn one chunk into an unbounded hold.
-		for scanned := 0; i < len(part.subjects) && scanned < chunk; scanned++ {
-			sub := part.subjects[i]
-			i++
-			if v.frozenContains(part, sub, o) {
-				out = append(out, pair{s: sub, o: o})
-			}
-		}
-		done := i >= len(part.subjects)
-		part.mu.RUnlock()
-		*buf = out
-		for _, pr := range out {
-			if !f(rdf.Triple{S: pr.s, P: p, O: pr.o}) {
-				return
-			}
-		}
-		if done {
-			return
-		}
-		if chunk < viewChunk {
-			chunk *= 4
 		}
 	}
 }

@@ -322,3 +322,95 @@ func TestRemoveCompactsWithoutViews(t *testing.T) {
 		t.Fatalf("PredicateLen = %d, want 10", st.PredicateLen(7))
 	}
 }
+
+// TestViewMatchObjectFrozen pins the object-bound pattern (?, p, o)
+// over a frozen view whose object extent spans every physical home —
+// run-resident pairs, tombstoned run pairs and overlay pairs — while a
+// writer inserts pairs with the same object, removes run-resident and
+// overlay ones, resurrects tombstoned ones and compacts. Every answer
+// must equal the freeze-time set: no post-freeze insert, no missed
+// post-freeze removal. An early-stopping consumer gets exactly the rows
+// it accepted.
+func TestViewMatchObjectFrozen(t *testing.T) {
+	const p, o = 5, 100
+	st := New()
+	st.SetAutoCompact(false)
+	frozen := map[uint64]bool{}
+	for s := uint64(1); s <= 120; s++ {
+		st.Add(tr(s, p, o))
+		st.Add(tr(s, p, o+1)) // a neighbouring object in the same runs
+		frozen[s] = true
+	}
+	st.Compact()
+	for s := uint64(1); s <= 20; s++ { // tombstones
+		st.Remove(tr(s, p, o))
+		delete(frozen, s)
+	}
+	for s := uint64(300); s <= 340; s++ { // overlay
+		st.Add(tr(s, p, o))
+		frozen[s] = true
+	}
+	st.Remove(tr(300, p, o))
+	delete(frozen, 300)
+	var want []rdf.Triple
+	for s := range frozen {
+		want = append(want, tr(s, p, o))
+	}
+
+	v := st.Freeze()
+	defer v.Release()
+	match := func() []rdf.Triple {
+		var out []rdf.Triple
+		v.MatchEach(rdf.T(rdf.Any, p, o), func(t rdf.Triple) bool {
+			out = append(out, t)
+			return true
+		})
+		return out
+	}
+	sameTriples(t, match(), want, "at freeze")
+
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for s := uint64(500); s < 600; s++ { // post-freeze inserts
+			st.Add(tr(s, p, o))
+		}
+		for s := uint64(21); s <= 60; s++ { // run-resident removals
+			st.Remove(tr(s, p, o))
+		}
+		st.Compact()
+		for s := uint64(301); s <= 320; s++ { // overlay removals
+			st.Remove(tr(s, p, o))
+		}
+		for s := uint64(1); s <= 5; s++ { // resurrected tombstones
+			st.Add(tr(s, p, o))
+		}
+		st.Compact()
+	}()
+	for running := true; running; {
+		select {
+		case <-done:
+			running = false
+		default:
+		}
+		sameTriples(t, match(), want, "under concurrent writes")
+	}
+	sameTriples(t, match(), want, "after writes and compaction")
+
+	for _, k := range []int{1, 2, len(want) / 2, len(want)} {
+		rows, seen := 0, map[rdf.Triple]bool{}
+		v.MatchEach(rdf.T(rdf.Any, p, o), func(t rdf.Triple) bool {
+			rows++
+			seen[t] = true
+			return rows < k
+		})
+		if rows != k || len(seen) != k {
+			t.Fatalf("stop after %d rows: got %d rows, %d distinct", k, rows, len(seen))
+		}
+		for x := range seen {
+			if !frozen[uint64(x.S)] {
+				t.Fatalf("stop after %d rows: %v not in the frozen set", k, x)
+			}
+		}
+	}
+}

@@ -16,8 +16,14 @@ var update = flag.Bool("update", false, "rewrite the golden files from current c
 // testdata/<name>.golden.
 func runFixture(t *testing.T, name string, checker Checker) {
 	t.Helper()
+	runFixtureAs(t, name, "fixture/"+name, checker)
+}
+
+// runFixtureAs is runFixture with the package loaded under pkgPath.
+func runFixtureAs(t *testing.T, name, pkgPath string, checker Checker) {
+	t.Helper()
 	dir := filepath.Join("testdata", "src", name)
-	prog, err := LoadDir(dir, "fixture/"+name)
+	prog, err := LoadDir(dir, pkgPath)
 	if err != nil {
 		t.Fatalf("load fixture %s: %v", name, err)
 	}
@@ -50,6 +56,12 @@ func TestLockOrderFixture(t *testing.T) {
 		{Name: "outerMu", PkgPath: "fixture/lockorder", Type: "S", Field: "outer", Rank: 10},
 		{Name: "innerMu", PkgPath: "fixture/lockorder", Type: "S", Field: "inner", Rank: 20},
 	}})
+}
+
+// TestDefaultLockOrderRanksDictionary runs the default lock table over
+// a stand-in for the dictionary: seqMu → stripe lock must be flagged.
+func TestDefaultLockOrderRanksDictionary(t *testing.T) {
+	runFixtureAs(t, "dictlocks", "fixture/internal/rdf", DefaultCheckers("fixture")[0])
 }
 
 func TestExclusiveWindowFixture(t *testing.T) {

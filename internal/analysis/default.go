@@ -33,6 +33,11 @@ func DefaultCheckers(modPath string) []Checker {
 		{Name: "partition.mu", PkgPath: store, Type: "partition", Field: "mu", Rank: 90},
 		{Name: "predMu", PkgPath: store, Type: "Store", Field: "predMu", Rank: 100},
 		{Name: "comp.mu", PkgPath: store, Type: "Store", Field: "comp.mu", Rank: 110},
+		// Dictionary order: Encode takes a term's stripe lock, then seqMu
+		// to hand out the sequence number; nothing under seqMu takes a
+		// stripe lock.
+		{Name: "dictStripe.mu", PkgPath: rdf, Type: "dictStripe", Field: "mu", Rank: 120},
+		{Name: "seqMu", PkgPath: rdf, Type: "Dictionary", Field: "seqMu", Rank: 130},
 	}}
 
 	exclusive := &ExclusiveWindow{

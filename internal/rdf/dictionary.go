@@ -1,59 +1,78 @@
 package rdf
 
 import (
+	"encoding/binary"
 	"fmt"
 	"hash/maphash"
 	"sync"
+	"sync/atomic"
+	"unsafe"
 )
 
-// dictStripes is the number of lock stripes the term→ID map is sharded
-// across. Must be a power of two.
-const dictStripes = 32
+const (
+	// dictStripes is the number of lock stripes (a power of two). Arena
+	// chunks double from firstChunk to chunkSize bytes; a larger record
+	// gets a chunk of its own, sized to fit it exactly.
+	dictStripes, firstChunk, chunkSize = 32, 512, 64 << 10
+	// A ref is chunk index << refOffBits | byte offset. Offsets fit: a
+	// record starts past byte 0 only in a chunk of at most chunkSize bytes.
+	refOffBits, refOffMask = 16, 1<<16 - 1
+	// A table slot is slotUsed | a 15-bit hash fingerprint << 48 | the
+	// record's stripe-local ref; 0 marks an empty slot.
+	slotUsed, slotRef = 1 << 63, 1<<48 - 1
+)
 
-// dictStripe is one shard of the term→ID map.
+// dictStripe is one shard of the term→ID direction: an append-only byte
+// arena holding the shard's records and an open-addressing table over it.
 type dictStripe struct {
 	mu     sync.RWMutex
-	byTerm map[Term]ID
+	table  []uint64 // power-of-two length, at most ¾ full
+	n      int      // occupied slots
+	chunks [][]byte // local refs index this; starts with an empty chunk
+	used   int      // bytes written to the last chunk
+	global uint64   // index of the last chunk in Dictionary.chunks
 }
 
 // Dictionary maps RDF terms to dense integer IDs and back. It plays the
 // role of Slider's input-manager dictionary: "expensive URIs" are
 // registered once and every downstream component works on integers.
 //
-// A Dictionary is safe for concurrent use by multiple goroutines. The
-// term→ID direction is sharded across dictStripes lock stripes (selected
-// by a hash of the term), so concurrent encoders do not serialize on one
-// process-wide lock; the stripe maps are keyed by the Term value itself,
-// so the hit path never materialises the term's string form. The reverse
-// (ID→Term) slices are guarded by a separate lock: sequence numbers are
-// handed out under it in strict per-kind insertion order, which keeps
-// ForEach iteration — and therefore snapshot round-trips — deterministic.
-//
-// Terms are keyed by their canonical form (see canonTerm), so two terms
-// are assigned the same ID exactly when their String renderings are
-// equal — the same contract the string-keyed dictionary had.
+// A Dictionary is safe for concurrent use and holds no per-term Go
+// object for the collector to trace. Each term is one byte-arena record:
+// a tag (kind, plus an index into a small interned table of language
+// tags and datatypes), the per-kind sequence number, the value's length
+// and bytes. The term→ID direction is sharded across lock stripes by a
+// hash of the term (see canonTerm: terms get the same ID exactly when
+// their String renderings are equal); a stripe owns its records' arena
+// and an open-addressing table of refs, probed in place without
+// allocating. The ID→term direction is one ref list per kind, appended
+// under seqMu in per-kind sequence order, which keeps ForEach — and so
+// snapshot round-trips — deterministic; seqMu also publishes the chunks
+// with the refs, so enumeration reads a captured prefix with no lock per
+// term. Lock order: a stripe lock, then seqMu, never the reverse.
 type Dictionary struct {
 	stripes [dictStripes]dictStripe
 	seed    maphash.Seed
+	// annots holds "@" + a language tag or "^" + a datatype IRI per
+	// interned annotation, copy-on-write so probes read it without seqMu.
+	annots atomic.Pointer[[]string]
 
-	// seqMu guards the reverse mapping: one append-only slice per term
-	// kind, indexed by sequence number minus one.
+	// seqMu guards every arena chunk in allocation order, one ref list per
+	// term kind, and the annotation index.
 	seqMu    sync.RWMutex
-	iris     []Term
-	blanks   []Term
-	literals []Term
+	chunks   [][]byte
+	refs     [3][]uint64 // indexed by TermKind
+	annotIdx map[string]uint64
 }
 
 // NewDictionary returns a dictionary pre-seeded with the well-known RDF
 // and RDFS vocabulary so that the IDType, IDSubClassOf, … constants are
 // valid for every dictionary.
 func NewDictionary() *Dictionary {
-	d := &Dictionary{
-		seed: maphash.MakeSeed(),
-		iris: make([]Term, 0, 1024),
-	}
+	d := &Dictionary{seed: maphash.MakeSeed(), annotIdx: make(map[string]uint64)}
+	d.annots.Store(new([]string))
 	for i := range d.stripes {
-		d.stripes[i].byTerm = make(map[Term]ID, 64)
+		d.stripes[i].table, d.stripes[i].chunks = make([]uint64, 64), [][]byte{nil}
 	}
 	for _, t := range wellKnown {
 		d.Encode(t)
@@ -77,8 +96,9 @@ func canonTerm(t Term) Term {
 	return t
 }
 
-// stripeFor selects the stripe owning t (already canonicalised).
-func (d *Dictionary) stripeFor(t Term) *dictStripe {
+// hash hashes t (already canonicalised). Its low bits select the stripe,
+// the bits above them the home slot, and its top 15 the fingerprint.
+func (d *Dictionary) hash(t Term) uint64 {
 	h := maphash.String(d.seed, t.Value)
 	h = h*31 + uint64(t.Kind)
 	if t.Lang != "" {
@@ -87,42 +107,132 @@ func (d *Dictionary) stripeFor(t Term) *dictStripe {
 	if t.Datatype != "" {
 		h ^= maphash.String(d.seed, t.Datatype)
 	}
-	return &d.stripes[h&(dictStripes-1)]
+	return h
+}
+
+// arenaString returns b as a string without copying it. This is safe
+// because b lies in a published arena record: a record is written once,
+// before its ref is published in a table or a ref list, and is never
+// rewritten, and a chunk is never reallocated or reused, so the bytes
+// neither change nor move while the string is reachable.
+func arenaString(b []byte) string {
+	if len(b) == 0 {
+		return ""
+	}
+	return unsafe.String(&b[0], len(b))
+}
+
+// decode returns the term and sequence number of the record at ref.
+func decode(chunks [][]byte, annots []string, ref uint64) (Term, uint64) {
+	b := chunks[ref>>refOffBits][ref&refOffMask:]
+	tag, n := binary.Uvarint(b)
+	b = b[n:]
+	seq, n := binary.Uvarint(b)
+	b = b[n:]
+	size, n := binary.Uvarint(b)
+	t := Term{Kind: TermKind(tag & 3), Value: arenaString(b[n : n+int(size)])}
+	if a := tag >> 2; a != 0 && annots[a-1][0] == '@' {
+		t.Lang = annots[a-1][1:]
+	} else if a != 0 {
+		t.Datatype = annots[a-1][1:]
+	}
+	return t, seq
+}
+
+// find probes s's table for t with hash h. It returns t's ID when present
+// and otherwise the empty slot t would take. Called with s.mu held.
+func (s *dictStripe) find(t Term, h uint64, annots []string) (slot int, id ID, ok bool) {
+	mask := len(s.table) - 1
+	fp := slotUsed | h>>49<<48
+	for i := int(h/dictStripes) & mask; ; i = (i + 1) & mask {
+		e := s.table[i]
+		if e == 0 {
+			return i, 0, false
+		}
+		if e&^slotRef == fp {
+			if rt, seq := decode(s.chunks, annots, e&slotRef); rt == t {
+				return i, makeID(t.Kind, seq), true
+			}
+		}
+	}
 }
 
 // Encode returns the ID for the term, assigning a fresh one on first
 // encounter.
 func (d *Dictionary) Encode(t Term) ID {
 	t = canonTerm(t)
-	s := d.stripeFor(t)
+	h := d.hash(t)
+	s := &d.stripes[h&(dictStripes-1)]
 	s.mu.RLock()
-	id, ok := s.byTerm[t]
+	_, id, ok := s.find(t, h, *d.annots.Load())
 	s.mu.RUnlock()
 	if ok {
 		return id
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if id, ok = s.byTerm[t]; ok {
+	slot, id, ok := s.find(t, h, *d.annots.Load())
+	if ok {
 		return id
 	}
 	d.seqMu.Lock()
-	var seq uint64
-	switch t.Kind {
-	case TermIRI:
-		d.iris = append(d.iris, t)
-		seq = uint64(len(d.iris))
-	case TermBlank:
-		d.blanks = append(d.blanks, t)
-		seq = uint64(len(d.blanks))
-	case TermLiteral:
-		d.literals = append(d.literals, t)
-		seq = uint64(len(d.literals))
+	tag := uint64(t.Kind)
+	if t.Lang != "" {
+		tag |= d.annot('@', t.Lang) << 2
+	} else if t.Datatype != "" {
+		tag |= d.annot('^', t.Datatype) << 2
 	}
+	seq := uint64(len(d.refs[t.Kind]) + 1)
+	var hdr [3 * binary.MaxVarintLen64]byte
+	rec := binary.AppendUvarint(binary.AppendUvarint(binary.AppendUvarint(hdr[:0], tag), seq), uint64(len(t.Value)))
+	n := len(rec) + len(t.Value)
+	c := s.chunks[len(s.chunks)-1]
+	if n > len(c)-s.used {
+		c = make([]byte, max(n, min(2*len(c), chunkSize), firstChunk))
+		s.chunks, d.chunks = append(s.chunks, c), append(d.chunks, c)
+		s.global, s.used = uint64(len(d.chunks)-1), 0
+	}
+	copy(c[s.used:], rec)
+	copy(c[s.used+len(rec):], t.Value)
+	d.refs[t.Kind] = append(d.refs[t.Kind], s.global<<refOffBits|uint64(s.used))
 	d.seqMu.Unlock()
-	id = makeID(t.Kind, seq)
-	s.byTerm[t] = id
-	return id
+	s.table[slot] = slotUsed | h>>49<<48 | uint64(len(s.chunks)-1)<<refOffBits | uint64(s.used)
+	s.used += n
+	if s.n++; 4*s.n > 3*len(s.table) {
+		s.grow(d)
+	}
+	return makeID(t.Kind, seq)
+}
+
+// annot returns the index, from 1, of annotation a marked by m ('@' for a
+// language tag, '^' for a datatype), interning it on first use. Called
+// with d.seqMu held.
+func (d *Dictionary) annot(m byte, a string) uint64 {
+	var buf [64]byte
+	key := append(append(buf[:0], m), a...)
+	i, ok := d.annotIdx[string(key)]
+	if !ok {
+		old := *d.annots.Load()
+		next := append(old[:len(old):len(old)], string(key))
+		d.annots.Store(&next)
+		i = uint64(len(next))
+		d.annotIdx[next[i-1]] = i
+	}
+	return i
+}
+
+// grow doubles s's table, rehashing every record from the arena. Called
+// with s.mu held for writing.
+func (s *dictStripe) grow(d *Dictionary) {
+	old, annots := s.table, *d.annots.Load()
+	s.table = make([]uint64, 2*len(old))
+	for _, e := range old {
+		if e != 0 {
+			t, _ := decode(s.chunks, annots, e&slotRef)
+			i, _, _ := s.find(t, d.hash(t), annots)
+			s.table[i] = e
+		}
+	}
 }
 
 // EncodeIRI is shorthand for Encode(NewIRI(iri)).
@@ -131,45 +241,36 @@ func (d *Dictionary) EncodeIRI(iri string) ID { return d.Encode(NewIRI(iri)) }
 // Lookup returns the ID for the term without assigning a new one.
 func (d *Dictionary) Lookup(t Term) (ID, bool) {
 	t = canonTerm(t)
-	s := d.stripeFor(t)
+	h := d.hash(t)
+	s := &d.stripes[h&(dictStripes-1)]
 	s.mu.RLock()
-	id, ok := s.byTerm[t]
-	s.mu.RUnlock()
+	defer s.mu.RUnlock()
+	_, id, ok := s.find(t, h, *d.annots.Load())
 	return id, ok
 }
 
-// Term returns the term for an ID.
+// Term returns the term for an ID; its strings alias the arena.
 func (d *Dictionary) Term(id ID) (Term, bool) {
-	if id == Any {
-		return Term{}, false
+	v := d.view()
+	if refs, seq := v.refs[id.Kind()], id.seq(); seq != 0 && seq <= uint64(len(refs)) {
+		t, _ := decode(v.chunks, v.annots, refs[seq-1])
+		return t, true
 	}
-	seq := id.seq()
-	if seq == 0 {
-		return Term{}, false
-	}
+	return Term{}, false
+}
+
+// view captures the whole dictionary as it stands.
+func (d *Dictionary) view() DictView {
 	d.seqMu.RLock()
 	defer d.seqMu.RUnlock()
-	var pool []Term
-	switch id.Kind() {
-	case TermIRI:
-		pool = d.iris
-	case TermBlank:
-		pool = d.blanks
-	case TermLiteral:
-		pool = d.literals
-	}
-	if seq > uint64(len(pool)) {
-		return Term{}, false
-	}
-	return pool[seq-1], true
+	return DictView{chunks: d.chunks, annots: *d.annots.Load(), refs: d.refs}
 }
 
 // Len returns the number of distinct terms registered (including the
 // well-known vocabulary).
 func (d *Dictionary) Len() int {
-	d.seqMu.RLock()
-	defer d.seqMu.RUnlock()
-	return len(d.iris) + len(d.blanks) + len(d.literals)
+	iris, blanks, literals := d.KindCounts()
+	return iris + blanks + literals
 }
 
 // ForEach calls f for every registered term (including the well-known
@@ -177,28 +278,7 @@ func (d *Dictionary) Len() int {
 // within each kind (IRIs, then blanks, then literals), so re-encoding the
 // terms into a fresh dictionary in this order reproduces identical IDs —
 // the property snapshot persistence relies on.
-func (d *Dictionary) ForEach(f func(ID, Term) bool) {
-	d.seqMu.RLock()
-	iris := d.iris
-	blanks := d.blanks
-	literals := d.literals
-	d.seqMu.RUnlock()
-	for i, t := range iris {
-		if !f(makeID(TermIRI, uint64(i+1)), t) {
-			return
-		}
-	}
-	for i, t := range blanks {
-		if !f(makeID(TermBlank, uint64(i+1)), t) {
-			return
-		}
-	}
-	for i, t := range literals {
-		if !f(makeID(TermLiteral, uint64(i+1)), t) {
-			return
-		}
-	}
-}
+func (d *Dictionary) ForEach(f func(ID, Term) bool) { d.ForEachNew(0, 0, 0, f) }
 
 // KindCounts returns the number of terms registered per kind (IRIs,
 // blank nodes, literals). Together with ForEachNew it lets an observer —
@@ -207,7 +287,7 @@ func (d *Dictionary) ForEach(f func(ID, Term) bool) {
 func (d *Dictionary) KindCounts() (iris, blanks, literals int) {
 	d.seqMu.RLock()
 	defer d.seqMu.RUnlock()
-	return len(d.iris), len(d.blanks), len(d.literals)
+	return len(d.refs[TermIRI]), len(d.refs[TermBlank]), len(d.refs[TermLiteral])
 }
 
 // ForEachNew calls f for every term whose per-kind sequence number
@@ -216,74 +296,53 @@ func (d *Dictionary) KindCounts() (iris, blanks, literals int) {
 // the visited terms into a dictionary that already holds the first
 // (iris, blanks, literals) terms reproduces identical IDs.
 func (d *Dictionary) ForEachNew(iris, blanks, literals int, f func(ID, Term) bool) {
-	d.seqMu.RLock()
-	irisNew := d.iris[min(iris, len(d.iris)):]
-	blanksNew := d.blanks[min(blanks, len(d.blanks)):]
-	literalsNew := d.literals[min(literals, len(d.literals)):]
-	d.seqMu.RUnlock()
-	for i, t := range irisNew {
-		if !f(makeID(TermIRI, uint64(iris+i+1)), t) {
-			return
-		}
-	}
-	for i, t := range blanksNew {
-		if !f(makeID(TermBlank, uint64(blanks+i+1)), t) {
-			return
-		}
-	}
-	for i, t := range literalsNew {
-		if !f(makeID(TermLiteral, uint64(literals+i+1)), t) {
-			return
-		}
-	}
+	v := d.view()
+	v.each([3]int{iris, blanks, literals}, f)
 }
 
 // DictView is a prefix-stable read-only view of a Dictionary: the first
 // iris/blanks/literals terms of each kind as they stood when ViewAt was
-// called. Because the per-kind sequences are append-only, the view stays
-// valid — and keeps returning exactly the same terms and IDs — while the
-// dictionary continues to grow concurrently. It is the dictionary half
-// of a non-blocking checkpoint: the write-ahead log records how many
-// terms of each kind it has persisted, and the checkpoint streams
-// precisely that prefix.
+// called. Because the per-kind sequences are append-only and records
+// never move, the view stays valid — and keeps returning exactly the same
+// terms and IDs, without taking a lock — while the dictionary continues
+// to grow concurrently. It is the dictionary half of a non-blocking
+// checkpoint: the write-ahead log records how many terms of each kind it
+// has persisted, and the checkpoint streams precisely that prefix.
 type DictView struct {
-	iris, blanks, literals []Term
+	chunks [][]byte
+	annots []string
+	refs   [3][]uint64
 }
 
 // ViewAt returns a view of the first (iris, blanks, literals) terms per
 // kind, clamped to what is currently registered.
 func (d *Dictionary) ViewAt(iris, blanks, literals int) *DictView {
-	d.seqMu.RLock()
-	defer d.seqMu.RUnlock()
-	return &DictView{
-		iris:     d.iris[:min(iris, len(d.iris))],
-		blanks:   d.blanks[:min(blanks, len(d.blanks))],
-		literals: d.literals[:min(literals, len(d.literals))],
+	v := d.view()
+	for k, n := range [3]int{iris, blanks, literals} {
+		v.refs[k] = v.refs[k][:min(n, len(v.refs[k]))]
 	}
+	return &v
 }
 
 // Len returns the number of terms in the view.
 func (v *DictView) Len() int {
-	return len(v.iris) + len(v.blanks) + len(v.literals)
+	return len(v.refs[TermIRI]) + len(v.refs[TermBlank]) + len(v.refs[TermLiteral])
 }
 
 // ForEach calls f for every term in the view until f returns false, in
 // the same kind-then-sequence order Dictionary.ForEach uses, so a
 // snapshot written from the view reloads with identical IDs.
-func (v *DictView) ForEach(f func(ID, Term) bool) {
-	for i, t := range v.iris {
-		if !f(makeID(TermIRI, uint64(i+1)), t) {
-			return
-		}
-	}
-	for i, t := range v.blanks {
-		if !f(makeID(TermBlank, uint64(i+1)), t) {
-			return
-		}
-	}
-	for i, t := range v.literals {
-		if !f(makeID(TermLiteral, uint64(i+1)), t) {
-			return
+func (v *DictView) ForEach(f func(ID, Term) bool) { v.each([3]int{}, f) }
+
+// each calls f for every term past the first from[k] of each kind k, in
+// kind-then-sequence order, until f returns false.
+func (v *DictView) each(from [3]int, f func(ID, Term) bool) {
+	for k, refs := range v.refs {
+		for i := from[k]; i < len(refs); i++ {
+			t, _ := decode(v.chunks, v.annots, refs[i])
+			if !f(makeID(TermKind(k), uint64(i+1)), t) {
+				return
+			}
 		}
 	}
 }

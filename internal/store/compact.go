@@ -2,7 +2,6 @@ package store
 
 import (
 	"fmt"
-	"slices"
 	"sync/atomic"
 	"time"
 
@@ -234,21 +233,12 @@ func (st *Store) compactPredicate(pred rdf.ID) {
 	st.cPairsMerged.Add(int64(merged.pairs))
 }
 
-// flushLocked seals the overlay into a new immutable run and resets the
-// overlay maps. Logical content is unchanged, so it is transparent to
-// active views and to concurrent readers. Callers hold the partition
+// flushLocked seals the overlay into a new immutable run and replaces
+// the overlay maps. Logical content is unchanged, so it is transparent
+// to active views and to concurrent readers. Callers hold the partition
 // lock (write side) and workMu.
 func (st *Store) flushLocked(p *partition) {
 	if p.onum == 0 {
-		// Still reset emptied sets to nil: the dirty list is appended
-		// only on the nil→allocated transition, so an entry left with an
-		// empty non-nil set would silently fall off the list.
-		for _, s := range p.dirty {
-			if e := p.so[s]; e != nil {
-				e.objs = nil
-			}
-		}
-		p.dirty = p.dirty[:0]
 		return
 	}
 	var t0 time.Time
@@ -256,38 +246,18 @@ func (st *Store) flushLocked(p *partition) {
 		t0 = obs.NowIfEnabled()
 		defer func() { m.FlushSeconds.ObserveSince(t0) }()
 	}
-	// Filter the dirty list down to subjects that still hold overlay
-	// pairs (removals may have emptied some — those sets reset to nil so
-	// the subject re-enters the list on its next overlay add) and sort
-	// it: this is the run's subject order. The flush touches only
-	// overlay subjects, not the whole spine-sized so map.
-	subs := p.dirty[:0]
-	for _, s := range p.dirty {
-		e := p.so[s]
-		if e == nil {
-			continue
-		}
-		if len(e.objs) == 0 {
-			e.objs = nil
-			continue
-		}
-		subs = append(subs, s)
-	}
-	slices.Sort(subs)
-	r := buildRunFromOverlay(p.so, subs, p.os, p.onum)
+	r := buildRunFromOverlay(p.so, p.os, p.onum)
 	runs := make([]*run, 0, len(p.runs)+1)
 	runs = append(runs, p.runs...)
 	runs = append(runs, r)
 	p.runs = runs
 	p.rp += r.pairs
-	// Entries stay — they are the spine membership index and hold each
-	// subject's degree; only the moved overlay pairs are dropped.
-	for _, s := range subs {
-		p.so[s].objs = nil
-	}
-	p.dirty = p.dirty[:0]
+	p.so = make(map[rdf.ID]idSet, 8)
 	p.os = make(map[rdf.ID]idSet, 8)
 	p.onum = 0
+	if invariantsEnabled {
+		p.assertOverlayShape(rdf.Any, rdf.Any) // nothing touched: onum is 0, full scan
+	}
 	st.cFlushes.Add(1)
 }
 

@@ -11,7 +11,8 @@ import "repro/internal/rdf"
 // invariants_on.go and INVARIANTS.md).
 const invariantsEnabled = false
 
-func (p *partition) assertAccounting()      {}
-func (p *partition) assertLive(s, o rdf.ID) {}
-func (p *partition) assertDead(s, o rdf.ID) {}
-func checkRun(r *run)                       {}
+func (p *partition) assertAccounting()              {}
+func (p *partition) assertOverlayShape(s, o rdf.ID) {}
+func (p *partition) assertLive(s, o rdf.ID)         {}
+func (p *partition) assertDead(s, o rdf.ID)         {}
+func checkRun(r *run)                               {}

@@ -32,14 +32,44 @@ func (p *partition) assertAccounting() {
 	}
 }
 
+// assertOverlayShape checks that the overlay maps hold overlay pairs
+// only. The sets at subject s and object o — the ones add or remove just
+// touched — must be absent or non-empty. The full check, no empty set
+// anywhere and each direction's summed set sizes equal to onum, is an
+// O(overlay) scan, so it runs only when onum is zero or a power of two:
+// after every flush, and at a geometric sample of overlay sizes, which
+// keeps checked writes amortised O(1). An empty set left behind would be
+// a subject the overlay no longer holds, gathered by every view walk
+// chunk and counted by PredicateStats. Callers hold the partition lock.
+func (p *partition) assertOverlayShape(s, o rdf.ID) {
+	if set, ok := p.so[s]; ok && len(set) == 0 {
+		panic(fmt.Sprintf("store invariant: empty object set left in overlay for subject %d", s))
+	}
+	if set, ok := p.os[o]; ok && len(set) == 0 {
+		panic(fmt.Sprintf("store invariant: empty subject set left in overlay for object %d", o))
+	}
+	if p.onum&(p.onum-1) != 0 {
+		return
+	}
+	for dir, m := range map[string]map[rdf.ID]idSet{"subject": p.so, "object": p.os} {
+		n := 0
+		for k, set := range m {
+			if len(set) == 0 {
+				panic(fmt.Sprintf("store invariant: empty set left in overlay %s map at key %d", dir, k))
+			}
+			n += len(set)
+		}
+		if n != p.onum {
+			panic(fmt.Sprintf("store invariant: overlay %s map holds %d pairs, want onum=%d", dir, n, p.onum))
+		}
+	}
+}
+
 // assertLive checks the one-physical-home invariant for a pair that
 // must be live: it is in the overlay XOR (in a run and not tombstoned).
 // Callers hold the partition lock.
 func (p *partition) assertLive(s, o rdf.ID) {
-	overlay := false
-	if e := p.so[s]; e != nil {
-		_, overlay = e.objs[o]
-	}
+	_, overlay := p.so[s][o]
 	inRuns := p.runsContain(s, o)
 	tombed := p.tombHas(s, o)
 	if overlay && inRuns && !tombed {
@@ -61,10 +91,8 @@ func (p *partition) assertLive(s, o rdf.ID) {
 // dead: not in the overlay, and any run copy is tombstoned. Callers
 // hold the partition lock.
 func (p *partition) assertDead(s, o rdf.ID) {
-	if e := p.so[s]; e != nil {
-		if _, ok := e.objs[o]; ok {
-			panic(fmt.Sprintf("store invariant: pair (%d,%d) expected dead but still in overlay", s, o))
-		}
+	if _, ok := p.so[s][o]; ok {
+		panic(fmt.Sprintf("store invariant: pair (%d,%d) expected dead but still in overlay", s, o))
 	}
 	if p.runsContain(s, o) && !p.tombHas(s, o) {
 		panic(fmt.Sprintf("store invariant: pair (%d,%d) expected dead but live in a run", s, o))

@@ -91,3 +91,19 @@ func TestTombstoneResurrectExclusivity(t *testing.T) {
 		t.Fatal("resurrected triple missing")
 	}
 }
+
+func TestOverlayShapeDetectsCorruption(t *testing.T) {
+	corrupt := func(name string, s, o rdf.ID, mutate func(p *partition)) {
+		p := newPartition(0)
+		p.add(1, 2)
+		p.add(1, 3)
+		p.assertOverlayShape(1, 3) // sanity: onum 2 takes the full scan
+		mutate(p)
+		mustPanic(t, name, func() { p.assertOverlayShape(s, o) })
+	}
+	corrupt("empty set at the touched subject", 4, 2, func(p *partition) { p.so[4] = idSet{} })
+	corrupt("empty set at the touched object", 1, 5, func(p *partition) { p.os[5] = idSet{} })
+	corrupt("empty set elsewhere", rdf.Any, rdf.Any, func(p *partition) { p.so[4] = idSet{} })
+	corrupt("object map drift", rdf.Any, rdf.Any, func(p *partition) { p.os[3][9] = struct{}{} })
+	corrupt("subject map drift", rdf.Any, rdf.Any, func(p *partition) { delete(p.so[1], 2) })
+}

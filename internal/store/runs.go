@@ -90,27 +90,9 @@ func buildRun(ps []pair) *run {
 // right way, so the cost is one key sort plus per-span sorts per
 // direction — much cheaper than materialising and comparison-sorting n
 // pairs twice, and this runs under the partition write lock.
-func buildRunFromOverlay(so map[rdf.ID]*sEntry, subs []rdf.ID, os map[rdf.ID]idSet, n int) *run {
+func buildRunFromOverlay(so, os map[rdf.ID]idSet, n int) *run {
 	r := &run{pairs: n}
-
-	// Subject direction: subs is the caller's sorted list of overlay
-	// subjects (the dirty list, filtered). Copied — the caller reuses
-	// that buffer, and the run must stay immutable.
-	r.subs = slices.Clone(subs)
-	r.subOff = make([]int32, 0, len(subs)+1)
-	r.objs = make([]rdf.ID, 0, n)
-	for _, s := range subs {
-		r.subOff = append(r.subOff, int32(len(r.objs)))
-		start := len(r.objs)
-		for o := range so[s].objs {
-			r.objs = append(r.objs, o)
-		}
-		slices.Sort(r.objs[start:])
-	}
-	r.subOff = append(r.subOff, int32(len(r.objs)))
-
-	// Object direction: os holds overlay pairs only, so it maps over
-	// directly.
+	r.subs, r.subOff, r.objs = csrFromMap(so, n)
 	r.objsD, r.objOff, r.subsByObj = csrFromMap(os, n)
 	if invariantsEnabled {
 		checkRun(r)
@@ -141,13 +123,33 @@ func csrFromMap(m map[rdf.ID]idSet, n int) (keys []rdf.ID, off []int32, vals []r
 
 // objectsOf returns the run's objects of subject s, ascending (nil when
 // the subject is absent). The slice aliases the run; callers must not
-// mutate it.
+// mutate it. IDs are handed out densely in first-seen order, so a
+// subject newer than the run sits above its last key: that case — every
+// fresh insert probes every run — returns without a search.
 func (r *run) objectsOf(s rdf.ID) []rdf.ID {
+	if len(r.subs) == 0 || s > r.subs[len(r.subs)-1] {
+		return nil
+	}
 	i, ok := slices.BinarySearch(r.subs, s)
 	if !ok {
 		return nil
 	}
 	return r.objs[r.subOff[i]:r.subOff[i+1]]
+}
+
+// objectsFrom is objectsOf for a caller visiting subjects in ascending
+// order: *i is an index into subs no further than s's key, and is
+// advanced past it, so a sweep over a key range scans it once instead
+// of binary searching per subject.
+func (r *run) objectsFrom(i *int, s rdf.ID) []rdf.ID {
+	for *i < len(r.subs) && r.subs[*i] < s {
+		*i++
+	}
+	if *i == len(r.subs) || r.subs[*i] != s {
+		return nil
+	}
+	*i++
+	return r.objs[r.subOff[*i-1]:r.subOff[*i]]
 }
 
 // subjectsOf returns the run's subjects of object o, ascending (nil when
@@ -273,8 +275,8 @@ func mergeDirection(rs []*run, total int, byObject bool) (keys []rdf.ID, off []i
 	return keys, off, vals
 }
 
-// appendMergedSorted appends the two-way merge of sorted, disjoint a and
-// b to dst.
+// appendMergedSorted appends the two-way merge of sorted a and b to dst.
+// An ID present in both is appended twice, adjacently.
 func appendMergedSorted(dst, a, b []rdf.ID) []rdf.ID {
 	for len(a) > 0 && len(b) > 0 {
 		if a[0] < b[0] {

@@ -192,24 +192,13 @@ func TestSortedExtentsAcrossLayouts(t *testing.T) {
 // runFromOverlay builds a run through buildRunFromOverlay, laying pairs
 // out as the partition overlay maps the compactor flushes.
 func runFromOverlay(ps []pair) *run {
-	so := map[rdf.ID]*sEntry{}
+	so := map[rdf.ID]idSet{}
 	os := map[rdf.ID]idSet{}
-	var subs []rdf.ID
 	for _, pr := range ps {
-		e := so[pr.s]
-		if e == nil {
-			e = &sEntry{objs: idSet{}}
-			so[pr.s] = e
-			subs = append(subs, pr.s)
-		}
-		e.objs[pr.o] = struct{}{}
-		if os[pr.o] == nil {
-			os[pr.o] = idSet{}
-		}
-		os[pr.o][pr.s] = struct{}{}
+		setAdd(so, pr.s, pr.o)
+		setAdd(os, pr.o, pr.s)
 	}
-	slices.Sort(subs)
-	return buildRunFromOverlay(so, subs, os, len(ps))
+	return buildRunFromOverlay(so, os, len(ps))
 }
 
 // checkRunProbes compares a run's objectsOf, subjectsOf and contains

@@ -12,7 +12,9 @@
 // of the partition lives in immutable sorted runs (see runs.go) that a
 // background compactor forms by flushing the overlay and size-tier
 // merging (see compact.go). Removal of a run pair tombstones it; the
-// compactor purges tombstones once they dominate. The split keeps
+// compactor purges tombstones once they dominate. A partition keeps no
+// per-subject state beyond that: once a subject's pairs are flushed,
+// the runs' sorted key slices are its only record. The split keeps
 // maintenance work proportional to the delta, not the base: probes are
 // an overlay map hit or a binary search of a run span, ObjectsAppend/
 // SubjectsAppend return ascending sorted results (the contract the
@@ -72,14 +74,24 @@ const (
 // idSet is a set of term IDs.
 type idSet map[rdf.ID]struct{}
 
-// sEntry is one subject's slot in a partition's so map: its overlay
-// objects plus its live degree across overlay and runs. deg is the
-// spine's membership record (a subject is appended exactly when its
-// entry is created) and makes drained-subject accounting exact across
-// overlay flushes, which move pairs without changing degrees.
-type sEntry struct {
-	objs idSet
-	deg  int32
+// setAdd inserts v into m[k], allocating the set on first use.
+func setAdd(m map[rdf.ID]idSet, k, v rdf.ID) {
+	set := m[k]
+	if set == nil {
+		set = make(idSet, 2)
+		m[k] = set
+	}
+	set[v] = struct{}{}
+}
+
+// setDel removes v from m[k] and deletes the set once it is empty, so
+// the overlay and tombstone maps never hold an empty set.
+func setDel(m map[rdf.ID]idSet, k, v rdf.ID) {
+	set := m[k]
+	delete(set, v)
+	if len(set) == 0 {
+		delete(m, k)
+	}
 }
 
 // partition holds all triples sharing one predicate. Physically a pair
@@ -94,20 +106,11 @@ type partition struct {
 
 	// so/os are the mutable delta overlay: subject → objects and
 	// object → subjects for pairs not (live) in any run. onum counts
-	// overlay pairs. so doubles as the spine membership index: a
-	// subject's entry persists (with empty objs) while its pairs live
-	// only in runs, and carries the subject's live degree, so the add
-	// hot path pays a single subject-map probe. os holds overlay pairs
-	// only and empty sets are deleted eagerly.
-	so   map[rdf.ID]*sEntry
+	// overlay pairs. Both hold overlay pairs only: empty sets are
+	// deleted eagerly and a flush replaces both maps.
+	so   map[rdf.ID]idSet
 	os   map[rdf.ID]idSet
 	onum int
-
-	// dirty lists the subjects whose entry gained an overlay set since
-	// the last flush (appended exactly on the nil→allocated transition,
-	// so it is duplicate-free). It lets a flush visit only overlay
-	// subjects instead of walking the whole spine-sized so map.
-	dirty []rdf.ID
 
 	// runs are the immutable sorted segments, oldest first. The slice
 	// is replaced wholesale under mu (never mutated in place), so a
@@ -122,16 +125,6 @@ type partition struct {
 	tombN int
 
 	n int
-
-	// subjects lists every distinct subject ever inserted, in insertion
-	// order, with no duplicates. Views iterate it by index, which allows
-	// bounded lock holds: a view visits a chunk of subjects at a time
-	// instead of copying the whole — possibly store-sized — partition
-	// under the lock. drained counts subjects whose live degree is
-	// currently zero; when they dominate, View.Release compacts the
-	// spine so a retract-heavy workload does not retain them forever.
-	subjects []rdf.ID
-	drained  int
 
 	// born is the newest view epoch that had been issued when the
 	// partition was created (0 when no view was active). Epochs are
@@ -168,7 +161,7 @@ func (j *pjournal) sub(s rdf.ID) map[rdf.ID]bool {
 
 func newPartition(epoch uint64) *partition {
 	return &partition{
-		so:   make(map[rdf.ID]*sEntry),
+		so:   make(map[rdf.ID]idSet),
 		os:   make(map[rdf.ID]idSet),
 		born: epoch,
 	}
@@ -188,6 +181,16 @@ func (p *partition) journalFor(e uint64) *pjournal {
 	return j
 }
 
+// drop deletes the journal entry for (s,o), and s's map once empty, so
+// the journal's subjects are exactly those with a net change.
+func (j *pjournal) drop(s, o rdf.ID) {
+	js := j.m[s]
+	delete(js, o)
+	if len(js) == 0 {
+		delete(j.m, s)
+	}
+}
+
 // noteAdd records, for the view frozen at epoch e, that (s,o) was
 // freshly inserted after the freeze. Callers hold mu and have checked
 // p.born < e.
@@ -199,7 +202,7 @@ func (p *partition) noteAdd(e uint64, s, o rdf.ID) {
 		// and is now back — net zero, drop the entry. present==false is
 		// impossible: such a pair is live, so its insert cannot be fresh.
 		if present {
-			delete(js, o)
+			j.drop(s, o)
 			j.removed--
 		}
 		return
@@ -222,7 +225,7 @@ func (p *partition) noteRemove(e uint64, s, o rdf.ID) {
 		// zero. present==true is impossible: such a pair is already
 		// absent, so there is nothing to remove.
 		if !present {
-			delete(js, o)
+			j.drop(s, o)
 			j.added--
 		}
 		return
@@ -233,28 +236,6 @@ func (p *partition) noteRemove(e uint64, s, o rdf.ID) {
 	}
 	js[o] = true // present at freeze time
 	j.removed++
-}
-
-// maybeCompact rebuilds the subject spine, dropping subjects whose live
-// degree is zero, once they dominate the partition. Rebuilding is
-// O(partition), so the threshold amortises it against the removals that
-// created the drained entries. Callers hold mu (write side) and must
-// ensure no View is active: the rebuild shifts spine indices a view's
-// chunked walk may be holding.
-func (p *partition) maybeCompact() {
-	if p.drained == 0 || p.drained*2 < len(p.subjects) {
-		return
-	}
-	kept := p.subjects[:0]
-	for _, sub := range p.subjects {
-		if e := p.so[sub]; e == nil || e.deg == 0 {
-			delete(p.so, sub)
-			continue
-		}
-		kept = append(kept, sub)
-	}
-	p.subjects = kept
-	p.drained = 0
 }
 
 // frozenLen reports the partition's pair count at freeze time for the
@@ -272,11 +253,7 @@ func (p *partition) frozenLen(e uint64) int {
 
 // tombHas reports whether (s,o) is tombstoned. Callers hold mu.
 func (p *partition) tombHas(s, o rdf.ID) bool {
-	ts, ok := p.tomb[s]
-	if !ok {
-		return false
-	}
-	_, ok = ts[o]
+	_, ok := p.tomb[s][o]
 	return ok
 }
 
@@ -292,59 +269,31 @@ func (p *partition) runsContain(s, o rdf.ID) bool {
 	return false
 }
 
-// add inserts (s,o) and reports whether it was absent. Callers hold the
-// partition lock (write side).
+// add inserts (s,o) and reports whether it was absent: the overlay,
+// then the tombstones, then the runs are checked. A subject newer than
+// every run sits above each run's last key, so the run probes of fresh
+// ingest cost O(1) each. Callers hold the partition lock (write side).
 func (p *partition) add(s, o rdf.ID) bool {
-	e := p.so[s]
-	if e == nil {
-		// First entry ever for this subject (drained entries stay in
-		// the map, empty), so the spine append cannot duplicate.
-		e = &sEntry{}
-		p.so[s] = e
-		p.subjects = append(p.subjects, s)
-	} else if _, dup := e.objs[o]; dup {
+	if _, dup := p.so[s][o]; dup {
 		return false
-	} else if e.deg == 0 {
-		p.drained-- // a drained subject comes back to life
 	}
 	if p.tombN > 0 && p.tombHas(s, o) {
 		// Resurrect a tombstoned run pair in place: dropping the
 		// tombstone makes the run's copy live again, preserving the
 		// one-physical-home invariant without touching the overlay.
-		ts := p.tomb[s]
-		delete(ts, o)
-		if len(ts) == 0 {
-			delete(p.tomb, s)
-		}
+		setDel(p.tomb, s, o)
 		p.tombN--
-	} else if int(e.deg) > len(e.objs) && p.runsContain(s, o) {
-		// Already live in a run; undo the speculative bookkeeping. The
-		// deg guard skips the per-run probes whenever the subject's live
-		// pairs all sit in the overlay (deg == overlay size — the fresh-
-		// ingest common case): a run copy that is not live here must be
-		// tombstoned, and the branch above already handled that.
-		if e.deg == 0 {
-			p.drained++
-		}
+	} else if p.runsContain(s, o) {
 		return false
 	} else {
-		if e.objs == nil {
-			e.objs = make(idSet, 2)
-			p.dirty = append(p.dirty, s)
-		}
-		e.objs[o] = struct{}{}
-		subs := p.os[o]
-		if subs == nil {
-			subs = make(idSet, 2)
-			p.os[o] = subs
-		}
-		subs[s] = struct{}{}
+		setAdd(p.so, s, o)
+		setAdd(p.os, o, s)
 		p.onum++
 	}
-	e.deg++
 	p.n++
 	if invariantsEnabled {
 		p.assertAccounting()
+		p.assertOverlayShape(s, o)
 		p.assertLive(s, o)
 	}
 	return true
@@ -354,75 +303,34 @@ func (p *partition) add(s, o rdf.ID) bool {
 // are deleted outright, run pairs are tombstoned. Callers hold the
 // partition lock (write side).
 func (p *partition) remove(s, o rdf.ID) bool {
-	e := p.so[s]
-	if e == nil {
-		return false // never a spine subject, so no live pairs at all
-	}
-	if _, ok := e.objs[o]; ok {
-		delete(e.objs, o)
-		subs := p.os[o]
-		delete(subs, s)
-		if len(subs) == 0 {
-			delete(p.os, o)
-		}
+	if _, ok := p.so[s][o]; ok {
+		setDel(p.so, s, o)
+		setDel(p.os, o, s)
 		p.onum--
-		p.removed(e)
-		if invariantsEnabled {
-			p.assertAccounting()
-			p.assertDead(s, o)
-		}
-		return true
-	}
-	// deg == overlay size means no live run pair for this subject (the
-	// overlay branch above already missed), so nothing is left to remove.
-	if int(e.deg) == len(e.objs) || p.tombHas(s, o) || !p.runsContain(s, o) {
+	} else if p.tombHas(s, o) || !p.runsContain(s, o) {
 		return false
-	}
-	ts := p.tomb[s]
-	if ts == nil {
+	} else {
 		if p.tomb == nil {
 			p.tomb = make(map[rdf.ID]idSet, 4)
 		}
-		ts = make(idSet, 2)
-		p.tomb[s] = ts
+		setAdd(p.tomb, s, o)
+		p.tombN++
 	}
-	ts[o] = struct{}{}
-	p.tombN++
-	p.removed(e)
+	p.n--
 	if invariantsEnabled {
 		p.assertAccounting()
+		p.assertOverlayShape(s, o)
 		p.assertDead(s, o)
 	}
 	return true
-}
-
-// removed does the degree and count bookkeeping shared by both removal
-// paths. Callers hold the partition lock (write side).
-func (p *partition) removed(e *sEntry) {
-	e.deg--
-	if e.deg == 0 {
-		p.drained++
-	}
-	p.n--
 }
 
 // contains reports whether (s,o) is live: an overlay map probe, then —
 // unless tombstoned — a binary-search probe of the runs. Callers hold
 // the partition lock (read side suffices).
 func (p *partition) contains(s, o rdf.ID) bool {
-	e := p.so[s]
-	if e == nil {
-		// Not a spine subject: any run copy it ever had would be
-		// tombstoned (pruning requires a drained subject), hence dead.
-		return false
-	}
-	if _, ok := e.objs[o]; ok {
+	if _, ok := p.so[s][o]; ok {
 		return true
-	}
-	// deg == overlay size: every live pair is in the overlay, which
-	// just missed — no need to probe the runs.
-	if int(e.deg) == len(e.objs) {
-		return false
 	}
 	if p.tombN > 0 && p.tombHas(s, o) {
 		return false
@@ -451,95 +359,104 @@ func (p *partition) forEachLive(f func(s, o rdf.ID)) {
 			}
 		}
 	}
-	for s, e := range p.so {
-		for o := range e.objs {
+	for s, objs := range p.so {
+		for o := range objs {
 			f(s, o)
 		}
 	}
 }
 
-// objectsAppend appends the live objects of s to dst in ascending order.
-// Each run span is already sorted, so the common compacted case (one
-// contributing run, empty overlay) is a straight copy with no sort; a
-// final sort only runs when several sources — or the unsorted overlay —
-// contributed. Callers hold the partition lock (read side suffices).
-func (p *partition) objectsAppend(dst []rdf.ID, s rdf.ID) []rdf.ID {
+// objectsAppend appends subject s's objects to dst in ascending order:
+// the live objects (overlay and untombstoned run pairs) minus those js
+// journals as post-freeze insertions, plus those it journals as
+// post-freeze removals. With js nil that is the live extent; with a
+// view's journal entry for s it is the freeze-time extent. The journal
+// is keyed on logical pairs, so a pair's physical home — overlay before
+// a flush, run after — never matters. Each run span is already sorted,
+// so the common compacted case (one contributing span) is a straight
+// copy and skips the sort. cur, when non-nil, holds one key index per
+// run for a caller visiting subjects in ascending order (see
+// run.objectsFrom); nil means a binary search per run. Callers hold the
+// partition lock (read side suffices).
+func (p *partition) objectsAppend(dst []rdf.ID, s rdf.ID, js map[rdf.ID]bool, cur []int) []rdf.ID {
 	start := len(dst)
-	srcs := 0
-	needSort := false
-	if e := p.so[s]; e != nil && len(e.objs) > 0 {
-		for o := range e.objs {
+	for o := range p.so[s] {
+		if present, journaled := js[o]; journaled && !present {
+			continue // inserted after the freeze
+		}
+		dst = append(dst, o)
+	}
+	ts := p.tomb[s]
+	for i, r := range p.runs {
+		var ro []rdf.ID
+		if cur == nil {
+			ro = r.objectsOf(s)
+		} else {
+			ro = r.objectsFrom(&cur[i], s)
+		}
+		if len(ts) == 0 && len(js) == 0 {
+			dst = append(dst, ro...)
+			continue
+		}
+		for _, o := range ro {
+			if _, dead := ts[o]; dead {
+				continue // removed; the journal re-adds it if post-freeze
+			}
+			if present, journaled := js[o]; journaled && !present {
+				continue // flushed post-freeze insertion
+			}
 			dst = append(dst, o)
 		}
-		srcs++
-		needSort = true
 	}
-	if len(p.runs) > 0 {
-		ts := p.tomb[s]
-		for _, r := range p.runs {
-			ro := r.objectsOf(s)
-			if len(ro) == 0 {
-				continue
-			}
-			if len(ts) == 0 {
-				dst = append(dst, ro...)
-				srcs++
-				continue
-			}
-			before := len(dst)
-			for _, o := range ro {
-				if _, dead := ts[o]; dead {
-					continue
-				}
-				dst = append(dst, o)
-			}
-			if len(dst) > before {
-				srcs++
-			}
+	for o, present := range js {
+		if present {
+			dst = append(dst, o) // removed after the freeze
 		}
 	}
-	if needSort || srcs > 1 {
+	if !slices.IsSorted(dst[start:]) {
 		slices.Sort(dst[start:])
 	}
 	return dst
 }
 
-// subjectsAppend appends the live subjects of o to dst in ascending
-// order — the object-direction mirror of objectsAppend. Callers hold
-// the partition lock (read side suffices).
-func (p *partition) subjectsAppend(dst []rdf.ID, o rdf.ID) []rdf.ID {
+// subjectsAppend appends object o's subjects to dst in ascending order —
+// the object-direction mirror of objectsAppend, compensated by a view's
+// whole journal j for the partition (nil for the live extent). Callers
+// hold the partition lock (read side suffices).
+func (p *partition) subjectsAppend(dst []rdf.ID, o rdf.ID, j *pjournal) []rdf.ID {
 	start := len(dst)
-	srcs := 0
-	needSort := false
-	if subs := p.os[o]; len(subs) > 0 {
-		for s := range subs {
-			dst = append(dst, s)
+	for s := range p.os[o] {
+		if present, journaled := j.sub(s)[o]; journaled && !present {
+			continue // inserted after the freeze
 		}
-		srcs++
-		needSort = true
+		dst = append(dst, s)
 	}
 	for _, r := range p.runs {
 		rs := r.subjectsOf(o)
-		if len(rs) == 0 {
-			continue
-		}
-		if p.tombN == 0 {
+		if p.tombN == 0 && j == nil {
 			dst = append(dst, rs...)
-			srcs++
 			continue
 		}
-		before := len(dst)
 		for _, s := range rs {
-			if p.tombHas(s, o) {
+			if p.tombN > 0 && p.tombHas(s, o) {
+				continue
+			}
+			if present, journaled := j.sub(s)[o]; journaled && !present {
 				continue
 			}
 			dst = append(dst, s)
 		}
-		if len(dst) > before {
-			srcs++
+	}
+	if j != nil {
+		// Journaled post-freeze removals with this object: present at
+		// freeze time but no longer live.
+		for s, js := range j.m {
+			if js[o] {
+				dst = append(dst, s)
+			}
 		}
 	}
-	if needSort || srcs > 1 {
+	if !slices.IsSorted(dst[start:]) {
 		slices.Sort(dst[start:])
 	}
 	return dst
@@ -861,19 +778,14 @@ func (st *Store) Remove(t rdf.Triple) bool {
 	st.version.Add(1)
 	eps := st.active.Load()
 	noteRemoveAll(eps, p, t.S, t.O)
-	// A drained partition is pruned — and drained subject entries are
-	// compacted — unless a View is active: views may still need the
-	// partition's journals, runs and spine (the last Release sweeps
-	// instead).
+	// A drained partition is pruned unless a View is active: views may
+	// still need the partition's journals and runs (the last Release
+	// sweeps instead).
 	pruned := false
-	if eps == nil {
-		if p.n == 0 {
-			delete(s.parts, t.P)
-			st.unregisterPred(t.P)
-			pruned = true
-		} else {
-			p.maybeCompact()
-		}
+	if eps == nil && p.n == 0 {
+		delete(s.parts, t.P)
+		st.unregisterPred(t.P)
+		pruned = true
 	}
 	due := !pruned && p.compactionDue()
 	p.mu.Unlock()
@@ -958,13 +870,10 @@ func (st *Store) PredicateLen(p rdf.ID) int {
 	return part.n
 }
 
-// PredicateStats returns the live pair count and the distinct subject
-// and object counts of predicate p's partition — the per-partition
-// cardinalities the query planner's selectivity estimates divide by.
-// The object count is an upper bound while the partition has both
-// overlay and run pairs (an object present in both is counted twice)
-// and while tombstones are pending; the planner only needs the order of
-// magnitude, and the bound is exact once compacted.
+// PredicateStats returns the live pair count of predicate p's partition
+// and upper bounds on its distinct subject and object counts — the
+// per-partition cardinalities the query planner's selectivity estimates
+// divide by (see partition.keyCounts).
 func (st *Store) PredicateStats(p rdf.ID) (triples, subjects, objects int) {
 	s := st.stripeFor(p)
 	s.mu.RLock()
@@ -975,13 +884,23 @@ func (st *Store) PredicateStats(p rdf.ID) (triples, subjects, objects int) {
 	}
 	part.mu.RLock()
 	defer part.mu.RUnlock()
-	triples = part.n
-	subjects = len(part.subjects) - part.drained
-	objects = len(part.os)
-	for _, r := range part.runs {
+	subjects, objects = part.keyCounts()
+	return part.n, subjects, objects
+}
+
+// keyCounts returns upper bounds on the partition's distinct subject
+// and object counts: the overlay's keys plus every run's keys. A key
+// present in several runs or in a run and the overlay is counted once
+// per home, and tombstoned pairs still count; the planner only needs
+// the order of magnitude, and the bound is exact once compacted.
+// Callers hold the partition lock (read side suffices).
+func (p *partition) keyCounts() (subjects, objects int) {
+	subjects, objects = len(p.so), len(p.os)
+	for _, r := range p.runs {
+		subjects += len(r.subs)
 		objects += len(r.objsD)
 	}
-	return triples, subjects, objects
+	return subjects, objects
 }
 
 // Predicates returns all predicates present, in ascending ID order. The
@@ -1014,7 +933,7 @@ func (st *Store) ObjectsAppend(dst []rdf.ID, p, s rdf.ID) []rdf.ID {
 		return dst
 	}
 	part.mu.RLock()
-	dst = part.objectsAppend(dst, s)
+	dst = part.objectsAppend(dst, s, nil, nil)
 	part.mu.RUnlock()
 	str.mu.RUnlock()
 	return dst
@@ -1038,7 +957,7 @@ func (st *Store) SubjectsAppend(dst []rdf.ID, p, o rdf.ID) []rdf.ID {
 		return dst
 	}
 	part.mu.RLock()
-	dst = part.subjectsAppend(dst, o)
+	dst = part.subjectsAppend(dst, o, nil)
 	part.mu.RUnlock()
 	str.mu.RUnlock()
 	return dst
@@ -1135,11 +1054,11 @@ func (st *Store) Match(pattern rdf.Triple) []rdf.Triple {
 				out = append(out, rdf.Triple{S: pattern.S, P: p, O: pattern.O})
 			}
 		case pattern.S != rdf.Any:
-			for _, o := range part.objectsAppend(nil, pattern.S) {
+			for _, o := range part.objectsAppend(nil, pattern.S, nil, nil) {
 				out = append(out, rdf.Triple{S: pattern.S, P: p, O: o})
 			}
 		case pattern.O != rdf.Any:
-			for _, s := range part.subjectsAppend(nil, pattern.O) {
+			for _, s := range part.subjectsAppend(nil, pattern.O, nil) {
 				out = append(out, rdf.Triple{S: s, P: p, O: pattern.O})
 			}
 		default:
@@ -1279,8 +1198,8 @@ func (st *Store) Stats() Stats {
 // journal (one entry per net-changed pair), and the view's iteration
 // applies the journal to reconstruct the exact freeze-time contents.
 // This is the mechanism behind non-blocking checkpoints: capture is
-// O(1), streaming the view contends with writers only for the brief
-// per-partition copy that plain iteration already takes — and a fully
+// O(1), and streaming the view walks each partition by ascending subject
+// ID, one bounded chunk per lock hold (see viewChunk), while a fully
 // compacted partition (no overlay, no tombstones, no journal) streams
 // its immutable runs verbatim, entirely outside the locks.
 //
@@ -1320,8 +1239,8 @@ func (st *Store) Freeze() *View {
 
 // Release ends the view: the store stops journaling for its epoch and
 // the epoch's journals are dropped. The release of the last active view
-// additionally compacts drained subjects and prunes partitions that
-// drained while frozen. Release is idempotent.
+// additionally prunes partitions that drained while frozen. Release is
+// idempotent.
 func (v *View) Release() {
 	st := v.st
 	st.freezeMu.Lock()
@@ -1357,7 +1276,6 @@ func (v *View) Release() {
 			empty := false
 			if last {
 				p.journals = nil
-				p.maybeCompact()
 				empty = p.n == 0
 			}
 			p.mu.Unlock()
@@ -1404,10 +1322,10 @@ func (v *View) PredicateLen(p rdf.ID) int {
 }
 
 // PredicateStats returns the freeze-time pair count of predicate p plus
-// the partition's current distinct subject/object counts — the same
-// planning-grade cardinalities Store.PredicateStats reports (views
-// drift from them only by the post-freeze delta, which is negligible
-// for join-order estimation).
+// upper bounds on the partition's current distinct subject/object
+// counts — the same planning-grade cardinalities Store.PredicateStats
+// reports (views drift from them only by the post-freeze delta, which is
+// negligible for join-order estimation).
 func (v *View) PredicateStats(p rdf.ID) (triples, subjects, objects int) {
 	s := v.st.stripeFor(p)
 	s.mu.RLock()
@@ -1418,65 +1336,36 @@ func (v *View) PredicateStats(p rdf.ID) (triples, subjects, objects int) {
 	}
 	part.mu.RLock()
 	defer part.mu.RUnlock()
-	triples = part.frozenLen(v.epoch)
-	subjects = len(part.subjects) - part.drained
-	objects = len(part.os)
-	for _, r := range part.runs {
-		objects += len(r.objsD)
-	}
-	return triples, subjects, objects
+	subjects, objects = part.keyCounts()
+	return part.frozenLen(v.epoch), subjects, objects
 }
 
-// viewChunk is how many pairs a view accumulates per partition-lock
+// viewChunk is how many pairs a view walk accumulates per partition-lock
 // acquisition. It bounds the pause a concurrent writer can observe
 // behind view iteration: with vertical partitioning a single predicate
 // (rdf:type, typically) can hold most of the store, so copying a whole
 // partition under its lock — what live iteration does — would stall
 // writers for O(store) at exactly the moment non-blocking checkpoints
-// exist to protect. A subject's object set is evaluated atomically, so
-// the true hold bound is O(viewChunk + degree of the chunk's last
-// subject) — a pathological hub subject still costs its degree. Frozen
-// evaluation probes every run per subject (a binary search each), so the
-// per-pair cost is a few times a plain map walk; 1024 keeps the hold
-// around a millisecond even on a partition split across several runs.
+// exist to protect. A chunk evaluates the subjects of up to
+// max(viewChunk, (overlay + journal subjects)/scanPerPair) keys per run,
+// and scans the overlay and the view's journal once, so a hold is that
+// many frozen evaluations plus one pass over two maps — bounded like a
+// flush, since the compactor caps the overlay at flushMax — plus the
+// degree of the chunk's last subject: a pathological hub subject still
+// costs its degree. Frozen evaluation visits every run per subject, so
+// the per-pair cost is a few times a plain map walk; 1024 keeps the
+// hold around a millisecond even on a partition split across several
+// runs.
 const viewChunk = 1024
 
-// appendFrozenObjs appends subject s's freeze-time pairs to out: live
-// pairs (overlay and untombstoned run pairs) not journaled as
-// post-freeze insertions, plus journaled post-freeze removals. The
-// journal is keyed on logical pairs, so a pair's physical home —
-// overlay before a flush, run after — never matters. Callers hold the
-// partition lock.
-func (p *partition) appendFrozenObjs(out []pair, s rdf.ID, js map[rdf.ID]bool) []pair {
-	if e := p.so[s]; e != nil {
-		for o := range e.objs {
-			if present, journaled := js[o]; journaled && !present {
-				continue // inserted after the freeze
-			}
-			out = append(out, pair{s: s, o: o})
-		}
-	}
-	if len(p.runs) > 0 {
-		ts := p.tomb[s]
-		for _, r := range p.runs {
-			for _, o := range r.objectsOf(s) {
-				if _, dead := ts[o]; dead {
-					continue // removed; the journal re-adds it if post-freeze
-				}
-				if present, journaled := js[o]; journaled && !present {
-					continue // flushed post-freeze insertion
-				}
-				out = append(out, pair{s: s, o: o})
-			}
-		}
-	}
-	for o, present := range js {
-		if present {
-			out = append(out, pair{s: s, o: o}) // removed after the freeze
-		}
-	}
-	return out
-}
+// scanPerPair caps how many overlay and journal entries a view-walk
+// chunk may scan per pair it can evaluate. A scanned map entry costs
+// about a quarter of a frozen evaluation, so at 4 a chunk's scan costs
+// no more than its evaluations, and a walk's total scanning stays linear
+// in the partition size. Right after a bulk load a checkpoint's journal
+// can hold tens of thousands of subjects; a larger ratio makes each of
+// many chunks pay for scanning it, a smaller one lengthens each hold.
+const scanPerPair = 4
 
 // ForEachWithPredicate calls f for every freeze-time (s, o) pair of the
 // predicate until f returns false. f runs outside the store's locks.
@@ -1490,14 +1379,24 @@ func (p *partition) appendFrozenObjs(out []pair, s rdf.ID, js map[rdf.ID]bool) [
 // the frozen state. This is the checkpoint fast path FlushOverlays sets
 // up.
 //
-// Otherwise iteration walks the partition's insertion-ordered subject
-// list, re-acquiring the partition lock after every ~viewChunk pairs.
-// That is safe mid-view: partitions are never pruned nor Cleared while
-// a view is active, each subject appears in the list exactly once, and
-// a subject's freeze-time pairs are a time-invariant property (physical
-// moves by the compactor do not change them), so evaluating each
-// subject once, whenever its chunk comes up, enumerates exactly the
-// frozen state. Subjects appended after the freeze evaluate to nothing.
+// Otherwise iteration walks the partition's subjects in ascending ID
+// order, one chunk per partition-lock acquisition, resuming past the
+// last subject evaluated. A chunk takes up to lim keys of each run past
+// the cursor (lim is viewChunk, or more when the overlay and journal are
+// large, see scanPerPair); the lowest last key a truncated run
+// contributed is where the chunk must stop, since keys above it may be
+// missing from that run's contribution. It adds every overlay subject
+// and every subject journaled for this view between the cursor and that
+// stop, and evaluates the sorted union until lim pairs are collected.
+// That is safe mid-view: partitions are never pruned nor Cleared while a
+// view is active, a subject's freeze-time pairs are a time-invariant
+// property (physical moves by the compactor do not change them), and
+// every subject holding one is, at any instant, an overlay, run or
+// journal key. So evaluating each subject once, whenever its chunk comes
+// up, enumerates exactly the frozen state. The overlay is re-read per
+// chunk, not captured at walk start: a frozen run pair removed, purged
+// and re-added after the walk began lives only in the overlay, its
+// journal entry netted to zero.
 func (v *View) ForEachWithPredicate(p rdf.ID, f func(s, o rdf.ID) bool) {
 	str := v.st.stripeFor(p)
 	str.mu.RLock()
@@ -1508,14 +1407,17 @@ func (v *View) ForEachWithPredicate(p rdf.ID, f func(s, o rdf.ID) bool) {
 	}
 	buf := pairBufs.Get().(*[]pair)
 	defer putPairs(buf)
-	for i := 0; ; {
+	var keys, merged, objs []rdf.ID
+	var cur []int // per run, the scan position in its keys (run.objectsFrom)
+	// next is the cursor: every subject below it has been evaluated.
+	for next := rdf.ID(0); ; {
 		part.mu.RLock()
 		if part.born >= v.epoch {
 			part.mu.RUnlock()
 			return
 		}
 		j := part.journals[v.epoch] // nil when nothing changed since the freeze
-		if i == 0 && j == nil && part.onum == 0 && part.tombN == 0 {
+		if next == 0 && j == nil && part.onum == 0 && part.tombN == 0 {
 			runs := part.runs
 			part.mu.RUnlock()
 			for _, r := range runs {
@@ -1525,12 +1427,63 @@ func (v *View) ForEachWithPredicate(p rdf.ID, f func(s, o rdf.ID) bool) {
 			}
 			return
 		}
-		out := (*buf)[:0]
-		for ; i < len(part.subjects) && len(out) < viewChunk; i++ {
-			sub := part.subjects[i]
-			out = part.appendFrozenObjs(out, sub, j.sub(sub))
+		var jm map[rdf.ID]map[rdf.ID]bool
+		if j != nil {
+			jm = j.m
 		}
-		done := i >= len(part.subjects)
+		// lim grows with the overlay and journal every chunk scans.
+		lim := max(viewChunk, (len(part.so)+len(jm))/scanPerPair)
+		// The chunk may not pass the lowest last key a truncated run
+		// contributes: keys above it may be missing from that run's share.
+		var stop rdf.ID
+		truncated := false
+		cur = cur[:0]
+		for _, r := range part.runs {
+			i, _ := slices.BinarySearch(r.subs, next)
+			cur = append(cur, i)
+			if i+lim < len(r.subs) && (!truncated || r.subs[i+lim-1] < stop) {
+				stop, truncated = r.subs[i+lim-1], true
+			}
+		}
+		inChunk := func(s rdf.ID) bool { return s >= next && (!truncated || s <= stop) }
+		keys = keys[:0]
+		for s := range part.so {
+			if inChunk(s) {
+				keys = append(keys, s)
+			}
+		}
+		for s := range jm {
+			if inChunk(s) {
+				keys = append(keys, s)
+			}
+		}
+		slices.Sort(keys)
+		for ri, r := range part.runs { // run keys are sorted: merge, don't sort
+			end := len(r.subs)
+			if truncated {
+				e, found := slices.BinarySearch(r.subs, stop)
+				if found {
+					e++
+				}
+				end = e
+			}
+			merged = appendMergedSorted(merged[:0], keys, r.subs[cur[ri]:end])
+			keys, merged = merged, keys
+		}
+		keys = slices.Compact(keys)
+		out := (*buf)[:0]
+		k := 0
+		for ; k < len(keys) && len(out) < lim; k++ {
+			sub := keys[k]
+			objs = part.objectsAppend(objs[:0], sub, j.sub(sub), cur)
+			for _, o := range objs {
+				out = append(out, pair{s: sub, o: o})
+			}
+		}
+		done := k == len(keys) && !truncated
+		if k > 0 {
+			next = keys[k-1] + 1
+		}
 		part.mu.RUnlock()
 		*buf = out
 		for _, pr := range out {
@@ -1684,55 +1637,7 @@ func (v *View) ObjectsAppend(dst []rdf.ID, p, s rdf.ID) []rdf.ID {
 	if part.born >= v.epoch {
 		return dst
 	}
-	js := part.journals[v.epoch].sub(s)
-	start := len(dst)
-	srcs := 0
-	needSort := false
-	if e := part.so[s]; e != nil && len(e.objs) > 0 {
-		before := len(dst)
-		for o := range e.objs {
-			if present, journaled := js[o]; journaled && !present {
-				continue // inserted after the freeze
-			}
-			dst = append(dst, o)
-		}
-		if len(dst) > before {
-			srcs++
-			needSort = true
-		}
-	}
-	if len(part.runs) > 0 {
-		ts := part.tomb[s]
-		for _, r := range part.runs {
-			ro := r.objectsOf(s)
-			if len(ro) == 0 {
-				continue
-			}
-			before := len(dst)
-			for _, o := range ro {
-				if _, dead := ts[o]; dead {
-					continue
-				}
-				if present, journaled := js[o]; journaled && !present {
-					continue
-				}
-				dst = append(dst, o)
-			}
-			if len(dst) > before {
-				srcs++
-			}
-		}
-	}
-	for o, present := range js {
-		if present {
-			dst = append(dst, o) // removed after the freeze
-			needSort = true
-		}
-	}
-	if needSort || srcs > 1 {
-		slices.Sort(dst[start:])
-	}
-	return dst
+	return part.objectsAppend(dst, s, part.journals[v.epoch].sub(s), nil)
 }
 
 // Objects returns a copy of the freeze-time objects o with (s, p, o)
@@ -1758,56 +1663,7 @@ func (v *View) SubjectsAppend(dst []rdf.ID, p, o rdf.ID) []rdf.ID {
 	if part.born >= v.epoch {
 		return dst
 	}
-	j := part.journals[v.epoch]
-	start := len(dst)
-	srcs := 0
-	needSort := false
-	if subs := part.os[o]; len(subs) > 0 {
-		before := len(dst)
-		for s := range subs {
-			if present, journaled := j.sub(s)[o]; journaled && !present {
-				continue // inserted after the freeze
-			}
-			dst = append(dst, s)
-		}
-		if len(dst) > before {
-			srcs++
-			needSort = true
-		}
-	}
-	for _, r := range part.runs {
-		rs := r.subjectsOf(o)
-		if len(rs) == 0 {
-			continue
-		}
-		before := len(dst)
-		for _, s := range rs {
-			if part.tombN > 0 && part.tombHas(s, o) {
-				continue
-			}
-			if present, journaled := j.sub(s)[o]; journaled && !present {
-				continue
-			}
-			dst = append(dst, s)
-		}
-		if len(dst) > before {
-			srcs++
-		}
-	}
-	if j != nil {
-		// Journaled post-freeze removals with this object: present at
-		// freeze time but no longer live.
-		for s, js := range j.m {
-			if js[o] {
-				dst = append(dst, s)
-				needSort = true
-			}
-		}
-	}
-	if needSort || srcs > 1 {
-		slices.Sort(dst[start:])
-	}
-	return dst
+	return part.subjectsAppend(dst, o, part.journals[v.epoch])
 }
 
 // Subjects returns a copy of the freeze-time subjects s with (s, p, o)

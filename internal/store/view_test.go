@@ -257,69 +257,162 @@ func TestViewMatchEach(t *testing.T) {
 	}
 }
 
-// TestReleaseCompactsDrainedSubjects pins the retract-churn memory fix:
-// subjects whose triples were all removed leave empty so entries (the
-// subject list relies on so-membership), and Release compacts both once
-// drained subjects dominate a partition.
-func TestReleaseCompactsDrainedSubjects(t *testing.T) {
+// TestOverlayHoldsOnlyOverlaySubjects pins the partition's mutable
+// shape: the overlay maps hold overlay pairs only — nothing survives a
+// flush, and a removal never leaves an empty set behind — while run
+// pairs still answer Contains, Remove and a tombstone-resurrecting Add
+// with no overlay entry for their subject.
+func TestOverlayHoldsOnlyOverlaySubjects(t *testing.T) {
+	const p = 7
 	st := New()
-	for i := 0; i < 100; i++ {
-		st.Add(tr(uint64(i), 7, 1))
+	st.SetAutoCompact(false)
+	for s := uint64(100); s < 200; s += 2 { // run subjects, with gaps
+		st.Add(tr(s, p, 1))
+		st.Add(tr(s, p, 2))
 	}
-	// Drain most subjects while frozen: compaction is deferred to
-	// Release (the view still needs the entries), then runs there.
-	v := st.Freeze()
-	for i := 0; i < 90; i++ {
-		st.Remove(tr(uint64(i), 7, 1))
+	st.Compact()
+	str := st.stripeFor(p)
+	str.mu.RLock()
+	part := str.parts[p]
+	str.mu.RUnlock()
+	shape := func(msg string, wantSO, wantOS int) {
+		t.Helper()
+		part.mu.RLock()
+		defer part.mu.RUnlock()
+		if len(part.so) != wantSO || len(part.os) != wantOS {
+			t.Fatalf("%s: %d subject and %d object entries, want %d and %d", msg, len(part.so), len(part.os), wantSO, wantOS)
+		}
+		for s, objs := range part.so {
+			if len(objs) == 0 {
+				t.Fatalf("%s: empty object set left for subject %d", msg, s)
+			}
+		}
+		for o, subs := range part.os {
+			if len(subs) == 0 {
+				t.Fatalf("%s: empty subject set left for object %d", msg, o)
+			}
+		}
 	}
-	v.Release()
-	s := st.stripeFor(7)
-	s.mu.RLock()
-	p := s.parts[7]
-	s.mu.RUnlock()
-	p.mu.RLock()
-	subjects, soLen, drained := len(p.subjects), len(p.so), p.drained
-	p.mu.RUnlock()
-	if subjects != 10 || soLen != 10 || drained != 0 {
-		t.Fatalf("after Release compaction: %d subjects, %d so entries, drained=%d; want 10, 10, 0", subjects, soLen, drained)
+	shape("after Compact", 0, 0)
+
+	st.Add(tr(300, p, 3))
+	st.Add(tr(301, p, 3))
+	st.Add(tr(300, p, 4))
+	shape("overlay adds", 2, 2)
+	st.Remove(tr(300, p, 3))
+	shape("one overlay removal", 2, 2)
+	st.Remove(tr(300, p, 4))
+	shape("subject emptied", 1, 1)
+	st.Remove(tr(301, p, 3))
+	shape("overlay emptied", 0, 0)
+
+	x := tr(150, p, 1)
+	if !st.Remove(x) || st.Contains(x) {
+		t.Fatal("run pair not tombstoned by Remove")
 	}
-	// The survivors are intact and a drained subject can come back.
-	if !st.Contains(tr(95, 7, 1)) {
-		t.Fatal("survivor lost in compaction")
+	shape("tombstoned", 0, 0)
+	if !st.Add(x) || !st.Contains(x) {
+		t.Fatal("tombstoned run pair did not resurrect on Add")
 	}
-	if !st.Add(tr(5, 7, 2)) {
-		t.Fatal("re-adding a compacted subject failed")
+	shape("resurrected in place", 0, 0)
+	if st.Add(tr(150, p, 2)) {
+		t.Fatal("live run pair re-added as fresh")
 	}
-	if got := st.PredicateLen(7); got != 11 {
-		t.Fatalf("PredicateLen = %d, want 11", got)
+
+	for _, s := range []uint64{50, 151, 500} { // below, in a gap of, above the run
+		if st.Contains(tr(s, p, 1)) || st.Remove(tr(s, p, 1)) {
+			t.Fatalf("never-seen subject %d reported present", s)
+		}
+	}
+	if got := st.PredicateLen(p); got != 100 {
+		t.Fatalf("PredicateLen = %d, want 100", got)
 	}
 }
 
-// TestRemoveCompactsWithoutViews pins the non-durable retraction
-// workload: a store that is never frozen must still bound drained
-// subject entries — Remove compacts once they dominate the partition.
-func TestRemoveCompactsWithoutViews(t *testing.T) {
-	st := New()
-	for i := 0; i < 1000; i++ {
-		st.Add(tr(uint64(i), 7, 1))
-	}
-	for i := 0; i < 990; i++ {
-		st.Remove(tr(uint64(i), 7, 1))
-	}
-	s := st.stripeFor(7)
-	s.mu.RLock()
-	p := s.parts[7]
-	s.mu.RUnlock()
-	p.mu.RLock()
-	subjects, soLen := len(p.subjects), len(p.so)
-	p.mu.RUnlock()
-	// The amortised threshold keeps drained entries under half the
-	// list, so churn cannot retain more than ~2x the live subjects.
-	if subjects > 25 || soLen > 25 {
-		t.Fatalf("drained subjects not compacted: %d subjects, %d so entries for 10 live", subjects, soLen)
-	}
-	if st.PredicateLen(7) != 10 {
-		t.Fatalf("PredicateLen = %d, want 10", st.PredicateLen(7))
+// TestViewWalkFreezeTimeUnderChurn is the oracle for the view's chunked
+// walk. A frozen partition spanning several chunks, with pairs in four
+// runs, tombstoned run pairs and overlay pairs, is walked while the
+// callback itself adds, removes, flushes overlays, and pushes run pairs
+// through remove → Compact → re-add: the tombstone is purged and the
+// pair comes back through the overlay, its journal entry netted to
+// zero. The lowest subjects form a run that is two-thirds tombstoned, so
+// a chunk that stops at that run's last fetched key has collected few
+// pairs while higher subjects wait in the other sources. Every
+// freeze-time pair must be visited exactly once, and nothing else.
+func TestViewWalkFreezeTimeUnderChurn(t *testing.T) {
+	const p = 5
+	for _, auto := range []bool{false, true} {
+		for seed := int64(1); seed <= 30; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			st := New()
+			st.SetAutoCompact(auto)
+			randPair := func(lo, hi int) rdf.Triple {
+				return tr(uint64(lo+rng.Intn(hi-lo)), p, uint64(1+rng.Intn(8)))
+			}
+			for s := uint64(1); s <= 3000; s++ {
+				st.Add(tr(s, p, 1))
+			}
+			st.FlushOverlays()
+			for s := uint64(1); s <= 3000; s++ {
+				if s%3 != 0 {
+					st.Remove(tr(s, p, 1))
+				}
+			}
+			for r := 0; r < 2; r++ {
+				for i := 0; i < 1800; i++ {
+					st.Add(randPair(5000, 7000))
+				}
+				st.FlushOverlays()
+			}
+			// Single-pair subjects: once their one run pair is purged and
+			// re-added, the overlay is the subject's only home.
+			for s := uint64(9000); s < 9400; s++ {
+				st.Add(tr(s, p, 1))
+			}
+			st.FlushOverlays()
+			for i := 0; i < 300; i++ {
+				st.Remove(randPair(5000, 7000))
+			}
+			for i := 0; i < 600; i++ {
+				st.Add(randPair(5000, 10000))
+			}
+			frozen := st.Match(rdf.T(rdf.Any, p, rdf.Any))
+			if len(frozen) < 4000 {
+				t.Fatalf("fixture holds %d live pairs, want at least 4000", len(frozen))
+			}
+
+			v := st.Freeze()
+			seen := make(map[rdf.Triple]int, len(frozen))
+			v.ForEachWithPredicate(p, func(s, o rdf.ID) bool {
+				seen[rdf.T(s, p, o)]++
+				switch r := rng.Intn(1000); {
+				case r < 250:
+					st.Add(randPair(1, 12000))
+				case r < 500:
+					st.Remove(frozen[rng.Intn(len(frozen))])
+				case r < 504:
+					st.FlushOverlays()
+				case r < 510:
+					x := tr(uint64(9000+rng.Intn(400)), p, 1)
+					if st.Remove(x) {
+						st.Compact()
+						st.Add(x)
+					}
+				}
+				return true
+			})
+			v.Release()
+
+			for _, x := range frozen {
+				if seen[x] != 1 {
+					t.Fatalf("auto=%v seed %d: freeze-time %v visited %d times", auto, seed, x, seen[x])
+				}
+				delete(seen, x)
+			}
+			for x := range seen {
+				t.Fatalf("auto=%v seed %d: %v visited but not present at freeze time", auto, seed, x)
+			}
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package rdf
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/maphash"
 	"sync"
@@ -158,7 +159,8 @@ func (s *dictStripe) find(t Term, h uint64, annots []string) (slot int, id ID, o
 }
 
 // Encode returns the ID for the term, assigning a fresh one on first
-// encounter.
+// encounter. It panics rather than mint the 2^30-th term of a kind,
+// whose ID would not fit the store's packed form (see Fits32).
 func (d *Dictionary) Encode(t Term) ID {
 	t = canonTerm(t)
 	h := d.hash(t)
@@ -176,6 +178,10 @@ func (d *Dictionary) Encode(t Term) ID {
 		return id
 	}
 	d.seqMu.Lock()
+	if !mintable(len(d.refs[t.Kind])) {
+		d.seqMu.Unlock()
+		panic(errTermLimit)
+	}
 	tag := uint64(t.Kind)
 	if t.Lang != "" {
 		tag |= d.annot('@', t.Lang) << 2
@@ -203,6 +209,13 @@ func (d *Dictionary) Encode(t Term) ID {
 	}
 	return makeID(t.Kind, seq)
 }
+
+// errTermLimit is Encode's panic value once a kind is exhausted.
+var errTermLimit = errors.New("rdf: 2^30-1 terms of one kind is the limit of the store's packed IDs")
+
+// mintable reports whether a kind holding n terms may mint another: the
+// new term's sequence number, n+1, must fit a packed ID (see Fits32).
+func mintable(n int) bool { return n+1 < 1<<packSeqBits }
 
 // annot returns the index, from 1, of annotation a marked by m ('@' for a
 // language tag, '^' for a datatype), interning it on first use. Called

@@ -40,6 +40,29 @@ func makeID(kind TermKind, seq uint64) ID {
 	return ID(k<<kindShift | seq)
 }
 
+// packSeqBits is the width of the sequence number in a packed ID.
+const packSeqBits = 30
+
+// Fits32 reports whether id has a 32-bit packed form (see Pack32): its
+// kind is one of the three term kinds and its sequence number is below
+// 2^30. Every ID a Dictionary mints fits.
+func Fits32(id ID) bool {
+	return id < 3<<kindShift && id&seqMask < 1<<packSeqBits
+}
+
+// Pack32 returns id's packed form: the kind in bits 31–30 and the
+// sequence number in bits 29–0. On IDs that fit (Fits32) it is
+// injective and preserves order, so a sorted slice of packed IDs is
+// sorted as IDs; on others the result is meaningless.
+func Pack32(id ID) uint32 {
+	return uint32(id>>32)&(3<<packSeqBits) | uint32(id)&(1<<packSeqBits-1)
+}
+
+// Unpack32 is the inverse of Pack32.
+func Unpack32(x uint32) ID {
+	return ID(x>>packSeqBits)<<kindShift | ID(x&(1<<packSeqBits-1))
+}
+
 // Kind returns the term kind encoded in the ID.
 func (id ID) Kind() TermKind {
 	switch uint64(id&kindMask) >> kindShift {

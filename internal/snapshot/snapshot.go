@@ -229,6 +229,9 @@ func loadDictionary(br *bufio.Reader) (*rdf.Dictionary, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%w: truncated term id", ErrBadSnapshot)
 		}
+		if !rdf.Fits32(rdf.ID(wantID)) {
+			return nil, fmt.Errorf("%w: term id %#x out of range", ErrBadSnapshot, wantID)
+		}
 		value, err := getString(br)
 		if err != nil {
 			return nil, err
@@ -275,7 +278,11 @@ func loadTriples(br *bufio.Reader) (*store.Store, error) {
 			if err != nil {
 				return nil, fmt.Errorf("%w: truncated object", ErrBadSnapshot)
 			}
-			st.Add(rdf.T(rdf.ID(s), rdf.ID(p), rdf.ID(o)))
+			t := rdf.T(rdf.ID(s), rdf.ID(p), rdf.ID(o))
+			if !rdf.Fits32(t.S) || !rdf.Fits32(t.P) || !rdf.Fits32(t.O) {
+				return nil, fmt.Errorf("%w: triple ID out of range", ErrBadSnapshot)
+			}
+			st.Add(t)
 		}
 	}
 	return st, nil

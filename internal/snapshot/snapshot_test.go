@@ -2,9 +2,12 @@ package snapshot
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -116,6 +119,36 @@ func TestLoadRejectsGarbage(t *testing.T) {
 	for i, data := range cases {
 		if _, _, err := Load(bytes.NewReader(data)); !errors.Is(err, ErrBadSnapshot) {
 			t.Errorf("case %d: err = %v, want ErrBadSnapshot", i, err)
+		}
+	}
+}
+
+// TestLoadRejectsOutOfRangeIDs hand-builds snapshots carrying sequence
+// number 2^30, one past what the dictionary mints and the store holds:
+// in the dictionary section and in each triple position. Load must
+// report corruption, not pass the ID on to the store.
+func TestLoadRejectsOutOfRangeIDs(t *testing.T) {
+	const seq30 = 1 << 30
+	uv := func(b []byte, vs ...uint64) []byte {
+		b = slices.Clip(b) // each case appends to a copy of its prefix
+		for _, v := range vs {
+			b = binary.AppendUvarint(b, v)
+		}
+		return b
+	}
+	header := append(magic[:], Version)
+	noTerms := uv(header, 0)
+	cases := map[string][]byte{
+		// One term: kind IRI, the ID, value "x", empty lang and datatype.
+		"term id":   append(uv(append(uv(header, 1), byte(rdf.TermIRI)), seq30), 1, 'x', 0, 0),
+		"subject":   uv(noTerms, 1, uint64(rdf.IDType), 1, seq30, uint64(rdf.IDClass)),
+		"predicate": uv(noTerms, 1, seq30, 1, uint64(rdf.IDClass), uint64(rdf.IDClass)),
+		"object":    uv(noTerms, 1, uint64(rdf.IDType), 1, uint64(rdf.IDClass), 1<<62|seq30),
+	}
+	for name, data := range cases {
+		_, _, err := Load(bytes.NewReader(data))
+		if !errors.Is(err, ErrBadSnapshot) || !strings.Contains(err.Error(), "out of range") {
+			t.Errorf("%s: err = %v, want ErrBadSnapshot for an out-of-range ID", name, err)
 		}
 	}
 }

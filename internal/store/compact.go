@@ -276,17 +276,7 @@ func (st *Store) purgeLocked(p *partition) {
 		defer func() { m.PurgeSeconds.ObserveSince(t0) }()
 	}
 	ps := make([]pair, 0, p.rp-p.tombN)
-	for _, r := range p.runs {
-		for i, s := range r.subs {
-			ts := p.tomb[s]
-			for _, o := range r.objs[r.subOff[i]:r.subOff[i+1]] {
-				if _, dead := ts[o]; dead {
-					continue
-				}
-				ps = append(ps, pair{s: s, o: o})
-			}
-		}
-	}
+	p.forEachLiveInRuns(func(s, o rdf.ID) { ps = append(ps, pair{s: s, o: o}) })
 	sortPairs(ps)
 	p.tomb = nil
 	p.tombN = 0

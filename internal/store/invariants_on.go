@@ -103,8 +103,9 @@ func (p *partition) assertDead(s, o rdf.ID) {
 }
 
 // checkRun validates a freshly built or merged run's CSR shape in both
-// directions: strictly ascending keys, monotone offsets bracketed by 0
-// and the pair count, and strictly ascending values within every span.
+// directions: every ID a packed ID of a term kind, strictly ascending
+// keys, monotone offsets bracketed by 0 and the pair count, and
+// strictly ascending values within every span.
 // The key slices are the run's only index — objectsOf/subjectsOf binary
 // search them — so strictly ascending keys are what makes a probe find
 // its span (and the only span). Runs are immutable after publication,
@@ -114,7 +115,7 @@ func checkRun(r *run) {
 	checkDirection(r, "object", r.objsD, r.objOff, r.subsByObj)
 }
 
-func checkDirection(r *run, dir string, keys []rdf.ID, off []int32, vals []rdf.ID) {
+func checkDirection(r *run, dir string, keys []uint32, off []int32, vals []uint32) {
 	if len(vals) != r.pairs {
 		panic(fmt.Sprintf("store invariant: run %s direction holds %d values, want pairs=%d", dir, len(vals), r.pairs))
 	}
@@ -124,6 +125,13 @@ func checkDirection(r *run, dir string, keys []rdf.ID, off []int32, vals []rdf.I
 	if len(keys) > 0 && (off[0] != 0 || int(off[len(off)-1]) != len(vals)) {
 		panic(fmt.Sprintf("store invariant: run %s offsets not bracketed: off[0]=%d off[last]=%d len(vals)=%d",
 			dir, off[0], off[len(off)-1], len(vals)))
+	}
+	for _, ids := range [][]uint32{keys, vals} {
+		for _, x := range ids {
+			if !rdf.Fits32(rdf.Unpack32(x)) {
+				panic(fmt.Sprintf("store invariant: run %s direction holds %#x, not a packed ID", dir, x))
+			}
+		}
 	}
 	for i, k := range keys {
 		if i > 0 && keys[i-1] >= k {

@@ -49,6 +49,9 @@ func TestCheckRunDetectsCorruption(t *testing.T) {
 	// By (object, subject) the pairs sort (3,2),(1,5),(2,5),(1,7):
 	// indices 1 and 2 are object 5's span.
 	corrupt("object direction", func(r *run) { r.subsByObj[1], r.subsByObj[2] = r.subsByObj[2], r.subsByObj[1] })
+	// Subject 3's span is its one object: kind bits 11 keep it sorted,
+	// so only the packed-ID check can see it.
+	corrupt("kind bits 11", func(r *run) { r.objs[3] |= 3 << 30 })
 }
 
 func TestAccountingDetectsDrift(t *testing.T) {

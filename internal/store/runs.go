@@ -19,7 +19,11 @@ import (
 // a span by binary search over its strictly ascending keys and then
 // yields a contiguous ascending slice — the shape the galloping join
 // intersection and the verbatim checkpoint stream want. A run is six
-// plain arrays and a pair count: it costs its IDs and offsets, no more.
+// plain arrays and a pair count; its four ID arrays hold 32-bit packed
+// IDs (rdf.Pack32), which sort as the IDs do, so searches, merges and
+// scans work in packed space and readers decode into the caller's
+// buffer. Each direction costs 4 bytes per value and 8 per key (the key
+// and its offset). Probes treat an ID without a packed form as absent.
 type run struct {
 	pairs int
 
@@ -27,14 +31,14 @@ type run struct {
 	// order; objs holds the objects grouped by subject (ascending within
 	// each group); subOff[i] is the objs offset of subs[i]'s span, with
 	// a final sentinel entry, so spans are subOff[i]:subOff[i+1].
-	subs   []rdf.ID
+	subs   []uint32
 	subOff []int32
-	objs   []rdf.ID
+	objs   []uint32
 
 	// Object direction: the mirror image, sorted by (object, subject).
-	objsD     []rdf.ID
+	objsD     []uint32
 	objOff    []int32
-	subsByObj []rdf.ID
+	subsByObj []uint32
 }
 
 func comparePairs(a, b pair) int {
@@ -52,13 +56,13 @@ func sortPairs(ps []pair) { slices.SortFunc(ps, comparePairs) }
 // the partition lock by the compactor.
 func buildRun(ps []pair) *run {
 	r := &run{pairs: len(ps)}
-	r.objs = make([]rdf.ID, len(ps))
+	r.objs = make([]uint32, len(ps))
 	for i, pr := range ps {
 		if i == 0 || pr.s != ps[i-1].s {
-			r.subs = append(r.subs, pr.s)
+			r.subs = append(r.subs, rdf.Pack32(pr.s))
 			r.subOff = append(r.subOff, int32(i))
 		}
-		r.objs[i] = pr.o
+		r.objs[i] = rdf.Pack32(pr.o)
 	}
 	r.subOff = append(r.subOff, int32(len(ps)))
 
@@ -70,13 +74,13 @@ func buildRun(ps []pair) *run {
 		}
 		return cmp.Compare(a.s, b.s)
 	})
-	r.subsByObj = make([]rdf.ID, len(bo))
+	r.subsByObj = make([]uint32, len(bo))
 	for i, pr := range bo {
 		if i == 0 || pr.o != bo[i-1].o {
-			r.objsD = append(r.objsD, pr.o)
+			r.objsD = append(r.objsD, rdf.Pack32(pr.o))
 			r.objOff = append(r.objOff, int32(i))
 		}
-		r.subsByObj[i] = pr.s
+		r.subsByObj[i] = rdf.Pack32(pr.s)
 	}
 	r.objOff = append(r.objOff, int32(len(bo)))
 	if invariantsEnabled {
@@ -101,19 +105,19 @@ func buildRunFromOverlay(so, os map[rdf.ID]idSet, n int) *run {
 }
 
 // csrFromMap lays one overlay direction out as a sorted CSR index.
-func csrFromMap(m map[rdf.ID]idSet, n int) (keys []rdf.ID, off []int32, vals []rdf.ID) {
-	keys = make([]rdf.ID, 0, len(m))
+func csrFromMap(m map[rdf.ID]idSet, n int) (keys []uint32, off []int32, vals []uint32) {
+	keys = make([]uint32, 0, len(m))
 	for k := range m {
-		keys = append(keys, k)
+		keys = append(keys, rdf.Pack32(k))
 	}
 	slices.Sort(keys)
 	off = make([]int32, 0, len(keys)+1)
-	vals = make([]rdf.ID, 0, n)
+	vals = make([]uint32, 0, n)
 	for _, k := range keys {
 		off = append(off, int32(len(vals)))
 		start := len(vals)
-		for v := range m[k] {
-			vals = append(vals, v)
+		for v := range m[rdf.Unpack32(k)] {
+			vals = append(vals, rdf.Pack32(v))
 		}
 		slices.Sort(vals[start:])
 	}
@@ -121,42 +125,46 @@ func csrFromMap(m map[rdf.ID]idSet, n int) (keys []rdf.ID, off []int32, vals []r
 	return keys, off, vals
 }
 
-// objectsOf returns the run's objects of subject s, ascending (nil when
-// the subject is absent). The slice aliases the run; callers must not
-// mutate it. IDs are handed out densely in first-seen order, so a
-// subject newer than the run sits above its last key: that case — every
-// fresh insert probes every run — returns without a search.
-func (r *run) objectsOf(s rdf.ID) []rdf.ID {
-	if len(r.subs) == 0 || s > r.subs[len(r.subs)-1] {
+// objectsOf returns the run's packed objects of subject s, ascending
+// (nil when the subject is absent). The slice aliases the run; callers
+// must not mutate it. IDs are handed out densely in first-seen order,
+// so a subject newer than the run sits above its last key: that case —
+// every fresh insert probes every run — returns without a search.
+func (r *run) objectsOf(s rdf.ID) []uint32 {
+	k := rdf.Pack32(s)
+	if len(r.subs) == 0 || k > r.subs[len(r.subs)-1] || !rdf.Fits32(s) {
 		return nil
 	}
-	i, ok := slices.BinarySearch(r.subs, s)
+	i, ok := slices.BinarySearch(r.subs, k)
 	if !ok {
 		return nil
 	}
 	return r.objs[r.subOff[i]:r.subOff[i+1]]
 }
 
-// objectsFrom is objectsOf for a caller visiting subjects in ascending
-// order: *i is an index into subs no further than s's key, and is
-// advanced past it, so a sweep over a key range scans it once instead
-// of binary searching per subject.
-func (r *run) objectsFrom(i *int, s rdf.ID) []rdf.ID {
-	for *i < len(r.subs) && r.subs[*i] < s {
+// objectsFrom is objectsOf for a caller visiting packed subject keys in
+// ascending order: *i is an index into subs no further than key k, and
+// is advanced past it, so a sweep over a key range scans it once
+// instead of binary searching per subject.
+func (r *run) objectsFrom(i *int, k uint32) []uint32 {
+	for *i < len(r.subs) && r.subs[*i] < k {
 		*i++
 	}
-	if *i == len(r.subs) || r.subs[*i] != s {
+	if *i == len(r.subs) || r.subs[*i] != k {
 		return nil
 	}
 	*i++
 	return r.objs[r.subOff[*i-1]:r.subOff[*i]]
 }
 
-// subjectsOf returns the run's subjects of object o, ascending (nil when
-// the object is absent). The slice aliases the run; callers must not
-// mutate it.
-func (r *run) subjectsOf(o rdf.ID) []rdf.ID {
-	i, ok := slices.BinarySearch(r.objsD, o)
+// subjectsOf returns the run's packed subjects of object o, ascending
+// (nil when the object is absent). The slice aliases the run; callers
+// must not mutate it.
+func (r *run) subjectsOf(o rdf.ID) []uint32 {
+	if !rdf.Fits32(o) {
+		return nil
+	}
+	i, ok := slices.BinarySearch(r.objsD, rdf.Pack32(o))
 	if !ok {
 		return nil
 	}
@@ -166,16 +174,26 @@ func (r *run) subjectsOf(o rdf.ID) []rdf.ID {
 // contains reports pair membership: a binary search for the subject's
 // key, then one of its object span.
 func (r *run) contains(s, o rdf.ID) bool {
-	_, found := slices.BinarySearch(r.objectsOf(s), o)
-	return found
+	_, found := slices.BinarySearch(r.objectsOf(s), rdf.Pack32(o))
+	return found && rdf.Fits32(o)
+}
+
+// appendUnpacked appends the IDs of the packed span to dst, in order.
+func appendUnpacked(dst []rdf.ID, span []uint32) []rdf.ID {
+	dst = slices.Grow(dst, len(span))
+	for _, x := range span {
+		dst = append(dst, rdf.Unpack32(x))
+	}
+	return dst
 }
 
 // forEach streams every pair in (subject, object) order until f returns
 // false, reporting whether it ran to completion.
 func (r *run) forEach(f func(s, o rdf.ID) bool) bool {
-	for i, s := range r.subs {
+	for i, k := range r.subs {
+		s := rdf.Unpack32(k)
 		for _, o := range r.objs[r.subOff[i]:r.subOff[i+1]] {
-			if !f(s, o) {
+			if !f(s, rdf.Unpack32(o)) {
 				return false
 			}
 		}
@@ -209,11 +227,11 @@ func mergeRuns(rs []*run) *run {
 // spans stream in ascending key order within every run, so the merged
 // index is built by repeatedly taking the minimum head key and fusing
 // the (value-disjoint, sorted) spans of the runs that share it.
-func mergeDirection(rs []*run, total int, byObject bool) (keys []rdf.ID, off []int32, vals []rdf.ID) {
+func mergeDirection(rs []*run, total int, byObject bool) (keys []uint32, off []int32, vals []uint32) {
 	type cursor struct {
-		keys []rdf.ID
+		keys []uint32
 		off  []int32
-		vals []rdf.ID
+		vals []uint32
 		i    int
 	}
 	cur := make([]cursor, 0, len(rs))
@@ -230,11 +248,11 @@ func mergeDirection(rs []*run, total int, byObject bool) (keys []rdf.ID, off []i
 	}
 	// maxKeys double-counts keys shared between runs — an upper bound,
 	// paid once, so the append loops below never reallocate.
-	keys = make([]rdf.ID, 0, maxKeys)
+	keys = make([]uint32, 0, maxKeys)
 	off = make([]int32, 0, maxKeys+1)
-	vals = make([]rdf.ID, 0, total)
-	spans := make([][]rdf.ID, 0, len(cur))
-	var scratch, scratch2 []rdf.ID // reused across ≥3-way key collisions
+	vals = make([]uint32, 0, total)
+	spans := make([][]uint32, 0, len(cur))
+	var scratch, scratch2 []uint32 // reused across ≥3-way key collisions
 	for len(cur) > 0 {
 		minK := cur[0].keys[cur[0].i]
 		for _, c := range cur[1:] {
@@ -276,8 +294,8 @@ func mergeDirection(rs []*run, total int, byObject bool) (keys []rdf.ID, off []i
 }
 
 // appendMergedSorted appends the two-way merge of sorted a and b to dst.
-// An ID present in both is appended twice, adjacently.
-func appendMergedSorted(dst, a, b []rdf.ID) []rdf.ID {
+// An element present in both is appended twice, adjacently.
+func appendMergedSorted[T cmp.Ordered](dst, a, b []T) []T {
 	for len(a) > 0 && len(b) > 0 {
 		if a[0] < b[0] {
 			dst = append(dst, a[0])

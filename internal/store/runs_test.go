@@ -201,12 +201,32 @@ func runFromOverlay(ps []pair) *run {
 	return buildRunFromOverlay(so, os, len(ps))
 }
 
+// probeDomain is the ascending ID domain of the run probe tests: per
+// kind, sequence numbers 0–5, 2^30−5 to 2^30−1 and 2^30+1, then one ID
+// of the unused kind bits 11. Keys are drawn from probeKey's sequence
+// numbers, so the domain holds every present key and absent ones below
+// the minimum, above the maximum and in the gaps — the cases a binary
+// search over the key slice can get wrong — plus IDs without a packed
+// form; 2^30+1 packs onto the key of sequence number 1.
+var probeDomain = func() []rdf.ID {
+	var d []rdf.ID
+	for kind := range uint64(3) {
+		for _, seq := range []uint64{0, 1, 2, 3, 4, 5, 1<<30 - 5, 1<<30 - 4, 1<<30 - 3, 1<<30 - 2, 1<<30 - 1, 1<<30 + 1} {
+			d = append(d, rdf.ID(kind<<62|seq))
+		}
+	}
+	return append(d, rdf.ID(3<<62|1))
+}()
+
+// probeKey returns the i-th of probeDomain's 18 key candidates, kind by
+// kind: sequence numbers 1, 3, 5, 2^30−5, 2^30−3 and 2^30−1.
+func probeKey(i int) rdf.ID {
+	return probeDomain[12*(i/6)+[]int{1, 3, 5, 6, 8, 10}[i%6]]
+}
+
 // checkRunProbes compares a run's objectsOf, subjectsOf and contains
-// with a map oracle over ps for every ID in [0, hi]: with keys drawn
-// from multiples of 3 above zero, that range covers every present key
-// and absent ones below the minimum, above the maximum and in every
-// gap — the cases a binary search over the key slice can get wrong.
-func checkRunProbes(t *testing.T, name string, r *run, ps []pair, hi rdf.ID) {
+// with a map oracle over ps for every ID of probeDomain.
+func checkRunProbes(t *testing.T, name string, r *run, ps []pair) {
 	t.Helper()
 	objsOf := map[rdf.ID][]rdf.ID{}
 	subsOf := map[rdf.ID][]rdf.ID{}
@@ -219,18 +239,18 @@ func checkRunProbes(t *testing.T, name string, r *run, ps []pair, hi rdf.ID) {
 	if r.pairs != len(ps) {
 		t.Fatalf("%s: run holds %d pairs, want %d", name, r.pairs, len(ps))
 	}
-	for k := rdf.ID(0); k <= hi; k++ {
+	for _, k := range probeDomain {
 		want := slices.Sorted(slices.Values(objsOf[k]))
-		if got := r.objectsOf(k); !slices.Equal(got, want) {
-			t.Fatalf("%s: objectsOf(%d) = %v, want %v", name, k, got, want)
+		if got := appendUnpacked(nil, r.objectsOf(k)); !slices.Equal(got, want) {
+			t.Fatalf("%s: objectsOf(%#x) = %v, want %v", name, k, got, want)
 		}
 		want = slices.Sorted(slices.Values(subsOf[k]))
-		if got := r.subjectsOf(k); !slices.Equal(got, want) {
-			t.Fatalf("%s: subjectsOf(%d) = %v, want %v", name, k, got, want)
+		if got := appendUnpacked(nil, r.subjectsOf(k)); !slices.Equal(got, want) {
+			t.Fatalf("%s: subjectsOf(%#x) = %v, want %v", name, k, got, want)
 		}
-		for o := rdf.ID(0); o <= hi; o++ {
+		for _, o := range probeDomain {
 			if got := r.contains(k, o); got != has[pair{s: k, o: o}] {
-				t.Fatalf("%s: contains(%d, %d) = %v, want %v", name, k, o, got, !got)
+				t.Fatalf("%s: contains(%#x, %#x) = %v, want %v", name, k, o, got, !got)
 			}
 		}
 	}
@@ -238,32 +258,34 @@ func checkRunProbes(t *testing.T, name string, r *run, ps []pair, hi rdf.ID) {
 
 // TestRunProbesProperty pins the run's binary-search probes against a
 // map oracle for every way a run is built: from sorted pairs, from
-// overlay maps, and by merging 2–4 disjoint runs that share keys.
+// overlay maps, and by merging 2–4 disjoint runs that share keys. IDs
+// span all three kinds up to sequence number 2^30−1.
 func TestRunProbesProperty(t *testing.T) {
-	const hi = 3*16 + 2
+	k := probeKey
 	fixed := map[string][]pair{
 		"empty":        nil,
-		"one pair":     {{s: 6, o: 9}},
-		"one subject":  {{s: 6, o: 3}, {s: 6, o: 9}, {s: 6, o: 48}},
-		"one object":   {{s: 3, o: 9}, {s: 24, o: 9}, {s: 48, o: 9}},
-		"extreme keys": {{s: 3, o: 48}, {s: 48, o: 3}},
+		"one pair":     {{s: k(2), o: k(7)}},
+		"one subject":  {{s: k(8), o: k(0)}, {s: k(8), o: k(11)}, {s: k(8), o: k(17)}},
+		"one object":   {{s: k(0), o: k(15)}, {s: k(10), o: k(15)}, {s: k(17), o: k(15)}},
+		"extreme keys": {{s: k(0), o: k(17)}, {s: k(17), o: k(0)}},
+		"kind edges":   {{s: k(5), o: k(6)}, {s: k(6), o: k(5)}, {s: k(11), o: k(12)}, {s: k(12), o: k(11)}},
 	}
 	for name, ps := range fixed {
 		sortPairs(ps)
-		checkRunProbes(t, name+"/buildRun", buildRun(ps), ps, hi)
-		checkRunProbes(t, name+"/overlay", runFromOverlay(ps), ps, hi)
-		checkRunProbes(t, name+"/merge", mergeRuns([]*run{buildRun(ps), buildRun(nil)}), ps, hi)
+		checkRunProbes(t, name+"/buildRun", buildRun(ps), ps)
+		checkRunProbes(t, name+"/overlay", runFromOverlay(ps), ps)
+		checkRunProbes(t, name+"/merge", mergeRuns([]*run{buildRun(ps), buildRun(nil)}), ps)
 	}
 	rng := rand.New(rand.NewSource(1))
 	for iter := 0; iter < 200; iter++ {
 		set := map[pair]bool{}
 		for n := rng.Intn(60); len(set) < n; {
-			set[pair{s: rdf.ID(3 * (1 + rng.Intn(16))), o: rdf.ID(3 * (1 + rng.Intn(16)))}] = true
+			set[pair{s: k(rng.Intn(18)), o: k(rng.Intn(18))}] = true
 		}
 		ps := slices.Collect(maps.Keys(set))
 		sortPairs(ps)
-		checkRunProbes(t, "random/buildRun", buildRun(ps), ps, hi)
-		checkRunProbes(t, "random/overlay", runFromOverlay(ps), ps, hi)
+		checkRunProbes(t, "random/buildRun", buildRun(ps), ps)
+		checkRunProbes(t, "random/overlay", runFromOverlay(ps), ps)
 
 		// Deal the pairs to k disjoint inputs: subjects and objects recur
 		// across inputs, so the merge fuses spans under shared keys.
@@ -281,7 +303,7 @@ func TestRunProbesProperty(t *testing.T) {
 				ins[i] = runFromOverlay(part)
 			}
 		}
-		checkRunProbes(t, "random/merge", mergeRuns(ins), ps, hi)
+		checkRunProbes(t, "random/merge", mergeRuns(ins), ps)
 	}
 }
 

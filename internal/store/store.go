@@ -56,6 +56,7 @@
 package store
 
 import (
+	"errors"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -341,27 +342,34 @@ func (p *partition) contains(s, o rdf.ID) bool {
 // forEachLive calls f for every live (s,o) pair: run pairs minus
 // tombstones, then the overlay. Callers hold the partition lock.
 func (p *partition) forEachLive(f func(s, o rdf.ID)) {
-	for _, r := range p.runs {
-		for i, s := range r.subs {
-			objs := r.objs[r.subOff[i]:r.subOff[i+1]]
-			if p.tombN == 0 {
-				for _, o := range objs {
-					f(s, o)
-				}
-				continue
-			}
-			ts := p.tomb[s]
-			for _, o := range objs {
-				if _, dead := ts[o]; dead {
-					continue
-				}
-				f(s, o)
-			}
-		}
-	}
+	p.forEachLiveInRuns(f)
 	for s, objs := range p.so {
 		for o := range objs {
 			f(s, o)
+		}
+	}
+}
+
+// forEachLiveInRuns calls f for every run pair that is not tombstoned,
+// run by run in (subject, object) order. Callers hold the partition
+// lock.
+func (p *partition) forEachLiveInRuns(f func(s, o rdf.ID)) {
+	for _, r := range p.runs {
+		for i, k := range r.subs {
+			s := rdf.Unpack32(k)
+			var ts idSet
+			if p.tombN > 0 {
+				ts = p.tomb[s]
+			}
+			for _, x := range r.objs[r.subOff[i]:r.subOff[i+1]] {
+				o := rdf.Unpack32(x)
+				if ts != nil {
+					if _, dead := ts[o]; dead {
+						continue
+					}
+				}
+				f(s, o)
+			}
 		}
 	}
 }
@@ -375,9 +383,9 @@ func (p *partition) forEachLive(f func(s, o rdf.ID)) {
 // a flush, run after — never matters. Each run span is already sorted,
 // so the common compacted case (one contributing span) is a straight
 // copy and skips the sort. cur, when non-nil, holds one key index per
-// run for a caller visiting subjects in ascending order (see
-// run.objectsFrom); nil means a binary search per run. Callers hold the
-// partition lock (read side suffices).
+// run for a caller visiting stored subjects (which all have a packed
+// form) in ascending order (see run.objectsFrom); nil means a binary
+// search per run. Callers hold the partition lock (read side suffices).
 func (p *partition) objectsAppend(dst []rdf.ID, s rdf.ID, js map[rdf.ID]bool, cur []int) []rdf.ID {
 	start := len(dst)
 	for o := range p.so[s] {
@@ -388,17 +396,18 @@ func (p *partition) objectsAppend(dst []rdf.ID, s rdf.ID, js map[rdf.ID]bool, cu
 	}
 	ts := p.tomb[s]
 	for i, r := range p.runs {
-		var ro []rdf.ID
+		var ro []uint32
 		if cur == nil {
 			ro = r.objectsOf(s)
 		} else {
-			ro = r.objectsFrom(&cur[i], s)
+			ro = r.objectsFrom(&cur[i], rdf.Pack32(s))
 		}
 		if len(ts) == 0 && len(js) == 0 {
-			dst = append(dst, ro...)
+			dst = appendUnpacked(dst, ro)
 			continue
 		}
-		for _, o := range ro {
+		for _, x := range ro {
+			o := rdf.Unpack32(x)
 			if _, dead := ts[o]; dead {
 				continue // removed; the journal re-adds it if post-freeze
 			}
@@ -434,10 +443,11 @@ func (p *partition) subjectsAppend(dst []rdf.ID, o rdf.ID, j *pjournal) []rdf.ID
 	for _, r := range p.runs {
 		rs := r.subjectsOf(o)
 		if p.tombN == 0 && j == nil {
-			dst = append(dst, rs...)
+			dst = appendUnpacked(dst, rs)
 			continue
 		}
-		for _, s := range rs {
+		for _, x := range rs {
+			s := rdf.Unpack32(x)
 			if p.tombN > 0 && p.tombHas(s, o) {
 				continue
 			}
@@ -605,9 +615,21 @@ func noteRemoveAll(eps *[]uint64, p *partition, s, o rdf.ID) {
 	}
 }
 
+// errIDRange is the panic value of an insert whose subject or object
+// no run could hold: it has no packed form (rdf.Fits32).
+var errIDRange = errors.New("store: subject or object ID out of the packed run range")
+
+func mustFit(t rdf.Triple) {
+	if !rdf.Fits32(t.S) || !rdf.Fits32(t.O) {
+		panic(errIDRange)
+	}
+}
+
 // Add inserts a triple and reports whether it was new. Duplicate inserts
-// are cheap no-ops.
+// are cheap no-ops. It panics with errIDRange, before taking any lock,
+// if the subject or object does not fit a packed ID (rdf.Fits32).
 func (st *Store) Add(t rdf.Triple) bool {
+	mustFit(t)
 	s := st.stripeFor(t.P)
 	s.mu.RLock()
 	p, ok := s.parts[t.P]
@@ -656,8 +678,13 @@ func (st *Store) Add(t rdf.Triple) bool {
 // AddBatch inserts all triples and returns those that were new,
 // preserving input order. Triples are grouped by predicate so each
 // partition lock is taken once per distinct predicate instead of once
-// per triple — the write-path fast lane for batch ingestion.
+// per triple — the write-path fast lane for batch ingestion. Like Add it
+// panics with errIDRange on an ID without a packed form, and then
+// inserts none of the batch.
 func (st *Store) AddBatch(ts []rdf.Triple) []rdf.Triple {
+	for _, t := range ts {
+		mustFit(t)
+	}
 	switch len(ts) {
 	case 0:
 		return nil
@@ -1407,10 +1434,13 @@ func (v *View) ForEachWithPredicate(p rdf.ID, f func(s, o rdf.ID) bool) {
 	}
 	buf := pairBufs.Get().(*[]pair)
 	defer putPairs(buf)
-	var keys, merged, objs []rdf.ID
+	// Chunk keys and the cursor are packed IDs, the runs' key space; a
+	// stored subject's kind bits are never 11, so last+1 cannot wrap.
+	var keys, merged []uint32
+	var objs []rdf.ID
 	var cur []int // per run, the scan position in its keys (run.objectsFrom)
 	// next is the cursor: every subject below it has been evaluated.
-	for next := rdf.ID(0); ; {
+	for next := uint32(0); ; {
 		part.mu.RLock()
 		if part.born >= v.epoch {
 			part.mu.RUnlock()
@@ -1435,7 +1465,7 @@ func (v *View) ForEachWithPredicate(p rdf.ID, f func(s, o rdf.ID) bool) {
 		lim := max(viewChunk, (len(part.so)+len(jm))/scanPerPair)
 		// The chunk may not pass the lowest last key a truncated run
 		// contributes: keys above it may be missing from that run's share.
-		var stop rdf.ID
+		var stop uint32
 		truncated := false
 		cur = cur[:0]
 		for _, r := range part.runs {
@@ -1445,17 +1475,17 @@ func (v *View) ForEachWithPredicate(p rdf.ID, f func(s, o rdf.ID) bool) {
 				stop, truncated = r.subs[i+lim-1], true
 			}
 		}
-		inChunk := func(s rdf.ID) bool { return s >= next && (!truncated || s <= stop) }
 		keys = keys[:0]
-		for s := range part.so {
-			if inChunk(s) {
-				keys = append(keys, s)
+		addInChunk := func(s rdf.ID) {
+			if k := rdf.Pack32(s); k >= next && (!truncated || k <= stop) {
+				keys = append(keys, k)
 			}
 		}
+		for s := range part.so {
+			addInChunk(s)
+		}
 		for s := range jm {
-			if inChunk(s) {
-				keys = append(keys, s)
-			}
+			addInChunk(s)
 		}
 		slices.Sort(keys)
 		for ri, r := range part.runs { // run keys are sorted: merge, don't sort
@@ -1474,7 +1504,7 @@ func (v *View) ForEachWithPredicate(p rdf.ID, f func(s, o rdf.ID) bool) {
 		out := (*buf)[:0]
 		k := 0
 		for ; k < len(keys) && len(out) < lim; k++ {
-			sub := keys[k]
+			sub := rdf.Unpack32(keys[k])
 			objs = part.objectsAppend(objs[:0], sub, j.sub(sub), cur)
 			for _, o := range objs {
 				out = append(out, pair{s: sub, o: o})

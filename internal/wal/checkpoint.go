@@ -92,8 +92,8 @@ func ReadExplicit(r io.Reader) ([]rdf.Triple, error) {
 		if !c.ok() {
 			return nil, fmt.Errorf("%w: truncated explicit triple", ErrCorrupt)
 		}
-		if s == rdf.Any || p == rdf.Any || o == rdf.Any {
-			return nil, fmt.Errorf("%w: explicit triple with wildcard component", ErrCorrupt)
+		if !tripleOK(rdf.T(s, p, o)) {
+			return nil, fmt.Errorf("%w: explicit triple with wildcard or out-of-range ID", ErrCorrupt)
 		}
 		ts = append(ts, rdf.T(s, p, o))
 	}

@@ -30,6 +30,7 @@ func FuzzWAL(f *testing.F) {
 	mutated := append([]byte(nil), valid...)
 	mutated[len(mutated)/2] ^= 0xff // mid-file corruption
 	f.Add(mutated)
+	f.Add(outOfRangeSegment()) // sequence number 2^30 under a valid CRC
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()

@@ -10,7 +10,8 @@ import (
 )
 
 // ErrRejected marks an append refused because the record itself is
-// invalid (bad op, wildcard, oversized string or frame). Rejections say
+// invalid (bad op, wildcard or out-of-range ID, oversized string or
+// frame). Rejections say
 // nothing about the disk: the degradation machinery must pass them back
 // to the caller rather than enter read-only mode over them.
 var ErrRejected = errors.New("wal: record rejected")
@@ -70,8 +71,8 @@ func validateRecord(rec Record) error {
 		return fmt.Errorf("%w: bad record op %d", ErrRejected, rec.Op)
 	}
 	for _, te := range rec.Terms {
-		if te.ID == rdf.Any {
-			return fmt.Errorf("%w: term entry with wildcard ID", ErrRejected)
+		if !idOK(te.ID) {
+			return fmt.Errorf("%w: term entry with wildcard or out-of-range ID", ErrRejected)
 		}
 		if len(te.Term.Value) > maxStringLen || len(te.Term.Lang) > maxStringLen ||
 			len(te.Term.Datatype) > maxStringLen {
@@ -79,12 +80,19 @@ func validateRecord(rec Record) error {
 		}
 	}
 	for _, t := range rec.Triples {
-		if t.S == rdf.Any || t.P == rdf.Any || t.O == rdf.Any {
-			return fmt.Errorf("%w: triple with wildcard component", ErrRejected)
+		if !tripleOK(t) {
+			return fmt.Errorf("%w: triple with wildcard or out-of-range ID", ErrRejected)
 		}
 	}
 	return nil
 }
+
+// idOK reports whether id can name a term: it is not the wildcard, and
+// it is in the range the dictionary mints and the store's runs hold
+// (rdf.Fits32). Decoders reject any other ID as corruption.
+func idOK(id rdf.ID) bool { return id != rdf.Any && rdf.Fits32(id) }
+
+func tripleOK(t rdf.Triple) bool { return idOK(t.S) && idOK(t.P) && idOK(t.O) }
 
 // Record frame layout:
 //
@@ -236,8 +244,8 @@ func decodeRecord(payload []byte) (Record, error) {
 		if !c.ok() {
 			return rec, fmt.Errorf("wal: truncated term entry")
 		}
-		if id == rdf.Any {
-			return rec, fmt.Errorf("wal: term entry with wildcard ID")
+		if !idOK(id) {
+			return rec, fmt.Errorf("wal: term entry with wildcard or out-of-range ID")
 		}
 		rec.Terms = append(rec.Terms, TermEntry{
 			ID:   id,
@@ -260,11 +268,11 @@ func decodeRecord(payload []byte) (Record, error) {
 		if !c.ok() {
 			return rec, fmt.Errorf("wal: truncated triple")
 		}
-		// The store treats ID 0 as a match-anything wildcard; a logged
-		// triple can never contain it, so its presence is corruption
-		// that slipped past the CRC.
-		if s == rdf.Any || p == rdf.Any || o == rdf.Any {
-			return rec, fmt.Errorf("wal: triple with wildcard component")
+		// The store treats ID 0 as a match-anything wildcard and holds
+		// no ID past rdf.Fits32; a logged triple never carries either, so
+		// one is corruption that slipped past the CRC.
+		if !tripleOK(rdf.T(s, p, o)) {
+			return rec, fmt.Errorf("wal: triple with wildcard or out-of-range ID")
 		}
 		rec.Triples = append(rec.Triples, rdf.T(s, p, o))
 	}

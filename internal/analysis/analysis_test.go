@@ -74,10 +74,11 @@ func TestExclusiveWindowFixture(t *testing.T) {
 
 func TestRunImmutableFixture(t *testing.T) {
 	c := &RunImmutable{
-		PkgPath: "fixture/runimmutable",
-		RunType: "run",
-		Fields:  map[string]bool{"subs": true, "objs": true},
-		Blessed: map[string]bool{"buildRun": true},
+		PkgPath:   "fixture/runimmutable",
+		RunType:   "run",
+		PartTypes: []string{"dir"},
+		Fields:    map[string]bool{"subs": true, "objs": true, "keys": true},
+		Blessed:   map[string]bool{"buildRun": true},
 	}
 	c.RunsSlice.Type = "partition"
 	c.RunsSlice.Field = "runs"

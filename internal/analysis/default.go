@@ -47,15 +47,17 @@ func DefaultCheckers(modPath string) []Checker {
 	}
 
 	runimmutable := &RunImmutable{
-		PkgPath: store,
-		RunType: "run",
+		PkgPath:   store,
+		RunType:   "run",
+		PartTypes: []string{"direction"},
 		Fields: map[string]bool{
-			"pairs": true, "subs": true, "subOff": true, "objs": true,
-			"objsD": true, "objOff": true, "subsByObj": true,
+			"pairs": true, "bySub": true, "byObj": true,
+			"keys": true, "off": true, "vals": true, "nkeys": true,
 		},
 		Blessed: map[string]bool{
 			"buildRun": true, "buildRunFromOverlay": true, "mergeRuns": true,
-			"mergeDirection": true, "csrFromMap": true, "checkRun": true,
+			"mergeDirection": true, "directionOf": true, "directionFromMap": true,
+			"newDirection": true, "endSpan": true, "checkRun": true,
 		},
 	}
 	runimmutable.RunsSlice.Type = "partition"

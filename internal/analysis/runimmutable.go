@@ -3,17 +3,18 @@ package analysis
 import "go/ast"
 
 // RunImmutable enforces the LSM store's publish-then-never-mutate rule:
-// once a run is built, its CSR slices and index maps are immutable —
-// frozen views, lock-free readers and checkpoint streams all alias
-// them. Writes to any configured field of the run type (plain
-// assignment, index assignment, or append-into) are flagged outside
-// the blessed constructor/merge functions, and in-place element
+// once a run is built, its index arrays are immutable — frozen views,
+// lock-free readers and checkpoint streams all alias them. Writes to
+// any configured field of the run type or of a part type the run holds
+// (plain assignment, index assignment, or append-into) are flagged
+// outside the blessed constructor/merge functions, and in-place element
 // assignment to the partition's run slice is flagged everywhere (run
 // slices are replaced wholesale, never patched).
 type RunImmutable struct {
 	PkgPath   string          // package declaring the run type
 	RunType   string          // e.g. "run"
-	Fields    map[string]bool // protected field names
+	PartTypes []string        // types a run holds by value, e.g. "direction"
+	Fields    map[string]bool // protected field names, of any of those types
 	Blessed   map[string]bool // function names allowed to build runs
 	RunsSlice struct {        // optional: the type+field holding []*run
 		Type, Field string
@@ -27,7 +28,10 @@ func (c *RunImmutable) Check(prog *Program) []Diagnostic {
 	if pkg == nil {
 		return nil
 	}
-	runKey := c.PkgPath + "." + c.RunType
+	protected := map[string]bool{c.PkgPath + "." + c.RunType: true}
+	for _, t := range c.PartTypes {
+		protected[c.PkgPath+"."+t] = true
+	}
 	var out []Diagnostic
 	for _, file := range pkg.Files {
 		for _, decl := range file.Decls {
@@ -40,7 +44,7 @@ func (c *RunImmutable) Check(prog *Program) []Diagnostic {
 				switch n := n.(type) {
 				case *ast.AssignStmt:
 					for _, lhs := range n.Lhs {
-						if d := c.checkLHS(prog, pkg, fd, lhs, runKey, blessed); d != nil {
+						if d := c.checkLHS(prog, pkg, fd, lhs, protected, blessed); d != nil {
 							out = append(out, *d)
 						}
 					}
@@ -49,10 +53,10 @@ func (c *RunImmutable) Check(prog *Program) []Diagnostic {
 						return true
 					}
 					if id, ok := ast.Unparen(n.Fun).(*ast.Ident); ok && id.Name == "append" && len(n.Args) > 0 {
-						if field := c.runField(pkg, n.Args[0], runKey); field != "" {
+						if field := c.runField(pkg, n.Args[0], protected); field != "" {
 							out = append(out, diag(prog, c.Name(), n.Pos(),
-								"append into %s.%s outside blessed constructors (%s): runs are immutable once published",
-								c.RunType, field, fd.Name.Name))
+								"append into %s outside blessed constructors (%s): runs are immutable once published",
+								field, fd.Name.Name))
 						}
 					}
 				}
@@ -64,16 +68,16 @@ func (c *RunImmutable) Check(prog *Program) []Diagnostic {
 }
 
 // checkLHS flags a write through an assignment left-hand side.
-func (c *RunImmutable) checkLHS(prog *Program, pkg *Package, fd *ast.FuncDecl, lhs ast.Expr, runKey string, blessed bool) *Diagnostic {
+func (c *RunImmutable) checkLHS(prog *Program, pkg *Package, fd *ast.FuncDecl, lhs ast.Expr, protected map[string]bool, blessed bool) *Diagnostic {
 	switch lhs := ast.Unparen(lhs).(type) {
 	case *ast.SelectorExpr:
 		if blessed {
 			return nil
 		}
-		if field := c.runField(pkg, lhs, runKey); field != "" {
+		if field := c.runField(pkg, lhs, protected); field != "" {
 			d := diag(prog, c.Name(), lhs.Pos(),
-				"assignment to %s.%s outside blessed constructors (%s): runs are immutable once published",
-				c.RunType, field, fd.Name.Name)
+				"assignment to %s outside blessed constructors (%s): runs are immutable once published",
+				field, fd.Name.Name)
 			return &d
 		}
 	case *ast.IndexExpr:
@@ -83,10 +87,10 @@ func (c *RunImmutable) checkLHS(prog *Program, pkg *Package, fd *ast.FuncDecl, l
 			return nil
 		}
 		if !blessed {
-			if field := c.runField(pkg, sel, runKey); field != "" {
+			if field := c.runField(pkg, sel, protected); field != "" {
 				d := diag(prog, c.Name(), lhs.Pos(),
-					"element assignment to %s.%s outside blessed constructors (%s): runs are immutable once published",
-					c.RunType, field, fd.Name.Name)
+					"element assignment to %s outside blessed constructors (%s): runs are immutable once published",
+					field, fd.Name.Name)
 				return &d
 			}
 		}
@@ -105,16 +109,16 @@ func (c *RunImmutable) checkLHS(prog *Program, pkg *Package, fd *ast.FuncDecl, l
 	return nil
 }
 
-// runField reports the protected field name when e is a selector of a
-// protected field on the run type ("" otherwise).
-func (c *RunImmutable) runField(pkg *Package, e ast.Expr, runKey string) string {
+// runField reports the protected field as "type.field" when e is a
+// selector of a protected field on a protected type ("" otherwise).
+func (c *RunImmutable) runField(pkg *Package, e ast.Expr, protected map[string]bool) string {
 	sel, ok := ast.Unparen(e).(*ast.SelectorExpr)
 	if !ok || !c.Fields[sel.Sel.Name] {
 		return ""
 	}
 	tv, ok := pkg.Info.Types[sel.X]
-	if !ok || typeKey(tv.Type) != runKey {
+	if !ok || !protected[typeKey(tv.Type)] {
 		return ""
 	}
-	return sel.Sel.Name
+	return namedOf(tv.Type).Obj().Name() + "." + sel.Sel.Name
 }

@@ -36,3 +36,17 @@ func patch(r *run, p *partition) {
 func reader(r *run) int {
 	return r.pairs + len(r.subs) + r.objs[0]
 }
+
+// dir stands for a part a run holds by value, such as one direction of
+// its index: its fields are protected like the run's own.
+type dir struct {
+	keys []int
+}
+
+// patchDir mutates parts of published runs: every statement is a
+// violation.
+func patchDir(d *dir, ds []dir) {
+	d.keys[0] = 1
+	ds[0].keys = nil
+	_ = append(d.keys, 2)
+}

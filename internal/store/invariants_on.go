@@ -102,50 +102,61 @@ func (p *partition) assertDead(s, o rdf.ID) {
 	}
 }
 
-// checkRun validates a freshly built or merged run's CSR shape in both
-// directions: every ID a packed ID of a term kind, strictly ascending
-// keys, monotone offsets bracketed by 0 and the pair count, and
-// strictly ascending values within every span.
-// The key slices are the run's only index — objectsOf/subjectsOf binary
-// search them — so strictly ascending keys are what makes a probe find
-// its span (and the only span). Runs are immutable after publication,
-// so passing here once means the shape holds forever.
+// checkRun validates a freshly built or merged run's shape in both
+// directions: every ID a packed ID of a term kind, the (key, value)
+// pairs strictly ascending, the distinct key count right, and the form
+// well formed — in CSR form strictly ascending keys and offsets
+// bracketed by 0 and the pair count with no empty spans, in pair form
+// one key per value. The keys are the run's only index — objectsOf and
+// subjectsOf binary search them — so ascending keys are what makes a
+// probe find its span (and the only span). Runs are immutable after
+// publication, so passing here once means the shape holds forever.
 func checkRun(r *run) {
-	checkDirection(r, "subject", r.subs, r.subOff, r.objs)
-	checkDirection(r, "object", r.objsD, r.objOff, r.subsByObj)
+	checkDirection(r, "subject", &r.bySub)
+	checkDirection(r, "object", &r.byObj)
 }
 
-func checkDirection(r *run, dir string, keys []uint32, off []int32, vals []uint32) {
-	if len(vals) != r.pairs {
-		panic(fmt.Sprintf("store invariant: run %s direction holds %d values, want pairs=%d", dir, len(vals), r.pairs))
+func checkDirection(r *run, dir string, d *direction) {
+	if len(d.vals) != r.pairs {
+		panic(fmt.Sprintf("store invariant: run %s direction holds %d values, want pairs=%d", dir, len(d.vals), r.pairs))
 	}
-	if len(off) != len(keys)+1 {
-		panic(fmt.Sprintf("store invariant: run %s direction has %d offsets for %d keys (want keys+1)", dir, len(off), len(keys)))
+	ks := d.keys // the key of every value
+	if d.off != nil {
+		if len(d.off) != len(d.keys)+1 || d.off[0] != 0 || int(d.off[len(d.keys)]) != len(d.vals) {
+			panic(fmt.Sprintf("store invariant: run %s has %d offsets for %d keys (want keys+1, bracketed by 0 and %d values)",
+				dir, len(d.off), len(d.keys), len(d.vals)))
+		}
+		ks = make([]uint32, 0, len(d.vals))
+		for i, k := range d.keys {
+			if i > 0 && d.keys[i-1] >= k {
+				panic(fmt.Sprintf("store invariant: run %s keys not strictly ascending at %d: %d >= %d", dir, i, d.keys[i-1], k))
+			}
+			if d.off[i] >= d.off[i+1] {
+				panic(fmt.Sprintf("store invariant: run %s key %d has empty or inverted span [%d:%d]", dir, k, d.off[i], d.off[i+1]))
+			}
+			for range d.off[i+1] - d.off[i] {
+				ks = append(ks, k)
+			}
+		}
+	} else if len(d.keys) != len(d.vals) {
+		panic(fmt.Sprintf("store invariant: run %s pair form holds %d keys for %d values", dir, len(d.keys), len(d.vals)))
 	}
-	if len(keys) > 0 && (off[0] != 0 || int(off[len(off)-1]) != len(vals)) {
-		panic(fmt.Sprintf("store invariant: run %s offsets not bracketed: off[0]=%d off[last]=%d len(vals)=%d",
-			dir, off[0], off[len(off)-1], len(vals)))
-	}
-	for _, ids := range [][]uint32{keys, vals} {
-		for _, x := range ids {
+	distinct := 0
+	for j, k := range ks {
+		for _, x := range []uint32{k, d.vals[j]} {
 			if !rdf.Fits32(rdf.Unpack32(x)) {
 				panic(fmt.Sprintf("store invariant: run %s direction holds %#x, not a packed ID", dir, x))
 			}
 		}
+		if j > 0 && (ks[j-1] > k || ks[j-1] == k && d.vals[j-1] >= d.vals[j]) {
+			panic(fmt.Sprintf("store invariant: run %s pairs not strictly ascending at %d: (%d, %d) >= (%d, %d)",
+				dir, j, ks[j-1], d.vals[j-1], k, d.vals[j]))
+		}
+		if j == 0 || ks[j-1] != k {
+			distinct++
+		}
 	}
-	for i, k := range keys {
-		if i > 0 && keys[i-1] >= k {
-			panic(fmt.Sprintf("store invariant: run %s keys not strictly ascending at %d: %d >= %d", dir, i, keys[i-1], k))
-		}
-		if off[i] >= off[i+1] {
-			panic(fmt.Sprintf("store invariant: run %s key %d has empty or inverted span [%d:%d]", dir, k, off[i], off[i+1]))
-		}
-		span := vals[off[i]:off[i+1]]
-		for j := 1; j < len(span); j++ {
-			if span[j-1] >= span[j] {
-				panic(fmt.Sprintf("store invariant: run %s span of key %d not strictly ascending at %d: %d >= %d",
-					dir, k, j, span[j-1], span[j]))
-			}
-		}
+	if distinct != d.nkeys {
+		panic(fmt.Sprintf("store invariant: run %s direction has %d distinct keys, records %d", dir, distinct, d.nkeys))
 	}
 }

@@ -32,26 +32,40 @@ func TestCheckRunDetectsCorruption(t *testing.T) {
 	// Object 5 has two subjects so the object direction has a span of
 	// length 2 (the object-direction corruption below needs one).
 	ps := []pair{{s: 1, o: 5}, {s: 1, o: 7}, {s: 2, o: 5}, {s: 3, o: 2}}
-	checkRun(buildRun(ps)) // sanity: a well-formed run passes
+	for _, pairs := range []bool{false, true} {
+		withForm(t, &pairs)
+		checkRun(buildRun(ps)) // sanity: a well-formed run passes
+	}
 
-	corrupt := func(name string, mutate func(r *run)) {
+	corrupt := func(name string, pairs bool, mutate func(r *run)) {
+		withForm(t, &pairs)
 		r := buildRun(ps)
 		mutate(r)
 		mustPanic(t, name, func() { checkRun(r) })
 	}
-	corrupt("descending keys", func(r *run) { r.subs[0], r.subs[1] = r.subs[1], r.subs[0] })
-	corrupt("descending span", func(r *run) { r.objs[0], r.objs[1] = r.objs[1], r.objs[0] })
-	corrupt("offset drift", func(r *run) { r.subOff[1] = r.subOff[1] + 1 })
-	corrupt("pair count drift", func(r *run) { r.pairs++ })
+	// CSR form: subject keys 1,2,3 with offsets 0,2,3,4.
+	corrupt("descending keys", false, func(r *run) { r.bySub.keys[0], r.bySub.keys[1] = r.bySub.keys[1], r.bySub.keys[0] })
+	corrupt("descending span", false, func(r *run) { r.bySub.vals[0], r.bySub.vals[1] = r.bySub.vals[1], r.bySub.vals[0] })
+	corrupt("offset drift", false, func(r *run) { r.bySub.off[1] = r.bySub.off[1] + 1 })
+	corrupt("pair count drift", false, func(r *run) { r.pairs++ })
 	// Object keys sort 2,5,7: swapping two breaks what binary search
 	// relies on, so a probe for object 5 could miss its span.
-	corrupt("swapped object keys", func(r *run) { r.objsD[0], r.objsD[1] = r.objsD[1], r.objsD[0] })
+	corrupt("swapped object keys", false, func(r *run) { r.byObj.keys[0], r.byObj.keys[1] = r.byObj.keys[1], r.byObj.keys[0] })
 	// By (object, subject) the pairs sort (3,2),(1,5),(2,5),(1,7):
 	// indices 1 and 2 are object 5's span.
-	corrupt("object direction", func(r *run) { r.subsByObj[1], r.subsByObj[2] = r.subsByObj[2], r.subsByObj[1] })
+	corrupt("object direction", false, func(r *run) { r.byObj.vals[1], r.byObj.vals[2] = r.byObj.vals[2], r.byObj.vals[1] })
 	// Subject 3's span is its one object: kind bits 11 keep it sorted,
 	// so only the packed-ID check can see it.
-	corrupt("kind bits 11", func(r *run) { r.objs[3] |= 3 << 30 })
+	corrupt("kind bits 11", false, func(r *run) { r.bySub.vals[3] |= 3 << 30 })
+	corrupt("distinct key drift", false, func(r *run) { r.byObj.nkeys++ })
+
+	// Pair form: subject keys 1,1,2,3 beside objects 5,7,5,2.
+	corrupt("pair key/value length mismatch", true, func(r *run) { r.bySub.keys = r.bySub.keys[:3] })
+	corrupt("pair descending key", true, func(r *run) { r.bySub.keys[1], r.bySub.keys[2] = r.bySub.keys[2], r.bySub.keys[1] })
+	corrupt("pair repeated (key, value)", true, func(r *run) { r.bySub.vals[1] = r.bySub.vals[0] })
+	corrupt("pair descending value", true, func(r *run) { r.bySub.vals[0], r.bySub.vals[1] = r.bySub.vals[1], r.bySub.vals[0] })
+	corrupt("pair distinct key drift", true, func(r *run) { r.bySub.nkeys-- })
+	corrupt("pair kind bits 11", true, func(r *run) { r.byObj.keys[3] |= 3 << 30 })
 }
 
 func TestAccountingDetectsDrift(t *testing.T) {

@@ -3,6 +3,7 @@ package store
 import (
 	"cmp"
 	"slices"
+	"sync/atomic"
 
 	"repro/internal/rdf"
 )
@@ -13,32 +14,104 @@ import (
 // slices wholesale under the partition lock, so a reader that captured
 // the slice header may keep reading it without any lock.
 //
-// The layout is a compressed-sparse-row index in both directions:
-// subject→objects for (p, s, ?) probes and object→subjects for
-// (p, ?, o) probes. The key slices are the index: each direction finds
-// a span by binary search over its strictly ascending keys and then
-// yields a contiguous ascending slice — the shape the galloping join
-// intersection and the verbatim checkpoint stream want. A run is six
-// plain arrays and a pair count; its four ID arrays hold 32-bit packed
-// IDs (rdf.Pack32), which sort as the IDs do, so searches, merges and
-// scans work in packed space and readers decode into the caller's
-// buffer. Each direction costs 4 bytes per value and 8 per key (the key
-// and its offset). Probes treat an ID without a packed form as absent.
+// A run indexes its pairs in both directions: subject→objects for
+// (p, s, ?) probes and object→subjects for (p, ?, o) probes. Each
+// direction finds a key's span by binary search over its ascending
+// keys and yields a contiguous ascending slice — the shape the
+// galloping join intersection and the verbatim checkpoint stream want.
+// Every ID array holds 32-bit packed IDs (rdf.Pack32), which sort as
+// the IDs do, so searches, merges and scans work in packed space and
+// readers decode into the caller's buffer. Probes treat an ID without a
+// packed form as absent.
 type run struct {
 	pairs int
+	bySub direction // subject keys, object values
+	byObj direction // object keys, subject values
+}
 
-	// Subject direction: subs holds the distinct subjects in ascending
-	// order; objs holds the objects grouped by subject (ascending within
-	// each group); subOff[i] is the objs offset of subs[i]'s span, with
-	// a final sentinel entry, so spans are subOff[i]:subOff[i+1].
-	subs   []uint32
-	subOff []int32
-	objs   []uint32
+// direction is one side of a run's index: values grouped by key, keys
+// ascending, values ascending within each key's span. It takes the
+// smaller of two forms, chosen when it is built from its pair count P
+// and distinct key count K. CSR form holds each key once: keys[i]'s
+// span is vals[off[i]:off[i+1]], costing 4 bytes per value and 8 per
+// key. Pair form has off nil and one key per value, keys and vals being
+// the pairs sorted by (key, value): 8 bytes per value. The builders
+// pick pair form when P ≤ 2K, where it is no larger (4P ≤ 8K + 4):
+// keys of degree one or two on average, as most subjects in instance
+// data are. Only the builders and spanAt know the form.
+type direction struct {
+	keys  []uint32
+	off   []int32
+	vals  []uint32
+	nkeys int // K, the distinct keys
+}
 
-	// Object direction: the mirror image, sorted by (object, subject).
-	objsD     []uint32
-	objOff    []int32
-	subsByObj []uint32
+// testHookPairForm, when a test stores non-nil, overrides the size rule
+// for every direction built: true forces pair form, false CSR form.
+// Atomic because background compactors build runs while tests set it.
+var testHookPairForm atomic.Pointer[bool]
+
+// newDirection allocates a direction for n values under k distinct
+// keys, every array at its exact final length, in the smaller form.
+func newDirection(n, k int) direction {
+	pairs := n <= 2*k
+	if f := testHookPairForm.Load(); f != nil {
+		pairs = *f
+	}
+	d := direction{vals: make([]uint32, 0, n), nkeys: k}
+	if pairs {
+		d.keys = make([]uint32, 0, n)
+	} else {
+		d.keys = make([]uint32, 0, k)
+		d.off = make([]int32, 1, k+1)
+	}
+	return d
+}
+
+// endSpan closes key k's span: the values appended to vals since the
+// previous endSpan. Keys must be closed in ascending order.
+func (d *direction) endSpan(k uint32) {
+	if d.off == nil {
+		for len(d.keys) < len(d.vals) {
+			d.keys = append(d.keys, k)
+		}
+		return
+	}
+	d.keys = append(d.keys, k)
+	d.off = append(d.off, int32(len(d.vals)))
+}
+
+// spanAt returns the span of the key at index i, which must be where a
+// key starts (0, or a next that spanAt returned), and the index where
+// the next key starts. In pair form it gallops to the end of the equal
+// keys, so a degree-1 key costs one comparison and a hub O(log degree).
+func (d *direction) spanAt(i int) (span []uint32, next int) {
+	if d.off != nil {
+		return d.vals[d.off[i]:d.off[i+1]], i + 1
+	}
+	// Gallop, then bisect: keys[lo] is k; keys[hi] is not, or hi = end.
+	k, lo, hi := d.keys[i], i, i+1
+	for step := 1; hi < len(d.keys) && d.keys[hi] == k; step *= 2 {
+		lo, hi = hi, min(hi+step, len(d.keys))
+	}
+	for lo+1 < hi {
+		if m := int(uint(lo+hi) >> 1); d.keys[m] == k {
+			lo = m
+		} else {
+			hi = m
+		}
+	}
+	return d.vals[i:hi], hi
+}
+
+// span returns key k's values (nil when k is absent): a lower-bound
+// search, then spanAt.
+func (d *direction) span(k uint32) []uint32 {
+	if i, ok := slices.BinarySearch(d.keys, k); ok {
+		span, _ := d.spanAt(i)
+		return span
+	}
+	return nil
 }
 
 func comparePairs(a, b pair) int {
@@ -51,78 +124,70 @@ func comparePairs(a, b pair) int {
 func sortPairs(ps []pair) { slices.SortFunc(ps, comparePairs) }
 
 // buildRun assembles a run from pairs sorted by (subject, object) with no
-// duplicates. The object-direction index re-sorts a copy by (object,
-// subject); total cost O(n log n) with small constants, always paid off
-// the partition lock by the compactor.
+// duplicates. The object direction is built from a flipped copy sorted
+// by (object, subject); total cost O(n log n) with small constants,
+// always paid off the partition lock by the compactor.
 func buildRun(ps []pair) *run {
-	r := &run{pairs: len(ps)}
-	r.objs = make([]uint32, len(ps))
+	flipped := make([]pair, len(ps))
 	for i, pr := range ps {
-		if i == 0 || pr.s != ps[i-1].s {
-			r.subs = append(r.subs, rdf.Pack32(pr.s))
-			r.subOff = append(r.subOff, int32(i))
-		}
-		r.objs[i] = rdf.Pack32(pr.o)
+		flipped[i] = pair{s: pr.o, o: pr.s}
 	}
-	r.subOff = append(r.subOff, int32(len(ps)))
-
-	bo := make([]pair, len(ps))
-	copy(bo, ps)
-	slices.SortFunc(bo, func(a, b pair) int {
-		if c := cmp.Compare(a.o, b.o); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.s, b.s)
-	})
-	r.subsByObj = make([]uint32, len(bo))
-	for i, pr := range bo {
-		if i == 0 || pr.o != bo[i-1].o {
-			r.objsD = append(r.objsD, rdf.Pack32(pr.o))
-			r.objOff = append(r.objOff, int32(i))
-		}
-		r.subsByObj[i] = rdf.Pack32(pr.s)
-	}
-	r.objOff = append(r.objOff, int32(len(bo)))
+	sortPairs(flipped)
+	r := &run{pairs: len(ps), bySub: directionOf(ps), byObj: directionOf(flipped)}
 	if invariantsEnabled {
 		checkRun(r)
 	}
 	return r
 }
 
+// directionOf lays out pairs sorted by (s, o) as a direction keyed by s.
+func directionOf(ps []pair) direction {
+	k := 0
+	for i := range ps {
+		if i == 0 || ps[i].s != ps[i-1].s {
+			k++
+		}
+	}
+	d := newDirection(len(ps), k)
+	for i, pr := range ps {
+		d.vals = append(d.vals, rdf.Pack32(pr.o))
+		if i+1 == len(ps) || ps[i+1].s != pr.s {
+			d.endSpan(rdf.Pack32(pr.s))
+		}
+	}
+	return d
+}
+
 // buildRunFromOverlay assembles a run straight from a partition's
-// overlay maps: so and os already are the two CSR directions keyed the
+// overlay maps: so and os already are the two directions keyed the
 // right way, so the cost is one key sort plus per-span sorts per
 // direction — much cheaper than materialising and comparison-sorting n
 // pairs twice, and this runs under the partition write lock.
 func buildRunFromOverlay(so, os map[rdf.ID]idSet, n int) *run {
-	r := &run{pairs: n}
-	r.subs, r.subOff, r.objs = csrFromMap(so, n)
-	r.objsD, r.objOff, r.subsByObj = csrFromMap(os, n)
+	r := &run{pairs: n, bySub: directionFromMap(so, n), byObj: directionFromMap(os, n)}
 	if invariantsEnabled {
 		checkRun(r)
 	}
 	return r
 }
 
-// csrFromMap lays one overlay direction out as a sorted CSR index.
-func csrFromMap(m map[rdf.ID]idSet, n int) (keys []uint32, off []int32, vals []uint32) {
-	keys = make([]uint32, 0, len(m))
+// directionFromMap lays one overlay direction of n pairs out sorted.
+func directionFromMap(m map[rdf.ID]idSet, n int) direction {
+	keys := make([]uint32, 0, len(m))
 	for k := range m {
 		keys = append(keys, rdf.Pack32(k))
 	}
 	slices.Sort(keys)
-	off = make([]int32, 0, len(keys)+1)
-	vals = make([]uint32, 0, n)
+	d := newDirection(n, len(keys))
 	for _, k := range keys {
-		off = append(off, int32(len(vals)))
-		start := len(vals)
+		start := len(d.vals)
 		for v := range m[rdf.Unpack32(k)] {
-			vals = append(vals, rdf.Pack32(v))
+			d.vals = append(d.vals, rdf.Pack32(v))
 		}
-		slices.Sort(vals[start:])
+		slices.Sort(d.vals[start:])
+		d.endSpan(k)
 	}
-	off = append(off, int32(len(vals)))
-	return keys, off, vals
+	return d
 }
 
 // objectsOf returns the run's packed objects of subject s, ascending
@@ -131,30 +196,28 @@ func csrFromMap(m map[rdf.ID]idSet, n int) (keys []uint32, off []int32, vals []u
 // so a subject newer than the run sits above its last key: that case —
 // every fresh insert probes every run — returns without a search.
 func (r *run) objectsOf(s rdf.ID) []uint32 {
-	k := rdf.Pack32(s)
-	if len(r.subs) == 0 || k > r.subs[len(r.subs)-1] || !rdf.Fits32(s) {
+	k, keys := rdf.Pack32(s), r.bySub.keys
+	if len(keys) == 0 || k > keys[len(keys)-1] || !rdf.Fits32(s) {
 		return nil
 	}
-	i, ok := slices.BinarySearch(r.subs, k)
-	if !ok {
-		return nil
-	}
-	return r.objs[r.subOff[i]:r.subOff[i+1]]
+	return r.bySub.span(k)
 }
 
 // objectsFrom is objectsOf for a caller visiting packed subject keys in
-// ascending order: *i is an index into subs no further than key k, and
-// is advanced past it, so a sweep over a key range scans it once
-// instead of binary searching per subject.
+// ascending order: *i is where a subject key starts in bySub.keys, no
+// further than key k, and is advanced past k's span, so a sweep over a
+// key range scans it once instead of binary searching per subject.
 func (r *run) objectsFrom(i *int, k uint32) []uint32 {
-	for *i < len(r.subs) && r.subs[*i] < k {
+	keys := r.bySub.keys
+	for *i < len(keys) && keys[*i] < k {
 		*i++
 	}
-	if *i == len(r.subs) || r.subs[*i] != k {
+	if *i == len(keys) || keys[*i] != k {
 		return nil
 	}
-	*i++
-	return r.objs[r.subOff[*i-1]:r.subOff[*i]]
+	span, next := r.bySub.spanAt(*i)
+	*i = next
+	return span
 }
 
 // subjectsOf returns the run's packed subjects of object o, ascending
@@ -164,11 +227,7 @@ func (r *run) subjectsOf(o rdf.ID) []uint32 {
 	if !rdf.Fits32(o) {
 		return nil
 	}
-	i, ok := slices.BinarySearch(r.objsD, rdf.Pack32(o))
-	if !ok {
-		return nil
-	}
-	return r.subsByObj[r.objOff[i]:r.objOff[i+1]]
+	return r.byObj.span(rdf.Pack32(o))
 }
 
 // contains reports pair membership: a binary search for the subject's
@@ -190,9 +249,12 @@ func appendUnpacked(dst []rdf.ID, span []uint32) []rdf.ID {
 // forEach streams every pair in (subject, object) order until f returns
 // false, reporting whether it ran to completion.
 func (r *run) forEach(f func(s, o rdf.ID) bool) bool {
-	for i, k := range r.subs {
-		s := rdf.Unpack32(k)
-		for _, o := range r.objs[r.subOff[i]:r.subOff[i+1]] {
+	d := &r.bySub
+	for i := 0; i < len(d.keys); {
+		s := rdf.Unpack32(d.keys[i])
+		var span []uint32
+		span, i = d.spanAt(i)
+		for _, o := range span {
 			if !f(s, rdf.Unpack32(o)) {
 				return false
 			}
@@ -211,86 +273,82 @@ func (r *run) forEach(f func(s, o rdf.ID) bool) bool {
 // pairs.
 func mergeRuns(rs []*run) *run {
 	total := 0
-	for _, r := range rs {
+	subs := make([]*direction, len(rs))
+	objs := make([]*direction, len(rs))
+	for i, r := range rs {
 		total += r.pairs
+		subs[i], objs[i] = &r.bySub, &r.byObj
 	}
-	out := &run{pairs: total}
-	out.subs, out.subOff, out.objs = mergeDirection(rs, total, false)
-	out.objsD, out.objOff, out.subsByObj = mergeDirection(rs, total, true)
+	out := &run{pairs: total, bySub: mergeDirection(subs, total), byObj: mergeDirection(objs, total)}
 	if invariantsEnabled {
 		checkRun(out)
 	}
 	return out
 }
 
-// mergeDirection k-way merges one CSR direction of the runs: the keyed
-// spans stream in ascending key order within every run, so the merged
-// index is built by repeatedly taking the minimum head key and fusing
-// the (value-disjoint, sorted) spans of the runs that share it.
-func mergeDirection(rs []*run, total int, byObject bool) (keys []uint32, off []int32, vals []uint32) {
+// mergeDirection k-way merges one direction of the runs, total pairs in
+// all, by repeatedly taking the minimum head key and fusing the
+// (value-disjoint, sorted) spans of the runs that share it. It merges
+// into CSR scratch sized by the summed key counts, which count shared
+// keys twice, then lays the union out at exact length in its own form.
+func mergeDirection(ds []*direction, total int) direction {
 	type cursor struct {
-		keys []uint32
-		off  []int32
-		vals []uint32
-		i    int
+		d *direction
+		i int
 	}
-	cur := make([]cursor, 0, len(rs))
+	cur := make([]cursor, 0, len(ds))
 	maxKeys := 0
-	for _, r := range rs {
-		c := cursor{keys: r.subs, off: r.subOff, vals: r.objs}
-		if byObject {
-			c = cursor{keys: r.objsD, off: r.objOff, vals: r.subsByObj}
-		}
-		if len(c.keys) > 0 {
-			maxKeys += len(c.keys)
-			cur = append(cur, c)
+	for _, d := range ds {
+		if len(d.keys) > 0 {
+			maxKeys += d.nkeys
+			cur = append(cur, cursor{d: d})
 		}
 	}
-	// maxKeys double-counts keys shared between runs — an upper bound,
-	// paid once, so the append loops below never reallocate.
-	keys = make([]uint32, 0, maxKeys)
-	off = make([]int32, 0, maxKeys+1)
-	vals = make([]uint32, 0, total)
+	m := direction{keys: make([]uint32, 0, maxKeys), off: make([]int32, 1, maxKeys+1), vals: make([]uint32, 0, total)}
 	spans := make([][]uint32, 0, len(cur))
 	var scratch, scratch2 []uint32 // reused across ≥3-way key collisions
 	for len(cur) > 0 {
-		minK := cur[0].keys[cur[0].i]
+		minK := cur[0].d.keys[cur[0].i]
 		for _, c := range cur[1:] {
-			if k := c.keys[c.i]; k < minK {
+			if k := c.d.keys[c.i]; k < minK {
 				minK = k
 			}
 		}
-		keys = append(keys, minK)
-		off = append(off, int32(len(vals)))
 		spans = spans[:0]
 		for ci := 0; ci < len(cur); ci++ {
 			c := &cur[ci]
-			if c.keys[c.i] != minK {
+			if c.d.keys[c.i] != minK {
 				continue
 			}
-			spans = append(spans, c.vals[c.off[c.i]:c.off[c.i+1]])
-			c.i++
-			if c.i == len(c.keys) {
+			var span []uint32
+			span, c.i = c.d.spanAt(c.i)
+			spans = append(spans, span)
+			if c.i == len(c.d.keys) {
 				cur = append(cur[:ci], cur[ci+1:]...)
 				ci--
 			}
 		}
 		switch len(spans) {
 		case 1:
-			vals = append(vals, spans[0]...)
+			m.vals = append(m.vals, spans[0]...)
 		case 2:
-			vals = appendMergedSorted(vals, spans[0], spans[1])
+			m.vals = appendMergedSorted(m.vals, spans[0], spans[1])
 		default:
 			scratch = appendMergedSorted(scratch[:0], spans[0], spans[1])
 			for _, sp := range spans[2:] {
 				scratch2 = appendMergedSorted(scratch2[:0], scratch, sp)
 				scratch, scratch2 = scratch2, scratch
 			}
-			vals = append(vals, scratch...)
+			m.vals = append(m.vals, scratch...)
 		}
+		m.endSpan(minK)
 	}
-	off = append(off, int32(len(vals)))
-	return keys, off, vals
+	d := newDirection(total, len(m.keys))
+	for i, k := range m.keys {
+		d.vals = append(d.vals, m.vals[m.off[i]:m.off[i+1]]...)
+		d.endSpan(k)
+	}
+	return d
 }
 
 // appendMergedSorted appends the two-way merge of sorted a and b to dst.

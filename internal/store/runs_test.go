@@ -224,9 +224,24 @@ func probeKey(i int) rdf.ID {
 	return probeDomain[12*(i/6)+[]int{1, 3, 5, 6, 8, 10}[i%6]]
 }
 
-// checkRunProbes compares a run's objectsOf, subjectsOf and contains
-// with a map oracle over ps for every ID of probeDomain.
-func checkRunProbes(t *testing.T, name string, r *run, ps []pair) {
+// withForm makes every direction built until the test ends take pair
+// form (*pairs true) or CSR form (false); nil keeps the size rule.
+func withForm(t testing.TB, pairs *bool) {
+	testHookPairForm.Store(pairs)
+	t.Cleanup(func() { testHookPairForm.Store(nil) })
+}
+
+// forms are the three ways a direction's form is chosen: by the size
+// rule, forced CSR and forced pairs.
+var (
+	csrForm, pairForm = false, true
+	forms             = map[string]*bool{"sized": nil, "csr": &csrForm, "pairs": &pairForm}
+)
+
+// checkRunProbes compares a run's objectsOf, objectsFrom, subjectsOf,
+// contains and forEach with a map oracle over ps, sorted by (subject,
+// object), for every ID of probeDomain.
+func checkRunProbes(t testing.TB, name string, r *run, ps []pair) {
 	t.Helper()
 	objsOf := map[rdf.ID][]rdf.ID{}
 	subsOf := map[rdf.ID][]rdf.ID{}
@@ -254,13 +269,43 @@ func checkRunProbes(t *testing.T, name string, r *run, ps []pair) {
 			}
 		}
 	}
+	// One ascending sweep of the packed keys, present and absent, as a
+	// view walk's chunk makes it.
+	cur := 0
+	for _, k := range probeDomain {
+		if !rdf.Fits32(k) {
+			continue
+		}
+		want := slices.Sorted(slices.Values(objsOf[k]))
+		if got := appendUnpacked(nil, r.objectsFrom(&cur, rdf.Pack32(k))); !slices.Equal(got, want) {
+			t.Fatalf("%s: objectsFrom(%#x) = %v, want %v", name, k, got, want)
+		}
+	}
+	var got []pair
+	r.forEach(func(s, o rdf.ID) bool {
+		got = append(got, pair{s: s, o: o})
+		return true
+	})
+	if !slices.Equal(got, ps) {
+		t.Fatalf("%s: forEach = %v, want %v", name, got, ps)
+	}
 }
 
 // TestRunProbesProperty pins the run's binary-search probes against a
 // map oracle for every way a run is built: from sorted pairs, from
 // overlay maps, and by merging 2–4 disjoint runs that share keys. IDs
-// span all three kinds up to sequence number 2^30−1.
+// span all three kinds up to sequence number 2^30−1. Each direction
+// takes the form the size rule picks, and then each form forced.
 func TestRunProbesProperty(t *testing.T) {
+	for name, pairs := range forms {
+		t.Run(name, func(t *testing.T) {
+			withForm(t, pairs)
+			testRunProbes(t)
+		})
+	}
+}
+
+func testRunProbes(t *testing.T) {
 	k := probeKey
 	fixed := map[string][]pair{
 		"empty":        nil,
@@ -269,6 +314,9 @@ func TestRunProbesProperty(t *testing.T) {
 		"one object":   {{s: k(0), o: k(15)}, {s: k(10), o: k(15)}, {s: k(17), o: k(15)}},
 		"extreme keys": {{s: k(0), o: k(17)}, {s: k(17), o: k(0)}},
 		"kind edges":   {{s: k(5), o: k(6)}, {s: k(6), o: k(5)}, {s: k(11), o: k(12)}, {s: k(12), o: k(11)}},
+		"hub and leaves": {{s: k(0), o: k(1)}, {s: k(1), o: k(2)}, {s: k(2), o: k(0)}, {s: k(2), o: k(1)},
+			{s: k(2), o: k(3)}, {s: k(2), o: k(4)}, {s: k(2), o: k(5)}, {s: k(2), o: k(6)}, {s: k(3), o: k(2)},
+			{s: k(4), o: k(2)}, {s: k(5), o: k(2)}, {s: k(6), o: k(2)}, {s: k(7), o: k(2)}, {s: k(8), o: k(2)}},
 	}
 	for name, ps := range fixed {
 		sortPairs(ps)
@@ -304,6 +352,112 @@ func TestRunProbesProperty(t *testing.T) {
 			}
 		}
 		checkRunProbes(t, "random/merge", mergeRuns(ins), ps)
+	}
+}
+
+// FuzzRunForms decodes its input into pairs — per pair a subject, an
+// object and an input byte, the IDs drawn from probeKey's 18 keys — and
+// builds them into runs from sorted pairs, from overlay maps and by
+// merging up to four inputs, in each forced form. Probes, the
+// objectsFrom sweep and forEach must match the map oracle.
+func FuzzRunForms(f *testing.F) {
+	f.Add([]byte("\x00\x01\x00\x00\x02\x01\x00\x03\x02\x01\x00\x03"))
+	f.Add([]byte("\x02\x00\x00\x02\x01\x01\x02\x03\x02\x02\x04\x03\x05\x02\x00\x11\x11\x01"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		set := map[pair]bool{}
+		ins := make([][]pair, 4)
+		for ; len(data) >= 3 && len(set) < 200; data = data[3:] {
+			pr := pair{s: probeKey(int(data[0]) % 18), o: probeKey(int(data[1]) % 18)}
+			if !set[pr] {
+				set[pr] = true
+				ins[data[2]%4] = append(ins[data[2]%4], pr)
+			}
+		}
+		ps := slices.Collect(maps.Keys(set))
+		sortPairs(ps)
+		for _, name := range []string{"csr", "pairs"} {
+			withForm(t, forms[name])
+			checkRunProbes(t, name+"/buildRun", buildRun(ps), ps)
+			checkRunProbes(t, name+"/overlay", runFromOverlay(ps), ps)
+			runs := make([]*run, len(ins))
+			for i, in := range ins {
+				sortPairs(in)
+				if i%2 == 0 {
+					runs[i] = buildRun(in)
+				} else {
+					runs[i] = runFromOverlay(in)
+				}
+			}
+			checkRunProbes(t, name+"/merge", mergeRuns(runs), ps)
+		}
+	})
+}
+
+// TestRunArraysExactLength checks that every array of a run built from
+// sorted pairs, from overlay maps or by merging is allocated at its final
+// length, in either form: capacity a builder over-reserves stays on the
+// heap for the run's life. Merged inputs share keys, which an upper
+// bound summing the inputs' key counts would count twice.
+func TestRunArraysExactLength(t *testing.T) {
+	for name, pairs := range forms {
+		t.Run(name, func(t *testing.T) {
+			withForm(t, pairs)
+			rng := rand.New(rand.NewSource(2))
+			set := map[pair]bool{}
+			for len(set) < 250 { // subjects mostly of degree 1, objects of degree ~12
+				set[pair{s: rdf.ID(1 + rng.Intn(200)), o: rdf.ID(1 + rng.Intn(20))}] = true
+			}
+			ps := slices.Collect(maps.Keys(set))
+			sortPairs(ps)
+			parts := make([][]pair, 3)
+			for i, pr := range ps {
+				parts[i%3] = append(parts[i%3], pr)
+			}
+			runs := map[string]*run{
+				"buildRun": buildRun(ps),
+				"overlay":  runFromOverlay(ps),
+				"merge":    mergeRuns([]*run{buildRun(parts[0]), runFromOverlay(parts[1]), buildRun(parts[2])}),
+			}
+			for how, r := range runs {
+				for dir, d := range map[string]*direction{"subject": &r.bySub, "object": &r.byObj} {
+					if len(d.keys) != cap(d.keys) || len(d.off) != cap(d.off) || len(d.vals) != cap(d.vals) {
+						t.Errorf("%s %s direction: len/cap keys %d/%d, off %d/%d, vals %d/%d", how, dir,
+							len(d.keys), cap(d.keys), len(d.off), cap(d.off), len(d.vals), cap(d.vals))
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestPredicateStatsExactAfterCompact pins PredicateStats to the exact
+// distinct subject and object counts of a compacted partition whose
+// subject direction is in pair form and whose object direction is CSR:
+// a pair-form direction holds a key per pair, not per distinct key.
+func TestPredicateStatsExactAfterCompact(t *testing.T) {
+	const p = 1
+	st := New()
+	st.SetAutoCompact(false)
+	for s := uint64(1); s <= 300; s++ {
+		st.Add(tr(s, p, 1000+s%10))
+		if s%50 == 0 { // a few degree-2 subjects, spread over several runs
+			st.Add(tr(s, p, 2000))
+			st.FlushOverlays()
+		}
+	}
+	st.Compact()
+	str := st.stripeFor(p)
+	str.mu.RLock()
+	part := str.parts[p]
+	str.mu.RUnlock()
+	part.mu.RLock()
+	runs := part.runs
+	part.mu.RUnlock()
+	if len(runs) != 1 || runs[0].bySub.off != nil || runs[0].byObj.off == nil {
+		t.Fatalf("want one run with subjects in pair form and objects in CSR form, got %d runs", len(runs))
+	}
+	if n, subjects, objects := st.PredicateStats(p); n != 306 || subjects != 300 || objects != 11 {
+		t.Fatalf("PredicateStats = %d triples, %d subjects, %d objects; want 306, 300, 11", n, subjects, objects)
 	}
 }
 

@@ -355,22 +355,12 @@ func (p *partition) forEachLive(f func(s, o rdf.ID)) {
 // lock.
 func (p *partition) forEachLiveInRuns(f func(s, o rdf.ID)) {
 	for _, r := range p.runs {
-		for i, k := range r.subs {
-			s := rdf.Unpack32(k)
-			var ts idSet
-			if p.tombN > 0 {
-				ts = p.tomb[s]
-			}
-			for _, x := range r.objs[r.subOff[i]:r.subOff[i+1]] {
-				o := rdf.Unpack32(x)
-				if ts != nil {
-					if _, dead := ts[o]; dead {
-						continue
-					}
-				}
+		r.forEach(func(s, o rdf.ID) bool {
+			if p.tombN == 0 || !p.tombHas(s, o) {
 				f(s, o)
 			}
-		}
+			return true
+		})
 	}
 }
 
@@ -916,16 +906,16 @@ func (st *Store) PredicateStats(p rdf.ID) (triples, subjects, objects int) {
 }
 
 // keyCounts returns upper bounds on the partition's distinct subject
-// and object counts: the overlay's keys plus every run's keys. A key
-// present in several runs or in a run and the overlay is counted once
-// per home, and tombstoned pairs still count; the planner only needs
-// the order of magnitude, and the bound is exact once compacted.
+// and object counts: the overlay's keys plus every run's distinct keys.
+// A key present in several runs or in a run and the overlay is counted
+// once per home, and tombstoned pairs still count; the planner only
+// needs the order of magnitude, and the bound is exact once compacted.
 // Callers hold the partition lock (read side suffices).
 func (p *partition) keyCounts() (subjects, objects int) {
 	subjects, objects = len(p.so), len(p.os)
 	for _, r := range p.runs {
-		subjects += len(r.subs)
-		objects += len(r.objsD)
+		subjects += r.bySub.nkeys
+		objects += r.byObj.nkeys
 	}
 	return subjects, objects
 }
@@ -1414,7 +1404,10 @@ const scanPerPair = 4
 // contributed is where the chunk must stop, since keys above it may be
 // missing from that run's contribution. It adds every overlay subject
 // and every subject journaled for this view between the cursor and that
-// stop, and evaluates the sorted union until lim pairs are collected.
+// stop, and evaluates the sorted union until lim pairs are collected. A
+// pair-form run repeats a key per value, so its lim keys may end inside
+// a key's span: the stop key's whole span is still evaluated, and the
+// union drops the repeats.
 // That is safe mid-view: partitions are never pruned nor Cleared while a
 // view is active, a subject's freeze-time pairs are a time-invariant
 // property (physical moves by the compactor do not change them), and
@@ -1469,10 +1462,11 @@ func (v *View) ForEachWithPredicate(p rdf.ID, f func(s, o rdf.ID) bool) {
 		truncated := false
 		cur = cur[:0]
 		for _, r := range part.runs {
-			i, _ := slices.BinarySearch(r.subs, next)
+			rk := r.bySub.keys
+			i, _ := slices.BinarySearch(rk, next)
 			cur = append(cur, i)
-			if i+lim < len(r.subs) && (!truncated || r.subs[i+lim-1] < stop) {
-				stop, truncated = r.subs[i+lim-1], true
+			if i+lim < len(rk) && (!truncated || rk[i+lim-1] < stop) {
+				stop, truncated = rk[i+lim-1], true
 			}
 		}
 		keys = keys[:0]
@@ -1489,15 +1483,12 @@ func (v *View) ForEachWithPredicate(p rdf.ID, f func(s, o rdf.ID) bool) {
 		}
 		slices.Sort(keys)
 		for ri, r := range part.runs { // run keys are sorted: merge, don't sort
-			end := len(r.subs)
+			rk := r.bySub.keys
+			end := len(rk)
 			if truncated {
-				e, found := slices.BinarySearch(r.subs, stop)
-				if found {
-					e++
-				}
-				end = e
+				end, _ = slices.BinarySearch(rk, stop+1)
 			}
-			merged = appendMergedSorted(merged[:0], keys, r.subs[cur[ri]:end])
+			merged = appendMergedSorted(merged[:0], keys, rk[cur[ri]:end])
 			keys, merged = merged, keys
 		}
 		keys = slices.Compact(keys)

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"sync"
@@ -337,8 +338,10 @@ func TestOverlayHoldsOnlyOverlaySubjects(t *testing.T) {
 // pair comes back through the overlay, its journal entry netted to
 // zero. The lowest subjects form a run that is two-thirds tombstoned, so
 // a chunk that stops at that run's last fetched key has collected few
-// pairs while higher subjects wait in the other sources. Every
-// freeze-time pair must be visited exactly once, and nothing else.
+// pairs while higher subjects wait in the other sources. A second
+// fixture is one pair-form run whose first chunk stops inside a
+// subject's span of three key entries. Every freeze-time pair must be
+// visited exactly once, and nothing else.
 func TestViewWalkFreezeTimeUnderChurn(t *testing.T) {
 	const p = 5
 	for _, auto := range []bool{false, true} {
@@ -376,43 +379,69 @@ func TestViewWalkFreezeTimeUnderChurn(t *testing.T) {
 			for i := 0; i < 600; i++ {
 				st.Add(randPair(5000, 10000))
 			}
-			frozen := st.Match(rdf.T(rdf.Any, p, rdf.Any))
-			if len(frozen) < 4000 {
-				t.Fatalf("fixture holds %d live pairs, want at least 4000", len(frozen))
-			}
+			walkFrozenUnderChurn(t, st, p, rng, fmt.Sprintf("auto=%v seed %d", auto, seed), 4000)
+		}
+	}
 
-			v := st.Freeze()
-			seen := make(map[rdf.Triple]int, len(frozen))
-			v.ForEachWithPredicate(p, func(s, o rdf.ID) bool {
-				seen[rdf.T(s, p, o)]++
-				switch r := rng.Intn(1000); {
-				case r < 250:
-					st.Add(randPair(1, 12000))
-				case r < 500:
-					st.Remove(frozen[rng.Intn(len(frozen))])
-				case r < 504:
-					st.FlushOverlays()
-				case r < 510:
-					x := tr(uint64(9000+rng.Intn(400)), p, 1)
-					if st.Remove(x) {
-						st.Compact()
-						st.Add(x)
-					}
-				}
-				return true
-			})
-			v.Release()
-
-			for _, x := range frozen {
-				if seen[x] != 1 {
-					t.Fatalf("auto=%v seed %d: freeze-time %v visited %d times", auto, seed, x, seen[x])
-				}
-				delete(seen, x)
-			}
-			for x := range seen {
-				t.Fatalf("auto=%v seed %d: %v visited but not present at freeze time", auto, seed, x)
+	// Subject viewChunk-1 holds key entries viewChunk-2 to viewChunk of
+	// a pair-form run, so the first chunk's stop key falls inside its
+	// span; an overlay pair keeps the walk off the verbatim fast path.
+	withForm(t, &pairForm)
+	for seed := int64(1); seed <= 10; seed++ {
+		st := New()
+		st.SetAutoCompact(false)
+		for s := uint64(1); s < 2*viewChunk; s++ {
+			st.Add(tr(s, p, 1))
+			if s == viewChunk-1 {
+				st.Add(tr(s, p, 2))
+				st.Add(tr(s, p, 3))
 			}
 		}
+		st.Compact()
+		st.Add(tr(9000, p, 1))
+		walkFrozenUnderChurn(t, st, p, rand.New(rand.NewSource(seed)), fmt.Sprintf("pair form seed %d", seed), 2*viewChunk)
+	}
+}
+
+// walkFrozenUnderChurn freezes st, walks predicate p's frozen pairs —
+// no fewer than least of them — while the callback adds, removes, flushes and
+// purges, and checks that each freeze-time pair is visited exactly once.
+func walkFrozenUnderChurn(t *testing.T, st *Store, p uint64, rng *rand.Rand, label string, least int) {
+	t.Helper()
+	frozen := st.Match(rdf.T(rdf.Any, rdf.ID(p), rdf.Any))
+	if len(frozen) < least {
+		t.Fatalf("%s: fixture holds %d live pairs, want at least %d", label, len(frozen), least)
+	}
+	v := st.Freeze()
+	seen := make(map[rdf.Triple]int, len(frozen))
+	v.ForEachWithPredicate(rdf.ID(p), func(s, o rdf.ID) bool {
+		seen[rdf.T(s, rdf.ID(p), o)]++
+		switch r := rng.Intn(1000); {
+		case r < 250:
+			st.Add(tr(uint64(1+rng.Intn(11999)), p, uint64(1+rng.Intn(8))))
+		case r < 500:
+			st.Remove(frozen[rng.Intn(len(frozen))])
+		case r < 504:
+			st.FlushOverlays()
+		case r < 510:
+			x := tr(uint64(9000+rng.Intn(400)), p, 1)
+			if st.Remove(x) {
+				st.Compact()
+				st.Add(x)
+			}
+		}
+		return true
+	})
+	v.Release()
+
+	for _, x := range frozen {
+		if seen[x] != 1 {
+			t.Fatalf("%s: freeze-time %v visited %d times", label, x, seen[x])
+		}
+		delete(seen, x)
+	}
+	for x := range seen {
+		t.Fatalf("%s: %v visited but not present at freeze time", label, x)
 	}
 }
 

@@ -160,7 +160,7 @@ func (s *dictStripe) find(t Term, h uint64, annots []string) (slot int, id ID, o
 
 // Encode returns the ID for the term, assigning a fresh one on first
 // encounter. It panics rather than mint the 2^30-th term of a kind,
-// whose ID would not fit the store's packed form (see Fits32).
+// whose sequence number would spill into the kind bits.
 func (d *Dictionary) Encode(t Term) ID {
 	t = canonTerm(t)
 	h := d.hash(t)
@@ -211,11 +211,11 @@ func (d *Dictionary) Encode(t Term) ID {
 }
 
 // errTermLimit is Encode's panic value once a kind is exhausted.
-var errTermLimit = errors.New("rdf: 2^30-1 terms of one kind is the limit of the store's packed IDs")
+var errTermLimit = errors.New("rdf: 2^30-1 terms of one kind is the limit of a 32-bit ID")
 
 // mintable reports whether a kind holding n terms may mint another: the
-// new term's sequence number, n+1, must fit a packed ID (see Fits32).
-func mintable(n int) bool { return n+1 < 1<<packSeqBits }
+// new term's sequence number, n+1, must stay below 2^30.
+func mintable(n int) bool { return n+1 < 1<<kindShift }
 
 // annot returns the index, from 1, of annotation a marked by m ('@' for a
 // language tag, '^' for a datatype), interning it on first use. Called
@@ -381,7 +381,7 @@ func (d *Dictionary) Format(t Triple) string {
 		if term, ok := d.Term(id); ok {
 			return term.String()
 		}
-		return fmt.Sprintf("?%d", uint64(id))
+		return fmt.Sprintf("?%d", id)
 	}
 	return part(t.S) + " " + part(t.P) + " " + part(t.O) + " ."
 }

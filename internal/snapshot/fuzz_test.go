@@ -1,0 +1,72 @@
+package snapshot
+
+import (
+	"bytes"
+	"testing"
+
+	"repro/internal/rdf"
+	"repro/internal/store"
+)
+
+// resave writes a loaded knowledge base back out through a frozen view,
+// which yields each predicate's pairs in (subject, object) order: the
+// canonical bytes of its content.
+func resave(t testing.TB, dict *rdf.Dictionary, st *store.Store) []byte {
+	t.Helper()
+	v := st.Freeze()
+	defer v.Release()
+	var buf bytes.Buffer
+	if err := SaveFrom(&buf, dict, v); err != nil {
+		t.Fatalf("re-save: %v", err)
+	}
+	return buf.Bytes()
+}
+
+// FuzzSnapshotLoad feeds arbitrary bytes to Load. Invariants under
+// fuzzing:
+//
+//   - Load never panics, whatever the bytes are.
+//   - A snapshot Load accepts re-saves to bytes that Load accepts with
+//     the same terms and triples, and that re-save to themselves. The
+//     re-save is compared with its own reload, not with the input: Save
+//     from a live store writes pairs in overlay order, so an accepted
+//     snapshot need not be in the canonical order a view writes.
+//   - A canonical snapshot (the valid seed) re-saves to its own bytes.
+func FuzzSnapshotLoad(f *testing.F) {
+	dict, st := build(40, 1)
+	valid := resave(f, dict, st)
+	x := uint64(rdf.NewDictionary().EncodeIRI("x")) // rawSnapshot's one term
+	f.Add(valid)
+	f.Add(valid[:len(valid)-3])                                  // truncated
+	f.Add([]byte("SLKB\x01"))                                    // format version 1 header
+	f.Add(rawSnapshot(1, [4]uint64{2<<62 | 1, 1, 1, 2<<62 | 1})) // version 1, 64-bit IDs
+	f.Add(rawSnapshot(Version, [4]uint64{x, 1, 1, 1<<32 | 5}))   // a 33-bit ID
+	f.Add(rawSnapshot(Version, [4]uint64{x, 1, 3<<30 | 5, 1}))   // a kind-11 ID
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dict, st, err := Load(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		b1 := resave(t, dict, st)
+		if bytes.Equal(data, valid) && !bytes.Equal(b1, valid) {
+			t.Fatal("a canonical snapshot re-saved to different bytes")
+		}
+		dict2, st2, err := Load(bytes.NewReader(b1))
+		if err != nil {
+			t.Fatalf("re-saved snapshot refused: %v", err)
+		}
+		if dict2.Len() != dict.Len() || st2.Len() != st.Len() {
+			t.Fatalf("reload holds %d terms and %d triples, want %d and %d", dict2.Len(), st2.Len(), dict.Len(), st.Len())
+		}
+		st.ForEach(func(tr rdf.Triple) bool {
+			if !st2.Contains(tr) {
+				t.Fatalf("reload lost %v", tr)
+			}
+			return true
+		})
+		if b2 := resave(t, dict2, st2); !bytes.Equal(b2, b1) {
+			t.Fatal("re-saved snapshot does not re-save to itself")
+		}
+	})
+}

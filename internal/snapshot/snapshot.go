@@ -12,8 +12,8 @@
 //	triples:    predicate-grouped: #groups, then per group the predicate
 //	            ID, #pairs, and the (subject, object) ID pairs
 //
-// IDs are preserved exactly, so snapshots interoperate with code that
-// stored IDs elsewhere.
+// IDs are the 32-bit rdf.ID values, preserved exactly, so snapshots
+// interoperate with code that stored IDs elsewhere.
 package snapshot
 
 import (
@@ -30,7 +30,7 @@ import (
 var magic = [4]byte{'S', 'L', 'K', 'B'}
 
 // Version of the snapshot format.
-const Version = 1
+const Version = 2
 
 // ErrBadSnapshot reports a malformed or truncated snapshot.
 var ErrBadSnapshot = errors.New("snapshot: malformed snapshot")
@@ -172,7 +172,8 @@ func saveTriples(w *bufio.Writer, st TripleSource) error {
 }
 
 // Load reads a snapshot from r, returning a freshly populated dictionary
-// and store.
+// and store. It refuses any other format version, such as version 1's
+// 64-bit IDs, and any ID that names no term.
 func Load(r io.Reader) (*rdf.Dictionary, *store.Store, error) {
 	br := bufio.NewReader(r)
 	var hdr [5]byte
@@ -183,7 +184,7 @@ func Load(r io.Reader) (*rdf.Dictionary, *store.Store, error) {
 		return nil, nil, fmt.Errorf("%w: bad magic", ErrBadSnapshot)
 	}
 	if hdr[4] != Version {
-		return nil, nil, fmt.Errorf("%w: unsupported version %d", ErrBadSnapshot, hdr[4])
+		return nil, nil, fmt.Errorf("%w: format version %d, not %d: export the data to N-Triples with the release that wrote it and reload it", ErrBadSnapshot, hdr[4], Version)
 	}
 	dict, err := loadDictionary(br)
 	if err != nil {
@@ -211,6 +212,20 @@ func getString(br *bufio.Reader) (string, error) {
 	return string(buf), nil
 }
 
+// getID reads an ID, refusing a value that names no term: wider than an
+// ID or of kind bits 11 (rdf.IDFromUint64), or the wildcard.
+func getID(br *bufio.Reader, what string) (rdf.ID, error) {
+	x, err := binary.ReadUvarint(br)
+	if err != nil {
+		return 0, fmt.Errorf("%w: truncated %s", ErrBadSnapshot, what)
+	}
+	id, ok := rdf.IDFromUint64(x)
+	if !ok || id == rdf.Any {
+		return 0, fmt.Errorf("%w: %s ID %#x out of range", ErrBadSnapshot, what, x)
+	}
+	return id, nil
+}
+
 func loadDictionary(br *bufio.Reader) (*rdf.Dictionary, error) {
 	count, err := binary.ReadUvarint(br)
 	if err != nil {
@@ -225,12 +240,9 @@ func loadDictionary(br *bufio.Reader) (*rdf.Dictionary, error) {
 		if kindByte > byte(rdf.TermLiteral) {
 			return nil, fmt.Errorf("%w: bad term kind %d", ErrBadSnapshot, kindByte)
 		}
-		wantID, err := binary.ReadUvarint(br)
+		wantID, err := getID(br, "term")
 		if err != nil {
-			return nil, fmt.Errorf("%w: truncated term id", ErrBadSnapshot)
-		}
-		if !rdf.Fits32(rdf.ID(wantID)) {
-			return nil, fmt.Errorf("%w: term id %#x out of range", ErrBadSnapshot, wantID)
+			return nil, err
 		}
 		value, err := getString(br)
 		if err != nil {
@@ -246,7 +258,7 @@ func loadDictionary(br *bufio.Reader) (*rdf.Dictionary, error) {
 		}
 		term := rdf.Term{Kind: rdf.TermKind(kindByte), Value: value, Lang: lang, Datatype: datatype}
 		got := dict.Encode(term)
-		if got != rdf.ID(wantID) {
+		if got != wantID {
 			return nil, fmt.Errorf("%w: term %q loaded with ID %d, snapshot says %d (out-of-order dictionary)",
 				ErrBadSnapshot, term, got, wantID)
 		}
@@ -261,28 +273,24 @@ func loadTriples(br *bufio.Reader) (*store.Store, error) {
 	}
 	st := store.New()
 	for g := uint64(0); g < groups; g++ {
-		p, err := binary.ReadUvarint(br)
+		p, err := getID(br, "predicate")
 		if err != nil {
-			return nil, fmt.Errorf("%w: truncated predicate", ErrBadSnapshot)
+			return nil, err
 		}
 		n, err := binary.ReadUvarint(br)
 		if err != nil {
 			return nil, fmt.Errorf("%w: truncated group size", ErrBadSnapshot)
 		}
 		for i := uint64(0); i < n; i++ {
-			s, err := binary.ReadUvarint(br)
+			s, err := getID(br, "subject")
 			if err != nil {
-				return nil, fmt.Errorf("%w: truncated subject", ErrBadSnapshot)
+				return nil, err
 			}
-			o, err := binary.ReadUvarint(br)
+			o, err := getID(br, "object")
 			if err != nil {
-				return nil, fmt.Errorf("%w: truncated object", ErrBadSnapshot)
+				return nil, err
 			}
-			t := rdf.T(rdf.ID(s), rdf.ID(p), rdf.ID(o))
-			if !rdf.Fits32(t.S) || !rdf.Fits32(t.P) || !rdf.Fits32(t.O) {
-				return nil, fmt.Errorf("%w: triple ID out of range", ErrBadSnapshot)
-			}
-			st.Add(t)
+			st.Add(rdf.T(s, p, o))
 		}
 	}
 	return st, nil

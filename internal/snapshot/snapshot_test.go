@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -113,8 +112,8 @@ func TestLoadRejectsGarbage(t *testing.T) {
 		nil,
 		[]byte("x"),
 		[]byte("NOPE\x01"),
-		[]byte("SLKB\x63"), // wrong version
-		[]byte("SLKB\x01"), // truncated after header
+		[]byte("SLKB\x63"),        // wrong version
+		append(magic[:], Version), // truncated after header
 	}
 	for i, data := range cases {
 		if _, _, err := Load(bytes.NewReader(data)); !errors.Is(err, ErrBadSnapshot) {
@@ -123,32 +122,56 @@ func TestLoadRejectsGarbage(t *testing.T) {
 	}
 }
 
-// TestLoadRejectsOutOfRangeIDs hand-builds snapshots carrying sequence
-// number 2^30, one past what the dictionary mints and the store holds:
-// in the dictionary section and in each triple position. Load must
-// report corruption, not pass the ID on to the store.
-func TestLoadRejectsOutOfRangeIDs(t *testing.T) {
-	const seq30 = 1 << 30
-	uv := func(b []byte, vs ...uint64) []byte {
-		b = slices.Clip(b) // each case appends to a copy of its prefix
-		for _, v := range vs {
-			b = binary.AppendUvarint(b, v)
+// notTerm are encoded values that name no term: 33 bits wide (which
+// would truncate onto IRI 5), a literal in the 64-bit layout of format
+// version 1 (onto IRI 9), the widest 10-byte uvarint, and kind bits 11.
+var notTerm = []uint64{1<<32 | 5, 2<<62 | 9, 1<<64 - 1, 3<<30 | 5}
+
+// rawSnapshot hand-builds a snapshot of format version v from raw
+// integers: one IRI term "x" with ID ids[0], then one triple group of
+// predicate ids[1] holding the pair (ids[2], ids[3]).
+func rawSnapshot(v byte, ids [4]uint64) []byte {
+	b := binary.AppendUvarint(append(magic[:], v, 1, byte(rdf.TermIRI)), ids[0])
+	b = append(b, 1, 'x', 0, 0, 1)
+	for i, x := range ids[1:] {
+		b = binary.AppendUvarint(b, x)
+		if i == 0 {
+			b = append(b, 1) // the group's pair count
 		}
-		return b
 	}
-	header := append(magic[:], Version)
-	noTerms := uv(header, 0)
-	cases := map[string][]byte{
-		// One term: kind IRI, the ID, value "x", empty lang and datatype.
-		"term id":   append(uv(append(uv(header, 1), byte(rdf.TermIRI)), seq30), 1, 'x', 0, 0),
-		"subject":   uv(noTerms, 1, uint64(rdf.IDType), 1, seq30, uint64(rdf.IDClass)),
-		"predicate": uv(noTerms, 1, seq30, 1, uint64(rdf.IDClass), uint64(rdf.IDClass)),
-		"object":    uv(noTerms, 1, uint64(rdf.IDType), 1, uint64(rdf.IDClass), 1<<62|seq30),
+	return b
+}
+
+// TestLoadRejectsOutOfRangeIDs puts each value that names no term in
+// the dictionary section and in each triple position. Load must report
+// corruption, not truncate the value onto another ID.
+func TestLoadRejectsOutOfRangeIDs(t *testing.T) {
+	valid := [4]uint64{uint64(rdf.NewDictionary().EncodeIRI("x")), uint64(rdf.IDType), 1, uint64(rdf.IDClass)}
+	if _, st, err := Load(bytes.NewReader(rawSnapshot(Version, valid))); err != nil || st.Len() != 1 {
+		t.Fatalf("Load on valid raw IDs: %v", err)
 	}
-	for name, data := range cases {
-		_, _, err := Load(bytes.NewReader(data))
-		if !errors.Is(err, ErrBadSnapshot) || !strings.Contains(err.Error(), "out of range") {
-			t.Errorf("%s: err = %v, want ErrBadSnapshot for an out-of-range ID", name, err)
+	for _, x := range notTerm {
+		for pos, name := range []string{"term", "predicate", "subject", "object"} {
+			ids := valid
+			ids[pos] = x
+			_, _, err := Load(bytes.NewReader(rawSnapshot(Version, ids)))
+			if !errors.Is(err, ErrBadSnapshot) || !strings.Contains(err.Error(), "out of range") {
+				t.Errorf("%s %#x: err = %v, want ErrBadSnapshot for an out-of-range ID", name, x, err)
+			}
+		}
+	}
+}
+
+// TestLoadRefusesVersion1 checks that a version-1 snapshot, which held
+// 64-bit IDs, is refused with an error saying so, not decoded.
+func TestLoadRefusesVersion1(t *testing.T) {
+	_, _, err := Load(bytes.NewReader(rawSnapshot(1, [4]uint64{2<<62 | 1, 1, 1, 2<<62 | 1})))
+	if !errors.Is(err, ErrBadSnapshot) {
+		t.Fatalf("Load = %v, want ErrBadSnapshot", err)
+	}
+	for _, s := range []string{"version 1", "export", "reload"} {
+		if !strings.Contains(err.Error(), s) {
+			t.Fatalf("error %q does not mention %q", err, s)
 		}
 	}
 }

@@ -103,11 +103,10 @@ func (p *partition) assertDead(s, o rdf.ID) {
 }
 
 // checkRun validates a freshly built or merged run's shape in both
-// directions: every ID a packed ID of a term kind, the (key, value)
-// pairs strictly ascending, the distinct key count right, and the form
-// well formed — in CSR form strictly ascending keys and offsets
-// bracketed by 0 and the pair count with no empty spans, in pair form
-// one key per value. The keys are the run's only index — objectsOf and
+// directions: the (key, value) pairs strictly ascending, the distinct
+// key count right, and the form well formed — in CSR form strictly
+// ascending keys and offsets bracketed by 0 and the pair count with no
+// empty spans, in pair form one key per value. The keys are the run's only index — objectsOf and
 // subjectsOf binary search them — so ascending keys are what makes a
 // probe find its span (and the only span). Runs are immutable after
 // publication, so passing here once means the shape holds forever.
@@ -126,7 +125,7 @@ func checkDirection(r *run, dir string, d *direction) {
 			panic(fmt.Sprintf("store invariant: run %s has %d offsets for %d keys (want keys+1, bracketed by 0 and %d values)",
 				dir, len(d.off), len(d.keys), len(d.vals)))
 		}
-		ks = make([]uint32, 0, len(d.vals))
+		ks = make([]rdf.ID, 0, len(d.vals))
 		for i, k := range d.keys {
 			if i > 0 && d.keys[i-1] >= k {
 				panic(fmt.Sprintf("store invariant: run %s keys not strictly ascending at %d: %d >= %d", dir, i, d.keys[i-1], k))
@@ -143,11 +142,6 @@ func checkDirection(r *run, dir string, d *direction) {
 	}
 	distinct := 0
 	for j, k := range ks {
-		for _, x := range []uint32{k, d.vals[j]} {
-			if !rdf.Fits32(rdf.Unpack32(x)) {
-				panic(fmt.Sprintf("store invariant: run %s direction holds %#x, not a packed ID", dir, x))
-			}
-		}
 		if j > 0 && (ks[j-1] > k || ks[j-1] == k && d.vals[j-1] >= d.vals[j]) {
 			panic(fmt.Sprintf("store invariant: run %s pairs not strictly ascending at %d: (%d, %d) >= (%d, %d)",
 				dir, j, ks[j-1], d.vals[j-1], k, d.vals[j]))

@@ -54,9 +54,6 @@ func TestCheckRunDetectsCorruption(t *testing.T) {
 	// By (object, subject) the pairs sort (3,2),(1,5),(2,5),(1,7):
 	// indices 1 and 2 are object 5's span.
 	corrupt("object direction", false, func(r *run) { r.byObj.vals[1], r.byObj.vals[2] = r.byObj.vals[2], r.byObj.vals[1] })
-	// Subject 3's span is its one object: kind bits 11 keep it sorted,
-	// so only the packed-ID check can see it.
-	corrupt("kind bits 11", false, func(r *run) { r.bySub.vals[3] |= 3 << 30 })
 	corrupt("distinct key drift", false, func(r *run) { r.byObj.nkeys++ })
 
 	// Pair form: subject keys 1,1,2,3 beside objects 5,7,5,2.
@@ -65,7 +62,6 @@ func TestCheckRunDetectsCorruption(t *testing.T) {
 	corrupt("pair repeated (key, value)", true, func(r *run) { r.bySub.vals[1] = r.bySub.vals[0] })
 	corrupt("pair descending value", true, func(r *run) { r.bySub.vals[0], r.bySub.vals[1] = r.bySub.vals[1], r.bySub.vals[0] })
 	corrupt("pair distinct key drift", true, func(r *run) { r.bySub.nkeys-- })
-	corrupt("pair kind bits 11", true, func(r *run) { r.byObj.keys[3] |= 3 << 30 })
 }
 
 func TestAccountingDetectsDrift(t *testing.T) {

@@ -2,6 +2,7 @@ package store
 
 import (
 	"cmp"
+	"maps"
 	"slices"
 	"sync/atomic"
 
@@ -19,10 +20,8 @@ import (
 // direction finds a key's span by binary search over its ascending
 // keys and yields a contiguous ascending slice — the shape the
 // galloping join intersection and the verbatim checkpoint stream want.
-// Every ID array holds 32-bit packed IDs (rdf.Pack32), which sort as
-// the IDs do, so searches, merges and scans work in packed space and
-// readers decode into the caller's buffer. Probes treat an ID without a
-// packed form as absent.
+// Every array holds the 32-bit IDs themselves, so readers copy spans
+// straight into the caller's buffer.
 type run struct {
 	pairs int
 	bySub direction // subject keys, object values
@@ -40,9 +39,9 @@ type run struct {
 // keys of degree one or two on average, as most subjects in instance
 // data are. Only the builders and spanAt know the form.
 type direction struct {
-	keys  []uint32
+	keys  []rdf.ID
 	off   []int32
-	vals  []uint32
+	vals  []rdf.ID
 	nkeys int // K, the distinct keys
 }
 
@@ -58,11 +57,11 @@ func newDirection(n, k int) direction {
 	if f := testHookPairForm.Load(); f != nil {
 		pairs = *f
 	}
-	d := direction{vals: make([]uint32, 0, n), nkeys: k}
+	d := direction{vals: make([]rdf.ID, 0, n), nkeys: k}
 	if pairs {
-		d.keys = make([]uint32, 0, n)
+		d.keys = make([]rdf.ID, 0, n)
 	} else {
-		d.keys = make([]uint32, 0, k)
+		d.keys = make([]rdf.ID, 0, k)
 		d.off = make([]int32, 1, k+1)
 	}
 	return d
@@ -70,7 +69,7 @@ func newDirection(n, k int) direction {
 
 // endSpan closes key k's span: the values appended to vals since the
 // previous endSpan. Keys must be closed in ascending order.
-func (d *direction) endSpan(k uint32) {
+func (d *direction) endSpan(k rdf.ID) {
 	if d.off == nil {
 		for len(d.keys) < len(d.vals) {
 			d.keys = append(d.keys, k)
@@ -85,7 +84,7 @@ func (d *direction) endSpan(k uint32) {
 // key starts (0, or a next that spanAt returned), and the index where
 // the next key starts. In pair form it gallops to the end of the equal
 // keys, so a degree-1 key costs one comparison and a hub O(log degree).
-func (d *direction) spanAt(i int) (span []uint32, next int) {
+func (d *direction) spanAt(i int) (span []rdf.ID, next int) {
 	if d.off != nil {
 		return d.vals[d.off[i]:d.off[i+1]], i + 1
 	}
@@ -106,7 +105,7 @@ func (d *direction) spanAt(i int) (span []uint32, next int) {
 
 // span returns key k's values (nil when k is absent): a lower-bound
 // search, then spanAt.
-func (d *direction) span(k uint32) []uint32 {
+func (d *direction) span(k rdf.ID) []rdf.ID {
 	if i, ok := slices.BinarySearch(d.keys, k); ok {
 		span, _ := d.spanAt(i)
 		return span
@@ -150,9 +149,9 @@ func directionOf(ps []pair) direction {
 	}
 	d := newDirection(len(ps), k)
 	for i, pr := range ps {
-		d.vals = append(d.vals, rdf.Pack32(pr.o))
+		d.vals = append(d.vals, pr.o)
 		if i+1 == len(ps) || ps[i+1].s != pr.s {
-			d.endSpan(rdf.Pack32(pr.s))
+			d.endSpan(pr.s)
 		}
 	}
 	return d
@@ -173,46 +172,44 @@ func buildRunFromOverlay(so, os map[rdf.ID]idSet, n int) *run {
 
 // directionFromMap lays one overlay direction of n pairs out sorted.
 func directionFromMap(m map[rdf.ID]idSet, n int) direction {
-	keys := make([]uint32, 0, len(m))
+	keys := make([]rdf.ID, 0, len(m))
 	for k := range m {
-		keys = append(keys, rdf.Pack32(k))
+		keys = append(keys, k)
 	}
 	slices.Sort(keys)
 	d := newDirection(n, len(keys))
 	for _, k := range keys {
 		start := len(d.vals)
-		for v := range m[rdf.Unpack32(k)] {
-			d.vals = append(d.vals, rdf.Pack32(v))
-		}
+		d.vals = slices.AppendSeq(d.vals, maps.Keys(m[k]))
 		slices.Sort(d.vals[start:])
 		d.endSpan(k)
 	}
 	return d
 }
 
-// objectsOf returns the run's packed objects of subject s, ascending
-// (nil when the subject is absent). The slice aliases the run; callers
-// must not mutate it. IDs are handed out densely in first-seen order,
-// so a subject newer than the run sits above its last key: that case —
-// every fresh insert probes every run — returns without a search.
-func (r *run) objectsOf(s rdf.ID) []uint32 {
-	k, keys := rdf.Pack32(s), r.bySub.keys
-	if len(keys) == 0 || k > keys[len(keys)-1] || !rdf.Fits32(s) {
+// objectsOf returns the run's objects of subject s, ascending (nil
+// when the subject is absent). The slice aliases the run; callers must
+// not mutate it. IDs are handed out densely in first-seen order, so a
+// subject newer than the run sits above its last key: that case — every
+// fresh insert probes every run — returns without a search.
+func (r *run) objectsOf(s rdf.ID) []rdf.ID {
+	keys := r.bySub.keys
+	if len(keys) == 0 || s > keys[len(keys)-1] {
 		return nil
 	}
-	return r.bySub.span(k)
+	return r.bySub.span(s)
 }
 
-// objectsFrom is objectsOf for a caller visiting packed subject keys in
-// ascending order: *i is where a subject key starts in bySub.keys, no
-// further than key k, and is advanced past k's span, so a sweep over a
-// key range scans it once instead of binary searching per subject.
-func (r *run) objectsFrom(i *int, k uint32) []uint32 {
+// objectsFrom is objectsOf for a caller visiting subjects in ascending
+// order: *i is where a subject key starts in bySub.keys, no further than
+// s, and is advanced past s's span, so a sweep over a key range scans
+// it once instead of binary searching per subject.
+func (r *run) objectsFrom(i *int, s rdf.ID) []rdf.ID {
 	keys := r.bySub.keys
-	for *i < len(keys) && keys[*i] < k {
+	for *i < len(keys) && keys[*i] < s {
 		*i++
 	}
-	if *i == len(keys) || keys[*i] != k {
+	if *i == len(keys) || keys[*i] != s {
 		return nil
 	}
 	span, next := r.bySub.spanAt(*i)
@@ -220,30 +217,16 @@ func (r *run) objectsFrom(i *int, k uint32) []uint32 {
 	return span
 }
 
-// subjectsOf returns the run's packed subjects of object o, ascending
-// (nil when the object is absent). The slice aliases the run; callers
-// must not mutate it.
-func (r *run) subjectsOf(o rdf.ID) []uint32 {
-	if !rdf.Fits32(o) {
-		return nil
-	}
-	return r.byObj.span(rdf.Pack32(o))
-}
+// subjectsOf returns the run's subjects of object o, ascending (nil when
+// the object is absent). The slice aliases the run; callers must not
+// mutate it.
+func (r *run) subjectsOf(o rdf.ID) []rdf.ID { return r.byObj.span(o) }
 
 // contains reports pair membership: a binary search for the subject's
 // key, then one of its object span.
 func (r *run) contains(s, o rdf.ID) bool {
-	_, found := slices.BinarySearch(r.objectsOf(s), rdf.Pack32(o))
-	return found && rdf.Fits32(o)
-}
-
-// appendUnpacked appends the IDs of the packed span to dst, in order.
-func appendUnpacked(dst []rdf.ID, span []uint32) []rdf.ID {
-	dst = slices.Grow(dst, len(span))
-	for _, x := range span {
-		dst = append(dst, rdf.Unpack32(x))
-	}
-	return dst
+	_, found := slices.BinarySearch(r.objectsOf(s), o)
+	return found
 }
 
 // forEach streams every pair in (subject, object) order until f returns
@@ -251,11 +234,11 @@ func appendUnpacked(dst []rdf.ID, span []uint32) []rdf.ID {
 func (r *run) forEach(f func(s, o rdf.ID) bool) bool {
 	d := &r.bySub
 	for i := 0; i < len(d.keys); {
-		s := rdf.Unpack32(d.keys[i])
-		var span []uint32
+		s := d.keys[i]
+		var span []rdf.ID
 		span, i = d.spanAt(i)
 		for _, o := range span {
-			if !f(s, rdf.Unpack32(o)) {
+			if !f(s, o) {
 				return false
 			}
 		}
@@ -304,9 +287,9 @@ func mergeDirection(ds []*direction, total int) direction {
 			cur = append(cur, cursor{d: d})
 		}
 	}
-	m := direction{keys: make([]uint32, 0, maxKeys), off: make([]int32, 1, maxKeys+1), vals: make([]uint32, 0, total)}
-	spans := make([][]uint32, 0, len(cur))
-	var scratch, scratch2 []uint32 // reused across ≥3-way key collisions
+	m := direction{keys: make([]rdf.ID, 0, maxKeys), off: make([]int32, 1, maxKeys+1), vals: make([]rdf.ID, 0, total)}
+	spans := make([][]rdf.ID, 0, len(cur))
+	var scratch, scratch2 []rdf.ID // reused across ≥3-way key collisions
 	for len(cur) > 0 {
 		minK := cur[0].d.keys[cur[0].i]
 		for _, c := range cur[1:] {
@@ -320,7 +303,7 @@ func mergeDirection(ds []*direction, total int) direction {
 			if c.d.keys[c.i] != minK {
 				continue
 			}
-			var span []uint32
+			var span []rdf.ID
 			span, c.i = c.d.spanAt(c.i)
 			spans = append(spans, span)
 			if c.i == len(c.d.keys) {

@@ -56,7 +56,6 @@
 package store
 
 import (
-	"errors"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -373,9 +372,9 @@ func (p *partition) forEachLiveInRuns(f func(s, o rdf.ID)) {
 // a flush, run after — never matters. Each run span is already sorted,
 // so the common compacted case (one contributing span) is a straight
 // copy and skips the sort. cur, when non-nil, holds one key index per
-// run for a caller visiting stored subjects (which all have a packed
-// form) in ascending order (see run.objectsFrom); nil means a binary
-// search per run. Callers hold the partition lock (read side suffices).
+// run for a caller visiting subjects in ascending order (see
+// run.objectsFrom); nil means a binary search per run. Callers hold the
+// partition lock (read side suffices).
 func (p *partition) objectsAppend(dst []rdf.ID, s rdf.ID, js map[rdf.ID]bool, cur []int) []rdf.ID {
 	start := len(dst)
 	for o := range p.so[s] {
@@ -386,18 +385,17 @@ func (p *partition) objectsAppend(dst []rdf.ID, s rdf.ID, js map[rdf.ID]bool, cu
 	}
 	ts := p.tomb[s]
 	for i, r := range p.runs {
-		var ro []uint32
+		var ro []rdf.ID
 		if cur == nil {
 			ro = r.objectsOf(s)
 		} else {
-			ro = r.objectsFrom(&cur[i], rdf.Pack32(s))
+			ro = r.objectsFrom(&cur[i], s)
 		}
 		if len(ts) == 0 && len(js) == 0 {
-			dst = appendUnpacked(dst, ro)
+			dst = append(dst, ro...)
 			continue
 		}
-		for _, x := range ro {
-			o := rdf.Unpack32(x)
+		for _, o := range ro {
 			if _, dead := ts[o]; dead {
 				continue // removed; the journal re-adds it if post-freeze
 			}
@@ -433,11 +431,10 @@ func (p *partition) subjectsAppend(dst []rdf.ID, o rdf.ID, j *pjournal) []rdf.ID
 	for _, r := range p.runs {
 		rs := r.subjectsOf(o)
 		if p.tombN == 0 && j == nil {
-			dst = appendUnpacked(dst, rs)
+			dst = append(dst, rs...)
 			continue
 		}
-		for _, x := range rs {
-			s := rdf.Unpack32(x)
+		for _, s := range rs {
 			if p.tombN > 0 && p.tombHas(s, o) {
 				continue
 			}
@@ -605,21 +602,9 @@ func noteRemoveAll(eps *[]uint64, p *partition, s, o rdf.ID) {
 	}
 }
 
-// errIDRange is the panic value of an insert whose subject or object
-// no run could hold: it has no packed form (rdf.Fits32).
-var errIDRange = errors.New("store: subject or object ID out of the packed run range")
-
-func mustFit(t rdf.Triple) {
-	if !rdf.Fits32(t.S) || !rdf.Fits32(t.O) {
-		panic(errIDRange)
-	}
-}
-
 // Add inserts a triple and reports whether it was new. Duplicate inserts
-// are cheap no-ops. It panics with errIDRange, before taking any lock,
-// if the subject or object does not fit a packed ID (rdf.Fits32).
+// are cheap no-ops.
 func (st *Store) Add(t rdf.Triple) bool {
-	mustFit(t)
 	s := st.stripeFor(t.P)
 	s.mu.RLock()
 	p, ok := s.parts[t.P]
@@ -668,13 +653,8 @@ func (st *Store) Add(t rdf.Triple) bool {
 // AddBatch inserts all triples and returns those that were new,
 // preserving input order. Triples are grouped by predicate so each
 // partition lock is taken once per distinct predicate instead of once
-// per triple — the write-path fast lane for batch ingestion. Like Add it
-// panics with errIDRange on an ID without a packed form, and then
-// inserts none of the batch.
+// per triple — the write-path fast lane for batch ingestion.
 func (st *Store) AddBatch(ts []rdf.Triple) []rdf.Triple {
-	for _, t := range ts {
-		mustFit(t)
-	}
 	switch len(ts) {
 	case 0:
 		return nil
@@ -1427,13 +1407,10 @@ func (v *View) ForEachWithPredicate(p rdf.ID, f func(s, o rdf.ID) bool) {
 	}
 	buf := pairBufs.Get().(*[]pair)
 	defer putPairs(buf)
-	// Chunk keys and the cursor are packed IDs, the runs' key space; a
-	// stored subject's kind bits are never 11, so last+1 cannot wrap.
-	var keys, merged []uint32
-	var objs []rdf.ID
+	var keys, merged, objs []rdf.ID
 	var cur []int // per run, the scan position in its keys (run.objectsFrom)
 	// next is the cursor: every subject below it has been evaluated.
-	for next := uint32(0); ; {
+	for next := rdf.ID(0); ; {
 		part.mu.RLock()
 		if part.born >= v.epoch {
 			part.mu.RUnlock()
@@ -1458,21 +1435,23 @@ func (v *View) ForEachWithPredicate(p rdf.ID, f func(s, o rdf.ID) bool) {
 		lim := max(viewChunk, (len(part.so)+len(jm))/scanPerPair)
 		// The chunk may not pass the lowest last key a truncated run
 		// contributes: keys above it may be missing from that run's share.
-		var stop uint32
+		// A run is truncated only below its own last key, so stop+1
+		// cannot wrap.
+		var stop rdf.ID
 		truncated := false
 		cur = cur[:0]
 		for _, r := range part.runs {
 			rk := r.bySub.keys
 			i, _ := slices.BinarySearch(rk, next)
 			cur = append(cur, i)
-			if i+lim < len(rk) && (!truncated || rk[i+lim-1] < stop) {
+			if i+lim < len(rk) && rk[i+lim-1] < rk[len(rk)-1] && (!truncated || rk[i+lim-1] < stop) {
 				stop, truncated = rk[i+lim-1], true
 			}
 		}
 		keys = keys[:0]
 		addInChunk := func(s rdf.ID) {
-			if k := rdf.Pack32(s); k >= next && (!truncated || k <= stop) {
-				keys = append(keys, k)
+			if s >= next && (!truncated || s <= stop) {
+				keys = append(keys, s)
 			}
 		}
 		for s := range part.so {
@@ -1495,12 +1474,14 @@ func (v *View) ForEachWithPredicate(p rdf.ID, f func(s, o rdf.ID) bool) {
 		out := (*buf)[:0]
 		k := 0
 		for ; k < len(keys) && len(out) < lim; k++ {
-			sub := rdf.Unpack32(keys[k])
+			sub := keys[k]
 			objs = part.objectsAppend(objs[:0], sub, j.sub(sub), cur)
 			for _, o := range objs {
 				out = append(out, pair{s: sub, o: o})
 			}
 		}
+		// A chunk whose last key is the maximum ID is the final one, so
+		// next cannot wrap.
 		done := k == len(keys) && !truncated
 		if k > 0 {
 			next = keys[k-1] + 1

@@ -536,3 +536,37 @@ func TestViewMatchObjectFrozen(t *testing.T) {
 		}
 	}
 }
+
+// TestViewWalkReachesWidestID walks a pair-form run whose last subject
+// is the widest ID, 2^32−1, with more key entries than a chunk takes:
+// the first chunk's last fetched key is that maximum. No key lies above
+// it, so the chunk must not count as truncated — a stop of 2^32−1 would
+// wrap stop+1 and the cursor to 0. An overlay pair keeps the walk off
+// the verbatim fast path.
+func TestViewWalkReachesWidestID(t *testing.T) {
+	const p, widest = 5, 1<<32 - 1
+	withForm(t, &pairForm)
+	st := New()
+	st.SetAutoCompact(false)
+	var want []rdf.Triple
+	add := func(s, o uint64) {
+		st.Add(tr(s, p, o))
+		want = append(want, tr(s, p, o))
+	}
+	for s := uint64(1); s <= 10; s++ {
+		add(s, 1)
+	}
+	for o := uint64(1); o <= 2*viewChunk; o++ {
+		add(widest, o)
+	}
+	st.Compact()
+	add(20, 1)
+	v := st.Freeze()
+	defer v.Release()
+	var got []rdf.Triple
+	v.ForEachWithPredicate(p, func(s, o rdf.ID) bool {
+		got = append(got, rdf.T(s, p, o))
+		return len(got) <= len(want) // a wrapped cursor walks again
+	})
+	sameTriples(t, got, want, "walk over a run ending at the widest ID")
+}

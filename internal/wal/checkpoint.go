@@ -76,8 +76,11 @@ func ReadExplicit(r io.Reader) ([]rdf.Triple, error) {
 	if crc32.ChecksumIEEE(body) != crc {
 		return nil, fmt.Errorf("%w: explicit set checksum mismatch", ErrCorrupt)
 	}
-	if [4]byte{body[0], body[1], body[2], body[3]} != explicitMagic || body[4] != Version {
+	if [4]byte{body[0], body[1], body[2], body[3]} != explicitMagic {
 		return nil, fmt.Errorf("%w: bad explicit set header", ErrCorrupt)
+	}
+	if body[4] != Version {
+		return nil, unsupportedVersion("explicit set", int(body[4]))
 	}
 	c := &byteCursor{b: body, off: len(explicitMagic) + 1}
 	n := c.uvarint()
@@ -86,16 +89,14 @@ func ReadExplicit(r io.Reader) ([]rdf.Triple, error) {
 	}
 	ts := make([]rdf.Triple, 0, n)
 	for i := uint64(0); i < n; i++ {
-		s := rdf.ID(c.uvarint())
-		p := rdf.ID(c.uvarint())
-		o := rdf.ID(c.uvarint())
+		t := rdf.T(c.id(), c.id(), c.id())
 		if !c.ok() {
-			return nil, fmt.Errorf("%w: truncated explicit triple", ErrCorrupt)
+			return nil, fmt.Errorf("%w: truncated or out-of-range explicit triple", ErrCorrupt)
 		}
-		if !tripleOK(rdf.T(s, p, o)) {
+		if !tripleOK(t) {
 			return nil, fmt.Errorf("%w: explicit triple with wildcard or out-of-range ID", ErrCorrupt)
 		}
-		ts = append(ts, rdf.T(s, p, o))
+		ts = append(ts, t)
 	}
 	if c.remaining() != 0 {
 		return nil, fmt.Errorf("%w: trailing bytes in explicit set", ErrCorrupt)

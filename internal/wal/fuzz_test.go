@@ -23,14 +23,18 @@ func FuzzWAL(f *testing.F) {
 		valid = appendRecord(valid, testRecord(i))
 	}
 	f.Add(valid)
-	f.Add(valid[:len(valid)-3])       // torn tail
-	f.Add([]byte{})                   // empty file
-	f.Add([]byte("SLWL\x01"))         // header only
-	f.Add([]byte("not a wal at all")) // bad magic
+	f.Add(valid[:len(valid)-3])             // torn tail
+	f.Add([]byte{})                         // empty file
+	f.Add(append(segmentMagic[:], Version)) // header only
+	f.Add([]byte("SLWL\x01"))               // format version 1 header
+	f.Add([]byte("not a wal at all"))       // bad magic
 	mutated := append([]byte(nil), valid...)
 	mutated[len(mutated)/2] ^= 0xff // mid-file corruption
 	f.Add(mutated)
-	f.Add(outOfRangeSegment()) // sequence number 2^30 under a valid CRC
+	f.Add(outOfRangeSegment()) // kind bits 11 under a valid CRC
+	wide := validIDs
+	wide[1] = 1<<64 - 1 // a 10-byte uvarint subject under a valid CRC
+	f.Add(append(append(segmentMagic[:], Version), rawFrame(rawPayload(wide))...))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()

@@ -2,7 +2,9 @@ package wal
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
@@ -10,23 +12,50 @@ import (
 	"repro/internal/rdf"
 )
 
-// seq30 is an IRI ID with sequence number 2^30: one past what the
-// dictionary mints and the store's packed runs hold.
-const seq30 = rdf.ID(1 << 30)
+// kind11 is an ID whose kind bits, 11, name no term.
+const kind11 = rdf.ID(3<<30 | 5)
 
-// outOfRangeRecords are well-framed records that each carry one ID with
-// sequence number 2^30, as a term entry or in any triple position.
+// notTerm are encoded values that name no term: 33 bits wide (which
+// would truncate onto IRI 5), a literal in the 64-bit layout of format
+// version 1 (onto IRI 9), the widest 10-byte uvarint, and kind bits 11.
+var notTerm = []uint64{1<<32 | 5, 2<<62 | 9, 1<<64 - 1, 3<<30 | 5}
+
+// validIDs are a term entry's ID followed by a triple's s, p and o, all
+// naming terms; rawPayload encodes them.
+var validIDs = [4]uint64{uint64(rdf.IDClass), uint64(rdf.IDClass), uint64(rdf.IDType), uint64(rdf.IDClass)}
+
+// outOfRangeRecords are well-framed records that each carry one ID of
+// kind bits 11, as a term entry or in any triple position.
 func outOfRangeRecords() []Record {
 	return []Record{
-		{Op: OpAssert, Terms: []TermEntry{{ID: seq30, Term: rdf.NewIRI("http://example.org/x")}}},
-		{Op: OpAssert, Triples: []rdf.Triple{rdf.T(seq30, rdf.IDType, rdf.IDClass)}},
-		{Op: OpRetract, Triples: []rdf.Triple{rdf.T(rdf.IDClass, seq30, rdf.IDClass)}},
-		{Op: OpAssert, Triples: []rdf.Triple{rdf.T(rdf.IDClass, rdf.IDType, seq30|1<<62)}},
+		{Op: OpAssert, Terms: []TermEntry{{ID: kind11, Term: rdf.NewIRI("http://example.org/x")}}},
+		{Op: OpAssert, Triples: []rdf.Triple{rdf.T(kind11, rdf.IDType, rdf.IDClass)}},
+		{Op: OpRetract, Triples: []rdf.Triple{rdf.T(rdf.IDClass, kind11, rdf.IDClass)}},
+		{Op: OpAssert, Triples: []rdf.Triple{rdf.T(rdf.IDClass, rdf.IDType, kind11)}},
 	}
 }
 
+// rawPayload encodes an assert payload as encodeRecordPayload does, but
+// from raw integers: one term entry with ID ids[0] and empty strings,
+// and one triple ids[1:].
+func rawPayload(ids [4]uint64) []byte {
+	b := appendUvarint([]byte{byte(OpAssert), 1}, ids[0])
+	b = append(b, 0, 0, 0, 1)
+	for _, x := range ids[1:] {
+		b = appendUvarint(b, x)
+	}
+	return b
+}
+
+// rawFrame frames a payload as frameRecord does, with a valid CRC.
+func rawFrame(payload []byte) []byte {
+	b := appendUvarint(nil, uint64(len(payload)))
+	b = append(b, payload...)
+	return binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(payload))
+}
+
 // outOfRangeSegment is a segment of two valid records followed by one
-// carrying sequence number 2^30 and a valid CRC.
+// carrying an ID of kind bits 11 and a valid CRC.
 func outOfRangeSegment() []byte {
 	seg := append(segmentMagic[:], Version)
 	seg = appendRecord(seg, testRecord(0))
@@ -41,6 +70,18 @@ func TestOutOfRangeIDsRejected(t *testing.T) {
 		}
 		if _, err := decodeRecord(encodeRecordPayload(nil, rec)); err == nil {
 			t.Errorf("record %d: decodeRecord accepted an out-of-range ID", i)
+		}
+	}
+	if _, err := decodeRecord(rawPayload(validIDs)); err != nil {
+		t.Fatalf("decodeRecord on valid raw IDs: %v", err)
+	}
+	for _, x := range notTerm {
+		for pos := range validIDs {
+			ids := validIDs
+			ids[pos] = x
+			if rec, err := decodeRecord(rawPayload(ids)); err == nil {
+				t.Errorf("decodeRecord accepted %#x at ID position %d as %+v", x, pos, rec)
+			}
 		}
 	}
 
@@ -68,12 +109,35 @@ func TestOutOfRangeIDsRejected(t *testing.T) {
 	}
 }
 
+// rawExplicit encodes an explicit-set sidecar of format version v
+// holding one triple of raw integers.
+func rawExplicit(v byte, tr [3]uint64) []byte {
+	b := append(explicitMagic[:], v, 1)
+	for _, x := range tr {
+		b = appendUvarint(b, x)
+	}
+	return binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b))
+}
+
 func TestReadExplicitRejectsOutOfRangeID(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteExplicit(&buf, []rdf.Triple{rdf.T(1, 2, 3), rdf.T(4, 5, seq30)}); err != nil {
+	if err := WriteExplicit(&buf, []rdf.Triple{rdf.T(1, 2, 3), rdf.T(4, 5, kind11)}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := ReadExplicit(&buf); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("ReadExplicit = %v, want ErrCorrupt", err)
+	}
+	valid := [3]uint64{validIDs[1], validIDs[2], validIDs[3]}
+	if _, err := ReadExplicit(bytes.NewReader(rawExplicit(Version, valid))); err != nil {
+		t.Fatalf("ReadExplicit on valid raw IDs: %v", err)
+	}
+	for _, x := range notTerm {
+		for pos := range valid {
+			tr := valid
+			tr[pos] = x
+			if ts, err := ReadExplicit(bytes.NewReader(rawExplicit(Version, tr))); !errors.Is(err, ErrCorrupt) {
+				t.Errorf("ReadExplicit with %#x at position %d = %v, %v; want ErrCorrupt", x, pos, ts, err)
+			}
+		}
 	}
 }

@@ -88,9 +88,12 @@ func validateRecord(rec Record) error {
 }
 
 // idOK reports whether id can name a term: it is not the wildcard, and
-// it is in the range the dictionary mints and the store's runs hold
-// (rdf.Fits32). Decoders reject any other ID as corruption.
-func idOK(id rdf.ID) bool { return id != rdf.Any && rdf.Fits32(id) }
+// its kind bits are a term kind (rdf.IDFromUint64). Decoders reject any
+// other ID as corruption.
+func idOK(id rdf.ID) bool {
+	_, ok := rdf.IDFromUint64(uint64(id))
+	return ok && id != rdf.Any
+}
 
 func tripleOK(t rdf.Triple) bool { return idOK(t.S) && idOK(t.P) && idOK(t.O) }
 
@@ -194,6 +197,16 @@ func (c *byteCursor) uvarint() uint64 {
 	return v
 }
 
+// id reads an ID, failing the cursor on a value that names no term kind:
+// wider than an ID, or of kind bits 11 (rdf.IDFromUint64).
+func (c *byteCursor) id() rdf.ID {
+	id, ok := rdf.IDFromUint64(c.uvarint())
+	if !ok {
+		c.fail()
+	}
+	return id
+}
+
 func (c *byteCursor) byte() byte {
 	if c.failed || c.off >= len(c.b) {
 		c.fail()
@@ -237,12 +250,12 @@ func decodeRecord(payload []byte) (Record, error) {
 		rec.Terms = make([]TermEntry, 0, nTerms)
 	}
 	for i := uint64(0); i < nTerms; i++ {
-		id := rdf.ID(c.uvarint())
+		id := c.id()
 		value := c.string()
 		lang := c.string()
 		datatype := c.string()
 		if !c.ok() {
-			return rec, fmt.Errorf("wal: truncated term entry")
+			return rec, fmt.Errorf("wal: truncated or out-of-range term entry")
 		}
 		if !idOK(id) {
 			return rec, fmt.Errorf("wal: term entry with wildcard or out-of-range ID")
@@ -262,19 +275,17 @@ func decodeRecord(payload []byte) (Record, error) {
 		rec.Triples = make([]rdf.Triple, 0, nTriples)
 	}
 	for i := uint64(0); i < nTriples; i++ {
-		s := rdf.ID(c.uvarint())
-		p := rdf.ID(c.uvarint())
-		o := rdf.ID(c.uvarint())
+		t := rdf.T(c.id(), c.id(), c.id())
 		if !c.ok() {
-			return rec, fmt.Errorf("wal: truncated triple")
+			return rec, fmt.Errorf("wal: truncated or out-of-range triple")
 		}
-		// The store treats ID 0 as a match-anything wildcard and holds
-		// no ID past rdf.Fits32; a logged triple never carries either, so
-		// one is corruption that slipped past the CRC.
-		if !tripleOK(rdf.T(s, p, o)) {
+		// The store treats ID 0 as a match-anything wildcard; a logged
+		// triple never carries it, so one is corruption that slipped past
+		// the CRC.
+		if !tripleOK(t) {
 			return rec, fmt.Errorf("wal: triple with wildcard or out-of-range ID")
 		}
-		rec.Triples = append(rec.Triples, rdf.T(s, p, o))
+		rec.Triples = append(rec.Triples, t)
 	}
 	if c.remaining() != 0 {
 		return rec, fmt.Errorf("wal: %d trailing bytes in record", c.remaining())

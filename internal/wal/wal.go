@@ -47,8 +47,16 @@ import (
 // Segment header: magic plus a format version byte.
 var segmentMagic = [4]byte{'S', 'L', 'W', 'L'}
 
-// Version of the on-disk log format.
-const Version = 1
+// Version of the on-disk log format, shared by the segments, the
+// manifest and the checkpoint's explicit-set sidecar. Version 1 wrote
+// 64-bit IDs; version 2 writes the 32-bit rdf.ID as it is.
+const Version = 2
+
+// unsupportedVersion is the error for a file of format version v, not
+// Version. Version-1 data is refused, not converted.
+func unsupportedVersion(what string, v int) error {
+	return fmt.Errorf("%w: %s is format version %d, not %d: export the data to N-Triples with the release that wrote it and reload it", ErrCorrupt, what, v, Version)
+}
 
 const (
 	manifestName  = "MANIFEST.json"
@@ -206,7 +214,7 @@ func (l *Log) loadManifest() error {
 		return fmt.Errorf("%w: unreadable manifest: %v", ErrCorrupt, err)
 	}
 	if m.Version != Version {
-		return fmt.Errorf("%w: unsupported log version %d", ErrCorrupt, m.Version)
+		return unsupportedVersion("log", m.Version)
 	}
 	if m.FirstSegment < 1 || m.Checkpoint < 0 {
 		return fmt.Errorf("%w: nonsense manifest %+v", ErrCorrupt, m)

@@ -190,7 +190,7 @@ func TestCheckpointPrunesSegments(t *testing.T) {
 func TestExplicitRoundTrip(t *testing.T) {
 	ts := []rdf.Triple{
 		rdf.T(1, 2, 3),
-		rdf.T(rdf.ID(1<<62|7), rdf.IDType, rdf.ID(2<<62|9)),
+		rdf.T(rdf.ID(1<<30|7), rdf.IDType, rdf.ID(2<<30|9)),
 	}
 	var buf bytes.Buffer
 	if err := WriteExplicit(&buf, ts); err != nil {

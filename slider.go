@@ -58,7 +58,8 @@ type (
 	Term = rdf.Term
 	// Statement is a triple of Terms.
 	Statement = rdf.Statement
-	// ID is a dictionary-encoded term identifier.
+	// ID is a dictionary-encoded term identifier: 32 bits, the term
+	// kind in bits 31–30 and a per-kind sequence number below 2^30.
 	ID = rdf.ID
 	// Triple is a dictionary-encoded statement.
 	Triple = rdf.Triple

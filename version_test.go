@@ -1,0 +1,70 @@
+package slider
+
+import (
+	"bytes"
+	"context"
+	"errors"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"repro/internal/wal"
+)
+
+// TestOpenRefusesVersion1Directory opens a knowledge base that a release
+// of format version 1 wrote (testdata/v1kb: the manifest, a checkpoint
+// whose snapshot and explicit set hold 64-bit IDs, and a segment with
+// two records after it) and checks that Open fails naming the version,
+// and that every file is byte-identical afterwards: the refusal comes
+// before replay, which would cut a segment of another version as torn.
+func TestOpenRefusesVersion1Directory(t *testing.T) {
+	src := filepath.Join("testdata", "v1kb")
+	entries, err := os.ReadDir(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	want := map[string][]byte{}
+	for _, e := range entries {
+		b, err := os.ReadFile(filepath.Join(src, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, e.Name()), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		want[e.Name()] = b
+	}
+	if len(want) != 4 {
+		t.Fatalf("fixture holds %d files, want manifest, segment and two checkpoint files", len(want))
+	}
+
+	r, err := Open(dir, RDFS, WithWorkers(1))
+	if err == nil {
+		r.Close(context.Background())
+		t.Fatal("Open accepted a version-1 knowledge base")
+	}
+	if !errors.Is(err, wal.ErrCorrupt) || !strings.Contains(err.Error(), "version 1") {
+		t.Fatalf("Open = %v, want ErrCorrupt naming version 1", err)
+	}
+	after, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range after {
+		b, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if w, ok := want[e.Name()]; ok && !bytes.Equal(b, w) {
+			t.Errorf("%s changed by the refused Open", e.Name())
+		} else if !ok && e.Name() != "LOCK" {
+			t.Errorf("the refused Open created %s", e.Name())
+		}
+		delete(want, e.Name())
+	}
+	for name := range want {
+		t.Errorf("the refused Open removed %s", name)
+	}
+}

@@ -9,12 +9,10 @@
 //	sliderbench -fig3                   # Figure 3 series
 //	sliderbench -fig2 | dot -Tpng       # Figure 2 as DOT
 //	sliderbench -sweep -dataset BSBM_100k
-//	sliderbench -ingest                 # batch-ingest scaling, BENCH_ingest.json
-//	sliderbench -wal                    # durability tax + cold recovery, BENCH_wal.json
-//	sliderbench -checkpoint             # writer pause during capture, BENCH_checkpoint.json
-//	sliderbench -serve                  # HTTP QPS/latency under ingest, BENCH_serve.json
-//	sliderbench -retract                # retraction stall vs store size, BENCH_retract.json
-//	sliderbench -join                   # multi-pattern join latency, BENCH_join.json
+//	sliderbench -torture                # disk-fault torture; exits nonzero on a violation
+//
+// Performance numbers for the engine itself come from benchmark/ (see
+// BENCHMARK.json), not from this command.
 package main
 
 import (
@@ -22,8 +20,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
-	"strings"
 	"time"
 
 	"repro/internal/bench"
@@ -43,36 +39,7 @@ func main() {
 		repeat  = flag.Int("repeat", 3, "runs per cell; the fastest is reported")
 		limit   = flag.Duration("limit", 30*time.Minute, "overall time limit")
 
-		ingest     = flag.Bool("ingest", false, "measure batch-ingest throughput scaling over worker counts")
-		ingestOut  = flag.String("ingestout", "BENCH_ingest.json", "output path for the -ingest JSON report")
-		batchSize  = flag.Int("batchsize", 512, "triples per AddBatch call for -ingest and -wal")
-		workerList = flag.String("workerlist", "1,2,4,8", "comma-separated worker counts for -ingest and -wal")
-
-		walBench = flag.Bool("wal", false, "measure write-ahead-logged ingest vs in-memory, and cold-recovery time")
-		walOut   = flag.String("walout", "BENCH_wal.json", "output path for the -wal JSON report")
-
-		ckptBench = flag.Bool("checkpoint", false, "measure writer pause during checkpoint capture (old blocking path vs two-phase streaming)")
-		ckptFacts = flag.Int("ckptfacts", 400_000, "explicit facts for -checkpoint (closure is ~2.5x)")
-		ckptOut   = flag.String("ckptout", "BENCH_checkpoint.json", "output path for the -checkpoint JSON report")
-
-		retractBench = flag.Bool("retract", false, "measure retraction latency and concurrent-writer stall vs store size: classic full rederive vs two-phase suspect-local DRed")
-		retractOut   = flag.String("retractout", "BENCH_retract.json", "output path for the -retract JSON report")
-		retractSizes = flag.String("retractsizes", "10000,100000,500000", "comma-separated explicit-fact counts for -retract")
-		retractBatch = flag.Int("retractbatch", 8, "explicit triples retracted per -retract pass (the fixed suspect-set knob)")
-		retractCell  = flag.Duration("retractcell", 3*time.Second, "measurement duration per -retract mode window")
-
-		joinBench = flag.Bool("join", false, "measure multi-pattern join latency: cost-based order + galloping intersection vs as-written order, run-backed vs map-only store layout")
-		joinOut   = flag.String("joinout", "BENCH_join.json", "output path for the -join JSON report")
-		joinSizes = flag.String("joinsizes", "100000,1000000", "comma-separated dataset sizes (triples) for -join")
-
-		serve        = flag.Bool("serve", false, "measure the HTTP serving layer: QPS and query latency under concurrent ingest, and the writer-throughput cost of querying")
-		serveOut     = flag.String("serveout", "BENCH_serve.json", "output path for the -serve JSON report")
-		serveClients = flag.String("serveclients", "1,4,16", "comma-separated query-client counts for -serve")
-		serveWriters = flag.Int("servewriters", 4, "concurrent ingest writers for -serve")
-		serveCell    = flag.Duration("servecell", 3*time.Second, "measurement duration per -serve cell")
-
 		torture      = flag.Bool("torture", false, "run the disk-fault torture harness: seeded fault schedules under concurrent ingest/retract/checkpoint load, asserting the degraded-mode contract (exits nonzero on any violation)")
-		tortureOut   = flag.String("tortureout", "BENCH_torture.json", "output path for the -torture JSON report")
 		tortureN     = flag.Int("tortureschedules", 4, "seeded schedules for -torture")
 		tortureSeed  = flag.Int64("tortureseed", 1, "base seed for -torture (schedule i uses seed+i)")
 		tortureFlts  = flag.Int("torturefaults", 4, "fault rounds per -torture schedule")
@@ -94,7 +61,7 @@ func main() {
 	ctx, cancel := context.WithTimeout(context.Background(), *limit)
 	defer cancel()
 
-	if !*table1 && !*fig2 && !*fig3 && !*sweep && !*ingest && !*walBench && !*ckptBench && !*serve && !*retractBench && !*joinBench && !*torture {
+	if !*table1 && !*fig2 && !*fig3 && !*sweep && !*torture {
 		*table1 = true
 	}
 
@@ -120,148 +87,6 @@ func main() {
 			fatal(err)
 		}
 	}
-	if *ingest {
-		ds, err := bench.DatasetByName(*dataset, sc)
-		if err != nil {
-			fatal(err)
-		}
-		workers, err := parseWorkerList(*workerList)
-		if err != nil {
-			fatal(err)
-		}
-		rep, err := bench.IngestScaling(ctx, ds, workers, *batchSize, cfg)
-		if err != nil {
-			fatal(err)
-		}
-		bench.WriteIngestTable(os.Stdout, rep)
-		f, err := os.Create(*ingestOut)
-		if err != nil {
-			fatal(err)
-		}
-		if err := bench.WriteIngestJSON(f, rep); err != nil {
-			f.Close()
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			fatal(err)
-		}
-		fmt.Println("wrote", *ingestOut)
-	}
-	if *walBench {
-		ds, err := bench.DatasetByName(*dataset, sc)
-		if err != nil {
-			fatal(err)
-		}
-		workers, err := parseWorkerList(*workerList)
-		if err != nil {
-			fatal(err)
-		}
-		rep, err := bench.WALScaling(ctx, ds, workers, *batchSize, cfg)
-		if err != nil {
-			fatal(err)
-		}
-		bench.WriteWALTable(os.Stdout, rep)
-		f, err := os.Create(*walOut)
-		if err != nil {
-			fatal(err)
-		}
-		if err := bench.WriteWALJSON(f, rep); err != nil {
-			f.Close()
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			fatal(err)
-		}
-		fmt.Println("wrote", *walOut)
-	}
-	if *serve {
-		clients, err := parseWorkerList(*serveClients)
-		if err != nil {
-			fatal(err)
-		}
-		rep, err := bench.ServeScaling(ctx, clients, *serveWriters, *batchSize, *serveCell, cfg)
-		if err != nil {
-			fatal(err)
-		}
-		bench.WriteServeTable(os.Stdout, rep)
-		f, err := os.Create(*serveOut)
-		if err != nil {
-			fatal(err)
-		}
-		if err := bench.WriteServeJSON(f, rep); err != nil {
-			f.Close()
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			fatal(err)
-		}
-		fmt.Println("wrote", *serveOut)
-	}
-	if *retractBench {
-		sizes, err := parseWorkerList(*retractSizes)
-		if err != nil {
-			fatal(err)
-		}
-		rep, err := bench.RetractPause(ctx, sizes, *retractBatch, *retractCell, cfg)
-		if err != nil {
-			fatal(err)
-		}
-		bench.WriteRetractTable(os.Stdout, rep)
-		f, err := os.Create(*retractOut)
-		if err != nil {
-			fatal(err)
-		}
-		if err := bench.WriteRetractJSON(f, rep); err != nil {
-			f.Close()
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			fatal(err)
-		}
-		fmt.Println("wrote", *retractOut)
-	}
-	if *joinBench {
-		sizes, err := parseWorkerList(*joinSizes)
-		if err != nil {
-			fatal(err)
-		}
-		rep, err := bench.JoinBench(ctx, sizes, *repeat)
-		if err != nil {
-			fatal(err)
-		}
-		bench.WriteJoinTable(os.Stdout, rep)
-		f, err := os.Create(*joinOut)
-		if err != nil {
-			fatal(err)
-		}
-		if err := bench.WriteJoinJSON(f, rep); err != nil {
-			f.Close()
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			fatal(err)
-		}
-		fmt.Println("wrote", *joinOut)
-	}
-	if *ckptBench {
-		rep, err := bench.CheckpointPause(ctx, *ckptFacts, cfg)
-		if err != nil {
-			fatal(err)
-		}
-		bench.WriteCheckpointTable(os.Stdout, rep)
-		f, err := os.Create(*ckptOut)
-		if err != nil {
-			fatal(err)
-		}
-		if err := bench.WriteCheckpointJSON(f, rep); err != nil {
-			f.Close()
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			fatal(err)
-		}
-		fmt.Println("wrote", *ckptOut)
-	}
 	if *torture {
 		rep, err := bench.Torture(ctx, bench.TortureConfig{
 			Schedules: *tortureN,
@@ -273,35 +98,10 @@ func main() {
 			fatal(err)
 		}
 		bench.WriteTortureTable(os.Stdout, rep)
-		f, err := os.Create(*tortureOut)
-		if err != nil {
-			fatal(err)
-		}
-		if err := bench.WriteTortureJSON(f, rep); err != nil {
-			f.Close()
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			fatal(err)
-		}
-		fmt.Println("wrote", *tortureOut)
 		if rep.Violations > 0 {
 			fatal(fmt.Errorf("torture: %d contract violations", rep.Violations))
 		}
 	}
-}
-
-// parseWorkerList parses a comma-separated list of worker counts.
-func parseWorkerList(s string) ([]int, error) {
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || n < 1 {
-			return nil, fmt.Errorf("bad worker count %q", part)
-		}
-		out = append(out, n)
-	}
-	return out, nil
 }
 
 func fatal(err error) {

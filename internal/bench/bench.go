@@ -172,7 +172,6 @@ type Measurement struct {
 type SliderConfig struct {
 	BufferSize int
 	Timeout    time.Duration
-	Workers    int
 	// Repeats re-runs each measurement and keeps the fastest time
 	// (noise suppression on shared machines). 0 means 1.
 	Repeats int
@@ -186,7 +185,6 @@ func RunSlider(ctx context.Context, ds Dataset, fragment Fragment, cfg SliderCon
 	eng := reasoner.New(st, fragment.Rules(), reasoner.Config{
 		BufferSize: cfg.BufferSize,
 		Timeout:    cfg.Timeout,
-		Workers:    cfg.Workers,
 	})
 	start := time.Now()
 	for _, s := range ds.Statements {

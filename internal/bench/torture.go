@@ -2,7 +2,6 @@ package bench
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -56,26 +55,26 @@ func (c *TortureConfig) fill() {
 // acknowledged batch was lost across recovery or reopen, and recovery
 // never re-fsynced a failed descriptor.
 type TortureSchedule struct {
-	Seed           int64    `json:"seed"`
-	FaultsInjected int      `json:"faults_injected"`
-	Degradations   int      `json:"degradations_observed"`
-	RefusedWrites  int64    `json:"refused_writes"`
-	DegradedReads  int64    `json:"degraded_reads_served"`
-	AckedOps       int      `json:"acked_ops"`
-	CheckpointErrs int64    `json:"checkpoint_errors"`
-	ElapsedMS      float64  `json:"elapsed_ms"`
-	Violations     []string `json:"violations,omitempty"`
+	Seed           int64
+	FaultsInjected int
+	Degradations   int
+	RefusedWrites  int64
+	DegradedReads  int64
+	AckedOps       int
+	CheckpointErrs int64
+	ElapsedMS      float64
+	Violations     []string
 }
 
-// TortureReport is the JSON document cmd/sliderbench -torture emits
-// (BENCH_torture.json).
+// TortureReport is the outcome of a torture run; cmd/sliderbench
+// -torture prints it with WriteTortureTable.
 type TortureReport struct {
-	Writers    int               `json:"writers"`
-	Batches    int               `json:"batches_per_writer"`
-	BatchSize  int               `json:"batch_size"`
-	Faults     int               `json:"fault_rounds"`
-	Schedules  []TortureSchedule `json:"schedules"`
-	Violations int               `json:"violations"`
+	Writers    int
+	Batches    int
+	BatchSize  int
+	Faults     int
+	Schedules  []TortureSchedule
+	Violations int
 }
 
 // tortureOp is one acknowledged operation, recorded in global
@@ -410,11 +409,4 @@ func WriteTortureTable(w io.Writer, rep *TortureReport) {
 	} else {
 		fmt.Fprintf(w, "FAIL: %d contract violations\n", rep.Violations)
 	}
-}
-
-// WriteTortureJSON emits the report as indented JSON.
-func WriteTortureJSON(w io.Writer, rep *TortureReport) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rep)
 }

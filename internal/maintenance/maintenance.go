@@ -50,8 +50,8 @@
 //
 // Rulesets containing rules without a backward face (rules.CanSupport)
 // use PrepareFull instead: classic full-store rederivation, quiescent and
-// exclusive, kept as the compatibility path and as the baseline the
-// retraction benchmark measures the suspect-local path against.
+// exclusive — the compatibility path, and the reference the property
+// tests check the suspect-local path against.
 package maintenance
 
 import (
@@ -523,19 +523,6 @@ func Retract(ctx context.Context, st *store.Store, ruleset []rules.Rule,
 	} else {
 		p, err = PrepareFull(ctx, st, ruleset, explicit, toDelete)
 	}
-	if err != nil {
-		return Stats{}, err
-	}
-	return p.Apply(st, explicit), nil
-}
-
-// RetractFull is Retract forced onto the classic full-store rederivation
-// path regardless of the ruleset's support faces — the pre-suspect-local
-// behaviour, kept as the benchmark baseline.
-func RetractFull(ctx context.Context, st *store.Store, ruleset []rules.Rule,
-	explicit *store.Store, toDelete []rdf.Triple) (Stats, error) {
-
-	p, err := PrepareFull(ctx, st, ruleset, explicit, toDelete)
 	if err != nil {
 		return Stats{}, err
 	}

@@ -201,7 +201,8 @@ func TestTwoPhaseRetractWithMidPassMutation(t *testing.T) {
 }
 
 // TestRetractFullMatchesSuspectLocal cross-checks the two paths against
-// each other on identical inputs.
+// each other on identical inputs: Retract takes the suspect-local path
+// for RDFS, and PrepareFull+Apply is the classic full-store reference.
 func TestRetractFullMatchesSuspectLocal(t *testing.T) {
 	ruleset := rules.RDFS()
 	for seed := int64(0); seed < 40; seed++ {
@@ -219,10 +220,11 @@ func TestRetractFullMatchesSuspectLocal(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sB, err := RetractFull(context.Background(), stB, ruleset, expB, toDelete)
+		pB, err := PrepareFull(context.Background(), stB, ruleset, expB, toDelete)
 		if err != nil {
 			t.Fatal(err)
 		}
+		sB := pB.Apply(stB, expB)
 		if !sA.TwoPhase || sB.TwoPhase {
 			t.Fatalf("paths mixed up: %+v / %+v", sA, sB)
 		}

@@ -66,17 +66,27 @@ func bruteForce(st *store.Store, dict *rdf.Dictionary, q Query) map[string]bool 
 }
 
 // Property: the backtracking join returns exactly the brute-force
-// solution set for random tiny stores and random 1-3 pattern queries.
+// solution set for random tiny stores and random 1-3 pattern queries, in
+// all four {planned, as-written} order x {map overlay, compacted runs}
+// layout cells.
 func TestExecuteMatchesBruteForceProperty(t *testing.T) {
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		dict := rdf.NewDictionary()
-		st := store.New()
+		mapStore, runStore := store.New(), store.New()
+		mapStore.SetAutoCompact(false)
 		term := func(i int) rdf.Term { return rdf.NewIRI(fmt.Sprintf("http://e/t%d", i)) }
 		nTerms := rng.Intn(5) + 3
 		for i := 0; i < rng.Intn(12)+4; i++ {
-			st.Add(dict.EncodeStatement(rdf.NewStatement(
-				term(rng.Intn(nTerms)), term(rng.Intn(3)), term(rng.Intn(nTerms)))))
+			tr := dict.EncodeStatement(rdf.NewStatement(
+				term(rng.Intn(nTerms)), term(rng.Intn(3)), term(rng.Intn(nTerms))))
+			mapStore.Add(tr)
+			runStore.Add(tr)
+		}
+		runStore.Compact()
+		if ss := runStore.Stats(); ss.Runs == 0 || ss.OverlayPairs != 0 {
+			t.Logf("seed %d: compaction left no runs or a live overlay: %+v", seed, ss)
+			return false
 		}
 		varNames := []string{"x", "y", "z"}
 		randNode := func() Node {
@@ -89,28 +99,41 @@ func TestExecuteMatchesBruteForceProperty(t *testing.T) {
 		for i := 0; i < rng.Intn(3)+1; i++ {
 			q.Patterns = append(q.Patterns, Pattern{randNode(), randNode(), randNode()})
 		}
-		got, err := Execute(st, dict, q)
-		if err != nil {
-			return false
-		}
-		want := bruteForce(st, dict, q)
-		if len(got) != len(want) {
-			t.Logf("seed %d: got %d solutions, brute force %d\nquery: %v",
-				seed, len(got), len(want), q.Patterns)
-			return false
-		}
+		want := bruteForce(mapStore, dict, q)
 		proj := q.Select
 		if len(proj) == 0 {
 			proj = q.Vars()
 		}
-		for _, b := range got {
-			key := ""
-			for _, v := range proj {
-				key += b[v].String() + "|"
-			}
-			if !want[key] {
-				t.Logf("seed %d: spurious solution %v", seed, b)
+		naive := q
+		naive.NaiveOrder = true
+		for _, cell := range []struct {
+			name string
+			st   *store.Store
+			q    Query
+		}{
+			{"planned/map", mapStore, q},
+			{"naive/map", mapStore, naive},
+			{"planned/runs", runStore, q},
+			{"naive/runs", runStore, naive},
+		} {
+			got, err := Execute(cell.st, dict, cell.q)
+			if err != nil {
 				return false
+			}
+			if len(got) != len(want) {
+				t.Logf("seed %d %s: got %d solutions, brute force %d\nquery: %v",
+					seed, cell.name, len(got), len(want), q.Patterns)
+				return false
+			}
+			for _, b := range got {
+				key := ""
+				for _, v := range proj {
+					key += b[v].String() + "|"
+				}
+				if !want[key] {
+					t.Logf("seed %d %s: spurious solution %v", seed, cell.name, b)
+					return false
+				}
 			}
 		}
 		return true

@@ -88,8 +88,8 @@ type Query struct {
 	// Offset skips that many solutions before any are returned.
 	Offset int
 	// NaiveOrder evaluates patterns exactly as written and disables the
-	// galloping join intersection — the pre-optimisation baseline the
-	// join benchmark measures the planner and executor against.
+	// galloping join intersection — the pre-optimisation reference the
+	// planner's answers are checked against in tests.
 	NaiveOrder bool
 }
 

@@ -11,15 +11,14 @@ import (
 
 // config collects option values for New.
 type config struct {
-	bufferSize  int
-	timeout     time.Duration
-	workers     int
-	observer    reasoner.Observer
-	adaptive    bool
-	retraction  bool
-	provenance  bool
-	viewMaxAge  time.Duration
-	fullRetract bool
+	bufferSize int
+	timeout    time.Duration
+	workers    int
+	observer   reasoner.Observer
+	adaptive   bool
+	retraction bool
+	provenance bool
+	viewMaxAge time.Duration
 
 	// reg is the metrics registry the reasoner records into. Not an
 	// Option: openDurable pre-creates it so the write-ahead log can
@@ -71,17 +70,6 @@ func WithObserver(o Observer) Option {
 // one set entry per explicit triple.
 func WithRetraction() Option {
 	return func(c *config) { c.retraction = true }
-}
-
-// WithFullRetract forces Retract onto the classic delete-and-rederive
-// path: the whole pass runs inside the exclusive writer window and
-// rederivation restarts from the full surviving store, instead of the
-// default two-phase suspect-local pass over a frozen view. Writers then
-// stall for O(store) per retraction — this exists as a compatibility
-// escape hatch and as the baseline the retraction benchmark compares
-// against; production deployments should not use it.
-func WithFullRetract() Option {
-	return func(c *config) { c.fullRetract = true }
 }
 
 // WithProvenance enables per-triple provenance: Reasoner.Why reports

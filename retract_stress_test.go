@@ -5,6 +5,9 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
+
+	"repro/internal/rules"
 )
 
 // TestRetractUnderConcurrentIngest is the suspect-local retraction
@@ -120,6 +123,139 @@ func TestRetractUnderConcurrentIngest(t *testing.T) {
 	}
 	if last, ok := r.LastRetract(); !ok || !last.TwoPhase {
 		t.Fatalf("expected two-phase retraction stats, got %+v ok=%v", last, ok)
+	}
+}
+
+// newSymKnowsReasoner builds a reasoner over ρdf plus a symmetric-knows
+// CustomRule with no SupportsFn, so Retract must take the classic
+// full-rederive path.
+func newSymKnowsReasoner(opts ...Option) *Reasoner {
+	var knows ID
+	sym := &CustomRule{
+		RuleName: "sym-knows",
+		Out:      []ID{rules.AnyPredicate},
+		Fn: func(_ Source, delta []Triple, emit func(Triple)) {
+			for _, t := range delta {
+				if t.P == knows {
+					emit(Triple{S: t.O, P: t.P, O: t.S})
+				}
+			}
+		},
+	}
+	r := New(CustomFragment("rhodf+sym-knows", append(RhoDF.Rules(), sym)...), opts...)
+	knows = r.Dictionary().Encode(ex("knows"))
+	return r
+}
+
+// TestClassicRetractUnderConcurrentIngest drives the classic-DRed
+// fallback of Retract (a ruleset with a CustomRule lacking SupportsFn)
+// while writer goroutines stream AddBatch calls. Every pass must report
+// TwoPhase false, the writers must finish (the whole pass runs inside
+// the exclusive window, so a lost wake-up shows as a hang), and the
+// final closure must equal a rebuild from the surviving explicit
+// statements.
+func TestClassicRetractUnderConcurrentIngest(t *testing.T) {
+	r := newSymKnowsReasoner(WithRetraction(), WithBufferSize(32))
+	defer r.Close(context.Background())
+	ctx := context.Background()
+
+	knows := ex("knows")
+	explicit := []Statement{
+		NewStatement(knows, IRI(Domain), ex("Person")),
+		NewStatement(ex("Person"), IRI(SubClassOf), ex("Agent")),
+	}
+	const victims = 24
+	pre := make([]Statement, victims)
+	for i := range pre {
+		pre[i] = NewStatement(ex(fmt.Sprintf("victim%d", i)), knows, ex(fmt.Sprintf("peer%d", i)))
+	}
+	// Every second peer is also known by a friend, so its types survive
+	// the victim's retraction only if the pass rederives them.
+	for i := 0; i < victims; i += 2 {
+		explicit = append(explicit, NewStatement(ex(fmt.Sprintf("friend%d", i)), knows, ex(fmt.Sprintf("peer%d", i))))
+	}
+	if _, err := r.AddBatch(append(explicit, pre...)); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Wait(ctx); err != nil {
+		t.Fatal(err)
+	}
+
+	const (
+		writers = 3
+		batches = 20
+		batch   = 16
+	)
+	written := make([][]Statement, writers)
+	var wg sync.WaitGroup
+	errs := make(chan error, writers+1)
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for b := 0; b < batches; b++ {
+				sts := make([]Statement, batch)
+				for i := range sts {
+					sts[i] = NewStatement(ex(fmt.Sprintf("w%d_%d_%d", w, b, i)), knows, ex(fmt.Sprintf("w%d_%d_%d", w, b, i+1)))
+				}
+				if _, err := r.AddBatch(sts); err != nil {
+					errs <- err
+					return
+				}
+				written[w] = append(written[w], sts...)
+			}
+		}(w)
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < victims; i += 4 {
+			stats, err := r.Retract(ctx, pre[i:i+4]...)
+			if err != nil {
+				errs <- err
+				return
+			}
+			if stats.TwoPhase || stats.Retracted != 4 {
+				errs <- fmt.Errorf("retraction %d: want a classic pass of 4, got %+v", i/4, stats)
+				return
+			}
+		}
+	}()
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(2 * time.Minute):
+		t.Fatal("writers and retractor did not finish")
+	}
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if err := r.Wait(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if last, ok := r.LastRetract(); !ok || last.TwoPhase {
+		t.Fatalf("want classic retraction stats, got %+v ok=%v", last, ok)
+	}
+
+	for _, sts := range written {
+		explicit = append(explicit, sts...)
+	}
+	rebuilt := newSymKnowsReasoner(WithBufferSize(32))
+	defer rebuilt.Close(ctx)
+	if _, err := rebuilt.AddBatch(explicit); err != nil {
+		t.Fatal(err)
+	}
+	if err := rebuilt.Wait(ctx); err != nil {
+		t.Fatal(err)
+	}
+	sameClosure(t, closureSet(r), closureSet(rebuilt), "closure vs rebuild from the surviving explicit set")
+	if r.Contains(NewStatement(ex("peer0"), knows, ex("victim0"))) {
+		t.Fatal("custom-rule consequence of a retracted statement survived")
+	}
+	if !r.Contains(NewStatement(ex("peer0"), IRI(Type), ex("Agent"))) {
+		t.Fatal("consequence with a surviving derivation was not rederived")
 	}
 }
 

@@ -204,9 +204,6 @@ type Reasoner struct {
 	// do not compose concurrently. Taken before every other lock the
 	// pass uses.
 	retractMu sync.Mutex
-	// fullRetract forces the classic full-store rederive path
-	// (WithFullRetract) instead of the suspect-local two-phase one.
-	fullRetract bool
 	// lastRetract holds the statistics of the most recent completed
 	// retraction pass, for LastRetract and the serving layer's /stats.
 	lastRetractMu  sync.Mutex
@@ -287,11 +284,10 @@ func newReasoner(frag Fragment, dict *rdf.Dictionary, st *store.Store, cfg confi
 	}
 	st.SetMetrics(store.NewMetrics(reg))
 	r := &Reasoner{
-		dict:        dict,
-		explicit:    explicit,
-		store:       st,
-		viewMaxAge:  maxAge,
-		fullRetract: cfg.fullRetract,
+		dict:       dict,
+		explicit:   explicit,
+		store:      st,
+		viewMaxAge: maxAge,
 		engine: reasoner.New(st, frag.rules, reasoner.Config{
 			BufferSize:      cfg.bufferSize,
 			Timeout:         cfg.timeout,
@@ -478,8 +474,8 @@ type RetractStats = maintenance.Stats
 // retraction is logged the apply step is uninterruptible, so the live
 // state can never diverge from what replay would reconstruct.
 //
-// Rulesets containing a CustomRule without a SupportsFn (and reasoners
-// built WithFullRetract) fall back to classic DRed: the whole
+// Rulesets containing a CustomRule without a SupportsFn fall back to
+// classic DRed: the whole
 // delete-and-rederive runs inside the exclusive window and rederives
 // from the full surviving store.
 func (r *Reasoner) Retract(ctx context.Context, sts ...Statement) (RetractStats, error) {
@@ -509,7 +505,7 @@ func (r *Reasoner) Retract(ctx context.Context, sts ...Statement) (RetractStats,
 
 	var pass *maintenance.Pass
 	var prepareMicros int64
-	if !r.fullRetract && rules.AllSupport(r.frag.rules) {
+	if rules.AllSupport(r.frag.rules) {
 		// Phase A: freeze a consistent closure, then run the read-only
 		// suspect analysis against it while ingest continues.
 		prepStart := time.Now()

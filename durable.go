@@ -370,8 +370,8 @@ func (r *Reasoner) markCheckpointLocked(ctx context.Context) (*ckptCapture, erro
 
 // streamCheckpoint is the stream phase: serialise the capture's frozen
 // views to the checkpoint files and commit the manifest, all without
-// d.mu — ingest, retraction and queries proceed concurrently, their
-// mutations compensated by the views' journals. The views are always
+// d.mu — ingest, retraction and queries proceed concurrently, appending
+// runs the frozen views do not hold. The views are always
 // released, and failures poison the reasoner (surfaced via Err).
 func (r *Reasoner) streamCheckpoint(cap *ckptCapture) error {
 	d := r.dur
@@ -417,14 +417,6 @@ func (r *Reasoner) runCheckpoint(ctx context.Context, done chan struct{}) error 
 	predrain, cancel := context.WithTimeout(ctx, 10*time.Second)
 	r.engine.Wait(predrain)
 	cancel()
-	// Seal overlays before marking: a partition left clean (no overlay,
-	// no tombstones, no post-freeze journal) streams its runs verbatim
-	// during the capture — no per-pair checks. Overlays are capped at
-	// flushMax pairs by the background compactor, so this is a small
-	// bounded pass, not an O(store) stall; partitions that keep taking
-	// writes lose the fast path to their journals regardless, which is
-	// why nothing heavier (a full merge, say) is worth doing here.
-	r.store.FlushOverlays()
 	d.mu.Lock()
 	cap, err := r.markCheckpointLocked(ctx)
 	d.mu.Unlock()

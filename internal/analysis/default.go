@@ -23,12 +23,10 @@ func DefaultCheckers(modPath string) []Checker {
 		// The WAL's log mutex nests under the facade locks (Append is
 		// called with markMu and the durability mutex held).
 		{Name: "wal.Log.mu", PkgPath: wal, Type: "Log", Field: "mu", Rank: 50},
-		// Store order: workMu serializes run-slice writers and is taken
-		// before any stripe lock; freezeMu guards the view epoch list
-		// and precedes the stripe sweep in View.Release; stripe before
-		// partition; predMu and the compaction queue mutex are leaves.
+		// Store order: workMu serializes run merges and is taken before
+		// any stripe lock; stripe before partition; predMu and the
+		// compaction queue mutex are leaves.
 		{Name: "workMu", PkgPath: store, Type: "Store", Field: "workMu", Rank: 60},
-		{Name: "freezeMu", PkgPath: store, Type: "Store", Field: "freezeMu", Rank: 70},
 		{Name: "stripe.mu", PkgPath: store, Type: "stripe", Field: "mu", Rank: 80},
 		{Name: "partition.mu", PkgPath: store, Type: "partition", Field: "mu", Rank: 90},
 		{Name: "predMu", PkgPath: store, Type: "Store", Field: "predMu", Rank: 100},
@@ -51,17 +49,15 @@ func DefaultCheckers(modPath string) []Checker {
 		RunType:   "run",
 		PartTypes: []string{"direction"},
 		Fields: map[string]bool{
-			"pairs": true, "bySub": true, "byObj": true,
+			"pairs": true, "del": true, "bySub": true, "byObj": true,
 			"keys": true, "off": true, "vals": true, "nkeys": true,
 		},
 		Blessed: map[string]bool{
-			"buildRun": true, "buildRunFromOverlay": true, "mergeRuns": true,
-			"mergeDirection": true, "directionOf": true, "directionFromMap": true,
-			"newDirection": true, "endSpan": true, "checkRun": true,
+			"buildRun": true, "mergeRuns": true, "mergeDirection": true,
+			"directionOf": true, "newDirection": true, "endSpan": true,
+			"checkRun": true,
 		},
 	}
-	runimmutable.RunsSlice.Type = "partition"
-	runimmutable.RunsSlice.Field = "runs"
 
 	hotpath := &HotPath{
 		StringerKey: rdf + ".Term",
@@ -98,8 +94,10 @@ func DefaultCheckers(modPath string) []Checker {
 			{Pkg: store, Recv: "Store", Name: "ContainsBatch"},
 			{Pkg: store, Recv: "Store", Name: "ObjectsAppend"},
 			{Pkg: store, Recv: "Store", Name: "SubjectsAppend"},
-			{Pkg: store, Recv: "partition", Name: "add"},
-			{Pkg: store, Recv: "partition", Name: "remove"},
+			{Pkg: store, Recv: "Store", Name: "removeGroup"},
+			{Pkg: store, Recv: "partition", Name: "appendRun"},
+			{Pkg: store, Name: "groupByPredicate"},
+			{Pkg: store, Name: "live"},
 			// WAL append.
 			{Pkg: wal, Recv: "Log", Name: "Append"},
 			{Pkg: wal, Recv: "Log", Name: "AppendCtx"},

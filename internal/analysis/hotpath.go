@@ -15,8 +15,8 @@ type HotFunc struct {
 
 // HotPath enforces the ingest/join/WAL-append latency discipline in an
 // explicit allowlist of hot functions: no bare time.Now() (timing must
-// go through the gated obs.NowIfEnabled, which is free when metrics
-// are off), no fmt.Sprintf (fmt.Errorf on cold error returns is fine),
+// go through obs.NowIfEnabled, the one clock entry for measured paths),
+// no fmt.Sprintf (fmt.Errorf on cold error returns is fine),
 // and no Term.String() (the dictionary decode + allocation belongs in
 // cold presentation paths). Function literals inside a hot function
 // are checked too — they run on the same path.
@@ -84,7 +84,7 @@ func (c *HotPath) checkBody(prog *Program, pkg *Package, fd *ast.FuncDecl) []Dia
 		switch {
 		case fn.Pkg().Path() == "time" && fn.Name() == "Now":
 			out = append(out, diag(prog, c.Name(), call.Pos(),
-				"bare time.Now() on hot path %s: use obs.NowIfEnabled so the clock read is free when metrics are off", fd.Name.Name))
+				"bare time.Now() on hot path %s: use obs.NowIfEnabled, the one clock entry for measured paths", fd.Name.Name))
 		case fn.Pkg().Path() == "fmt" && fn.Name() == "Sprintf":
 			out = append(out, diag(prog, c.Name(), call.Pos(),
 				"fmt.Sprintf on hot path %s: formatting allocates; move it off the hot path", fd.Name.Name))

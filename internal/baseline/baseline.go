@@ -85,9 +85,7 @@ func (r *Reasoner) Store() *store.Store { return r.store }
 // counterpart of streaming every triple through the Slider engine and
 // waiting for quiescence. ctx bounds the computation.
 func (r *Reasoner) Materialize(ctx context.Context, input []rdf.Triple) (Stats, error) {
-	for _, t := range input {
-		r.store.Add(t)
-	}
+	r.store.AddBatch(input)
 	return r.Close(ctx)
 }
 

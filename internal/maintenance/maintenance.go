@@ -458,21 +458,18 @@ func (p *Pass) Apply(st *store.Store, explicit *store.Store) Stats {
 
 	// Point of no return: remove the retracted explicit triples and the
 	// dead suspects.
-	for _, t := range seeds {
-		if explicit.Remove(t) {
-			stats.Retracted++
-		}
-	}
-	removed, removedSeeds := 0, 0
+	// Each RemoveAll appends one delete-marker run per predicate.
+	stats.Retracted = explicit.RemoveAll(seeds)
+	var deadSeeds, deadRest []rdf.Triple
 	for t := range dead {
-		if st.Remove(t) {
-			removed++
-			if seedSet.has(t) {
-				removedSeeds++
-			}
+		if seedSet.has(t) {
+			deadSeeds = append(deadSeeds, t)
+		} else {
+			deadRest = append(deadRest, t)
 		}
 	}
-	stats.Overdeleted = removed - removedSeeds
+	st.RemoveAll(deadSeeds)
+	stats.Overdeleted = st.RemoveAll(deadRest)
 
 	if p.full {
 		// Classic rederive: semi-naive from the whole surviving store.

@@ -67,13 +67,6 @@ func NewHistogram(bounds []float64) *Histogram {
 
 // Observe records one value.
 func (h *Histogram) Observe(v float64) {
-	if disabled.Load() {
-		return
-	}
-	h.observe(v)
-}
-
-func (h *Histogram) observe(v float64) {
 	// Binary search for the first bound >= v; index len(bounds) is +Inf.
 	lo, hi := 0, len(h.bounds)
 	for lo < hi {
@@ -95,13 +88,13 @@ func (h *Histogram) observe(v float64) {
 	}
 }
 
-// ObserveSince records the seconds elapsed since t0. A zero t0 (from
-// NowIfEnabled with recording off) records nothing.
+// ObserveSince records the seconds elapsed since t0. A zero t0 records
+// nothing.
 func (h *Histogram) ObserveSince(t0 time.Time) {
-	if t0.IsZero() || disabled.Load() {
+	if t0.IsZero() {
 		return
 	}
-	h.observe(time.Since(t0).Seconds())
+	h.Observe(time.Since(t0).Seconds())
 }
 
 // ObserveDuration records a duration in seconds.

@@ -27,30 +27,6 @@ import (
 	"time"
 )
 
-// disabled is the global recording switch. Off by default (metrics on);
-// benchmarks flip it to measure the cost of instrumentation itself.
-var disabled atomic.Bool
-
-// Enabled reports whether metric recording is globally on.
-func Enabled() bool { return !disabled.Load() }
-
-// SetEnabled turns metric recording globally on or off. With recording
-// off every Add/Set/Observe returns immediately after one atomic load —
-// the "uninstrumented" baseline benchmarks compare against. Exposition
-// still works; the instruments simply stop moving.
-func SetEnabled(on bool) { disabled.Store(!on) }
-
-// Disabled turns recording off and returns a function restoring the
-// previous state — the benchmark idiom:
-//
-//	restore := obs.Disabled()
-//	defer restore()
-func Disabled() (restore func()) {
-	prev := Enabled()
-	SetEnabled(false)
-	return func() { SetEnabled(prev) }
-}
-
 // Counter is a monotonically increasing value.
 type Counter struct {
 	v atomic.Int64
@@ -59,7 +35,7 @@ type Counter struct {
 // Add increments the counter by n (n must be >= 0; negative deltas are
 // ignored so a counter can never move backwards).
 func (c *Counter) Add(n int64) {
-	if disabled.Load() || n <= 0 {
+	if n <= 0 {
 		return
 	}
 	c.v.Add(n)
@@ -82,9 +58,6 @@ type Gauge struct {
 
 // Set sets the gauge.
 func (g *Gauge) Set(v float64) {
-	if disabled.Load() {
-		return
-	}
 	g.bits.Store(math.Float64bits(v))
 }
 
@@ -356,16 +329,11 @@ func validName(name string) bool {
 	return true
 }
 
-// NowIfEnabled returns time.Now() when recording is on and the zero
-// Time otherwise, so hot paths can skip the clock read entirely when
-// instrumentation is disabled; pair with Histogram.ObserveSince, which
-// ignores the zero Time.
-func NowIfEnabled() time.Time {
-	if disabled.Load() {
-		return time.Time{}
-	}
-	return time.Now()
-}
+// NowIfEnabled returns time.Now(). It is the one clock entry for code
+// that times itself into a Histogram (pair it with ObserveSince): the
+// hot-path analyzer points bare time.Now() calls here, so every clock
+// read on a measured path goes through one function.
+func NowIfEnabled() time.Time { return time.Now() }
 
 // sample writes one exposition line: name{labels} value.
 func sample(w *strings.Builder, name, labels string, v float64) {

@@ -148,29 +148,6 @@ func TestObserveSince(t *testing.T) {
 	}
 }
 
-func TestDisabled(t *testing.T) {
-	var c Counter
-	h := NewHistogram(nil)
-	restore := Disabled()
-	c.Inc()
-	h.Observe(1)
-	if t0 := NowIfEnabled(); !t0.IsZero() {
-		t.Fatalf("NowIfEnabled = %v while disabled, want zero", t0)
-	}
-	restore()
-	if c.Load() != 0 || h.Count() != 0 {
-		t.Fatalf("recorded while disabled: counter %d, hist %d", c.Load(), h.Count())
-	}
-	c.Inc()
-	h.Observe(1)
-	if c.Load() != 1 || h.Count() != 1 {
-		t.Fatalf("restore did not re-enable recording")
-	}
-	if NowIfEnabled().IsZero() {
-		t.Fatalf("NowIfEnabled zero while enabled")
-	}
-}
-
 func TestRegistryGetOrCreate(t *testing.T) {
 	r := NewRegistry()
 	a := r.Counter("x_total", "help")

@@ -67,8 +67,8 @@ func bruteForce(st *store.Store, dict *rdf.Dictionary, q Query) map[string]bool 
 
 // Property: the backtracking join returns exactly the brute-force
 // solution set for random tiny stores and random 1-3 pattern queries, in
-// all four {planned, as-written} order x {map overlay, compacted runs}
-// layout cells.
+// all four {planned, as-written} order x {one run per Add, compacted
+// runs} layout cells.
 func TestExecuteMatchesBruteForceProperty(t *testing.T) {
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -85,7 +85,7 @@ func TestExecuteMatchesBruteForceProperty(t *testing.T) {
 		}
 		runStore.Compact()
 		if ss := runStore.Stats(); ss.Runs == 0 || ss.OverlayPairs != 0 {
-			t.Logf("seed %d: compaction left no runs or a live overlay: %+v", seed, ss)
+			t.Logf("seed %d: compaction left no runs or unmerged pairs: %+v", seed, ss)
 			return false
 		}
 		varNames := []string{"x", "y", "z"}

@@ -256,14 +256,16 @@ func TestHealthzDegradedOnCompactionPanic(t *testing.T) {
 		t.Fatalf("healthy response missing staleness_ms: %v", health)
 	}
 
-	// Enough pairs on one predicate to cross the compactor's overlay
-	// threshold and spawn the (hooked, panicking) worker.
-	var doc strings.Builder
-	for i := 0; i < 9000; i++ {
-		fmt.Fprintf(&doc, "<%sm%d> <%s> <%sThing> .\n", exNS, i, typeIRI(), exNS)
-	}
-	if resp, body := post(t, ts.URL+"/v1/insert", "application/n-triples", doc.String()); resp.StatusCode != http.StatusOK {
-		t.Fatalf("insert status %d: %s", resp.StatusCode, body)
+	// Enough batches on one predicate to make a merge window due and
+	// spawn the (hooked, panicking) worker: each becomes one run.
+	for b := 0; b < 8; b++ {
+		var doc strings.Builder
+		for i := b * 1000; i < (b+1)*1000; i++ {
+			fmt.Fprintf(&doc, "<%sm%d> <%s> <%sThing> .\n", exNS, i, typeIRI(), exNS)
+		}
+		if resp, body := post(t, ts.URL+"/v1/insert", "application/n-triples", doc.String()); resp.StatusCode != http.StatusOK {
+			t.Fatalf("insert status %d: %s", resp.StatusCode, body)
+		}
 	}
 	if err := r.Wait(context.Background()); err != nil {
 		t.Fatal(err)

@@ -654,7 +654,6 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 			"overlay_pairs": ss.OverlayPairs,
 			"tombstones":    ss.Tombstones,
 			"compaction": map[string]any{
-				"flushes":      ss.Compaction.Flushes,
 				"merges":       ss.Compaction.Merges,
 				"purges":       ss.Compaction.Purges,
 				"pairs_merged": ss.Compaction.PairsMerged,

@@ -28,9 +28,9 @@ func resave(t testing.TB, dict *rdf.Dictionary, st *store.Store) []byte {
 //   - Load never panics, whatever the bytes are.
 //   - A snapshot Load accepts re-saves to bytes that Load accepts with
 //     the same terms and triples, and that re-save to themselves. The
-//     re-save is compared with its own reload, not with the input: Save
-//     from a live store writes pairs in overlay order, so an accepted
-//     snapshot need not be in the canonical order a view writes.
+//     re-save is compared with its own reload, not with the input: an
+//     accepted snapshot may list its pairs in any order, not only in
+//     the canonical (subject, object) order a view writes.
 //   - A canonical snapshot (the valid seed) re-saves to its own bytes.
 func FuzzSnapshotLoad(f *testing.F) {
 	dict, st := build(40, 1)

@@ -32,6 +32,10 @@ var magic = [4]byte{'S', 'L', 'K', 'B'}
 // Version of the snapshot format.
 const Version = 2
 
+// loadChunk bounds the batches Load inserts a predicate group in: each
+// becomes one store run, and the store merges them in size tiers.
+const loadChunk = 1 << 16
+
 // ErrBadSnapshot reports a malformed or truncated snapshot.
 var ErrBadSnapshot = errors.New("snapshot: malformed snapshot")
 
@@ -272,6 +276,7 @@ func loadTriples(br *bufio.Reader) (*store.Store, error) {
 		return nil, fmt.Errorf("%w: truncated triple section", ErrBadSnapshot)
 	}
 	st := store.New()
+	chunk := make([]rdf.Triple, 0, loadChunk)
 	for g := uint64(0); g < groups; g++ {
 		p, err := getID(br, "predicate")
 		if err != nil {
@@ -290,8 +295,13 @@ func loadTriples(br *bufio.Reader) (*store.Store, error) {
 			if err != nil {
 				return nil, err
 			}
-			st.Add(rdf.T(s, p, o))
+			if chunk = append(chunk, rdf.T(s, p, o)); len(chunk) == loadChunk {
+				st.AddBatch(chunk)
+				chunk = chunk[:0]
+			}
 		}
+		st.AddBatch(chunk)
+		chunk = chunk[:0]
 	}
 	return st, nil
 }

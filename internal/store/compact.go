@@ -2,6 +2,7 @@ package store
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -26,33 +27,48 @@ func SetCompactTestHook(f func()) {
 	testHookCompact.Store(&f)
 }
 
-// Compaction thresholds. A partition's overlay is flushed to a run once
-// it holds flushMin pairs AND at least 1/4th of the partition's run
-// pairs — the adaptive second condition keeps the run count roughly
-// constant (each flush is a fixed fraction of the partition) instead of
-// letting runs pile up linearly with partition size, and the 1/4 ratio
-// keeps flushes big enough that merge traffic stays a small multiple of
-// the ingest rate. flushMax overrides the ratio: a flush runs under the
-// partition write lock, so letting the overlay scale with a huge
-// partition would turn each flush into an O(partition) writer stall —
-// the cap bounds any single flush (and hence the pause it can inflict)
-// to a fixed size, and the size-tiered merge keeps the extra runs
-// logarithmic. Tombstones are purged once they reach half the run
-// pairs, amortising the O(run pairs) rebuild against the removals that
-// created them.
+// Merge policy. A merge takes a window of at least fanIn adjacent runs
+// in which each run, walking from the newest towards the oldest, holds
+// no more than twice the pairs of the largest run already in the
+// window (see mergeWindow). Runs of similar size thus merge fanIn at a
+// time into a run about fanIn times larger, like the digits of a
+// base-fanIn counter: a partition holds about (fanIn-1)·log_fanIn(n)
+// runs, each pair is rewritten about log_fanIn(n) times, and the tiny
+// runs of a trickle are absorbed by the first tier. A small run stranded
+// behind a larger one joins the next window that reaches it. maxRuns is
+// the hard bound: a writer that finds its partition at maxRuns runs (the
+// compactor off, retired or behind) merges it down itself before
+// appending.
 const (
-	flushMin = 8192
-	flushMax = 1 << 16
-	purgeMin = 256
+	fanIn   = 4
+	maxRuns = 64
 )
 
-// compactionDue reports whether the partition's overlay or tombstones
-// have outgrown their thresholds. Callers hold the partition lock.
-func (p *partition) compactionDue() bool {
-	if p.onum >= flushMin && (p.onum >= flushMax || p.onum*4 >= p.rp) {
-		return true
+// windowAt returns the start of the merge window whose newest run is
+// runs[j-1].
+func windowAt(runs []*run, j int) int {
+	i, largest := j-1, runs[j-1].pairs
+	for i > 0 && runs[i-1].pairs <= 2*largest {
+		i--
+		largest = max(largest, runs[i].pairs)
 	}
-	return p.tombN >= purgeMin && p.tombN*2 >= p.rp
+	return i
+}
+
+// mergeWindow returns the newest window of runs [i, j) due for a merge.
+func mergeWindow(runs []*run) (i, j int, ok bool) {
+	for j := len(runs); j >= fanIn; j-- {
+		if i := windowAt(runs, j); j-i >= fanIn {
+			return i, j, true
+		}
+	}
+	return 0, 0, false
+}
+
+// mergeDue reports whether the window ending at the newest run is due —
+// the only window an append can make due.
+func mergeDue(runs []*run) bool {
+	return len(runs) >= fanIn && len(runs)-windowAt(runs, len(runs)) >= fanIn
 }
 
 // enqueueCompact hands a partition to the background compactor. The
@@ -95,8 +111,7 @@ func (st *Store) compactLoop() {
 	// physical layout). The worker is respawned after a backoff, up to
 	// compactMaxRestarts consecutive panics; then the error is recorded
 	// sticky and the worker retires — the serving layer reports it as a
-	// degraded health state instead of letting overlay debt grow
-	// silently.
+	// degraded health state, and writers merge at the run bound.
 	var cur rdf.ID
 	var active bool
 	defer func() {
@@ -147,18 +162,12 @@ func (st *Store) compactLoop() {
 	}
 }
 
-// compactPredicate flushes the partition's overlay, purges tombstones
-// when they dominate, and size-tier merges the run tail. All run-slice
-// writers (this, Compact, FlushOverlays) serialize on workMu, which is
-// what lets the merge itself — the expensive part — run outside the
-// partition lock: nothing else can change p.runs meanwhile, and
-// concurrent adds/removes only touch the overlay and tombstones.
+// compactPredicate merges the partition's due windows until none is
+// left.
 func (st *Store) compactPredicate(pred rdf.ID) {
 	if h := testHookCompact.Load(); h != nil {
 		(*h)()
 	}
-	st.workMu.Lock()
-	defer st.workMu.Unlock()
 	str := st.stripeFor(pred)
 	str.mu.RLock()
 	p := str.parts[pred]
@@ -173,139 +182,100 @@ func (st *Store) compactPredicate(pred rdf.ID) {
 	sp := trace.StartRoot("compact.predicate")
 	sp.SetInt("predicate", int64(pred))
 	defer sp.End()
-	// Re-arm before working: a mutation landing mid-compaction may
+	// Re-arm before working: a write landing mid-compaction may
 	// legitimately need to re-enqueue the partition.
 	p.queued.Store(false)
-
-	p.mu.Lock()
-	fsp := sp.Child("compact.flush")
-	st.flushLocked(p)
-	fsp.End()
-	if p.tombN >= purgeMin && p.tombN*2 >= p.rp {
-		psp := sp.Child("compact.purge")
-		st.purgeLocked(p)
-		psp.End()
-		p.mu.Unlock()
-		return
-	}
-	// Size-tiered tail merge (binary-counter shape): absorb the newest
-	// runs while each predecessor is at most twice the absorbed total,
-	// leaving run sizes geometric. Run count stays O(log) and total
-	// merge work amortises to O(n log n) over a partition's life.
-	i := len(p.runs) - 1
-	if i < 1 {
-		p.mu.Unlock()
-		return
-	}
-	total := p.runs[i].pairs
-	for i > 0 && p.runs[i-1].pairs <= 2*total {
-		total += p.runs[i-1].pairs
-		i--
-	}
-	if len(p.runs)-i < 2 {
-		p.mu.Unlock()
-		return
-	}
-	suffix := make([]*run, len(p.runs)-i)
-	copy(suffix, p.runs[i:])
-	p.mu.Unlock()
-
-	var t0 time.Time
-	if m := st.metrics.Load(); m != nil {
-		t0 = obs.NowIfEnabled()
-	}
-	msp := sp.Child("compact.merge")
-	msp.SetInt("runs", int64(len(suffix)))
-	merged := mergeRuns(suffix) // off-lock; workMu pins p.runs
-	msp.SetInt("pairs", int64(merged.pairs))
-	msp.End()
-
-	p.mu.Lock()
-	runs := make([]*run, 0, i+1)
-	runs = append(runs, p.runs[:i]...)
-	runs = append(runs, merged)
-	p.runs = runs
-	p.mu.Unlock()
-	if m := st.metrics.Load(); m != nil {
-		m.MergeSeconds.ObserveSince(t0)
-	}
-	st.cMerges.Add(1)
-	st.cPairsMerged.Add(int64(merged.pairs))
+	st.compactPartition(p, false)
 }
 
-// flushLocked seals the overlay into a new immutable run and replaces
-// the overlay maps. Logical content is unchanged, so it is transparent
-// to active views and to concurrent readers. Callers hold the partition
-// lock (write side) and workMu.
-func (st *Store) flushLocked(p *partition) {
-	if p.onum == 0 {
-		return
+// mergeDown is the writers' bound: it merges the partition's due
+// windows and, should it still hold more than maxRuns/2 runs, all of
+// them.
+func (st *Store) mergeDown(p *partition) {
+	st.compactPartition(p, false)
+	if len(p.cur.Load().get()) > maxRuns/2 {
+		st.compactPartition(p, true)
 	}
-	var t0 time.Time
-	if m := st.metrics.Load(); m != nil {
-		t0 = obs.NowIfEnabled()
-		defer func() { m.FlushSeconds.ObserveSince(t0) }()
+}
+
+// compactPartition merges the partition's due windows until none is
+// left, or with all set its whole run list into one run. Merges
+// serialize on workMu, which is what lets the merge itself — the
+// expensive part — run outside the partition lock: writers only append,
+// so the merged window is still in place when the result is swapped in.
+func (st *Store) compactPartition(p *partition, all bool) {
+	st.workMu.Lock()
+	defer st.workMu.Unlock()
+	for {
+		p.mu.Lock()
+		rl := p.cur.Load()
+		runs := rl.get()
+		i, j, ok := 0, len(runs), len(runs) > 1
+		if !all {
+			i, j, ok = mergeWindow(runs)
+		}
+		p.mu.Unlock()
+		if !ok {
+			return
+		}
+		var t0 time.Time
+		if m := st.metrics.Load(); m != nil {
+			t0 = obs.NowIfEnabled()
+		}
+		window := runs[i:j]
+		merged := mergeRange(window) // off-lock; workMu pins the window
+		p.swap(rl, runs, i, j, merged)
+		if m := st.metrics.Load(); m != nil {
+			m.MergeSeconds.ObserveSince(t0)
+		}
+		st.cMerges.Add(1)
+		if slices.ContainsFunc(window, func(r *run) bool { return r.del }) {
+			st.cPurges.Add(1)
+		}
+		for _, r := range window {
+			st.cPairsMerged.Add(int64(r.pairs))
+		}
+		if all {
+			return
+		}
 	}
-	r := buildRunFromOverlay(p.so, p.os, p.onum)
-	runs := make([]*run, 0, len(p.runs)+1)
-	runs = append(runs, p.runs...)
-	runs = append(runs, r)
-	p.runs = runs
-	p.rp += r.pairs
-	p.so = make(map[rdf.ID]idSet, 8)
-	p.os = make(map[rdf.ID]idSet, 8)
-	p.onum = 0
+}
+
+// swap replaces the window runs[i:j] of rl by merged. The partition's
+// current runList is rl, or rl's runs plus the runs appended since (or
+// empty, once drained); both get the merged list, so views frozen since
+// the partition's last write read the merged runs too.
+func (p *partition) swap(rl *runList, runs []*run, i, j int, merged []*run) {
+	splice := func(runs []*run) []*run {
+		return slices.Concat(runs[:i], merged, runs[j:])
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	cur := p.cur.Load()
+	if now := cur.get(); cur != rl && len(now) >= len(runs) && slices.Equal(now[:len(runs)], runs) {
+		next := splice(now)
+		cur.runs.Store(&next)
+		if invariantsEnabled {
+			checkRunList(next, cur.n, merged...)
+		}
+	}
+	next := splice(runs)
+	rl.runs.Store(&next)
 	if invariantsEnabled {
-		p.assertOverlayShape(rdf.Any, rdf.Any) // nothing touched: onum is 0, full scan
+		checkRunList(next, rl.n, merged...)
 	}
-	st.cFlushes.Add(1)
-}
-
-// purgeLocked rebuilds the partition's runs with tombstoned pairs
-// dropped, leaving a single run and no tombstones. O(run pairs) under
-// the partition lock, so it only triggers once tombstones dominate.
-// Logical content is unchanged, so active views stay correct. Callers
-// hold the partition lock (write side) and workMu.
-func (st *Store) purgeLocked(p *partition) {
-	if p.tombN == 0 || len(p.runs) == 0 {
-		return
-	}
-	var t0 time.Time
-	if m := st.metrics.Load(); m != nil {
-		t0 = obs.NowIfEnabled()
-		defer func() { m.PurgeSeconds.ObserveSince(t0) }()
-	}
-	ps := make([]pair, 0, p.rp-p.tombN)
-	p.forEachLiveInRuns(func(s, o rdf.ID) { ps = append(ps, pair{s: s, o: o}) })
-	sortPairs(ps)
-	p.tomb = nil
-	p.tombN = 0
-	if len(ps) == 0 {
-		p.runs = nil
-		p.rp = 0
-	} else {
-		r := buildRun(ps)
-		p.runs = []*run{r}
-		p.rp = r.pairs
-	}
-	st.cPurges.Add(1)
-	st.cPairsMerged.Add(int64(len(ps)))
 }
 
 // SetAutoCompact enables or disables the background compactor (enabled
-// by default). With it off the store never forms runs on its own — the
-// pure map-overlay behaviour, used as the baseline in benchmarks and
-// cross-checked against in property tests. Compact and FlushOverlays
-// still work when invoked explicitly.
+// by default). With it off the store merges runs only when Compact is
+// called or a writer finds its partition at maxRuns runs — a
+// deterministic layout for tests.
 func (st *Store) SetAutoCompact(on bool) { st.autoCompact.Store(on) }
 
-// Compact synchronously flushes every overlay, purges all tombstones
-// and merges each partition down to a single run — the fully compacted
-// state where probes are one span lookup and checkpoints stream runs
-// verbatim.
+// Compact synchronously merges each partition down to a single run,
+// cancelling every delete marker against its add — the fully compacted
+// state where probes are one span lookup.
 func (st *Store) Compact() {
-	st.workMu.Lock()
-	defer st.workMu.Unlock()
 	for i := range st.stripes {
 		str := &st.stripes[i]
 		str.mu.RLock()
@@ -315,57 +285,7 @@ func (st *Store) Compact() {
 		}
 		str.mu.RUnlock()
 		for _, p := range parts {
-			p.mu.Lock()
-			st.flushLocked(p)
-			if p.tombN > 0 {
-				st.purgeLocked(p) // rebuilds to a single run
-				p.mu.Unlock()
-				continue
-			}
-			if len(p.runs) < 2 {
-				p.mu.Unlock()
-				continue
-			}
-			runs := make([]*run, len(p.runs))
-			copy(runs, p.runs)
-			p.mu.Unlock()
-			var t0 time.Time
-			if m := st.metrics.Load(); m != nil {
-				t0 = obs.NowIfEnabled()
-			}
-			merged := mergeRuns(runs)
-			p.mu.Lock()
-			p.runs = []*run{merged}
-			p.mu.Unlock()
-			if m := st.metrics.Load(); m != nil {
-				m.MergeSeconds.ObserveSince(t0)
-			}
-			st.cMerges.Add(1)
-			st.cPairsMerged.Add(int64(merged.pairs))
-		}
-	}
-}
-
-// FlushOverlays seals every partition's overlay into a run without
-// merging — a cheap O(total overlay) pass. Checkpoints call it right
-// before marking: a partition whose overlay is empty and tombstones are
-// clear streams its frozen contents run-by-run on the verbatim fast
-// path, with no journal compensation and no per-pair checks.
-func (st *Store) FlushOverlays() {
-	st.workMu.Lock()
-	defer st.workMu.Unlock()
-	for i := range st.stripes {
-		str := &st.stripes[i]
-		str.mu.RLock()
-		parts := make([]*partition, 0, len(str.parts))
-		for _, p := range str.parts {
-			parts = append(parts, p)
-		}
-		str.mu.RUnlock()
-		for _, p := range parts {
-			p.mu.Lock()
-			st.flushLocked(p)
-			p.mu.Unlock()
+			st.compactPartition(p, true)
 		}
 	}
 }

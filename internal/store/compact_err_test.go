@@ -20,9 +20,9 @@ func TestCompactionPanicIsSticky(t *testing.T) {
 	defer SetCompactTestHook(nil)
 
 	st := New()
-	// flushMin+1 pairs on one predicate crosses the overlay threshold,
-	// enqueues the partition and spawns the (hooked) worker.
-	for i := 0; i < flushMin+1; i++ {
+	// fanIn one-pair runs on one predicate make a merge window due,
+	// enqueue the partition and spawn the (hooked) worker.
+	for i := 0; i < fanIn; i++ {
 		st.Add(rdf.T(rdf.ID(i+10), 1, 2))
 	}
 	deadline := time.Now().Add(10 * time.Second)
@@ -37,14 +37,19 @@ func TestCompactionPanicIsSticky(t *testing.T) {
 		t.Fatalf("CompactionErr = %v, want the injected panic value", err)
 	}
 
-	// Sticky and non-fatal: later writes on a fresh predicate re-cross
-	// the threshold (spawning a worker that must now refuse to run) and
-	// land correctly, and the error is not cleared.
-	for i := 0; i < flushMin+1; i++ {
+	// Sticky and non-fatal: later writes on a fresh predicate make
+	// windows due (spawning a worker that must now refuse to run), reach
+	// the run bound, where the writers merge for themselves, and land
+	// correctly, and the error is not cleared.
+	const later = 3 * maxRuns
+	for i := 0; i < later; i++ {
 		st.Add(rdf.T(rdf.ID(i+1_000_000), 3, 2))
 	}
-	if got, want := st.Len(), 2*(flushMin+1); got != want {
+	if got, want := st.Len(), fanIn+later; got != want {
 		t.Fatalf("Len = %d after post-panic writes, want %d", got, want)
+	}
+	if runs := st.Stats().Runs; runs > 1+maxRuns {
+		t.Fatalf("%d runs after post-panic writes: writers did not merge at the bound", runs)
 	}
 	if st.CompactionErr() == nil {
 		t.Fatal("CompactionErr cleared by later writes; must be sticky")

@@ -22,13 +22,13 @@ func TestCompactionPanicRestartRecovers(t *testing.T) {
 	defer SetCompactTestHook(nil)
 
 	st := New()
-	for i := 0; i < flushMin+1; i++ {
+	for i := 0; i < fanIn; i++ {
 		st.Add(rdf.T(rdf.ID(i+10), 1, 2))
 	}
 	// Two panics cost 10ms+20ms of restart backoff; the third spawn runs
-	// the pass for real and flushes the overlay.
+	// the pass for real and merges the runs.
 	deadline := time.Now().Add(10 * time.Second)
-	for st.Stats().Compaction.Flushes == 0 {
+	for st.Stats().Compaction.Merges == 0 {
 		if time.Now().After(deadline) {
 			t.Fatalf("compaction never completed after transient panics (hook calls: %d, err: %v)",
 				calls.Load(), st.CompactionErr())
@@ -43,11 +43,11 @@ func TestCompactionPanicRestartRecovers(t *testing.T) {
 	}
 	// The budget reset with the clean pass: a fresh predicate's pass runs
 	// immediately (no leftover backoff, no sticky error).
-	for i := 0; i < flushMin+1; i++ {
+	for i := 0; i < fanIn; i++ {
 		st.Add(rdf.T(rdf.ID(i+1_000_000), 3, 2))
 	}
 	deadline = time.Now().Add(10 * time.Second)
-	for st.Stats().Compaction.Flushes < 2 {
+	for st.Stats().Compaction.Merges < 2 {
 		if time.Now().After(deadline) {
 			t.Fatal("second partition never compacted after budget reset")
 		}
@@ -69,7 +69,7 @@ func TestCompactionPanicStickyTimestamp(t *testing.T) {
 		t.Fatal("CompactionErrSince set before any error")
 	}
 	before := time.Now()
-	for i := 0; i < flushMin+1; i++ {
+	for i := 0; i < fanIn; i++ {
 		st.Add(rdf.T(rdf.ID(i+10), 1, 2))
 	}
 	deadline := time.Now().Add(10 * time.Second)

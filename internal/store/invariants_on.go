@@ -17,88 +17,46 @@ import (
 //	go test -race -tags slider_invariants ./internal/store ./internal/maintenance
 const invariantsEnabled = true
 
-// assertAccounting checks the partition's O(1) physical-pair identity:
-// every live pair has exactly one physical home, so the live count n
-// must equal physical run pairs minus tombstoned ones plus overlay
-// pairs (rp - tombN + onum == n). Callers hold the partition lock.
-func (p *partition) assertAccounting() {
-	if p.rp-p.tombN+p.onum != p.n {
-		panic(fmt.Sprintf("store invariant: pair accounting broken: rp=%d - tombN=%d + onum=%d != n=%d",
-			p.rp, p.tombN, p.onum, p.n))
+// checkRunList checks a run list as it is installed: at most maxRuns
+// runs, none empty; pair accounting, each marker cancelling one older
+// add (add pairs - marker pairs == n); and add/marker alternation: each
+// pair's occurrences, oldest first, alternate add, marker, add, …,
+// starting with an add. The alternation scan costs O(pairs × runs), so
+// it covers the pairs of the runs in fresh — the run an append added,
+// the runs a merge produced — whose placement is what can break it.
+func checkRunList(runs []*run, n int, fresh ...*run) {
+	if len(runs) > maxRuns {
+		panic(fmt.Sprintf("store invariant: %d runs in a partition, bound %d", len(runs), maxRuns))
 	}
-	if p.tombN < 0 || p.onum < 0 || p.n < 0 || p.rp < 0 {
-		panic(fmt.Sprintf("store invariant: negative count: rp=%d tombN=%d onum=%d n=%d",
-			p.rp, p.tombN, p.onum, p.n))
+	live := 0
+	for i, r := range runs {
+		if r.pairs == 0 {
+			panic(fmt.Sprintf("store invariant: run %d of %d is empty", i, len(runs)))
+		}
+		if r.del {
+			live -= r.pairs
+		} else {
+			live += r.pairs
+		}
 	}
-}
-
-// assertOverlayShape checks that the overlay maps hold overlay pairs
-// only. The sets at subject s and object o — the ones add or remove just
-// touched — must be absent or non-empty. The full check, no empty set
-// anywhere and each direction's summed set sizes equal to onum, is an
-// O(overlay) scan, so it runs only when onum is zero or a power of two:
-// after every flush, and at a geometric sample of overlay sizes, which
-// keeps checked writes amortised O(1). An empty set left behind would be
-// a subject the overlay no longer holds, gathered by every view walk
-// chunk and counted by PredicateStats. Callers hold the partition lock.
-func (p *partition) assertOverlayShape(s, o rdf.ID) {
-	if set, ok := p.so[s]; ok && len(set) == 0 {
-		panic(fmt.Sprintf("store invariant: empty object set left in overlay for subject %d", s))
+	if live != n {
+		panic(fmt.Sprintf("store invariant: pair accounting broken: add pairs - marker pairs = %d, want n=%d", live, n))
 	}
-	if set, ok := p.os[o]; ok && len(set) == 0 {
-		panic(fmt.Sprintf("store invariant: empty subject set left in overlay for object %d", o))
-	}
-	if p.onum&(p.onum-1) != 0 {
-		return
-	}
-	for dir, m := range map[string]map[rdf.ID]idSet{"subject": p.so, "object": p.os} {
-		n := 0
-		for k, set := range m {
-			if len(set) == 0 {
-				panic(fmt.Sprintf("store invariant: empty set left in overlay %s map at key %d", dir, k))
+	for _, f := range fresh {
+		f.forEach(func(s, o rdf.ID) bool {
+			want := false // the kind the next occurrence must have: add first
+			for i, r := range runs {
+				if !r.contains(s, o) {
+					continue
+				}
+				if r.del != want {
+					panic(fmt.Sprintf("store invariant: pair (%d,%d) breaks add/marker alternation at run %d of %d (marker=%v)",
+						s, o, i, len(runs), r.del))
+				}
+				want = !want
 			}
-			n += len(set)
-		}
-		if n != p.onum {
-			panic(fmt.Sprintf("store invariant: overlay %s map holds %d pairs, want onum=%d", dir, n, p.onum))
-		}
-	}
-}
-
-// assertLive checks the one-physical-home invariant for a pair that
-// must be live: it is in the overlay XOR (in a run and not tombstoned).
-// Callers hold the partition lock.
-func (p *partition) assertLive(s, o rdf.ID) {
-	_, overlay := p.so[s][o]
-	inRuns := p.runsContain(s, o)
-	tombed := p.tombHas(s, o)
-	if overlay && inRuns && !tombed {
-		panic(fmt.Sprintf("store invariant: pair (%d,%d) live in both overlay and a run", s, o))
-	}
-	if overlay && tombed {
-		panic(fmt.Sprintf("store invariant: pair (%d,%d) in overlay yet tombstoned", s, o))
-	}
-	if !overlay && !(inRuns && !tombed) {
-		panic(fmt.Sprintf("store invariant: pair (%d,%d) expected live but has no physical home (overlay=%v runs=%v tomb=%v)",
-			s, o, overlay, inRuns, tombed))
-	}
-	if tombed && !inRuns {
-		panic(fmt.Sprintf("store invariant: pair (%d,%d) tombstoned but in no run", s, o))
-	}
-}
-
-// assertDead checks that a pair just removed (or never present) is
-// dead: not in the overlay, and any run copy is tombstoned. Callers
-// hold the partition lock.
-func (p *partition) assertDead(s, o rdf.ID) {
-	if _, ok := p.so[s][o]; ok {
-		panic(fmt.Sprintf("store invariant: pair (%d,%d) expected dead but still in overlay", s, o))
-	}
-	if p.runsContain(s, o) && !p.tombHas(s, o) {
-		panic(fmt.Sprintf("store invariant: pair (%d,%d) expected dead but live in a run", s, o))
-	}
-	if p.tombHas(s, o) && !p.runsContain(s, o) {
-		panic(fmt.Sprintf("store invariant: pair (%d,%d) tombstoned but in no run", s, o))
+			return true
+		})
 	}
 }
 

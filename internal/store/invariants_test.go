@@ -34,12 +34,12 @@ func TestCheckRunDetectsCorruption(t *testing.T) {
 	ps := []pair{{s: 1, o: 5}, {s: 1, o: 7}, {s: 2, o: 5}, {s: 3, o: 2}}
 	for _, pairs := range []bool{false, true} {
 		withForm(t, &pairs)
-		checkRun(buildRun(ps)) // sanity: a well-formed run passes
+		checkRun(runOf(ps, false)) // sanity: a well-formed run passes
 	}
 
 	corrupt := func(name string, pairs bool, mutate func(r *run)) {
 		withForm(t, &pairs)
-		r := buildRun(ps)
+		r := runOf(ps, false)
 		mutate(r)
 		mustPanic(t, name, func() { checkRun(r) })
 	}
@@ -64,59 +64,47 @@ func TestCheckRunDetectsCorruption(t *testing.T) {
 	corrupt("pair distinct key drift", true, func(r *run) { r.bySub.nkeys-- })
 }
 
-func TestAccountingDetectsDrift(t *testing.T) {
-	p := newPartition(0)
-	p.add(1, 2)
-	p.add(1, 3)
-	p.assertAccounting() // sanity
+func TestRunListDetectsCorruption(t *testing.T) {
+	add := func(ps ...pair) *run { sortPairs(ps); return runOf(ps, false) }
+	del := func(ps ...pair) *run { sortPairs(ps); return runOf(ps, true) }
+	a, b, c := pair{s: 1, o: 2}, pair{s: 1, o: 3}, pair{s: 4, o: 2}
+	// Sanity: add, marker, add alternation with the right count passes.
+	list := []*run{add(a, b), del(a), add(a, c)}
+	checkRunList(list, 3, list...)
 
-	p.n++ // simulate a lost update
-	mustPanic(t, "accounting drift", func() { p.assertAccounting() })
+	check := func(n int, runs ...*run) func() { return func() { checkRunList(runs, n, runs...) } }
+	mustPanic(t, "accounting drift", check(2, add(a, b), del(a)))
+	mustPanic(t, "two adds of one pair", check(3, add(a, b), add(a)))
+	mustPanic(t, "marker before its add", check(1, del(a), add(a, b)))
+	mustPanic(t, "two markers in a row", check(0, add(a, b), del(a), del(a)))
+	mustPanic(t, "empty run", check(1, add(a), add()))
+	over := make([]*run, maxRuns+1)
+	for i := range over {
+		over[i] = add(pair{s: rdf.ID(i + 1), o: 1})
+	}
+	mustPanic(t, "run bound", check(len(over), over...))
 }
 
-func TestLivenessAssertions(t *testing.T) {
-	p := newPartition(0)
-	p.add(1, 2)
-	p.assertLive(1, 2)
-	mustPanic(t, "dead pair asserted live", func() { p.assertLive(1, 99) })
-
-	p.remove(1, 2)
-	p.assertDead(1, 2)
-	p.add(1, 2)
-	mustPanic(t, "live pair asserted dead", func() { p.assertDead(1, 2) })
-}
-
-func TestTombstoneResurrectExclusivity(t *testing.T) {
-	// Flush an overlay pair into a run, tombstone it, then resurrect it:
-	// the add/remove hooks assert the one-physical-home invariant at
-	// every step, so reaching the end without a panic is the test.
+func TestMarkerResurrectAlternation(t *testing.T) {
+	// Compact a pair into a run, remove it, bring it back, remove it and
+	// merge: every install asserts the run-list invariants, so reaching
+	// the end without a panic is the test.
 	st := New()
 	tr := rdf.Triple{S: 1, P: 2, O: 3}
-	st.Add(tr)
-	st.FlushOverlays()
+	st.AddBatch([]rdf.Triple{tr, {S: 1, P: 2, O: 4}})
+	st.Compact()
 	if !st.Remove(tr) {
-		t.Fatal("remove after flush failed")
+		t.Fatal("remove after compaction failed")
 	}
 	if st.Add(tr) != true {
-		t.Fatal("resurrect failed")
+		t.Fatal("re-add failed")
 	}
 	if !st.Contains(tr) {
-		t.Fatal("resurrected triple missing")
+		t.Fatal("re-added triple missing")
 	}
-}
-
-func TestOverlayShapeDetectsCorruption(t *testing.T) {
-	corrupt := func(name string, s, o rdf.ID, mutate func(p *partition)) {
-		p := newPartition(0)
-		p.add(1, 2)
-		p.add(1, 3)
-		p.assertOverlayShape(1, 3) // sanity: onum 2 takes the full scan
-		mutate(p)
-		mustPanic(t, name, func() { p.assertOverlayShape(s, o) })
+	st.Remove(tr)
+	st.Compact()
+	if st.Contains(tr) || st.Len() != 1 {
+		t.Fatalf("after compaction: Contains = %v, Len = %d", st.Contains(tr), st.Len())
 	}
-	corrupt("empty set at the touched subject", 4, 2, func(p *partition) { p.so[4] = idSet{} })
-	corrupt("empty set at the touched object", 1, 5, func(p *partition) { p.os[5] = idSet{} })
-	corrupt("empty set elsewhere", rdf.Any, rdf.Any, func(p *partition) { p.so[4] = idSet{} })
-	corrupt("object map drift", rdf.Any, rdf.Any, func(p *partition) { p.os[3][9] = struct{}{} })
-	corrupt("subject map drift", rdf.Any, rdf.Any, func(p *partition) { delete(p.so[1], 2) })
 }

@@ -6,31 +6,22 @@ import (
 	"repro/internal/obs"
 )
 
-// Metrics is the store's optional compaction instrumentation: how long
-// the three background maintenance operations hold the partition write
-// lock. Counters (flushes, merges, purges, pairs merged) are not here —
-// the store keeps those itself (Stats) and the facade bridges them to
-// the registry, so /stats and /metrics read the same atomics.
+// Metrics is the store's optional compaction instrumentation. Counters
+// (merges, purges, pairs merged) are not here — the store keeps those
+// itself (Stats) and the facade bridges them to the registry, so /stats
+// and /metrics read the same atomics.
 type Metrics struct {
-	// FlushSeconds times sealing one partition's overlay into a run.
-	FlushSeconds *obs.Histogram
-	// MergeSeconds times one size-tiered run merge (the off-lock union
-	// plus the run-slice swap).
+	// MergeSeconds times one run merge (the off-lock merge plus the
+	// run-list swap).
 	MergeSeconds *obs.Histogram
-	// PurgeSeconds times one tombstone purge (O(run pairs), under the
-	// partition lock — the heaviest pause compaction can inflict).
-	PurgeSeconds *obs.Histogram
 }
 
-// NewMetrics registers the store's duration instruments in reg under
-// slider_compaction_seconds{op=...}.
+// NewMetrics registers the store's duration instrument in reg under
+// slider_compaction_seconds{op="merge"}.
 func NewMetrics(reg *obs.Registry) *Metrics {
-	const name = "slider_compaction_seconds"
-	const help = "Store compaction operation durations by op (flush, merge, purge)."
 	return &Metrics{
-		FlushSeconds: reg.Histogram(name, help, nil, "op", "flush"),
-		MergeSeconds: reg.Histogram(name, help, nil, "op", "merge"),
-		PurgeSeconds: reg.Histogram(name, help, nil, "op", "purge"),
+		MergeSeconds: reg.Histogram("slider_compaction_seconds",
+			"Store compaction operation durations by op.", nil, "op", "merge"),
 	}
 }
 
@@ -48,9 +39,9 @@ func (st *Store) CompactionBacklog() int {
 
 // CompactionErr returns the sticky error recorded if a background
 // compaction pass ever panicked. The store keeps serving (the panic is
-// contained to the worker goroutine), but compaction debt then grows
-// unboundedly — the serving layer surfaces this as a degraded health
-// state rather than waiting for slow death by overlay growth.
+// contained to the worker goroutine), but merging then falls to the
+// writers, which merge a partition down themselves at the run bound —
+// the serving layer surfaces this as a degraded health state.
 func (st *Store) CompactionErr() error {
 	st.comp.mu.Lock()
 	defer st.comp.mu.Unlock()

@@ -2,28 +2,29 @@ package store
 
 import (
 	"cmp"
-	"maps"
 	"slices"
 	"sync/atomic"
 
 	"repro/internal/rdf"
 )
 
-// run is an immutable, sorted segment of one partition's pairs — the
-// LSM-style counterpart to the partition's mutable map overlay. A run is
-// never modified after buildRun returns; partitions replace their run
-// slices wholesale under the partition lock, so a reader that captured
-// the slice header may keep reading it without any lock.
+// run is an immutable, sorted segment of one partition's pairs. AddBatch
+// appends the fresh pairs of each batch as an add run, Remove appends
+// the removed pairs as a delete-marker run (del set), and the compactor
+// merges adjacent runs (see compact.go). A run is never modified after
+// buildRun or mergeRuns returns, so a reader holding a run list reads it
+// without any lock.
 //
 // A run indexes its pairs in both directions: subject→objects for
 // (p, s, ?) probes and object→subjects for (p, ?, o) probes. Each
 // direction finds a key's span by binary search over its ascending
 // keys and yields a contiguous ascending slice — the shape the
-// galloping join intersection and the verbatim checkpoint stream want.
+// galloping join intersection and the checkpoint stream want.
 // Every array holds the 32-bit IDs themselves, so readers copy spans
 // straight into the caller's buffer.
 type run struct {
 	pairs int
+	del   bool      // a delete-marker run: each pair cancels an older add
 	bySub direction // subject keys, object values
 	byObj direction // object keys, subject values
 }
@@ -104,8 +105,13 @@ func (d *direction) spanAt(i int) (span []rdf.ID, next int) {
 }
 
 // span returns key k's values (nil when k is absent): a lower-bound
-// search, then spanAt.
+// search, then spanAt. IDs are handed out densely in first-seen order,
+// so a run built from one batch spans a narrow key range, and a key
+// outside it — most probes of most runs — returns without a search.
 func (d *direction) span(k rdf.ID) []rdf.ID {
+	if len(d.keys) == 0 || k < d.keys[0] || k > d.keys[len(d.keys)-1] {
+		return nil
+	}
 	if i, ok := slices.BinarySearch(d.keys, k); ok {
 		span, _ := d.spanAt(i)
 		return span
@@ -113,109 +119,55 @@ func (d *direction) span(k rdf.ID) []rdf.ID {
 	return nil
 }
 
-func comparePairs(a, b pair) int {
-	if c := cmp.Compare(a.s, b.s); c != 0 {
-		return c
-	}
-	return cmp.Compare(a.o, b.o)
-}
+// pairKey packs a pair as one key whose integer order is (subject,
+// object) order, so batches and merges sort plain integers.
+func pairKey(s, o rdf.ID) uint64 { return uint64(s)<<32 | uint64(o) }
 
-func sortPairs(ps []pair) { slices.SortFunc(ps, comparePairs) }
+// unpack splits a pairKey back into its subject and object.
+func unpack(k uint64) (s, o rdf.ID) { return rdf.ID(k >> 32), rdf.ID(k) }
 
-// buildRun assembles a run from pairs sorted by (subject, object) with no
-// duplicates. The object direction is built from a flipped copy sorted
-// by (object, subject); total cost O(n log n) with small constants,
-// always paid off the partition lock by the compactor.
-func buildRun(ps []pair) *run {
-	flipped := make([]pair, len(ps))
-	for i, pr := range ps {
-		flipped[i] = pair{s: pr.o, o: pr.s}
+// buildRun assembles an add run, or a marker run when del is set, from
+// ascending pair keys with no duplicates. The object direction is built
+// from a flipped copy sorted by (object, subject); total cost
+// O(n log n) with small constants.
+func buildRun(ks []uint64, del bool) *run {
+	flipped := make([]uint64, len(ks))
+	for i, k := range ks {
+		s, o := unpack(k)
+		flipped[i] = pairKey(o, s)
 	}
-	sortPairs(flipped)
-	r := &run{pairs: len(ps), bySub: directionOf(ps), byObj: directionOf(flipped)}
+	slices.Sort(flipped)
+	r := &run{pairs: len(ks), del: del, bySub: directionOf(ks), byObj: directionOf(flipped)}
 	if invariantsEnabled {
 		checkRun(r)
 	}
 	return r
 }
 
-// directionOf lays out pairs sorted by (s, o) as a direction keyed by s.
-func directionOf(ps []pair) direction {
-	k := 0
-	for i := range ps {
-		if i == 0 || ps[i].s != ps[i-1].s {
-			k++
+// directionOf lays out ascending pair keys as a direction keyed by
+// their high halves.
+func directionOf(ks []uint64) direction {
+	n := 0
+	for i := range ks {
+		if i == 0 || ks[i]>>32 != ks[i-1]>>32 {
+			n++
 		}
 	}
-	d := newDirection(len(ps), k)
-	for i, pr := range ps {
-		d.vals = append(d.vals, pr.o)
-		if i+1 == len(ps) || ps[i+1].s != pr.s {
-			d.endSpan(pr.s)
+	d := newDirection(len(ks), n)
+	for i, k := range ks {
+		key, val := unpack(k)
+		d.vals = append(d.vals, val)
+		if i+1 == len(ks) || ks[i+1]>>32 != k>>32 {
+			d.endSpan(key)
 		}
-	}
-	return d
-}
-
-// buildRunFromOverlay assembles a run straight from a partition's
-// overlay maps: so and os already are the two directions keyed the
-// right way, so the cost is one key sort plus per-span sorts per
-// direction — much cheaper than materialising and comparison-sorting n
-// pairs twice, and this runs under the partition write lock.
-func buildRunFromOverlay(so, os map[rdf.ID]idSet, n int) *run {
-	r := &run{pairs: n, bySub: directionFromMap(so, n), byObj: directionFromMap(os, n)}
-	if invariantsEnabled {
-		checkRun(r)
-	}
-	return r
-}
-
-// directionFromMap lays one overlay direction of n pairs out sorted.
-func directionFromMap(m map[rdf.ID]idSet, n int) direction {
-	keys := make([]rdf.ID, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	slices.Sort(keys)
-	d := newDirection(n, len(keys))
-	for _, k := range keys {
-		start := len(d.vals)
-		d.vals = slices.AppendSeq(d.vals, maps.Keys(m[k]))
-		slices.Sort(d.vals[start:])
-		d.endSpan(k)
 	}
 	return d
 }
 
 // objectsOf returns the run's objects of subject s, ascending (nil
 // when the subject is absent). The slice aliases the run; callers must
-// not mutate it. IDs are handed out densely in first-seen order, so a
-// subject newer than the run sits above its last key: that case — every
-// fresh insert probes every run — returns without a search.
-func (r *run) objectsOf(s rdf.ID) []rdf.ID {
-	keys := r.bySub.keys
-	if len(keys) == 0 || s > keys[len(keys)-1] {
-		return nil
-	}
-	return r.bySub.span(s)
-}
-
-// objectsFrom is objectsOf for a caller visiting subjects in ascending
-// order: *i is where a subject key starts in bySub.keys, no further than
-// s, and is advanced past s's span, so a sweep over a key range scans
-// it once instead of binary searching per subject.
-func (r *run) objectsFrom(i *int, s rdf.ID) []rdf.ID {
-	keys := r.bySub.keys
-	for *i < len(keys) && keys[*i] < s {
-		*i++
-	}
-	if *i == len(keys) || keys[*i] != s {
-		return nil
-	}
-	span, next := r.bySub.spanAt(*i)
-	*i = next
-	return span
-}
+// not mutate it.
+func (r *run) objectsOf(s rdf.ID) []rdf.ID { return r.bySub.span(s) }
 
 // subjectsOf returns the run's subjects of object o, ascending (nil when
 // the object is absent). The slice aliases the run; callers must not
@@ -246,14 +198,67 @@ func (r *run) forEach(f func(s, o rdf.ID) bool) bool {
 	return true
 }
 
-// mergeRuns unions runs into one. The inputs are pairwise disjoint (the
-// partition invariant: a pair lives in at most one run or the overlay)
-// and each is already sorted in both directions, so the union is two
-// linear k-way span merges — no comparison sort, no pair
-// materialisation. Tombstones are deliberately not applied here —
-// merges must preserve pair membership exactly so they can run off the
-// partition lock while concurrent adds resurrect and removes tombstone
-// pairs.
+// mergeRange merges adjacent runs of a partition into at most two: an
+// add run and a marker run. Without markers the inputs are pairwise
+// disjoint (a pair is added again only after a marker), so the result
+// is mergeRuns' linear union. With markers, a pair's occurrences in the
+// range alternate add and marker, oldest first: an even count cancels
+// out, and an odd count leaves one occurrence of the kind of its oldest
+// (which its newest shares). A range that starts at the partition's
+// oldest run holds every marker's add, so there every marker cancels.
+func mergeRange(rs []*run) []*run {
+	if !slices.ContainsFunc(rs, func(r *run) bool { return r.del }) {
+		return []*run{mergeRuns(rs)}
+	}
+	type occ struct {
+		key uint64
+		k   int // the run's position in rs: occurrences sort oldest first
+	}
+	total := 0
+	for _, r := range rs {
+		total += r.pairs
+	}
+	occs := make([]occ, 0, total)
+	for k, r := range rs {
+		r.forEach(func(s, o rdf.ID) bool {
+			occs = append(occs, occ{pairKey(s, o), k})
+			return true
+		})
+	}
+	slices.SortFunc(occs, func(a, b occ) int {
+		if c := cmp.Compare(a.key, b.key); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.k, b.k)
+	})
+	var adds, dels []uint64
+	for i := 0; i < len(occs); {
+		j := i + 1
+		for j < len(occs) && occs[j].key == occs[i].key {
+			j++
+		}
+		if (j-i)%2 == 1 {
+			if rs[occs[i].k].del {
+				dels = append(dels, occs[i].key)
+			} else {
+				adds = append(adds, occs[i].key)
+			}
+		}
+		i = j
+	}
+	var out []*run
+	if len(adds) > 0 {
+		out = append(out, buildRun(adds, false))
+	}
+	if len(dels) > 0 {
+		out = append(out, buildRun(dels, true))
+	}
+	return out
+}
+
+// mergeRuns unions pairwise disjoint add runs into one. Each is already
+// sorted in both directions, so the union is two linear k-way span
+// merges — no comparison sort, no pair materialisation.
 func mergeRuns(rs []*run) *run {
 	total := 0
 	subs := make([]*direction, len(rs))

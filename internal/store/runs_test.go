@@ -1,6 +1,8 @@
 package store
 
 import (
+	"cmp"
+	"fmt"
 	"maps"
 	"math/rand"
 	"slices"
@@ -10,6 +12,25 @@ import (
 
 	"repro/internal/rdf"
 )
+
+// pair is one (subject, object) of a partition, as the tests spell it.
+type pair struct {
+	s, o rdf.ID
+}
+
+func comparePairs(a, b pair) int { return cmp.Compare(pairKey(a.s, a.o), pairKey(b.s, b.o)) }
+
+func sortPairs(ps []pair) { slices.SortFunc(ps, comparePairs) }
+
+// runOf builds a run from pairs sorted by (subject, object) with no
+// duplicates.
+func runOf(ps []pair, del bool) *run {
+	ks := make([]uint64, len(ps))
+	for i, pr := range ps {
+		ks[i] = pairKey(pr.s, pr.o)
+	}
+	return buildRun(ks, del)
+}
 
 // sortedSetEq reports whether got is ascending, duplicate-free and equal
 // as a set to want (order-insensitive on want).
@@ -38,20 +59,17 @@ func snapshotSet(forEach func(func(rdf.Triple) bool)) map[rdf.Triple]bool {
 	return out
 }
 
-// TestCompactionEquivalenceProperty drives a run-backed store and a
-// map-only store (compactor disabled) through the same random
-// interleaving of adds, batch adds, removes, explicit flushes, full
-// compactions and view freeze/release cycles, and checks after every
-// few steps that the two stores and a model map agree on Contains,
-// Len, sorted extents and the full triple set. This is the core
-// "compaction is physically transparent" property.
+// TestCompactionEquivalenceProperty drives a store with the background
+// compactor off through a random interleaving of adds, batch adds,
+// removes, due-window merges, full compactions and view freeze/release
+// cycles, and checks after every few steps that it agrees with a model
+// map on Contains, Len, sorted extents and the full triple set. This is
+// the core "compaction is physically transparent" property.
 func TestCompactionEquivalenceProperty(t *testing.T) {
 	prop := func(seed int64, n uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
-		lsm := New()              // run-backed, compaction driven explicitly below
-		lsm.SetAutoCompact(false) // deterministic: we call Compact/Flush ourselves
-		flat := New()
-		flat.SetAutoCompact(false) // stays map-only: the reference layout
+		lsm := New()
+		lsm.SetAutoCompact(false) // deterministic: we merge ourselves
 		ref := map[rdf.Triple]bool{}
 		var frozen *View
 		var frozenSet map[rdf.Triple]bool
@@ -65,24 +83,23 @@ func TestCompactionEquivalenceProperty(t *testing.T) {
 			x := tr(uint64(rng.Intn(10)+1), uint64(rng.Intn(4)+1), uint64(rng.Intn(10)+1))
 			switch rng.Intn(10) {
 			case 0, 1, 2, 3:
-				if lsm.Add(x) != flat.Add(x) {
+				if lsm.Add(x) == ref[x] {
 					return false
 				}
 				ref[x] = true
 			case 4, 5:
 				batch := []rdf.Triple{x, rdf.T(x.S+1, x.P, x.O), rdf.T(x.S, x.P, x.O+1)}
 				lsm.AddBatch(batch)
-				flat.AddBatch(batch)
 				for _, b := range batch {
 					ref[b] = true
 				}
 			case 6:
-				if lsm.Remove(x) != flat.Remove(x) {
+				if lsm.Remove(x) != ref[x] {
 					return false
 				}
 				delete(ref, x)
 			case 7:
-				lsm.FlushOverlays()
+				mergeDueWindows(lsm)
 			case 8:
 				lsm.Compact()
 			case 9:
@@ -102,36 +119,52 @@ func TestCompactionEquivalenceProperty(t *testing.T) {
 			if i%4 != 0 {
 				continue
 			}
-			if lsm.Len() != len(ref) || flat.Len() != len(ref) {
+			if lsm.Len() != len(ref) {
 				return false
 			}
 			if !mapsEqual(ref, snapshotSet(lsm.ForEach)) {
 				return false
 			}
 			for p := rdf.ID(1); p <= 4; p++ {
-				for s := rdf.ID(1); s <= 11; s++ {
-					a := lsm.ObjectsAppend(nil, p, s)
-					b := flat.ObjectsAppend(nil, p, s)
-					if !sortedSetEq(a, b) {
-						return false
+				for k := rdf.ID(1); k <= 11; k++ {
+					var objs, subs []rdf.ID
+					for x := range ref {
+						if x.P == p && x.S == k {
+							objs = append(objs, x.O)
+						}
+						if x.P == p && x.O == k {
+							subs = append(subs, x.S)
+						}
 					}
-					as := lsm.SubjectsAppend(nil, p, s)
-					bs := flat.SubjectsAppend(nil, p, s)
-					if !sortedSetEq(as, bs) {
+					if !sortedSetEq(lsm.ObjectsAppend(nil, p, k), objs) || !sortedSetEq(lsm.SubjectsAppend(nil, p, k), subs) {
 						return false
 					}
 				}
 			}
 		}
 		for x := range ref {
-			if !lsm.Contains(x) || !flat.Contains(x) {
+			if !lsm.Contains(x) {
 				return false
 			}
 		}
-		return slices.Equal(lsm.Predicates(), flat.Predicates())
+		return true
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// mergeDueWindows runs the background compactor's pass over every
+// partition, synchronously: it merges each due window.
+func mergeDueWindows(st *Store) {
+	for i := range st.stripes {
+		str := &st.stripes[i]
+		str.mu.RLock()
+		parts := slices.Collect(maps.Values(str.parts))
+		str.mu.RUnlock()
+		for _, p := range parts {
+			st.compactPartition(p, false)
+		}
 	}
 }
 
@@ -149,12 +182,14 @@ func mapsEqual(a, b map[rdf.Triple]bool) bool {
 
 // TestSortedExtentsAcrossLayouts pins the sorted-output contract in the
 // mixed state the equivalence property only samples: part of the extent
-// compacted into runs, part tombstoned, part fresh in the overlay.
+// compacted into one run, part removed by marker runs, part fresh in
+// one-pair runs.
 func TestSortedExtentsAcrossLayouts(t *testing.T) {
 	st := New()
 	st.SetAutoCompact(false)
 	const p = rdf.ID(7)
-	// Runs: evens 0..198. Overlay: odds 101..199. Tombstones: evens 0..98.
+	// Compacted: evens 0..198. One-pair runs: odds 101..199. Markers:
+	// evens 0..98.
 	for o := uint64(0); o < 200; o += 2 {
 		st.Add(tr(1, uint64(p), o+1000))
 	}
@@ -187,18 +222,6 @@ func TestSortedExtentsAcrossLayouts(t *testing.T) {
 			t.Fatalf("SubjectsAppend(%d) = %v, want [1]", o, subs)
 		}
 	}
-}
-
-// runFromOverlay builds a run through buildRunFromOverlay, laying pairs
-// out as the partition overlay maps the compactor flushes.
-func runFromOverlay(ps []pair) *run {
-	so := map[rdf.ID]idSet{}
-	os := map[rdf.ID]idSet{}
-	for _, pr := range ps {
-		setAdd(so, pr.s, pr.o)
-		setAdd(os, pr.o, pr.s)
-	}
-	return buildRunFromOverlay(so, os, len(ps))
 }
 
 // probeDomain is the ascending ID domain of the run probe tests: per
@@ -238,8 +261,8 @@ var (
 	forms             = map[string]*bool{"sized": nil, "csr": &csrForm, "pairs": &pairForm}
 )
 
-// checkRunProbes compares a run's objectsOf, objectsFrom, subjectsOf,
-// contains and forEach with a map oracle over ps, sorted by (subject,
+// checkRunProbes compares a run's objectsOf, subjectsOf, contains and
+// forEach with a map oracle over ps, sorted by (subject,
 // object), for every ID of probeDomain.
 func checkRunProbes(t testing.TB, name string, r *run, ps []pair) {
 	t.Helper()
@@ -269,15 +292,6 @@ func checkRunProbes(t testing.TB, name string, r *run, ps []pair) {
 			}
 		}
 	}
-	// One ascending sweep of the keys, present and absent, as a view
-	// walk's chunk makes it.
-	cur := 0
-	for _, k := range probeDomain {
-		want := slices.Sorted(slices.Values(objsOf[k]))
-		if got := r.objectsFrom(&cur, k); !slices.Equal(got, want) {
-			t.Fatalf("%s: objectsFrom(%#x) = %v, want %v", name, k, got, want)
-		}
-	}
 	var got []pair
 	r.forEach(func(s, o rdf.ID) bool {
 		got = append(got, pair{s: s, o: o})
@@ -289,8 +303,9 @@ func checkRunProbes(t testing.TB, name string, r *run, ps []pair) {
 }
 
 // TestRunProbesProperty pins the run's binary-search probes against a
-// map oracle for every way a run is built: from sorted pairs, from
-// overlay maps, and by merging 2–4 disjoint runs that share keys. IDs
+// map oracle for every way a run is built: from sorted pairs, by merging
+// 2–4 disjoint runs that share keys, and by merging a run list with
+// delete markers. IDs
 // span all three kinds up to sequence number 2^30−1. Each direction
 // takes the form the size rule picks, and then each form forced.
 func TestRunProbesProperty(t *testing.T) {
@@ -317,9 +332,8 @@ func testRunProbes(t *testing.T) {
 	}
 	for name, ps := range fixed {
 		sortPairs(ps)
-		checkRunProbes(t, name+"/buildRun", buildRun(ps), ps)
-		checkRunProbes(t, name+"/overlay", runFromOverlay(ps), ps)
-		checkRunProbes(t, name+"/merge", mergeRuns([]*run{buildRun(ps), buildRun(nil)}), ps)
+		checkRunProbes(t, name+"/buildRun", runOf(ps, false), ps)
+		checkRunProbes(t, name+"/merge", mergeRuns([]*run{runOf(ps, false), runOf(nil, false)}), ps)
 	}
 	rng := rand.New(rand.NewSource(1))
 	for iter := 0; iter < 200; iter++ {
@@ -329,8 +343,7 @@ func testRunProbes(t *testing.T) {
 		}
 		ps := slices.Collect(maps.Keys(set))
 		sortPairs(ps)
-		checkRunProbes(t, "random/buildRun", buildRun(ps), ps)
-		checkRunProbes(t, "random/overlay", runFromOverlay(ps), ps)
+		checkRunProbes(t, "random/buildRun", runOf(ps, false), ps)
 
 		// Deal the pairs to k disjoint inputs: subjects and objects recur
 		// across inputs, so the merge fuses spans under shared keys.
@@ -342,21 +355,121 @@ func testRunProbes(t *testing.T) {
 		}
 		ins := make([]*run, k)
 		for i, part := range parts {
-			if i%2 == 0 {
-				ins[i] = buildRun(part)
-			} else {
-				ins[i] = runFromOverlay(part)
-			}
+			ins[i] = runOf(part, false)
 		}
 		checkRunProbes(t, "random/merge", mergeRuns(ins), ps)
+		checkMarkerList(t, "random/markers", ins, rng.Int63())
+	}
+}
+
+// checkMarkerList extends disjoint add runs ins into a run list with
+// delete markers — a seeded schedule of marker runs removing live pairs
+// and add runs bringing removed ones back, so a pair's occurrences
+// alternate add, marker, add — and checks the list's reads, and those
+// of every merge of a window of it, against a model set.
+func checkMarkerList(t testing.TB, name string, ins []*run, seed int64) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	model := map[pair]bool{}
+	runs := slices.Clone(ins)
+	for _, r := range ins {
+		r.forEach(func(s, o rdf.ID) bool { model[pair{s: s, o: o}] = true; return true })
+	}
+	all := slices.Collect(maps.Keys(model))
+	sortPairs(all)
+	for range 3 {
+		var dels, adds []pair
+		for _, pr := range all {
+			switch {
+			case model[pr] && rng.Intn(3) == 0:
+				dels = append(dels, pr)
+			case !model[pr] && rng.Intn(2) == 0:
+				adds = append(adds, pr)
+			}
+		}
+		for _, pr := range dels {
+			model[pr] = false
+		}
+		for _, pr := range adds {
+			model[pr] = true
+		}
+		if len(dels) > 0 {
+			runs = append(runs, runOf(dels, true))
+		}
+		if len(adds) > 0 {
+			runs = append(runs, runOf(adds, false))
+		}
+	}
+	var want []pair
+	for _, pr := range all {
+		if model[pr] {
+			want = append(want, pr)
+		}
+	}
+	checkListReads(t, name, runs, all, want)
+	// Every window that ends at the newest run or starts at the oldest.
+	for k := 1; k < len(runs); k++ {
+		for _, w := range [][2]int{{k, len(runs)}, {0, k + 1}} {
+			i, j := w[0], w[1]
+			merged := slices.Concat(runs[:i], mergeRange(runs[i:j]), runs[j:])
+			checkListReads(t, fmt.Sprintf("%s/merge[%d:%d]", name, i, j), merged, all, want)
+			if i == 0 && j == len(runs) && len(merged) > 1 {
+				t.Fatalf("%s: a full merge left %d runs", name, len(merged))
+			}
+		}
+	}
+	if full := mergeRange(runs); len(full) == 1 {
+		checkRunProbes(t, name+"/full", full[0], want)
+	}
+}
+
+// checkListReads compares the list reads — live over the pairs ever
+// written, objectsAppend, subjectsAppend, forEachLive and keyCounts'
+// subject bound — with the live pairs want, sorted by (subject, object).
+func checkListReads(t testing.TB, name string, runs []*run, written, want []pair) {
+	t.Helper()
+	has := map[pair]bool{}
+	objsOf := map[rdf.ID][]rdf.ID{}
+	subsOf := map[rdf.ID][]rdf.ID{}
+	for _, pr := range want {
+		has[pr] = true
+		objsOf[pr.s] = append(objsOf[pr.s], pr.o)
+		subsOf[pr.o] = append(subsOf[pr.o], pr.s)
+	}
+	for _, k := range probeDomain {
+		if got, w := objectsAppend(runs, nil, k), slices.Sorted(slices.Values(objsOf[k])); !slices.Equal(got, w) {
+			t.Fatalf("%s: objectsAppend(%#x) = %v, want %v", name, k, got, w)
+		}
+		if got, w := subjectsAppend(runs, nil, k), slices.Sorted(slices.Values(subsOf[k])); !slices.Equal(got, w) {
+			t.Fatalf("%s: subjectsAppend(%#x) = %v, want %v", name, k, got, w)
+		}
+	}
+	for _, pr := range written {
+		if got := live(runs, pr.s, pr.o); got != has[pr] {
+			t.Fatalf("%s: live(%#x, %#x) = %v, want %v", name, pr.s, pr.o, got, !got)
+		}
+	}
+	var got []pair
+	forEachLive(runs, func(s, o rdf.ID) bool {
+		got = append(got, pair{s: s, o: o})
+		return true
+	})
+	sortPairs(got)
+	if !slices.Equal(got, want) {
+		t.Fatalf("%s: forEachLive = %v, want %v", name, got, want)
+	}
+	if subjects, _ := keyCounts(runs); subjects < len(objsOf) {
+		t.Fatalf("%s: keyCounts bounds %d subjects, %d are live", name, subjects, len(objsOf))
 	}
 }
 
 // FuzzRunForms decodes its input into pairs — per pair a subject, an
 // object and an input byte, the IDs drawn from probeKey's 18 keys — and
-// builds them into runs from sorted pairs, from overlay maps and by
-// merging up to four inputs, in each forced form. Probes, the
-// objectsFrom sweep and forEach must match the map oracle.
+// builds them into runs from sorted pairs and by merging up to four
+// inputs, in each forced form. Probes and forEach must match the map
+// oracle. The four inputs then grow into a run list with delete-marker
+// runs (seeded by the input's length), whose reads and window merges
+// must match the model set.
 func FuzzRunForms(f *testing.F) {
 	f.Add([]byte("\x00\x01\x00\x00\x02\x01\x00\x03\x02\x01\x00\x03"))
 	f.Add([]byte("\x02\x00\x00\x02\x01\x01\x02\x03\x02\x02\x04\x03\x05\x02\x00\x11\x11\x01"))
@@ -374,25 +487,21 @@ func FuzzRunForms(f *testing.F) {
 		sortPairs(ps)
 		for _, name := range []string{"csr", "pairs"} {
 			withForm(t, forms[name])
-			checkRunProbes(t, name+"/buildRun", buildRun(ps), ps)
-			checkRunProbes(t, name+"/overlay", runFromOverlay(ps), ps)
+			checkRunProbes(t, name+"/buildRun", runOf(ps, false), ps)
 			runs := make([]*run, len(ins))
 			for i, in := range ins {
 				sortPairs(in)
-				if i%2 == 0 {
-					runs[i] = buildRun(in)
-				} else {
-					runs[i] = runFromOverlay(in)
-				}
+				runs[i] = runOf(in, false)
 			}
 			checkRunProbes(t, name+"/merge", mergeRuns(runs), ps)
+			checkMarkerList(t, name+"/markers", runs, int64(len(ps)))
 		}
 	})
 }
 
 // TestRunArraysExactLength checks that every array of a run built from
-// sorted pairs, from overlay maps or by merging is allocated at its final
-// length, in either form: capacity a builder over-reserves stays on the
+// sorted pairs, by merging, or by merging with markers is allocated at
+// its final length, in either form: capacity a builder over-reserves stays on the
 // heap for the run's life. Merged inputs share keys, which an upper
 // bound summing the inputs' key counts would count twice.
 func TestRunArraysExactLength(t *testing.T) {
@@ -411,9 +520,9 @@ func TestRunArraysExactLength(t *testing.T) {
 				parts[i%3] = append(parts[i%3], pr)
 			}
 			runs := map[string]*run{
-				"buildRun": buildRun(ps),
-				"overlay":  runFromOverlay(ps),
-				"merge":    mergeRuns([]*run{buildRun(parts[0]), runFromOverlay(parts[1]), buildRun(parts[2])}),
+				"buildRun": runOf(ps, false),
+				"merge":    mergeRuns([]*run{runOf(parts[0], false), runOf(parts[1], false), runOf(parts[2], false)}),
+				"markers":  mergeRange([]*run{runOf(ps, false), runOf(parts[1], true)})[0],
 			}
 			for how, r := range runs {
 				for dir, d := range map[string]*direction{"subject": &r.bySub, "object": &r.byObj} {
@@ -439,17 +548,10 @@ func TestPredicateStatsExactAfterCompact(t *testing.T) {
 		st.Add(tr(s, p, 1000+s%10))
 		if s%50 == 0 { // a few degree-2 subjects, spread over several runs
 			st.Add(tr(s, p, 2000))
-			st.FlushOverlays()
 		}
 	}
 	st.Compact()
-	str := st.stripeFor(p)
-	str.mu.RLock()
-	part := str.parts[p]
-	str.mu.RUnlock()
-	part.mu.RLock()
-	runs := part.runs
-	part.mu.RUnlock()
+	runs := st.list(p).get()
 	if len(runs) != 1 || runs[0].bySub.off != nil || runs[0].byObj.off == nil {
 		t.Fatalf("want one run with subjects in pair form and objects in CSR form, got %d runs", len(runs))
 	}
@@ -458,16 +560,15 @@ func TestPredicateStatsExactAfterCompact(t *testing.T) {
 	}
 }
 
-// TestStatsAccounting checks the physical pair accounting: live pairs
-// must equal RunPairs - Tombstones + OverlayPairs through flushes,
-// merges and purges.
+// TestStatsAccounting checks the physical pair accounting: each marker
+// pair cancels one older add pair, so live pairs must equal RunPairs -
+// Tombstones through appends, merges and purges.
 func TestStatsAccounting(t *testing.T) {
 	st := New()
 	st.SetAutoCompact(false)
 	for i := uint64(0); i < 500; i++ {
 		st.Add(tr(i%50, 1, i))
 	}
-	st.FlushOverlays()
 	for i := uint64(500); i < 700; i++ {
 		st.Add(tr(i%50, 1, i))
 	}
@@ -476,26 +577,26 @@ func TestStatsAccounting(t *testing.T) {
 	}
 	check := func(stage string) {
 		s := st.Stats()
-		if live := s.RunPairs - s.Tombstones + s.OverlayPairs; live != st.Len() || live != s.Triples {
-			t.Fatalf("%s: run=%d tomb=%d overlay=%d -> live %d, want %d",
-				stage, s.RunPairs, s.Tombstones, s.OverlayPairs, live, st.Len())
+		if live := s.RunPairs - s.Tombstones; live != st.Len() || live != s.Triples {
+			t.Fatalf("%s: run=%d tomb=%d -> live %d, want %d",
+				stage, s.RunPairs, s.Tombstones, live, st.Len())
 		}
 	}
 	check("mixed")
 	st.Compact()
 	check("compacted")
 	s := st.Stats()
-	if s.Tombstones != 0 || s.OverlayPairs != 0 {
-		t.Fatalf("compacted store still has tombstones/overlay: %+v", s)
+	if s.Tombstones != 0 || s.OverlayPairs != 0 || s.Runs != 1 {
+		t.Fatalf("compacted store still has markers or unmerged runs: %+v", s)
 	}
-	if s.Compaction.Flushes == 0 || s.Compaction.Purges == 0 {
+	if s.Compaction.Merges == 0 || s.Compaction.Purges == 0 {
 		t.Fatalf("compaction counters did not move: %+v", s.Compaction)
 	}
 }
 
 // TestCompactionUnderIngestStress races the background compactor
 // against concurrent batch ingest, removals and view freeze/iterate
-// cycles — the -race CI smoke for the run/overlay machinery. Writers
+// cycles — the -race CI smoke for the run-list machinery. Writers
 // own disjoint subject spaces so the final state is exactly computable.
 func TestCompactionUnderIngestStress(t *testing.T) {
 	st := New() // background compaction on
@@ -570,7 +671,7 @@ func TestCompactionUnderIngestStress(t *testing.T) {
 		t.Fatalf("final Len = %d, want %d", st.Len(), want)
 	}
 	s := st.Stats()
-	if live := s.RunPairs - s.Tombstones + s.OverlayPairs; live != want {
+	if live := s.RunPairs - s.Tombstones; live != want {
 		t.Fatalf("physical accounting drifted: %+v -> %d, want %d", s, live, want)
 	}
 	// Sorted contract holds on the post-race store.

@@ -3,6 +3,7 @@ package store
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -122,7 +123,7 @@ func TestViewReleaseRestoresNormalOperation(t *testing.T) {
 		t.Fatalf("Predicates after Release = %v, want [2]", got)
 	}
 
-	// A second freeze starts clean: the old journal must not leak in.
+	// A second freeze starts clean: the first view must not leak in.
 	st.Add(tr(7, 2, 8))
 	v2 := st.Freeze()
 	defer v2.Release()
@@ -220,9 +221,6 @@ func TestConcurrentViews(t *testing.T) {
 	// drained partitions prune and live data is intact.
 	want := []rdf.Triple{tr(4, 2, 5), tr(6, 7, 8), tr(9, 2, 10)}
 	sameTriples(t, st.Snapshot(), want, "live store after all releases")
-	if st.active.Load() != nil {
-		t.Fatal("active epoch set not cleared after final release")
-	}
 }
 
 // TestViewMatchEach checks frozen pattern matching in every ground/wild
@@ -258,90 +256,74 @@ func TestViewMatchEach(t *testing.T) {
 	}
 }
 
-// TestOverlayHoldsOnlyOverlaySubjects pins the partition's mutable
-// shape: the overlay maps hold overlay pairs only — nothing survives a
-// flush, and a removal never leaves an empty set behind — while run
-// pairs still answer Contains, Remove and a tombstone-resurrecting Add
-// with no overlay entry for their subject.
-func TestOverlayHoldsOnlyOverlaySubjects(t *testing.T) {
+// TestMarkerRunsCancelAndResurrect pins the partition's run-list shape
+// under removal: a removal appends a marker run and the pair reads as
+// gone, a re-add appends an add run and it reads as live again, a
+// drained subject leaves no key behind after Compact, and never-seen
+// subjects below, between and above the run's keys read as absent.
+func TestMarkerRunsCancelAndResurrect(t *testing.T) {
 	const p = 7
 	st := New()
 	st.SetAutoCompact(false)
 	for s := uint64(100); s < 200; s += 2 { // run subjects, with gaps
-		st.Add(tr(s, p, 1))
-		st.Add(tr(s, p, 2))
+		st.AddBatch([]rdf.Triple{tr(s, p, 1), tr(s, p, 2)})
 	}
 	st.Compact()
-	str := st.stripeFor(p)
-	str.mu.RLock()
-	part := str.parts[p]
-	str.mu.RUnlock()
-	shape := func(msg string, wantSO, wantOS int) {
+	shape := func(msg string, runs, markers int) {
 		t.Helper()
-		part.mu.RLock()
-		defer part.mu.RUnlock()
-		if len(part.so) != wantSO || len(part.os) != wantOS {
-			t.Fatalf("%s: %d subject and %d object entries, want %d and %d", msg, len(part.so), len(part.os), wantSO, wantOS)
-		}
-		for s, objs := range part.so {
-			if len(objs) == 0 {
-				t.Fatalf("%s: empty object set left for subject %d", msg, s)
+		got, dels := 0, 0
+		for _, r := range st.list(p).get() {
+			got++
+			if r.del {
+				dels++
 			}
 		}
-		for o, subs := range part.os {
-			if len(subs) == 0 {
-				t.Fatalf("%s: empty subject set left for object %d", msg, o)
-			}
+		if got != runs || dels != markers {
+			t.Fatalf("%s: %d runs (%d markers), want %d (%d)", msg, got, dels, runs, markers)
 		}
 	}
-	shape("after Compact", 0, 0)
-
-	st.Add(tr(300, p, 3))
-	st.Add(tr(301, p, 3))
-	st.Add(tr(300, p, 4))
-	shape("overlay adds", 2, 2)
-	st.Remove(tr(300, p, 3))
-	shape("one overlay removal", 2, 2)
-	st.Remove(tr(300, p, 4))
-	shape("subject emptied", 1, 1)
-	st.Remove(tr(301, p, 3))
-	shape("overlay emptied", 0, 0)
+	shape("after Compact", 1, 0)
 
 	x := tr(150, p, 1)
-	if !st.Remove(x) || st.Contains(x) {
-		t.Fatal("run pair not tombstoned by Remove")
+	if !st.Remove(x) || st.Contains(x) || st.Remove(x) {
+		t.Fatal("run pair not removed by a marker")
 	}
-	shape("tombstoned", 0, 0)
+	shape("removed", 2, 1)
 	if !st.Add(x) || !st.Contains(x) {
-		t.Fatal("tombstoned run pair did not resurrect on Add")
+		t.Fatal("removed run pair did not come back on Add")
 	}
-	shape("resurrected in place", 0, 0)
-	if st.Add(tr(150, p, 2)) {
+	shape("re-added", 3, 1)
+	if st.Add(tr(150, p, 2)) || st.Add(x) {
 		t.Fatal("live run pair re-added as fresh")
 	}
-
-	for _, s := range []uint64{50, 151, 500} { // below, in a gap of, above the run
+	if got := st.Objects(p, 150); !slices.Equal(got, []rdf.ID{1, 2}) {
+		t.Fatalf("Objects(150) = %v, want [1 2]", got)
+	}
+	st.RemoveAll([]rdf.Triple{tr(152, p, 1), tr(152, p, 2), tr(152, p, 2)})
+	shape("subject drained by one marker run", 4, 2)
+	st.Compact()
+	shape("markers cancelled", 1, 0)
+	if n, subjects, objects := st.PredicateStats(p); n != 98 || subjects != 49 || objects != 2 {
+		t.Fatalf("PredicateStats = %d, %d, %d after compaction; want 98, 49, 2", n, subjects, objects)
+	}
+	for _, s := range []uint64{50, 151, 152, 500} { // below, in a gap of, drained from, above the run
 		if st.Contains(tr(s, p, 1)) || st.Remove(tr(s, p, 1)) {
-			t.Fatalf("never-seen subject %d reported present", s)
+			t.Fatalf("absent subject %d reported present", s)
 		}
 	}
-	if got := st.PredicateLen(p); got != 100 {
-		t.Fatalf("PredicateLen = %d, want 100", got)
+	if got := st.PredicateLen(p); got != 98 {
+		t.Fatalf("PredicateLen = %d, want 98", got)
 	}
 }
 
-// TestViewWalkFreezeTimeUnderChurn is the oracle for the view's chunked
-// walk. A frozen partition spanning several chunks, with pairs in four
-// runs, tombstoned run pairs and overlay pairs, is walked while the
-// callback itself adds, removes, flushes overlays, and pushes run pairs
-// through remove → Compact → re-add: the tombstone is purged and the
-// pair comes back through the overlay, its journal entry netted to
-// zero. The lowest subjects form a run that is two-thirds tombstoned, so
-// a chunk that stops at that run's last fetched key has collected few
-// pairs while higher subjects wait in the other sources. A second
-// fixture is one pair-form run whose first chunk stops inside a
-// subject's span of three key entries. Every freeze-time pair must be
-// visited exactly once, and nothing else.
+// TestViewWalkFreezeTimeUnderChurn is the oracle for the view's walk.
+// A frozen partition with pairs in several add runs, marker runs and
+// one-pair runs is walked while the callback itself adds, removes,
+// merges due windows, and pushes pairs through remove → Compact →
+// re-add: the marker cancels and the pair comes back in a new run. The
+// lowest subjects form a run that is two-thirds removed. A second
+// fixture is one pair-form run with a subject of three key entries.
+// Every freeze-time pair must be visited exactly once, and nothing else.
 func TestViewWalkFreezeTimeUnderChurn(t *testing.T) {
 	const p = 5
 	for _, auto := range []bool{false, true} {
@@ -352,27 +334,30 @@ func TestViewWalkFreezeTimeUnderChurn(t *testing.T) {
 			randPair := func(lo, hi int) rdf.Triple {
 				return tr(uint64(lo+rng.Intn(hi-lo)), p, uint64(1+rng.Intn(8)))
 			}
+			var batch []rdf.Triple
 			for s := uint64(1); s <= 3000; s++ {
-				st.Add(tr(s, p, 1))
+				batch = append(batch, tr(s, p, 1))
 			}
-			st.FlushOverlays()
+			st.AddBatch(batch)
 			for s := uint64(1); s <= 3000; s++ {
 				if s%3 != 0 {
 					st.Remove(tr(s, p, 1))
 				}
 			}
 			for r := 0; r < 2; r++ {
+				batch = batch[:0]
 				for i := 0; i < 1800; i++ {
-					st.Add(randPair(5000, 7000))
+					batch = append(batch, randPair(5000, 7000))
 				}
-				st.FlushOverlays()
+				st.AddBatch(batch)
 			}
-			// Single-pair subjects: once their one run pair is purged and
-			// re-added, the overlay is the subject's only home.
+			// Single-pair subjects: once their one pair is cancelled and
+			// re-added, a one-pair run is the subject's only home.
+			batch = batch[:0]
 			for s := uint64(9000); s < 9400; s++ {
-				st.Add(tr(s, p, 1))
+				batch = append(batch, tr(s, p, 1))
 			}
-			st.FlushOverlays()
+			st.AddBatch(batch)
 			for i := 0; i < 300; i++ {
 				st.Remove(randPair(5000, 7000))
 			}
@@ -383,29 +368,33 @@ func TestViewWalkFreezeTimeUnderChurn(t *testing.T) {
 		}
 	}
 
-	// Subject viewChunk-1 holds key entries viewChunk-2 to viewChunk of
-	// a pair-form run, so the first chunk's stop key falls inside its
-	// span; an overlay pair keeps the walk off the verbatim fast path.
+	// Subject walkChunk-1 holds key entries walkChunk-2 to walkChunk of
+	// a pair-form run; a one-pair run keeps the walk off a single run.
 	withForm(t, &pairForm)
 	for seed := int64(1); seed <= 10; seed++ {
 		st := New()
 		st.SetAutoCompact(false)
-		for s := uint64(1); s < 2*viewChunk; s++ {
+		for s := uint64(1); s < 2*walkChunk; s++ {
 			st.Add(tr(s, p, 1))
-			if s == viewChunk-1 {
+			if s == walkChunk-1 {
 				st.Add(tr(s, p, 2))
 				st.Add(tr(s, p, 3))
 			}
 		}
 		st.Compact()
 		st.Add(tr(9000, p, 1))
-		walkFrozenUnderChurn(t, st, p, rand.New(rand.NewSource(seed)), fmt.Sprintf("pair form seed %d", seed), 2*viewChunk)
+		walkFrozenUnderChurn(t, st, p, rand.New(rand.NewSource(seed)), fmt.Sprintf("pair form seed %d", seed), 2*walkChunk)
 	}
 }
 
+// walkChunk sizes the walk fixtures: a partition of a few thousand
+// pairs, a subject whose span is three key entries of a pair-form run.
+const walkChunk = 1024
+
 // walkFrozenUnderChurn freezes st, walks predicate p's frozen pairs —
-// no fewer than least of them — while the callback adds, removes, flushes and
-// purges, and checks that each freeze-time pair is visited exactly once.
+// no fewer than least of them — while the callback adds, removes,
+// merges and compacts, and checks that each freeze-time pair is visited
+// exactly once.
 func walkFrozenUnderChurn(t *testing.T, st *Store, p uint64, rng *rand.Rand, label string, least int) {
 	t.Helper()
 	frozen := st.Match(rdf.T(rdf.Any, rdf.ID(p), rdf.Any))
@@ -422,7 +411,7 @@ func walkFrozenUnderChurn(t *testing.T, st *Store, p uint64, rng *rand.Rand, lab
 		case r < 500:
 			st.Remove(frozen[rng.Intn(len(frozen))])
 		case r < 504:
-			st.FlushOverlays()
+			mergeDueWindows(st)
 		case r < 510:
 			x := tr(uint64(9000+rng.Intn(400)), p, 1)
 			if st.Remove(x) {
@@ -447,9 +436,9 @@ func walkFrozenUnderChurn(t *testing.T, st *Store, p uint64, rng *rand.Rand, lab
 
 // TestViewMatchObjectFrozen pins the object-bound pattern (?, p, o)
 // over a frozen view whose object extent spans every physical home —
-// run-resident pairs, tombstoned run pairs and overlay pairs — while a
-// writer inserts pairs with the same object, removes run-resident and
-// overlay ones, resurrects tombstoned ones and compacts. Every answer
+// a compacted run, marker runs and one-pair runs — while a writer
+// inserts pairs with the same object, removes compacted and one-pair
+// ones, re-adds removed ones and compacts. Every answer
 // must equal the freeze-time set: no post-freeze insert, no missed
 // post-freeze removal. An early-stopping consumer gets exactly the rows
 // it accepted.
@@ -464,11 +453,11 @@ func TestViewMatchObjectFrozen(t *testing.T) {
 		frozen[s] = true
 	}
 	st.Compact()
-	for s := uint64(1); s <= 20; s++ { // tombstones
+	for s := uint64(1); s <= 20; s++ { // markers
 		st.Remove(tr(s, p, o))
 		delete(frozen, s)
 	}
-	for s := uint64(300); s <= 340; s++ { // overlay
+	for s := uint64(300); s <= 340; s++ { // one-pair runs
 		st.Add(tr(s, p, o))
 		frozen[s] = true
 	}
@@ -497,14 +486,14 @@ func TestViewMatchObjectFrozen(t *testing.T) {
 		for s := uint64(500); s < 600; s++ { // post-freeze inserts
 			st.Add(tr(s, p, o))
 		}
-		for s := uint64(21); s <= 60; s++ { // run-resident removals
+		for s := uint64(21); s <= 60; s++ { // compacted-run removals
 			st.Remove(tr(s, p, o))
 		}
 		st.Compact()
-		for s := uint64(301); s <= 320; s++ { // overlay removals
+		for s := uint64(301); s <= 320; s++ { // one-pair-run removals
 			st.Remove(tr(s, p, o))
 		}
-		for s := uint64(1); s <= 5; s++ { // resurrected tombstones
+		for s := uint64(1); s <= 5; s++ { // re-added after a marker
 			st.Add(tr(s, p, o))
 		}
 		st.Compact()
@@ -538,11 +527,9 @@ func TestViewMatchObjectFrozen(t *testing.T) {
 }
 
 // TestViewWalkReachesWidestID walks a pair-form run whose last subject
-// is the widest ID, 2^32−1, with more key entries than a chunk takes:
-// the first chunk's last fetched key is that maximum. No key lies above
-// it, so the chunk must not count as truncated — a stop of 2^32−1 would
-// wrap stop+1 and the cursor to 0. An overlay pair keeps the walk off
-// the verbatim fast path.
+// is the widest ID, 2^32−1, with thousands of key entries, beside a
+// one-pair run: a cursor past that maximum would wrap to 0 and walk the
+// pairs again.
 func TestViewWalkReachesWidestID(t *testing.T) {
 	const p, widest = 5, 1<<32 - 1
 	withForm(t, &pairForm)
@@ -556,7 +543,7 @@ func TestViewWalkReachesWidestID(t *testing.T) {
 	for s := uint64(1); s <= 10; s++ {
 		add(s, 1)
 	}
-	for o := uint64(1); o <= 2*viewChunk; o++ {
+	for o := uint64(1); o <= 2*walkChunk; o++ {
 		add(widest, o)
 	}
 	st.Compact()

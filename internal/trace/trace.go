@@ -34,8 +34,8 @@ import (
 )
 
 // disabled is the global kill switch. The zero value means tracing is
-// ON — mirroring internal/obs, where a freshly linked binary observes
-// by default and benchmarks opt out explicitly.
+// ON: a freshly linked binary traces by default, and sliderd -notrace
+// and the benchmark opt out explicitly.
 var disabled atomic.Bool
 
 // Enabled reports whether tracing is collecting spans.
@@ -44,16 +44,6 @@ func Enabled() bool { return !disabled.Load() }
 // SetEnabled flips tracing globally. Spans already open keep working
 // either way: ending them is always safe, their clock reads just stop.
 func SetEnabled(on bool) { disabled.Store(!on) }
-
-// Disabled turns tracing off and returns a func restoring the previous
-// state — for benchmarks measuring the traced path against baseline:
-//
-//	defer trace.Disabled()()
-func Disabled() (restore func()) {
-	prev := Enabled()
-	SetEnabled(false)
-	return func() { SetEnabled(prev) }
-}
 
 // now is the trace clock: the zero time when tracing is disabled, so
 // span paths never pay the clock read (the trace-package analog of

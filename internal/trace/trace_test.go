@@ -94,8 +94,9 @@ func TestAsyncChildHoldsTraceOpen(t *testing.T) {
 
 func TestDisabledElidesEverything(t *testing.T) {
 	fresh(t)
-	restore := Disabled()
-	defer restore()
+	prev := Enabled()
+	SetEnabled(false)
+	defer SetEnabled(prev)
 	ctx, sp := Start(context.Background(), "ingest.batch", Int("n", 1))
 	if sp != nil {
 		t.Fatal("Start returned a live span while disabled")

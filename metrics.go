@@ -49,8 +49,7 @@ var BuildInfo = sync.OnceValue(func() Build {
 
 // Metrics returns the reasoner's metrics registry. The serving layer
 // scrapes it; applications may register their own instruments or
-// render it with WriteText. Recording is process-globally switchable
-// with obs.SetEnabled.
+// render it with WriteText.
 func (r *Reasoner) Metrics() *obs.Registry { return r.obs.reg }
 
 // rmetrics holds the facade-level instruments. One per Reasoner,
@@ -148,22 +147,19 @@ func (r *Reasoner) registerBridges() {
 		"Immutable sorted runs across all store partitions.",
 		func() float64 { return float64(r.store.Stats().Runs) })
 	reg.GaugeFunc("slider_store_overlay_pairs",
-		"Pairs in the store's mutable delta overlays (compaction debt).",
+		"Pairs in store runs not yet merged into their partition's oldest run (compaction debt).",
 		func() float64 { return float64(r.store.Stats().OverlayPairs) })
 	reg.GaugeFunc("slider_store_tombstones",
-		"Tombstoned pairs awaiting purge.",
+		"Pairs in delete-marker runs awaiting a merge.",
 		func() float64 { return float64(r.store.Stats().Tombstones) })
 	reg.GaugeFunc("slider_compaction_backlog",
 		"Partitions queued for background compaction.",
 		func() float64 { return float64(r.store.CompactionBacklog()) })
-	reg.CounterFunc("slider_compaction_flushes_total",
-		"Overlay flushes (overlay sealed into a run).",
-		func() float64 { return float64(r.store.Stats().Compaction.Flushes) })
 	reg.CounterFunc("slider_compaction_merges_total",
 		"Run merges.",
 		func() float64 { return float64(r.store.Stats().Compaction.Merges) })
 	reg.CounterFunc("slider_compaction_purges_total",
-		"Tombstone purges.",
+		"Run merges that took delete markers in.",
 		func() float64 { return float64(r.store.Stats().Compaction.Purges) })
 
 	reg.GaugeFunc("slider_view_staleness_seconds",

@@ -79,7 +79,7 @@ type (
 	// Stats is a snapshot of the engine's counters.
 	Stats = reasoner.Stats
 	// StoreStats is a snapshot of the store's size and compaction
-	// counters (runs, overlay pairs, tombstones, merges).
+	// counters (runs, unmerged pairs, delete markers, merges).
 	StoreStats = store.Stats
 	// ModuleStats is one rule module's counters.
 	ModuleStats = reasoner.ModuleStats
@@ -681,7 +681,7 @@ func (r *Reasoner) Close(ctx context.Context) error {
 	r.lc.close()
 	// Drop the cached read-session view: open sessions keep their own
 	// references and stay readable (a frozen view is pure data), but the
-	// cache slot must not pin the store's journals past shutdown.
+	// cache slot must not pin the store's runs past shutdown.
 	r.dropCachedView()
 	if r.dur == nil {
 		if err := r.engine.Close(ctx); err != nil {
@@ -717,8 +717,8 @@ func (r *Reasoner) Len() int { return r.store.Len() }
 func (r *Reasoner) Stats() Stats { return r.engine.Stats() }
 
 // StoreStats returns a snapshot of the store's size and compaction
-// counters: triples per home (runs vs delta overlay), tombstones, and
-// cumulative flush/merge/purge work.
+// counters: runs, add and delete-marker pairs, pairs not yet merged into
+// their partition's oldest run, and cumulative merge/purge work.
 func (r *Reasoner) StoreStats() StoreStats { return r.store.Stats() }
 
 // Statements calls f for every triple in the store, decoded to Terms,

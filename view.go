@@ -1,13 +1,13 @@
-// Read sessions: snapshot-isolated query handles over copy-on-write
-// store views.
+// Read sessions: snapshot-isolated query handles over frozen store
+// views.
 //
 // A View pins a consistent, fully-materialised state of the knowledge
 // base — the closure of every batch acknowledged before the snapshot was
 // taken — and answers queries against it no matter how far the live
-// store has moved on. Writers never wait on a running query: the store's
-// multi-view journaling (internal/store) compensates post-freeze
-// mutations, so the only writer-visible cost of an open session is one
-// journal entry per mutated pair.
+// store has moved on. Writers never wait on a running query: a store
+// view holds the immutable run lists it captured (internal/store) and
+// writers append new runs, so an open session costs writers nothing; it
+// only keeps the runs it holds from being collected.
 //
 // Capturing a fresh snapshot does require a safe point: the engine is
 // drained and the mark gate (Reasoner.markMu) briefly excludes writers,
@@ -59,7 +59,7 @@ func (s *sharedView) unref() {
 // store at some acknowledged point, plus the dictionary to speak Terms.
 // All methods answer from the snapshot — concurrent writes are invisible
 // — and never block writers. Close the session when done; holding it
-// open keeps its snapshot's compensation journals alive.
+// open keeps its snapshot's runs alive.
 type View struct {
 	r      *Reasoner
 	shared *sharedView

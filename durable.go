@@ -371,8 +371,8 @@ func (r *Reasoner) markCheckpointLocked(ctx context.Context) (*ckptCapture, erro
 // streamCheckpoint is the stream phase: serialise the capture's frozen
 // views to the checkpoint files and commit the manifest, all without
 // d.mu — ingest, retraction and queries proceed concurrently, appending
-// runs the frozen views do not hold. The views are always
-// released, and failures poison the reasoner (surfaced via Err).
+// runs the frozen views do not hold. Failures poison the reasoner
+// (surfaced via Err).
 func (r *Reasoner) streamCheckpoint(cap *ckptCapture) error {
 	d := r.dur
 	t0 := obs.NowIfEnabled()
@@ -393,8 +393,6 @@ func (r *Reasoner) streamCheckpoint(cap *ckptCapture) error {
 	} else {
 		d.log.AbortCheckpoint(cap.mark)
 	}
-	cap.store.Release()
-	cap.explicit.Release()
 	if err != nil {
 		d.ckptFault(err)
 	} else {

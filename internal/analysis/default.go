@@ -69,7 +69,6 @@ func DefaultCheckers(modPath string) []Checker {
 			{Pkg: modPath, Recv: "Reasoner", Name: "applyAssert"},
 			// Engine routing, buffering and join execution.
 			{Pkg: reasoner, Recv: "Engine", Name: "Add"},
-			{Pkg: reasoner, Recv: "Engine", Name: "AddAll"},
 			{Pkg: reasoner, Recv: "Engine", Name: "AddBatch"},
 			{Pkg: reasoner, Recv: "Engine", Name: "route"},
 			{Pkg: reasoner, Recv: "Engine", Name: "routeBatch"},
@@ -88,7 +87,6 @@ func DefaultCheckers(modPath string) []Checker {
 			// Store probe and insert paths the joins hammer.
 			{Pkg: store, Recv: "Store", Name: "Add"},
 			{Pkg: store, Recv: "Store", Name: "AddBatch"},
-			{Pkg: store, Recv: "Store", Name: "AddAll"},
 			{Pkg: store, Recv: "Store", Name: "addGroup"},
 			{Pkg: store, Recv: "Store", Name: "Contains"},
 			{Pkg: store, Recv: "Store", Name: "ContainsBatch"},

@@ -105,7 +105,7 @@ func (r *Reasoner) Close(ctx context.Context) (Stats, error) {
 			})
 		}
 		stats.Derivations += int64(len(emitted))
-		fresh := r.store.AddAll(emitted)
+		fresh := r.store.AddBatch(emitted)
 		stats.Inferred += int64(len(fresh))
 		switch r.strategy {
 		case SemiNaive:

@@ -129,10 +129,6 @@ func (m *masked) ObjectsAppend(dst []rdf.ID, p, s rdf.ID) []rdf.ID {
 	return kept
 }
 
-func (m *masked) Objects(p, s rdf.ID) []rdf.ID {
-	return m.ObjectsAppend(nil, p, s)
-}
-
 func (m *masked) SubjectsAppend(dst []rdf.ID, p, o rdf.ID) []rdf.ID {
 	n := len(dst)
 	dst = m.src.SubjectsAppend(dst, p, o)
@@ -143,10 +139,6 @@ func (m *masked) SubjectsAppend(dst []rdf.ID, p, o rdf.ID) []rdf.ID {
 		}
 	}
 	return kept
-}
-
-func (m *masked) Subjects(p, o rdf.ID) []rdf.ID {
-	return m.SubjectsAppend(nil, p, o)
 }
 
 func (m *masked) ForEachWithPredicate(p rdf.ID, f func(s, o rdf.ID) bool) {
@@ -480,7 +472,7 @@ func (p *Pass) Apply(st *store.Store, explicit *store.Store) Stats {
 			for _, r := range p.ruleset {
 				r.Apply(st, delta, func(t rdf.Triple) { derived = append(derived, t) })
 			}
-			fresh := st.AddAll(derived)
+			fresh := st.AddBatch(derived)
 			for _, t := range fresh {
 				if dead.has(t) {
 					stats.Rederived++

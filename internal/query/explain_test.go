@@ -42,7 +42,7 @@ func TestExplainChainJoin(t *testing.T) {
 		},
 	}
 	var ex Explain
-	rows, err := ExecuteExplain(t.Context(), st, dict, q, nil, &ex)
+	rows, err := Execute(t.Context(), st, dict, q, nil, &ex)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestExplainStarJoin(t *testing.T) {
 		},
 	}
 	var ex Explain
-	rows, err := ExecuteExplain(t.Context(), st, dict, q, nil, &ex)
+	rows, err := Execute(t.Context(), st, dict, q, nil, &ex)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,13 +140,13 @@ func TestExplainNaiveCanBeatPlanner(t *testing.T) {
 		},
 	}
 	var planned Explain
-	if _, err := ExecuteExplain(t.Context(), st, dict, q, nil, &planned); err != nil {
+	if _, err := Execute(t.Context(), st, dict, q, nil, &planned); err != nil {
 		t.Fatal(err)
 	}
 	qn := q
 	qn.NaiveOrder = true
 	var naive Explain
-	if _, err := ExecuteExplain(t.Context(), st, dict, qn, nil, &naive); err != nil {
+	if _, err := Execute(t.Context(), st, dict, qn, nil, &naive); err != nil {
 		t.Fatal(err)
 	}
 	if !naive.NaiveOrder || naive.Order[0] != 0 {
@@ -210,7 +210,7 @@ func TestExplainGallopedPathRecorded(t *testing.T) {
 		},
 	}
 	var ex1 Explain
-	rows, err := ExecuteExplain(t.Context(), st, dict, q, nil, &ex1)
+	rows, err := Execute(t.Context(), st, dict, q, nil, &ex1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +227,7 @@ func TestExplainGallopedPathRecorded(t *testing.T) {
 	qn := q
 	qn.NaiveOrder = true
 	var ex2 Explain
-	if _, err := ExecuteExplain(t.Context(), st, dict, qn, nil, &ex2); err != nil {
+	if _, err := Execute(t.Context(), st, dict, qn, nil, &ex2); err != nil {
 		t.Fatal(err)
 	}
 	if ex2.Patterns[0].Galloped || ex2.Patterns[1].Galloped {
@@ -241,7 +241,7 @@ func TestExplainJSONShape(t *testing.T) {
 	st, dict := seedChain(t)
 	q := Query{Patterns: []Pattern{{V("p"), T(ex("madeBy")), T(ex("acme"))}}}
 	var ex Explain
-	if _, err := ExecuteExplain(t.Context(), st, dict, q, nil, &ex); err != nil {
+	if _, err := Execute(t.Context(), st, dict, q, nil, &ex); err != nil {
 		t.Fatal(err)
 	}
 	raw, err := json.Marshal(ex)
@@ -266,7 +266,7 @@ func TestExplainJSONShape(t *testing.T) {
 	}
 }
 
-// TestExplainStreamingRowsSemantics pins ExecuteFuncExplain's Rows:
+// TestExplainStreamingRowsSemantics pins ExecuteFunc's Rows:
 // emitted rows after dedup/offset/limit, not raw enumerations.
 func TestExplainStreamingRowsSemantics(t *testing.T) {
 	st, dict := seedChain(t)
@@ -276,7 +276,7 @@ func TestExplainStreamingRowsSemantics(t *testing.T) {
 	}
 	var ex Explain
 	n := 0
-	err := ExecuteFuncExplain(t.Context(), st, dict, q, nil, &ex, func(Binding) bool {
+	err := ExecuteFunc(t.Context(), st, dict, q, nil, &ex, func(Binding) bool {
 		n++
 		return true
 	})

@@ -74,7 +74,7 @@ func TestExecuteHonoursLimitOffset(t *testing.T) {
 	st, dict := limitFixture(t, 10)
 	q := thingQuery()
 	q.HasLimit, q.Limit, q.Offset = true, 3, 2
-	got, err := Execute(st, dict, q)
+	got, err := Execute(t.Context(), st, dict, q, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,11 +90,11 @@ func TestExecuteHonoursLimitOffset(t *testing.T) {
 
 	// Offset past the end yields nothing; LIMIT 0 yields nothing.
 	q.Offset = 50
-	if got, _ := Execute(st, dict, q); len(got) != 0 {
+	if got, _ := Execute(t.Context(), st, dict, q, nil, nil); len(got) != 0 {
 		t.Fatalf("offset past end: got %v", got)
 	}
 	q.Offset, q.Limit = 0, 0
-	if got, _ := Execute(st, dict, q); len(got) != 0 {
+	if got, _ := Execute(t.Context(), st, dict, q, nil, nil); len(got) != 0 {
 		t.Fatalf("LIMIT 0: got %v", got)
 	}
 }
@@ -104,7 +104,7 @@ func TestExecuteFuncStreamsAndStopsEarly(t *testing.T) {
 	q := thingQuery()
 	q.HasLimit, q.Limit, q.Offset = true, 7, 5
 	var rows []Binding
-	if err := ExecuteFunc(st, dict, q, func(b Binding) bool {
+	if err := ExecuteFunc(t.Context(), st, dict, q, nil, nil, func(b Binding) bool {
 		rows = append(rows, b)
 		return true
 	}); err != nil {
@@ -124,7 +124,7 @@ func TestExecuteFuncStreamsAndStopsEarly(t *testing.T) {
 	// emit returning false stops evaluation.
 	n := 0
 	q = thingQuery()
-	if err := ExecuteFunc(st, dict, q, func(Binding) bool {
+	if err := ExecuteFunc(t.Context(), st, dict, q, nil, nil, func(Binding) bool {
 		n++
 		return n < 4
 	}); err != nil {
@@ -137,10 +137,10 @@ func TestExecuteFuncStreamsAndStopsEarly(t *testing.T) {
 	// LIMIT 0 emits nothing but still validates.
 	q.HasLimit, q.Limit = true, 0
 	called := false
-	if err := ExecuteFunc(st, dict, q, func(Binding) bool { called = true; return true }); err != nil || called {
+	if err := ExecuteFunc(t.Context(), st, dict, q, nil, nil, func(Binding) bool { called = true; return true }); err != nil || called {
 		t.Fatalf("LIMIT 0: err=%v called=%v", err, called)
 	}
-	if err := ExecuteFunc(st, dict, Query{}, func(Binding) bool { return true }); err == nil {
+	if err := ExecuteFunc(t.Context(), st, dict, Query{}, nil, nil, func(Binding) bool { return true }); err == nil {
 		t.Fatal("empty BGP accepted")
 	}
 }
@@ -157,7 +157,7 @@ func TestExecuteOverView(t *testing.T) {
 	st.Add(dict.EncodeStatement(rdf.NewStatement(rdf.NewIRI("http://e/new2"), typeT, ex("Thing"))))
 	st.Remove(dict.EncodeStatement(rdf.NewStatement(rdf.NewIRI("http://e/s00"), typeT, ex("Thing"))))
 
-	got, err := Execute(view, dict, thingQuery())
+	got, err := Execute(t.Context(), view, dict, thingQuery(), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +169,7 @@ func TestExecuteOverView(t *testing.T) {
 			t.Fatalf("post-freeze subject leaked into view query: %v", b)
 		}
 	}
-	live, err := Execute(st, dict, thingQuery())
+	live, err := Execute(t.Context(), st, dict, thingQuery(), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

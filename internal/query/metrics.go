@@ -2,10 +2,9 @@ package query
 
 import "repro/internal/obs"
 
-// Metrics is the query engine's optional instrumentation, threaded
-// through the *M entry points (ExecuteM, ExecuteFuncM). The plain
-// Execute/ExecuteFunc stay uninstrumented so library callers pay
-// nothing.
+// Metrics is the query engine's optional instrumentation, passed to
+// Execute and ExecuteFunc; a nil *Metrics records nothing, so library
+// callers pay nothing.
 type Metrics struct {
 	// PlanSeconds times the cost-based join-order planning pass.
 	PlanSeconds *obs.Histogram

@@ -116,7 +116,7 @@ func TestExecuteMatchesBruteForceProperty(t *testing.T) {
 			{"planned/runs", runStore, q},
 			{"naive/runs", runStore, naive},
 		} {
-			got, err := Execute(cell.st, dict, cell.q)
+			got, err := Execute(t.Context(), cell.st, dict, cell.q, nil, nil)
 			if err != nil {
 				return false
 			}

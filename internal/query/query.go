@@ -19,7 +19,6 @@ package query
 import (
 	"context"
 	"fmt"
-	"math"
 	"sort"
 	"strings"
 	"time"
@@ -96,31 +95,17 @@ type Query struct {
 // Source is the triple access a query evaluation needs. Both the live
 // *store.Store and a frozen *store.View implement it, so the same
 // executor serves ad-hoc queries and snapshot-isolated read sessions.
-// Sources may additionally implement statsProber (finer planner
-// estimates) and sortedProber (galloping join intersection); both store
-// types do.
 type Source interface {
-	// PredicateLen reports how many triples carry the predicate; the
-	// planner uses it to order patterns by selectivity.
-	PredicateLen(p rdf.ID) int
+	// PredicateStats reports the predicate's pair count and upper bounds
+	// on its distinct subject and object counts — the cardinalities the
+	// planner orders patterns by.
+	PredicateStats(p rdf.ID) (triples, subjects, objects int)
 	// MatchEach streams every triple matching the pattern (rdf.Any
 	// wildcards) to f until f returns false.
 	MatchEach(pattern rdf.Triple, f func(rdf.Triple) bool)
-}
-
-// statsProber is the optional Source extension the planner's cost model
-// prefers: per-predicate pair and distinct subject/object counts, as
-// maintained by the store's partitions. Sources without it fall back to
-// a square-root-of-extent distinctness guess.
-type statsProber interface {
-	PredicateStats(p rdf.ID) (triples, subjects, objects int)
-}
-
-// sortedProber is the optional Source extension behind the galloping
-// join: (predicate, subject) and (predicate, object) extents as
-// ascending, duplicate-free ID slices appended to dst. The store's
-// sorted runs provide exactly this.
-type sortedProber interface {
+	// ObjectsAppend and SubjectsAppend append a (predicate, subject) or
+	// (predicate, object) extent to dst, ascending and duplicate-free —
+	// the operands of the galloping join intersection.
 	ObjectsAppend(dst []rdf.ID, p, s rdf.ID) []rdf.ID
 	SubjectsAppend(dst []rdf.ID, p, o rdf.ID) []rdf.ID
 }
@@ -150,23 +135,14 @@ type Binding map[string]rdf.Term
 // removed. LIMIT/OFFSET are applied after sorting, so the answer is the
 // deterministic k-th page; use ExecuteFunc when early termination
 // matters more than ordering.
-func Execute(src Source, dict *rdf.Dictionary, q Query) ([]Binding, error) {
-	return ExecuteM(src, dict, q, nil)
-}
-
-// ExecuteM is Execute with optional instrumentation: a non-nil m
-// records planning/evaluation latency, the planner's cost estimate and
-// result counts.
-func ExecuteM(src Source, dict *rdf.Dictionary, q Query, m *Metrics) ([]Binding, error) {
-	return ExecuteExplain(context.Background(), src, dict, q, m, nil)
-}
-
-// ExecuteExplain is ExecuteM carrying trace context (when ctx holds a
-// span, planning and evaluation record child spans into it) and, when
-// ex is non-nil, filling it with the execution profile: chosen join
-// order vs the written one, per-pattern estimated vs actual rows,
-// whether the galloping path ran, per-stage micros.
-func ExecuteExplain(ctx context.Context, src Source, dict *rdf.Dictionary, q Query, m *Metrics, ex *Explain) ([]Binding, error) {
+//
+// When ctx holds a span, planning and evaluation record child spans
+// into it. A non-nil m records planning/evaluation latency, the
+// planner's cost estimate and result counts; a non-nil ex is filled
+// with the execution profile: chosen join order vs the written one,
+// per-pattern estimated vs actual rows, whether the galloping path ran,
+// per-stage micros.
+func Execute(ctx context.Context, src Source, dict *rdf.Dictionary, q Query, m *Metrics, ex *Explain) ([]Binding, error) {
 	var t0 time.Time
 	if m != nil {
 		t0 = obs.NowIfEnabled()
@@ -226,23 +202,11 @@ func ExecuteExplain(ctx context.Context, src Source, dict *rdf.Dictionary, q Que
 // deduplication set (one key per distinct solution seen, capped by
 // OFFSET+LIMIT when set) is held in memory. This is the executor behind
 // the serving layer's streamed bindings.
-func ExecuteFunc(src Source, dict *rdf.Dictionary, q Query, emit func(Binding) bool) error {
-	return ExecuteFuncM(src, dict, q, nil, emit)
-}
-
-// ExecuteFuncM is ExecuteFunc with optional instrumentation: a non-nil
-// m records planning/evaluation latency, the planner's cost estimate
-// and the streamed row count.
-func ExecuteFuncM(src Source, dict *rdf.Dictionary, q Query, m *Metrics, emit func(Binding) bool) error {
-	return ExecuteFuncExplain(context.Background(), src, dict, q, m, nil, emit)
-}
-
-// ExecuteFuncExplain is ExecuteFuncM carrying trace context and, when
-// ex is non-nil, filling it with the execution profile (see
-// ExecuteExplain). ex.Rows counts the solutions actually emitted —
-// after deduplication, OFFSET and LIMIT — matching what the caller
-// streamed.
-func ExecuteFuncExplain(ctx context.Context, src Source, dict *rdf.Dictionary, q Query, m *Metrics, ex *Explain, emit func(Binding) bool) error {
+//
+// ctx, m and ex are as for Execute; ex.Rows counts the solutions
+// actually emitted — after deduplication, OFFSET and LIMIT — matching
+// what the caller streamed.
+func ExecuteFunc(ctx context.Context, src Source, dict *rdf.Dictionary, q Query, m *Metrics, ex *Explain, emit func(Binding) bool) error {
 	var t0 time.Time
 	if m != nil {
 		t0 = obs.NowIfEnabled()
@@ -387,10 +351,6 @@ func enumerate(ctx context.Context, src Source, dict *rdf.Dictionary, q Query, m
 		ex.Order = append([]int(nil), order...)
 		ex.PlanMicros = time.Since(planT0).Microseconds()
 	}
-	var sp sortedProber
-	if !q.NaiveOrder {
-		sp, _ = src.(sortedProber)
-	}
 	// done marks patterns already satisfied ahead of their turn by a
 	// galloping intersection (indexed by pattern, not step).
 	done := make([]bool, len(enc))
@@ -427,7 +387,7 @@ func enumerate(ctx context.Context, src Source, dict *rdf.Dictionary, q Query, m
 			return walk(step + 1)
 		}
 		ip := enc[idx]
-		if sp != nil {
+		if !q.NaiveOrder {
 			if jp, ok := probeFor(ip, binding); ok {
 				// This pattern's solutions are one sorted extent. If a
 				// later pattern's only unbound variable is the same one,
@@ -443,8 +403,8 @@ func enumerate(ctx context.Context, src Source, dict *rdf.Dictionary, q Query, m
 					if !ok2 || jp2.v != jp.v {
 						continue
 					}
-					bufA = jp.extent(sp, bufA[:0])
-					bufB = jp2.extent(sp, bufB[:0])
+					bufA = jp.extent(src, bufA[:0])
+					bufB = jp2.extent(src, bufB[:0])
 					inter := rdf.IntersectSortedAppend(nil, bufA, bufB)
 					if ex != nil {
 						// The intersection answers both patterns at once;
@@ -580,11 +540,11 @@ func probeFor(ip idPattern, binding map[string]rdf.ID) (joinProbe, bool) {
 }
 
 // extent appends the probe's sorted solution extent to dst.
-func (jp joinProbe) extent(sp sortedProber, dst []rdf.ID) []rdf.ID {
+func (jp joinProbe) extent(src Source, dst []rdf.ID) []rdf.ID {
 	if jp.varIsS {
-		return sp.SubjectsAppend(dst, jp.p, jp.other)
+		return src.SubjectsAppend(dst, jp.p, jp.other)
 	}
-	return sp.ObjectsAppend(dst, jp.p, jp.other)
+	return src.ObjectsAppend(dst, jp.p, jp.other)
 }
 
 // encodeNode resolves a ground node through the dictionary. ok=false
@@ -614,18 +574,14 @@ type idPattern struct {
 // extent divided by the partition's distinct-subject count when the
 // subject is ground or already bound, and by the distinct-object count
 // likewise — i.e. the expected number of matching triples per probe,
-// from the per-partition stats the store maintains (statsProber), with
-// a √extent distinctness guess for sources that lack them.
+// from the per-partition stats the store maintains.
 type costEstimator struct {
 	src   Source
-	st    statsProber
 	bound map[string]bool
 }
 
 func newCostEstimator(src Source) *costEstimator {
-	ce := &costEstimator{src: src, bound: map[string]bool{}}
-	ce.st, _ = src.(statsProber)
-	return ce
+	return &costEstimator{src: src, bound: map[string]bool{}}
 }
 
 // cost estimates a pattern's cardinality under the currently bound
@@ -640,8 +596,8 @@ func (ce *costEstimator) cost(ip idPattern) float64 {
 		// plan time; assume expensive but better than a full scan.
 		return 1e12
 	}
-	n := float64(ce.src.PredicateLen(ip.p))
-	if n == 0 {
+	triples, ns, no := ce.src.PredicateStats(ip.p)
+	if triples == 0 {
 		return 0 // empty extent cuts the whole join immediately
 	}
 	sKnown := ip.sv == "" || ce.bound[ip.sv]
@@ -649,17 +605,8 @@ func (ce *costEstimator) cost(ip idPattern) float64 {
 	if sKnown && oKnown {
 		return 0.5 // existence probe
 	}
-	var ns, no int
-	if ce.st != nil {
-		_, ns, no = ce.st.PredicateStats(ip.p)
-	}
-	if ns <= 0 {
-		ns = int(math.Sqrt(n)) + 1
-	}
-	if no <= 0 {
-		no = int(math.Sqrt(n)) + 1
-	}
-	c := n
+	// A live pair lies in an add run, so both key counts are ≥ 1.
+	c := float64(triples)
 	if sKnown {
 		c /= float64(ns)
 	}

@@ -35,7 +35,7 @@ func ex(n string) rdf.Term { return rdf.NewIRI("http://e/" + n) }
 func TestExecuteSinglePattern(t *testing.T) {
 	st, dict := fixture(t)
 	q := Query{Patterns: []Pattern{{V("x"), T(rdf.NewIRI(rdf.IRIType)), T(ex("Product"))}}}
-	got, err := Execute(st, dict, q)
+	got, err := Execute(t.Context(), st, dict, q, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestExecuteJoin(t *testing.T) {
 			{V("p"), T(rdf.NewIRI(rdf.IRILabel)), V("name")},
 		},
 	}
-	got, err := Execute(st, dict, q)
+	got, err := Execute(t.Context(), st, dict, q, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestExecuteJoin(t *testing.T) {
 func TestExecuteVariablePredicate(t *testing.T) {
 	st, dict := fixture(t)
 	q := Query{Patterns: []Pattern{{T(ex("p1")), V("p"), V("o")}}}
-	got, err := Execute(st, dict, q)
+	got, err := Execute(t.Context(), st, dict, q, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestExecuteSharedVariableWithinPattern(t *testing.T) {
 	st.Add(dict.EncodeStatement(rdf.NewStatement(ex("a"), ex("p"), ex("a"))))
 	st.Add(dict.EncodeStatement(rdf.NewStatement(ex("a"), ex("p"), ex("b"))))
 	// ?x ?p ?x matches only the reflexive triple.
-	got, err := Execute(st, dict, Query{Patterns: []Pattern{{V("x"), V("p"), V("x")}}})
+	got, err := Execute(t.Context(), st, dict, Query{Patterns: []Pattern{{V("x"), V("p"), V("x")}}}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,8 +108,8 @@ func TestExecuteSharedVariableWithinPattern(t *testing.T) {
 
 func TestExecuteUnknownTermGivesEmpty(t *testing.T) {
 	st, dict := fixture(t)
-	got, err := Execute(st, dict, Query{Patterns: []Pattern{
-		{V("x"), T(rdf.NewIRI(rdf.IRIType)), T(ex("NoSuchClass"))}}})
+	got, err := Execute(t.Context(), st, dict, Query{Patterns: []Pattern{
+		{V("x"), T(rdf.NewIRI(rdf.IRIType)), T(ex("NoSuchClass"))}}}, nil, nil)
 	if err != nil || got != nil {
 		t.Fatalf("got %v, %v", got, err)
 	}
@@ -125,7 +125,7 @@ func TestExecuteDeduplicatesSolutions(t *testing.T) {
 			{V("p"), T(ex("madeBy")), V("m")},
 		},
 	}
-	got, err := Execute(st, dict, q)
+	got, err := Execute(t.Context(), st, dict, q, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,14 +136,14 @@ func TestExecuteDeduplicatesSolutions(t *testing.T) {
 
 func TestExecuteErrors(t *testing.T) {
 	st, dict := fixture(t)
-	if _, err := Execute(st, dict, Query{}); err == nil {
+	if _, err := Execute(t.Context(), st, dict, Query{}, nil, nil); err == nil {
 		t.Fatal("empty BGP accepted")
 	}
 	q := Query{
 		Select:   []string{"nope"},
 		Patterns: []Pattern{{V("x"), V("p"), V("o")}},
 	}
-	if _, err := Execute(st, dict, q); err == nil {
+	if _, err := Execute(t.Context(), st, dict, q, nil, nil); err == nil {
 		t.Fatal("unknown projected variable accepted")
 	}
 }
@@ -151,8 +151,8 @@ func TestExecuteErrors(t *testing.T) {
 func TestExecuteDeterministicOrder(t *testing.T) {
 	st, dict := fixture(t)
 	q := Query{Patterns: []Pattern{{V("x"), T(rdf.NewIRI(rdf.IRIType)), V("c")}}}
-	a, _ := Execute(st, dict, q)
-	b, _ := Execute(st, dict, q)
+	a, _ := Execute(t.Context(), st, dict, q, nil, nil)
+	b, _ := Execute(t.Context(), st, dict, q, nil, nil)
 	if len(a) != len(b) {
 		t.Fatal("nondeterministic result size")
 	}
@@ -243,7 +243,7 @@ func TestParseAndExecuteEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Execute(st, dict, q)
+	got, err := Execute(t.Context(), st, dict, q, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

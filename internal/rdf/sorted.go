@@ -1,7 +1,6 @@
 package rdf
 
-// Sorted ID-slice primitives shared by the store's run-based indexes,
-// the rules' backward join probes and the query executor's join
+// Sorted ID-slice primitives behind the query executor's join
 // intersection. All functions require their inputs ascending and
 // duplicate-free — exactly what the store's sorted-run probes return.
 
@@ -58,25 +57,4 @@ func IntersectSortedAppend(dst, a, b []ID) []ID {
 		}
 	}
 	return dst
-}
-
-// HasCommonSorted reports whether ascending, duplicate-free a and b
-// share at least one element — the early-exit face of
-// IntersectSortedAppend, used by the rules' backward support probes
-// (∃-questions never need the full intersection).
-func HasCommonSorted(a, b []ID) bool {
-	if len(a) > len(b) {
-		a, b = b, a
-	}
-	j := 0
-	for _, x := range a {
-		j = gallopFrom(b, j, x)
-		if j >= len(b) {
-			return false
-		}
-		if b[j] == x {
-			return true
-		}
-	}
-	return false
 }

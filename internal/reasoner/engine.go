@@ -183,13 +183,8 @@ func (e *Engine) Add(t rdf.Triple) bool {
 	return true
 }
 
-// AddAll streams a batch of triples; returns how many were new.
-func (e *Engine) AddAll(ts []rdf.Triple) int {
-	return len(e.AddBatch(ts))
-}
-
 // AddBatch streams a batch of explicit triples and returns those that
-// were new, in input order. Unlike a loop over Add, the whole batch takes
+// were new, grouped by predicate (see store.Store.AddBatch). Unlike a loop over Add, the whole batch takes
 // one store insertion (grouped by predicate partition), one routing pass
 // that buckets triples per destination module, and one buffer-lock
 // acquisition per module — the batch-first ingest path. AddBatch is safe

@@ -44,7 +44,7 @@ func runEngine(t *testing.T, ruleset []rules.Rule, cfg Config, input []rdf.Tripl
 	t.Helper()
 	st := store.New()
 	e := New(st, ruleset, cfg)
-	e.AddAll(input)
+	e.AddBatch(input)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	if err := e.Close(ctx); err != nil {
@@ -233,7 +233,7 @@ func TestEngineRDFSIncrementalEqualsBatchProperty(t *testing.T) {
 		rng.Shuffle(len(input), func(i, j int) { input[i], input[j] = input[j], input[i] })
 		st := store.New()
 		e := New(st, rules.RDFS(), Config{BufferSize: rng.Intn(8) + 1})
-		e.AddAll(input)
+		e.AddBatch(input)
 		if err := e.Close(context.Background()); err != nil {
 			return false
 		}

@@ -56,13 +56,15 @@ func (prpTrp) Inputs() []rdf.ID  { return nil }
 func (prpTrp) Outputs() []rdf.ID { return []rdf.ID{AnyPredicate} }
 
 func (prpTrp) Apply(src Source, delta []rdf.Triple, emit func(rdf.Triple)) {
+	var buf []rdf.ID
 	for _, t := range delta {
 		if t.P == rdf.IDType && t.O == rdf.IDTransitiveProperty {
 			// New transitive property: close its existing extent one
 			// step; subsequent deltas complete the fixpoint.
 			p := t.S
 			src.ForEachWithPredicate(p, func(x, y rdf.ID) bool {
-				for _, z := range src.Objects(p, y) {
+				buf = src.ObjectsAppend(buf[:0], p, y)
+				for _, z := range buf {
 					emit(rdf.Triple{S: x, P: p, O: z})
 				}
 				return true
@@ -72,10 +74,12 @@ func (prpTrp) Apply(src Source, delta []rdf.Triple, emit func(rdf.Triple)) {
 		if !src.Contains(rdf.Triple{S: t.P, P: rdf.IDType, O: rdf.IDTransitiveProperty}) {
 			continue
 		}
-		for _, z := range src.Objects(t.P, t.O) {
+		buf = src.ObjectsAppend(buf[:0], t.P, t.O)
+		for _, z := range buf {
 			emit(rdf.Triple{S: t.S, P: t.P, O: z})
 		}
-		for _, x := range src.Subjects(t.P, t.S) {
+		buf = src.SubjectsAppend(buf[:0], t.P, t.S)
+		for _, x := range buf {
 			emit(rdf.Triple{S: x, P: t.P, O: t.O})
 		}
 	}
@@ -85,8 +89,13 @@ func (prpTrp) Supports(src Source, t rdf.Triple) bool {
 	if !src.Contains(rdf.Triple{S: t.P, P: rdf.IDType, O: rdf.IDTransitiveProperty}) {
 		return false
 	}
-	// ∃ y: (t.S t.P y), (y t.P t.O).
-	return rdf.HasCommonSorted(src.Objects(t.P, t.S), src.Subjects(t.P, t.O))
+	// ∃ y: (t.S t.P y), (y t.P t.O). Walk t.S's side.
+	for _, y := range src.ObjectsAppend(nil, t.P, t.S) {
+		if src.Contains(rdf.Triple{S: y, P: t.P, O: t.O}) {
+			return true
+		}
+	}
+	return false
 }
 
 // prpInv implements prp-inv1 and prp-inv2:
@@ -106,6 +115,7 @@ func (prpInv) Apply(src Source, delta []rdf.Triple, emit func(rdf.Triple)) {
 			return true
 		})
 	}
+	var buf []rdf.ID
 	for _, t := range delta {
 		if t.P == rdf.IDInverseOf {
 			mirror(t.S, t.O)
@@ -115,10 +125,9 @@ func (prpInv) Apply(src Source, delta []rdf.Triple, emit func(rdf.Triple)) {
 		if t.O.IsLiteral() {
 			continue
 		}
-		for _, q := range src.Objects(rdf.IDInverseOf, t.P) {
-			emit(rdf.Triple{S: t.O, P: q, O: t.S})
-		}
-		for _, q := range src.Subjects(rdf.IDInverseOf, t.P) {
+		buf = src.ObjectsAppend(buf[:0], rdf.IDInverseOf, t.P)
+		buf = src.SubjectsAppend(buf, rdf.IDInverseOf, t.P)
+		for _, q := range buf {
 			emit(rdf.Triple{S: t.O, P: q, O: t.S})
 		}
 	}
@@ -129,12 +138,8 @@ func (prpInv) Supports(src Source, t rdf.Triple) bool {
 		return false
 	}
 	// ∃ q: (q inverseOf t.P) or (t.P inverseOf q), with (t.O q t.S).
-	for _, q := range src.Subjects(rdf.IDInverseOf, t.P) {
-		if src.Contains(rdf.Triple{S: t.O, P: q, O: t.S}) {
-			return true
-		}
-	}
-	for _, q := range src.Objects(rdf.IDInverseOf, t.P) {
+	qs := src.SubjectsAppend(nil, rdf.IDInverseOf, t.P)
+	for _, q := range src.ObjectsAppend(qs, rdf.IDInverseOf, t.P) {
 		if src.Contains(rdf.Triple{S: t.O, P: q, O: t.S}) {
 			return true
 		}
@@ -160,18 +165,16 @@ func (prpEqp) Apply(src Source, delta []rdf.Triple, emit func(rdf.Triple)) {
 			return true
 		})
 	}
+	var buf []rdf.ID
 	for _, t := range delta {
 		if t.P == rdf.IDEquivalentProperty {
 			replay(t.S, t.O)
 			replay(t.O, t.S)
 			continue
 		}
-		for _, q := range src.Objects(rdf.IDEquivalentProperty, t.P) {
-			if q != t.P {
-				emit(rdf.Triple{S: t.S, P: q, O: t.O})
-			}
-		}
-		for _, q := range src.Subjects(rdf.IDEquivalentProperty, t.P) {
+		buf = src.ObjectsAppend(buf[:0], rdf.IDEquivalentProperty, t.P)
+		buf = src.SubjectsAppend(buf, rdf.IDEquivalentProperty, t.P)
+		for _, q := range buf {
 			if q != t.P {
 				emit(rdf.Triple{S: t.S, P: q, O: t.O})
 			}
@@ -181,12 +184,8 @@ func (prpEqp) Apply(src Source, delta []rdf.Triple, emit func(rdf.Triple)) {
 
 func (prpEqp) Supports(src Source, t rdf.Triple) bool {
 	// ∃ p ≠ t.P: (p eqP t.P) or (t.P eqP p), with (t.S p t.O).
-	for _, p := range src.Subjects(rdf.IDEquivalentProperty, t.P) {
-		if p != t.P && src.Contains(rdf.Triple{S: t.S, P: p, O: t.O}) {
-			return true
-		}
-	}
-	for _, p := range src.Objects(rdf.IDEquivalentProperty, t.P) {
+	ps := src.SubjectsAppend(nil, rdf.IDEquivalentProperty, t.P)
+	for _, p := range src.ObjectsAppend(ps, rdf.IDEquivalentProperty, t.P) {
 		if p != t.P && src.Contains(rdf.Triple{S: t.S, P: p, O: t.O}) {
 			return true
 		}
@@ -203,20 +202,22 @@ func (caxEqc) Inputs() []rdf.ID  { return []rdf.ID{rdf.IDEquivalentClass, rdf.ID
 func (caxEqc) Outputs() []rdf.ID { return []rdf.ID{rdf.IDType} }
 
 func (caxEqc) Apply(src Source, delta []rdf.Triple, emit func(rdf.Triple)) {
+	var buf []rdf.ID
 	for _, t := range delta {
 		switch t.P {
 		case rdf.IDEquivalentClass:
-			for _, x := range src.Subjects(rdf.IDType, t.S) {
+			buf = src.SubjectsAppend(buf[:0], rdf.IDType, t.S)
+			for _, x := range buf {
 				emit(rdf.Triple{S: x, P: rdf.IDType, O: t.O})
 			}
-			for _, x := range src.Subjects(rdf.IDType, t.O) {
+			buf = src.SubjectsAppend(buf[:0], rdf.IDType, t.O)
+			for _, x := range buf {
 				emit(rdf.Triple{S: x, P: rdf.IDType, O: t.S})
 			}
 		case rdf.IDType:
-			for _, d := range src.Objects(rdf.IDEquivalentClass, t.O) {
-				emit(rdf.Triple{S: t.S, P: rdf.IDType, O: d})
-			}
-			for _, d := range src.Subjects(rdf.IDEquivalentClass, t.O) {
+			buf = src.ObjectsAppend(buf[:0], rdf.IDEquivalentClass, t.O)
+			buf = src.SubjectsAppend(buf, rdf.IDEquivalentClass, t.O)
+			for _, d := range buf {
 				emit(rdf.Triple{S: t.S, P: rdf.IDType, O: d})
 			}
 		}
@@ -227,10 +228,15 @@ func (caxEqc) Supports(src Source, t rdf.Triple) bool {
 	if t.P != rdf.IDType {
 		return false
 	}
-	// ∃ c: (c eqC t.O) or (t.O eqC c), with (t.S type c).
-	types := src.Objects(rdf.IDType, t.S)
-	return rdf.HasCommonSorted(types, src.Subjects(rdf.IDEquivalentClass, t.O)) ||
-		rdf.HasCommonSorted(types, src.Objects(rdf.IDEquivalentClass, t.O))
+	// ∃ c: (c eqC t.O) or (t.O eqC c), with (t.S type c). Walk t.S's
+	// own types, as cax-sco does.
+	for _, c := range src.ObjectsAppend(nil, rdf.IDType, t.S) {
+		if src.Contains(rdf.Triple{S: c, P: rdf.IDEquivalentClass, O: t.O}) ||
+			src.Contains(rdf.Triple{S: t.O, P: rdf.IDEquivalentClass, O: c}) {
+			return true
+		}
+	}
+	return false
 }
 
 // scmEqc implements scm-eqc1: (c equivalentClass d) → (c sc d), (d sc c).
@@ -288,6 +294,7 @@ func (eqSymTrans) Inputs() []rdf.ID  { return []rdf.ID{rdf.IDSameAs} }
 func (eqSymTrans) Outputs() []rdf.ID { return []rdf.ID{rdf.IDSameAs} }
 
 func (eqSymTrans) Apply(src Source, delta []rdf.Triple, emit func(rdf.Triple)) {
+	var buf []rdf.ID
 	for _, t := range delta {
 		if t.P != rdf.IDSameAs {
 			continue
@@ -295,10 +302,12 @@ func (eqSymTrans) Apply(src Source, delta []rdf.Triple, emit func(rdf.Triple)) {
 		if t.S != t.O {
 			emit(rdf.Triple{S: t.O, P: rdf.IDSameAs, O: t.S})
 		}
-		for _, z := range src.Objects(rdf.IDSameAs, t.O) {
+		buf = src.ObjectsAppend(buf[:0], rdf.IDSameAs, t.O)
+		for _, z := range buf {
 			emit(rdf.Triple{S: t.S, P: rdf.IDSameAs, O: z})
 		}
-		for _, x := range src.Subjects(rdf.IDSameAs, t.S) {
+		buf = src.SubjectsAppend(buf[:0], rdf.IDSameAs, t.S)
+		for _, x := range buf {
 			emit(rdf.Triple{S: x, P: rdf.IDSameAs, O: t.O})
 		}
 	}
@@ -313,7 +322,12 @@ func (eqSymTrans) Supports(src Source, t rdf.Triple) bool {
 		return true
 	}
 	// Transitivity: ∃ m: (t.S sameAs m), (m sameAs t.O).
-	return rdf.HasCommonSorted(src.Objects(rdf.IDSameAs, t.S), src.Subjects(rdf.IDSameAs, t.O))
+	for _, m := range src.ObjectsAppend(nil, rdf.IDSameAs, t.S) {
+		if src.Contains(rdf.Triple{S: m, P: rdf.IDSameAs, O: t.O}) {
+			return true
+		}
+	}
+	return false
 }
 
 // eqRep implements eq-rep-s and eq-rep-o: replace sameAs-equal resources
@@ -326,6 +340,7 @@ func (eqRep) Inputs() []rdf.ID  { return nil }
 func (eqRep) Outputs() []rdf.ID { return []rdf.ID{AnyPredicate} }
 
 func (eqRep) Apply(src Source, delta []rdf.Triple, emit func(rdf.Triple)) {
+	var buf []rdf.ID
 	for _, t := range delta {
 		if t.P == rdf.IDSameAs {
 			// (x sameAs y): rewrite existing triples mentioning x to
@@ -352,15 +367,18 @@ func (eqRep) Apply(src Source, delta []rdf.Triple, emit func(rdf.Triple)) {
 			continue
 		}
 		// New assertion: substitute each position's sameAs equivalents.
-		for _, s2 := range src.Objects(rdf.IDSameAs, t.S) {
+		buf = src.ObjectsAppend(buf[:0], rdf.IDSameAs, t.S)
+		for _, s2 := range buf {
 			emit(rdf.Triple{S: s2, P: t.P, O: t.O})
 		}
 		if !t.O.IsLiteral() {
-			for _, o2 := range src.Objects(rdf.IDSameAs, t.O) {
+			buf = src.ObjectsAppend(buf[:0], rdf.IDSameAs, t.O)
+			for _, o2 := range buf {
 				emit(rdf.Triple{S: t.S, P: t.P, O: o2})
 			}
 		}
-		for _, p2 := range src.Objects(rdf.IDSameAs, t.P) {
+		buf = src.ObjectsAppend(buf[:0], rdf.IDSameAs, t.P)
+		for _, p2 := range buf {
 			emit(rdf.Triple{S: t.S, P: p2, O: t.O})
 		}
 	}
@@ -373,21 +391,24 @@ func (eqRep) Supports(src Source, t rdf.Triple) bool {
 	// conclusion's rewritten-position term therefore differs from u's).
 	//
 	// Subject: (a sameAs t.S), (a t.P t.O) → t.
-	for _, a := range src.Subjects(rdf.IDSameAs, t.S) {
+	buf := src.SubjectsAppend(nil, rdf.IDSameAs, t.S)
+	for _, a := range buf {
 		if a != t.S && t.P != rdf.IDSameAs &&
 			src.Contains(rdf.Triple{S: a, P: t.P, O: t.O}) {
 			return true
 		}
 	}
 	// Object: (b sameAs t.O), (t.S t.P b) → t, b not a literal.
-	for _, b := range src.Subjects(rdf.IDSameAs, t.O) {
+	buf = src.SubjectsAppend(buf[:0], rdf.IDSameAs, t.O)
+	for _, b := range buf {
 		if b != t.O && t.P != rdf.IDSameAs && !b.IsLiteral() &&
 			src.Contains(rdf.Triple{S: t.S, P: t.P, O: b}) {
 			return true
 		}
 	}
 	// Predicate: (q sameAs t.P), (t.S q t.O) → t, q not sameAs itself.
-	for _, q := range src.Subjects(rdf.IDSameAs, t.P) {
+	buf = src.SubjectsAppend(buf[:0], rdf.IDSameAs, t.P)
+	for _, q := range buf {
 		if q != t.P && q != rdf.IDSameAs &&
 			src.Contains(rdf.Triple{S: t.S, P: q, O: t.O}) {
 			return true

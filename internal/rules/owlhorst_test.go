@@ -161,7 +161,7 @@ func TestOWLHorstFixpointViaBaseline(t *testing.T) {
 func fixpoint(t *testing.T, st *store.Store, ruleset []Rule, input []rdf.Triple) *store.Store {
 	t.Helper()
 	_ = context.Background()
-	delta := st.AddAll(input)
+	delta := st.AddBatch(input)
 	for round := 0; len(delta) > 0; round++ {
 		if round > 10000 {
 			t.Fatal("fixpoint did not converge")
@@ -170,7 +170,7 @@ func fixpoint(t *testing.T, st *store.Store, ruleset []Rule, input []rdf.Triple)
 		for _, r := range ruleset {
 			r.Apply(st, delta, func(tr rdf.Triple) { out = append(out, tr) })
 		}
-		delta = st.AddAll(out)
+		delta = st.AddBatch(out)
 	}
 	return st
 }

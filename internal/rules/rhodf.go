@@ -58,9 +58,15 @@ func (r *transitiveRule) Supports(src Source, t rdf.Triple) bool {
 	if t.P != r.pred {
 		return false
 	}
-	// ∃ b: (t.S pred b), (b pred t.O) — a galloping intersection of two
-	// sorted extents instead of a Contains probe per candidate.
-	return rdf.HasCommonSorted(src.Objects(r.pred, t.S), src.Subjects(r.pred, t.O))
+	// ∃ b: (t.S pred b), (b pred t.O). Walk t.S's side, bounded by the
+	// suspect; t.O's side can be the whole hierarchy (every class is a
+	// subclass of rdfs:Resource).
+	for _, b := range src.ObjectsAppend(nil, r.pred, t.S) {
+		if src.Contains(rdf.Triple{S: b, P: r.pred, O: t.O}) {
+			return true
+		}
+	}
+	return false
 }
 
 // caxSco implements cax-sco (paper Algorithm 1).
@@ -94,8 +100,14 @@ func (caxSco) Supports(src Source, t rdf.Triple) bool {
 	if t.P != rdf.IDType {
 		return false
 	}
-	// ∃ c1: (t.S type c1), (c1 sc t.O).
-	return rdf.HasCommonSorted(src.Objects(rdf.IDType, t.S), src.Subjects(rdf.IDSubClassOf, t.O))
+	// ∃ c1: (t.S type c1), (c1 sc t.O). Walk t.S's own types; the
+	// subclasses of t.O can be every class.
+	for _, c1 := range src.ObjectsAppend(nil, rdf.IDType, t.S) {
+		if src.Contains(rdf.Triple{S: c1, P: rdf.IDSubClassOf, O: t.O}) {
+			return true
+		}
+	}
+	return false
 }
 
 // prpSpo1 implements prp-spo1. It has universal input: any triple (x p y)
@@ -132,7 +144,7 @@ func (prpSpo1) Apply(src Source, delta []rdf.Triple, emit func(rdf.Triple)) {
 func (prpSpo1) Supports(src Source, t rdf.Triple) bool {
 	// ∃ p1: (p1 sp t.P), (t.S p1 t.O). p1 == t.P would make the premise
 	// the conclusion itself — a self-derivation, never a real support.
-	for _, p1 := range src.Subjects(rdf.IDSubPropertyOf, t.P) {
+	for _, p1 := range src.SubjectsAppend(nil, rdf.IDSubPropertyOf, t.P) {
 		if p1 != t.P && src.Contains(rdf.Triple{S: t.S, P: p1, O: t.O}) {
 			return true
 		}
@@ -187,10 +199,10 @@ func (r *prpDomRng) Supports(src Source, t rdf.Triple) bool {
 	if t.P != rdf.IDType || t.S.IsLiteral() {
 		return false
 	}
-	var buf []rdf.ID
 	// ∃ p: (p schema t.O) and an extent triple of p with t.S at the
 	// typed end: (t.S p y) for dom, (x p t.S) for rng.
-	for _, p := range src.Subjects(r.schema, t.O) {
+	var buf []rdf.ID
+	for _, p := range src.SubjectsAppend(nil, r.schema, t.O) {
 		if r.object {
 			buf = src.SubjectsAppend(buf[:0], p, t.S)
 		} else {
@@ -238,8 +250,13 @@ func (r *scmDomRng2) Supports(src Source, t rdf.Triple) bool {
 	if t.P != r.schema {
 		return false
 	}
-	// ∃ p2: (t.S sp p2), (p2 schema t.O).
-	return rdf.HasCommonSorted(src.Objects(rdf.IDSubPropertyOf, t.S), src.Subjects(r.schema, t.O))
+	// ∃ p2: (t.S sp p2), (p2 schema t.O). Walk t.S's super-properties.
+	for _, p2 := range src.ObjectsAppend(nil, rdf.IDSubPropertyOf, t.S) {
+		if src.Contains(rdf.Triple{S: p2, P: r.schema, O: t.O}) {
+			return true
+		}
+	}
+	return false
 }
 
 // Constructors for the individual ρdf rules. Exposed so custom fragments

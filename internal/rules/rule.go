@@ -13,8 +13,8 @@
 // Rules read through the Source interface rather than the concrete store:
 // the engine applies them against the live *store.Store, while the
 // maintenance subsystem applies the same join logic against frozen
-// copy-on-write store views (and suspect-masked wrappers of either) to
-// run delete-and-rederive without stalling writers.
+// store views (and suspect-masked wrappers of either) to run
+// delete-and-rederive without stalling writers.
 package rules
 
 import (
@@ -29,23 +29,23 @@ const AnyPredicate = rdf.Any
 // Source is the read face a rule joins against: the pattern-indexed
 // probes of the vertically partitioned store. Both the live *store.Store
 // and a frozen *store.View satisfy it, so the same rule code runs on the
-// hot inference path and against copy-on-write snapshots.
+// hot inference path and against frozen snapshots.
+//
+// Each question has one form. An extent probe is sorted and appends
+// into a caller-owned dst, so a join reuses one scratch buffer across
+// its delta. A backward Supports check walks the premise side bounded
+// by the suspect (cax-sco walks the suspect subject's own types) and
+// asks Contains of the other premise: the unbounded side — every
+// subclass of rdfs:Resource, say — is never read.
 type Source interface {
 	// Contains reports whether the exact triple is present.
 	Contains(t rdf.Triple) bool
 	// ObjectsAppend appends the objects o with (s, p, o) present to dst,
-	// in ascending ID order — the sorted contract the ∃-joins below
-	// exploit with galloping intersection (rdf.HasCommonSorted).
+	// in ascending ID order, and returns the extended slice.
 	ObjectsAppend(dst []rdf.ID, p, s rdf.ID) []rdf.ID
 	// SubjectsAppend appends the subjects s with (s, p, o) present to
-	// dst, in ascending ID order.
+	// dst, in ascending ID order, and returns the extended slice.
 	SubjectsAppend(dst []rdf.ID, p, o rdf.ID) []rdf.ID
-	// Objects returns a copy of the objects o with (s, p, o) present,
-	// in ascending ID order.
-	Objects(p, s rdf.ID) []rdf.ID
-	// Subjects returns a copy of the subjects s with (s, p, o) present,
-	// in ascending ID order.
-	Subjects(p, o rdf.ID) []rdf.ID
 	// ForEachWithPredicate calls f for every (s, o) pair of the
 	// predicate until f returns false.
 	ForEachWithPredicate(p rdf.ID, f func(s, o rdf.ID) bool)

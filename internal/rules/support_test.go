@@ -33,8 +33,6 @@ func (m *maskOne) ObjectsAppend(dst []rdf.ID, p, s rdf.ID) []rdf.ID {
 	return kept
 }
 
-func (m *maskOne) Objects(p, s rdf.ID) []rdf.ID { return m.ObjectsAppend(nil, p, s) }
-
 func (m *maskOne) SubjectsAppend(dst []rdf.ID, p, o rdf.ID) []rdf.ID {
 	n := len(dst)
 	dst = m.st.SubjectsAppend(dst, p, o)
@@ -46,8 +44,6 @@ func (m *maskOne) SubjectsAppend(dst []rdf.ID, p, o rdf.ID) []rdf.ID {
 	}
 	return kept
 }
-
-func (m *maskOne) Subjects(p, o rdf.ID) []rdf.ID { return m.SubjectsAppend(nil, p, o) }
 
 func (m *maskOne) ForEachWithPredicate(p rdf.ID, f func(s, o rdf.ID) bool) {
 	m.st.ForEachWithPredicate(p, func(s, o rdf.ID) bool {
@@ -181,6 +177,97 @@ func TestSupportsMatchesOneStepDerivability(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// countingSource is a Source that counts the IDs its extent probes hand
+// back: the read volume of a support check. It forwards every method by
+// hand rather than embedding the wrapped Source, so a probe added to
+// Source cannot slip past the count: the wrapper stops compiling.
+type countingSource struct {
+	src  rules.Source
+	read int
+}
+
+func (c *countingSource) Contains(t rdf.Triple) bool { return c.src.Contains(t) }
+
+func (c *countingSource) ObjectsAppend(dst []rdf.ID, p, s rdf.ID) []rdf.ID {
+	n := len(dst)
+	dst = c.src.ObjectsAppend(dst, p, s)
+	c.read += len(dst) - n
+	return dst
+}
+
+func (c *countingSource) SubjectsAppend(dst []rdf.ID, p, o rdf.ID) []rdf.ID {
+	n := len(dst)
+	dst = c.src.SubjectsAppend(dst, p, o)
+	c.read += len(dst) - n
+	return dst
+}
+
+func (c *countingSource) ForEachWithPredicate(p rdf.ID, f func(s, o rdf.ID) bool) {
+	c.src.ForEachWithPredicate(p, func(s, o rdf.ID) bool {
+		c.read++
+		return f(s, o)
+	})
+}
+
+func (c *countingSource) ForEach(f func(rdf.Triple) bool) {
+	c.src.ForEach(func(t rdf.Triple) bool {
+		c.read++
+		return f(t)
+	})
+}
+
+func (c *countingSource) Predicates() []rdf.ID { return c.src.Predicates() }
+
+// TestSupportsReadsBoundedSide checks that a support check costs what
+// the suspect touches, not the size of the hierarchy: over wide = 5 000
+// classes and properties sitting directly under rdfs:Resource, Supports
+// for cax-sco, scm-sco and scm-dom2 reads the suspect's own types or
+// ancestors, never every subclass (or every property with a domain) of
+// Resource.
+func TestSupportsReadsBoundedSide(t *testing.T) {
+	const wide = 5000
+	id := func(i int) rdf.ID { return rdf.FirstCustomID + rdf.ID(i) }
+	res := rdf.IDResource
+	a, b, d := id(wide), id(wide+1), id(wide+2) // a sc b sc Resource; d unrelated
+	x, y := id(wide+3), id(wide+4)
+	p1, p2 := id(wide+5), id(wide+6) // p1 sp p2, p2 dom Resource
+	st := store.New()
+	var in []rdf.Triple
+	for i := range wide {
+		in = append(in,
+			rdf.T(id(i), rdf.IDSubClassOf, res),
+			rdf.T(id(wide+10+i), rdf.IDDomain, res))
+	}
+	in = append(in,
+		rdf.T(a, rdf.IDSubClassOf, b), rdf.T(b, rdf.IDSubClassOf, res), rdf.T(a, rdf.IDSubClassOf, res),
+		rdf.T(x, rdf.IDType, a), rdf.T(x, rdf.IDType, b), rdf.T(x, rdf.IDType, res),
+		rdf.T(y, rdf.IDType, d), rdf.T(y, rdf.IDType, res),
+		rdf.T(p1, rdf.IDSubPropertyOf, p2), rdf.T(p2, rdf.IDDomain, res), rdf.T(p1, rdf.IDDomain, res))
+	st.AddBatch(in)
+
+	cases := []struct {
+		rule    rules.Rule
+		suspect rdf.Triple
+		want    bool
+		maxRead int // the suspect's own types or ancestors
+	}{
+		{rules.CaxSco(), rdf.T(x, rdf.IDType, res), true, 3},
+		{rules.CaxSco(), rdf.T(y, rdf.IDType, res), false, 2},
+		{rules.ScmSco(), rdf.T(a, rdf.IDSubClassOf, res), true, 2},
+		{rules.ScmDom2(), rdf.T(p1, rdf.IDDomain, res), true, 1},
+	}
+	for _, c := range cases {
+		src := &countingSource{src: &maskOne{st: st, dead: c.suspect}}
+		if got := c.rule.(rules.Supporter).Supports(src, c.suspect); got != c.want {
+			t.Errorf("%s Supports(%v) = %v, want %v", c.rule.Name(), c.suspect, got, c.want)
+		}
+		if src.read > c.maxRead {
+			t.Errorf("%s Supports(%v) read %d IDs, want at most %d (the hierarchy is %d wide)",
+				c.rule.Name(), c.suspect, src.read, c.maxRead, wide)
+		}
 	}
 }
 

@@ -54,7 +54,7 @@ func TestRemovePrunesIndexes(t *testing.T) {
 		t.Fatal("empty partition not pruned")
 	}
 	// Both directions of the index must be clean.
-	if st.Objects(2, 1) != nil || st.Subjects(2, 3) != nil {
+	if st.ObjectsAppend(nil, 2, 1) != nil || st.SubjectsAppend(nil, 2, 3) != nil {
 		t.Fatal("index remnants after remove")
 	}
 	// Re-adding works normally after pruning.
@@ -103,7 +103,7 @@ func TestAddRemoveInterleavingProperty(t *testing.T) {
 			}
 			// Index consistency both ways.
 			found := false
-			for _, o := range st.Objects(x.P, x.S) {
+			for _, o := range st.ObjectsAppend(nil, x.P, x.S) {
 				if o == x.O {
 					found = true
 				}
@@ -112,7 +112,7 @@ func TestAddRemoveInterleavingProperty(t *testing.T) {
 				return false
 			}
 			found = false
-			for _, s := range st.Subjects(x.P, x.O) {
+			for _, s := range st.SubjectsAppend(nil, x.P, x.O) {
 				if s == x.S {
 					found = true
 				}

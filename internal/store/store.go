@@ -18,8 +18,8 @@
 // size tiers (see compact.go), cancelling a pair against its marker, so
 // a partition holds O(log n) runs and tiny trickle runs are absorbed by
 // the first tier. Probes binary search each run; ObjectsAppend and
-// SubjectsAppend return ascending results (the contract the rule joins'
-// galloping intersection and the query planner rely on).
+// SubjectsAppend append ascending results into a caller-owned buffer
+// (the contract the query executor's galloping intersection relies on).
 //
 // A partition's current contents are one runList: its runs and its live
 // pair count. A write installs a new runList; a merge, which changes no
@@ -243,10 +243,9 @@ type group struct {
 	keys []uint64
 }
 
-// groupByPredicate splits ts by predicate, sorting and deduplicating
-// each group's pair keys. gi gives each triple's group (nil when ts has
-// one predicate).
-func groupByPredicate(ts []rdf.Triple) (groups []group, gi []int32) {
+// groupByPredicate splits ts by predicate, in first-seen predicate
+// order, sorting and deduplicating each group's pair keys.
+func groupByPredicate(ts []rdf.Triple) (groups []group) {
 	all := make([]uint64, len(ts))
 	if !slices.ContainsFunc(ts, func(t rdf.Triple) bool { return t.P != ts[0].P }) {
 		for i, t := range ts {
@@ -255,7 +254,7 @@ func groupByPredicate(ts []rdf.Triple) (groups []group, gi []int32) {
 		groups = []group{{p: ts[0].P, keys: all}}
 	} else {
 		at := make(map[rdf.ID]int32, 8) // predicate → group
-		gi = make([]int32, len(ts))
+		gi := make([]int32, len(ts))
 		var counts []int
 		for i, t := range ts {
 			g, ok := at[t.P]
@@ -282,7 +281,7 @@ func groupByPredicate(ts []rdf.Triple) (groups []group, gi []int32) {
 		slices.Sort(groups[g].keys)
 		groups[g].keys = slices.Compact(groups[g].keys)
 	}
-	return groups, gi
+	return groups
 }
 
 // stripe is one shard of the predicate→partition map.
@@ -406,41 +405,28 @@ func (st *Store) Add(t rdf.Triple) bool {
 	return len(st.addGroup(t.P, []uint64{pairKey(t.S, t.O)})) == 1
 }
 
-// AddBatch inserts all triples and returns those that were new,
-// preserving input order (a triple repeated in ts counts once, at its
-// first occurrence). Each predicate's share of the batch becomes one
-// add run, taking the partition lock once.
+// AddBatch inserts all triples and returns those that were new, once
+// each, grouped by predicate in first-seen order and in (subject,
+// object) order within a predicate. Each predicate's share of the batch
+// becomes one add run, taking the partition lock once.
 func (st *Store) AddBatch(ts []rdf.Triple) []rdf.Triple {
 	if len(ts) == 0 {
 		return nil
 	}
-	groups, gi := groupByPredicate(ts)
+	groups := groupByPredicate(ts)
 	n := 0
 	for g := range groups {
 		groups[g].keys = st.addGroup(groups[g].p, groups[g].keys)
 		n += len(groups[g].keys)
 	}
-	switch n {
-	case 0:
+	if n == 0 {
 		return nil
-	case len(ts): // every triple distinct and fresh
-		return slices.Clone(ts)
 	}
 	out := make([]rdf.Triple, 0, n)
-	taken := make([]bool, n) // per group, indexed like its fresh keys
-	base := make([]int, len(groups))
-	for g := 1; g < len(groups); g++ {
-		base[g] = base[g-1] + len(groups[g-1].keys)
-	}
-	for i, t := range ts {
-		g := 0
-		if gi != nil {
-			g = int(gi[i])
-		}
-		j, found := slices.BinarySearch(groups[g].keys, pairKey(t.S, t.O))
-		if found && !taken[base[g]+j] {
-			taken[base[g]+j] = true
-			out = append(out, t)
+	for _, g := range groups {
+		for _, k := range g.keys {
+			s, o := unpack(k)
+			out = append(out, rdf.Triple{S: s, P: g.p, O: o})
 		}
 	}
 	return out
@@ -497,12 +483,6 @@ func (st *Store) addGroup(p rdf.ID, ks []uint64) []uint64 {
 	return fresh
 }
 
-// AddAll inserts all triples and returns those that were new, preserving
-// input order. It is AddBatch under the store's historical name.
-func (st *Store) AddAll(ts []rdf.Triple) []rdf.Triple {
-	return st.AddBatch(ts)
-}
-
 // Remove deletes a triple and reports whether it was present.
 func (st *Store) Remove(t rdf.Triple) bool {
 	return st.removeGroup(t.P, []uint64{pairKey(t.S, t.O)}) == 1
@@ -515,7 +495,7 @@ func (st *Store) RemoveAll(ts []rdf.Triple) int {
 		return 0
 	}
 	n := 0
-	groups, _ := groupByPredicate(ts)
+	groups := groupByPredicate(ts)
 	for _, g := range groups {
 		n += st.removeGroup(g.p, g.keys)
 	}
@@ -629,12 +609,6 @@ func (st *Store) Predicates() []rdf.ID {
 	return out
 }
 
-// Objects returns a copy of the objects o such that (s, p, o) is
-// present, in ascending ID order.
-func (st *Store) Objects(p, s rdf.ID) []rdf.ID {
-	return st.ObjectsAppend(nil, p, s)
-}
-
 // ObjectsAppend appends the objects o such that (s, p, o) is present to
 // dst and returns the extended slice. The appended segment is in
 // ascending ID order — rule joins and the query executor gallop over it.
@@ -642,12 +616,6 @@ func (st *Store) Objects(p, s rdf.ID) []rdf.ID {
 // per probe.
 func (st *Store) ObjectsAppend(dst []rdf.ID, p, s rdf.ID) []rdf.ID {
 	return objectsAppend(st.list(p).get(), dst, s)
-}
-
-// Subjects returns a copy of the subjects s such that (s, p, o) is
-// present, in ascending ID order.
-func (st *Store) Subjects(p, o rdf.ID) []rdf.ID {
-	return st.SubjectsAppend(nil, p, o)
 }
 
 // SubjectsAppend appends the subjects s such that (s, p, o) is present to
@@ -876,22 +844,10 @@ func (v *View) ObjectsAppend(dst []rdf.ID, p, s rdf.ID) []rdf.ID {
 	return objectsAppend(v.list(p).get(), dst, s)
 }
 
-// Objects returns a copy of the freeze-time objects o with (s, p, o)
-// present, in ascending ID order.
-func (v *View) Objects(p, s rdf.ID) []rdf.ID {
-	return v.ObjectsAppend(nil, p, s)
-}
-
 // SubjectsAppend appends the freeze-time subjects s with (s, p, o)
 // present to dst and returns the extended slice, in ascending ID order.
 func (v *View) SubjectsAppend(dst []rdf.ID, p, o rdf.ID) []rdf.ID {
 	return subjectsAppend(v.list(p).get(), dst, o)
-}
-
-// Subjects returns a copy of the freeze-time subjects s with (s, p, o)
-// present, in ascending ID order.
-func (v *View) Subjects(p, o rdf.ID) []rdf.ID {
-	return v.SubjectsAppend(nil, p, o)
 }
 
 // lister is what the shared read paths need of a Store or a View.

@@ -32,10 +32,10 @@ func TestAddAndContains(t *testing.T) {
 	}
 }
 
-func TestAddAllReturnsOnlyFresh(t *testing.T) {
+func TestAddBatchReturnsOnlyFresh(t *testing.T) {
 	st := New()
 	st.Add(tr(1, 2, 3))
-	fresh := st.AddAll([]rdf.Triple{tr(1, 2, 3), tr(4, 2, 5), tr(4, 2, 5), tr(6, 7, 8)})
+	fresh := st.AddBatch([]rdf.Triple{tr(1, 2, 3), tr(4, 2, 5), tr(4, 2, 5), tr(6, 7, 8)})
 	want := []rdf.Triple{tr(4, 2, 5), tr(6, 7, 8)}
 	if len(fresh) != len(want) {
 		t.Fatalf("fresh = %v, want %v", fresh, want)
@@ -57,20 +57,20 @@ func TestObjectsAndSubjects(t *testing.T) {
 	st.Add(tr(2, 9, 10))
 	st.Add(tr(1, 8, 12))
 
-	objs := st.Objects(9, 1)
+	objs := st.ObjectsAppend(nil, 9, 1)
 	sortIDs(objs)
 	if len(objs) != 2 || objs[0] != 10 || objs[1] != 11 {
 		t.Fatalf("Objects(9,1) = %v", objs)
 	}
-	subs := st.Subjects(9, 10)
+	subs := st.SubjectsAppend(nil, 9, 10)
 	sortIDs(subs)
 	if len(subs) != 2 || subs[0] != 1 || subs[1] != 2 {
 		t.Fatalf("Subjects(9,10) = %v", subs)
 	}
-	if st.Objects(9, 99) != nil {
+	if st.ObjectsAppend(nil, 9, 99) != nil {
 		t.Fatal("Objects of absent subject should be nil")
 	}
-	if st.Subjects(99, 10) != nil {
+	if st.SubjectsAppend(nil, 99, 10) != nil {
 		t.Fatal("Subjects of absent predicate should be nil")
 	}
 }
@@ -274,7 +274,7 @@ func TestConcurrentAddersAndReaders(t *testing.T) {
 				}
 				st.Len()
 				st.Contains(tr(1, 1, 1))
-				st.Objects(3, 5)
+				st.ObjectsAppend(nil, 3, 5)
 				st.ForEachWithPredicate(2, func(s, o rdf.ID) bool { return true })
 			}
 		}()

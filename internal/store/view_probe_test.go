@@ -58,16 +58,16 @@ func TestViewPatternProbes(t *testing.T) {
 	if got := v.ObjectsAppend(nil, p1, s1); !idsEqual(got, []rdf.ID{o1, o2}) {
 		t.Fatalf("frozen objects of (s1,p1): %v, want [o1 o2]", got)
 	}
-	if got := st.Objects(p1, s1); !idsEqual(got, []rdf.ID{o2, o3}) {
+	if got := st.ObjectsAppend(nil, p1, s1); !idsEqual(got, []rdf.ID{o2, o3}) {
 		t.Fatalf("live objects of (s1,p1): %v, want [o2 o3]", got)
 	}
 	if got := v.SubjectsAppend(nil, p1, o1); !idsEqual(got, []rdf.ID{s1, s2}) {
 		t.Fatalf("frozen subjects of (p1,o1): %v, want [s1 s2]", got)
 	}
-	if got := v.Subjects(p1, o3); len(got) != 0 {
+	if got := v.SubjectsAppend(nil, p1, o3); len(got) != 0 {
 		t.Fatalf("post-freeze insert visible through the view: %v", got)
 	}
-	if got := v.Objects(p2, s2); len(got) != 0 {
+	if got := v.ObjectsAppend(nil, p2, s2); len(got) != 0 {
 		t.Fatalf("post-freeze partition visible through the view: %v", got)
 	}
 	// Append semantics: dst is extended, not replaced.
@@ -100,7 +100,7 @@ func TestViewProbesDrainedSubject(t *testing.T) {
 	if got := v.SubjectsAppend(nil, p, o1); !idsEqual(got, []rdf.ID{s}) {
 		t.Fatalf("frozen subjects of drained pair: %v, want [s]", got)
 	}
-	if got := st.Objects(p, s); len(got) != 0 {
+	if got := st.ObjectsAppend(nil, p, s); len(got) != 0 {
 		t.Fatalf("live store still answers for drained subject: %v", got)
 	}
 }

@@ -296,7 +296,7 @@ func TestMarkerRunsCancelAndResurrect(t *testing.T) {
 	if st.Add(tr(150, p, 2)) || st.Add(x) {
 		t.Fatal("live run pair re-added as fresh")
 	}
-	if got := st.Objects(p, 150); !slices.Equal(got, []rdf.ID{1, 2}) {
+	if got := st.ObjectsAppend(nil, p, 150); !slices.Equal(got, []rdf.ID{1, 2}) {
 		t.Fatalf("Objects(150) = %v, want [1 2]", got)
 	}
 	st.RemoveAll([]rdf.Triple{tr(152, p, 1), tr(152, p, 2), tr(152, p, 2)})

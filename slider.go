@@ -513,7 +513,6 @@ func (r *Reasoner) Retract(ctx context.Context, sts ...Statement) (RetractStats,
 		if err != nil {
 			return RetractStats{}, err
 		}
-		defer sv.Release()
 		pass, err = maintenance.Prepare(ctx, sv, storeV, explicitV, r.frag.rules, r.explicit, toDelete)
 		if err != nil {
 			return RetractStats{}, err
@@ -679,10 +678,12 @@ func (r *Reasoner) Close(ctx context.Context) error {
 	// Settle pending batch-lifecycle spans first so their traces
 	// complete (and the watcher goroutine exits) before teardown.
 	r.lc.close()
-	// Drop the cached read-session view: open sessions keep their own
-	// references and stay readable (a frozen view is pure data), but the
-	// cache slot must not pin the store's runs past shutdown.
-	r.dropCachedView()
+	// Drop the cached read-session view: open sessions keep theirs and
+	// stay readable (a frozen view is pure data), but the cache slot
+	// must not pin the store's runs past shutdown.
+	r.viewMu.Lock()
+	r.viewCur = nil
+	r.viewMu.Unlock()
 	if r.dur == nil {
 		if err := r.engine.Close(ctx); err != nil {
 			return err
@@ -798,13 +799,13 @@ func (r *Reasoner) Select(text string) ([]Binding, error) {
 	if err != nil {
 		return nil, err
 	}
-	return query.ExecuteM(r.store, r.dict, q, r.obs.query)
+	return r.SelectQuery(q)
 }
 
 // SelectQuery runs an already-built query (see internal/query for the
 // pattern API re-exported below).
 func (r *Reasoner) SelectQuery(q query.Query) ([]Binding, error) {
-	return query.ExecuteM(r.store, r.dict, q, r.obs.query)
+	return query.Execute(context.Background(), r.store, r.dict, q, r.obs.query, nil)
 }
 
 // Explain is a query's execution profile: the join order the planner
@@ -821,7 +822,7 @@ func (r *Reasoner) SelectExplain(text string) ([]Binding, *Explain, error) {
 		return nil, nil, err
 	}
 	ex := &query.Explain{}
-	rows, err := query.ExecuteExplain(context.Background(), r.store, r.dict, q, r.obs.query, ex)
+	rows, err := query.Execute(context.Background(), r.store, r.dict, q, r.obs.query, ex)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -7,7 +7,9 @@
 // store has moved on. Writers never wait on a running query: a store
 // view holds the immutable run lists it captured (internal/store) and
 // writers append new runs, so an open session costs writers nothing; it
-// only keeps the runs it holds from being collected.
+// only keeps the runs it holds from being collected. A snapshot is plain
+// data: nothing counts its readers, and it is freed by the garbage
+// collector once neither the cache slot nor any session points at it.
 //
 // Capturing a fresh snapshot does require a safe point: the engine is
 // drained and the mark gate (Reasoner.markMu) briefly excludes writers,
@@ -26,7 +28,6 @@ package slider
 
 import (
 	"context"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
@@ -39,31 +40,22 @@ import (
 // before View() quiesces the engine and captures a fresh one.
 const DefaultViewMaxAge = 100 * time.Millisecond
 
-// sharedView is one reference-counted store snapshot handed out to (and
-// shared by) read sessions. The cache slot (Reasoner.viewCur) holds one
-// reference; every open View holds another.
+// sharedView is one store snapshot handed out to (and shared by) read
+// sessions, cached in Reasoner.viewCur.
 type sharedView struct {
 	sv      *store.View
 	version uint64 // store version at freeze
 	born    time.Time
-	refs    atomic.Int64
-}
-
-func (s *sharedView) unref() {
-	if s.refs.Add(-1) == 0 {
-		s.sv.Release()
-	}
 }
 
 // View is a read session: a consistent snapshot of the materialised
 // store at some acknowledged point, plus the dictionary to speak Terms.
 // All methods answer from the snapshot — concurrent writes are invisible
-// — and never block writers. Close the session when done; holding it
-// open keeps its snapshot's runs alive.
+// — and never block writers. Holding a session keeps its snapshot's
+// runs alive.
 type View struct {
 	r      *Reasoner
 	shared *sharedView
-	closed atomic.Bool
 }
 
 // View returns a read session pinned to a consistent snapshot of the
@@ -72,8 +64,7 @@ type View struct {
 // invisible). Sessions are cheap — concurrent callers share one
 // underlying snapshot, refreshed at most every ViewMaxAge while the
 // store is changing — and a session never blocks writers. ctx bounds the
-// quiescence wait a refresh may need; the returned session must be
-// Closed.
+// quiescence wait a refresh may need.
 //
 // Under a negative ViewMaxAge ("always current") the session is at or
 // past the store version observed at the call, so a caller finds its
@@ -100,7 +91,6 @@ func (r *Reasoner) viewAtLeast(ctx context.Context, need uint64) (*View, error) 
 		cur, flight := r.viewCur, r.viewFlight
 		if cur != nil && cur.version >= need &&
 			(cur.version == r.store.Version() || time.Since(cur.born) < r.viewMaxAge || flight != nil) {
-			cur.refs.Add(1)
 			r.viewMu.Unlock()
 			return &View{r: r, shared: cur}, nil
 		}
@@ -149,14 +139,9 @@ func (r *Reasoner) refreshView(ctx context.Context) (*View, error) {
 	sp.End()
 	r.obs.viewRefresh.ObserveSince(t0)
 	ns := &sharedView{sv: sv, version: version, born: time.Now()}
-	ns.refs.Store(2) // the cache slot + the returned session
 	r.viewMu.Lock()
-	old := r.viewCur
 	r.viewCur = ns
 	r.viewMu.Unlock()
-	if old != nil {
-		old.unref()
-	}
 	// Batches at or before this version are now visible to read
 	// sessions: settle their pending view-visibility spans.
 	r.lc.notifyView(version)
@@ -191,25 +176,10 @@ func (r *Reasoner) freezeClosure(ctx context.Context) (*store.View, uint64, uint
 	return sv, storeVersion, explicitVersion, nil
 }
 
-// dropCachedView releases the cache slot's reference (Reasoner.Close).
-func (r *Reasoner) dropCachedView() {
-	r.viewMu.Lock()
-	cur := r.viewCur
-	r.viewCur = nil
-	r.viewMu.Unlock()
-	if cur != nil {
-		cur.unref()
-	}
-}
-
-// Close releases the session. Idempotent; the underlying snapshot is
-// released once the last session sharing it closes and it is no longer
-// the cached current one.
-func (v *View) Close() {
-	if v.closed.CompareAndSwap(false, true) {
-		v.shared.unref()
-	}
-}
+// Close ends the session. It is a no-op, kept for callers that scope
+// sessions explicitly: a session holds no lock and no count, and its
+// snapshot is collected once unreachable.
+func (v *View) Close() {}
 
 // Len returns the number of triples (explicit plus inferred) in the
 // snapshot.
@@ -231,12 +201,12 @@ func (v *View) Select(text string) ([]Binding, error) {
 	if err != nil {
 		return nil, err
 	}
-	return query.ExecuteM(v.shared.sv, v.r.dict, q, v.r.obs.query)
+	return v.SelectQuery(q)
 }
 
 // SelectQuery runs an already-built query against the snapshot.
 func (v *View) SelectQuery(q query.Query) ([]Binding, error) {
-	return query.ExecuteM(v.shared.sv, v.r.dict, q, v.r.obs.query)
+	return query.Execute(context.Background(), v.shared.sv, v.r.dict, q, v.r.obs.query, nil)
 }
 
 // SelectFunc parses and runs a SELECT query against the snapshot,
@@ -249,12 +219,12 @@ func (v *View) SelectFunc(text string, emit func(Binding) bool) error {
 	if err != nil {
 		return err
 	}
-	return query.ExecuteFuncM(v.shared.sv, v.r.dict, q, v.r.obs.query, emit)
+	return v.SelectQueryFunc(q, emit)
 }
 
 // SelectQueryFunc is SelectFunc for an already-built query.
 func (v *View) SelectQueryFunc(q query.Query, emit func(Binding) bool) error {
-	return query.ExecuteFuncM(v.shared.sv, v.r.dict, q, v.r.obs.query, emit)
+	return v.SelectQueryFuncExplain(context.Background(), q, nil, emit)
 }
 
 // SelectQueryFuncExplain is SelectQueryFunc carrying trace context
@@ -262,5 +232,5 @@ func (v *View) SelectQueryFunc(q query.Query, emit func(Binding) bool) error {
 // non-nil, filling it with the execution profile. The serving layer's
 // ?explain=1 is built on it.
 func (v *View) SelectQueryFuncExplain(ctx context.Context, q query.Query, ex *query.Explain, emit func(Binding) bool) error {
-	return query.ExecuteFuncExplain(ctx, v.shared.sv, v.r.dict, q, v.r.obs.query, ex, emit)
+	return query.ExecuteFunc(ctx, v.shared.sv, v.r.dict, q, v.r.obs.query, ex, emit)
 }

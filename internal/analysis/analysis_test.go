@@ -2,6 +2,9 @@ package analysis
 
 import (
 	"flag"
+	"fmt"
+	"go/ast"
+	"go/types"
 	"os"
 	"path/filepath"
 	"strings"
@@ -119,40 +122,154 @@ func TestMetricNamesFixture(t *testing.T) {
 	})
 }
 
-// TestTreeIsClean is the meta-test: the real module must produce zero
-// diagnostics under the default configuration — the same invocation CI
-// runs via cmd/slidervet.
-func TestTreeIsClean(t *testing.T) {
+// loadTree loads the real module, returning it with its root directory
+// and module path.
+func loadTree(t *testing.T) (prog *Program, root, modPath string) {
+	t.Helper()
 	root, err := filepath.Abs(filepath.Join("..", ".."))
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog, err := LoadModule(root)
+	prog, err = LoadModule(root)
 	if err != nil {
 		t.Fatalf("load module: %v", err)
 	}
-	modPath := prog.Pkgs[0].Path
+	modPath = prog.Pkgs[0].Path
 	for _, p := range prog.Pkgs {
 		if len(p.Path) < len(modPath) {
 			modPath = p.Path
 		}
 	}
+	return prog, root, modPath
+}
+
+// TestTreeIsClean is the meta-test: the real module must produce zero
+// diagnostics under the default configuration — the same invocation CI
+// runs via cmd/slidervet.
+func TestTreeIsClean(t *testing.T) {
+	prog, root, modPath := loadTree(t)
 	for _, d := range Run(prog, DefaultCheckers(modPath)) {
 		t.Errorf("unexpected diagnostic: %s", d.Rel(root))
 	}
 }
 
+// TestDefaultConfigResolves checks that every declaration the default
+// configuration names exists in the module: a lock class whose field
+// was deleted, or a hot or blessed function that was renamed, would
+// otherwise match nothing and pass silently.
+func TestDefaultConfigResolves(t *testing.T) {
+	prog, _, modPath := loadTree(t)
+	for _, c := range DefaultCheckers(modPath) {
+		switch c := c.(type) {
+		case *LockOrder:
+			for _, cl := range c.Classes {
+				if err := resolveMutex(prog, cl); err != nil {
+					t.Errorf("lock class %s: %v", cl.Name, err)
+				}
+			}
+		case *HotPath:
+			for _, h := range c.Hot {
+				if !declaredFunc(prog, h.Pkg, h.Recv, h.Name) {
+					t.Errorf("hot function %s (receiver %q) in %s is not declared", h.Name, h.Recv, h.Pkg)
+				}
+			}
+		case *RunImmutable:
+			for name := range c.Blessed {
+				if !declaredName(prog, c.PkgPath, name) {
+					t.Errorf("blessed function %s in %s is not declared", name, c.PkgPath)
+				}
+			}
+		}
+	}
+}
+
+// resolveMutex follows the lock class's field path from its owner type
+// and reports an error unless it ends at a sync.Mutex or sync.RWMutex.
+func resolveMutex(prog *Program, cl LockClass) error {
+	pkg := prog.Package(cl.PkgPath)
+	if pkg == nil {
+		return fmt.Errorf("package %s not loaded", cl.PkgPath)
+	}
+	owner, ok := pkg.Types.Scope().Lookup(cl.Type).(*types.TypeName)
+	if !ok {
+		return fmt.Errorf("no type %s in %s", cl.Type, cl.PkgPath)
+	}
+	typ := owner.Type()
+	for _, name := range strings.Split(cl.Field, ".") {
+		st, ok := typ.Underlying().(*types.Struct)
+		if !ok {
+			return fmt.Errorf("%s: %s is not a struct", cl.Field, typ)
+		}
+		typ = nil
+		for i := range st.NumFields() {
+			if f := st.Field(i); f.Name() == name {
+				typ = f.Type()
+			}
+		}
+		if typ == nil {
+			return fmt.Errorf("no field %s on %s", cl.Field, cl.Type)
+		}
+	}
+	if n, ok := typ.(*types.Named); !ok || n.Obj().Pkg() == nil || n.Obj().Pkg().Path() != "sync" ||
+		n.Obj().Name() != "Mutex" && n.Obj().Name() != "RWMutex" {
+		return fmt.Errorf("%s.%s is a %s, not a sync.Mutex or sync.RWMutex", cl.Type, cl.Field, typ)
+	}
+	return nil
+}
+
+// declaredFunc reports whether package pkgPath declares, with a body,
+// the function name — a method of type recv when recv is set.
+func declaredFunc(prog *Program, pkgPath, recv, name string) bool {
+	pkg := prog.Package(pkgPath)
+	if pkg == nil {
+		return false
+	}
+	if recv == "" {
+		fn, ok := pkg.Types.Scope().Lookup(name).(*types.Func)
+		return ok && hasBody(prog, fn)
+	}
+	tn, ok := pkg.Types.Scope().Lookup(recv).(*types.TypeName)
+	if !ok {
+		return false
+	}
+	n, ok := tn.Type().(*types.Named)
+	if !ok {
+		return false
+	}
+	for i := range n.NumMethods() {
+		if m := n.Method(i); m.Name() == name {
+			return hasBody(prog, m)
+		}
+	}
+	return false
+}
+
+func hasBody(prog *Program, fn *types.Func) bool {
+	_, decl := prog.FuncDecl(fn)
+	return decl != nil
+}
+
+// declaredName reports whether package pkgPath declares a function or
+// method called name (the blessed list names either).
+func declaredName(prog *Program, pkgPath, name string) bool {
+	pkg := prog.Package(pkgPath)
+	if pkg == nil {
+		return false
+	}
+	for _, f := range pkg.Files {
+		for _, d := range f.Decls {
+			if fd, ok := d.(*ast.FuncDecl); ok && fd.Body != nil && fd.Name.Name == name {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 // TestLoadModuleShape sanity-checks the loader: the module root and the
 // packages the checkers key on must all be present.
 func TestLoadModuleShape(t *testing.T) {
-	root, err := filepath.Abs(filepath.Join("..", ".."))
-	if err != nil {
-		t.Fatal(err)
-	}
-	prog, err := LoadModule(root)
-	if err != nil {
-		t.Fatalf("load module: %v", err)
-	}
+	prog, _, _ := loadTree(t)
 	for _, path := range []string{
 		"repro",
 		"repro/internal/store",

@@ -24,13 +24,11 @@ func DefaultCheckers(modPath string) []Checker {
 		// called with markMu and the durability mutex held).
 		{Name: "wal.Log.mu", PkgPath: wal, Type: "Log", Field: "mu", Rank: 50},
 		// Store order: workMu serializes run merges and is taken before
-		// any stripe lock; stripe before partition; predMu and the
-		// compaction queue mutex are leaves.
+		// Store.mu, which serializes root publication and merge swaps;
+		// the compaction queue mutex is a leaf.
 		{Name: "workMu", PkgPath: store, Type: "Store", Field: "workMu", Rank: 60},
-		{Name: "stripe.mu", PkgPath: store, Type: "stripe", Field: "mu", Rank: 80},
-		{Name: "partition.mu", PkgPath: store, Type: "partition", Field: "mu", Rank: 90},
-		{Name: "predMu", PkgPath: store, Type: "Store", Field: "predMu", Rank: 100},
-		{Name: "comp.mu", PkgPath: store, Type: "Store", Field: "comp.mu", Rank: 110},
+		{Name: "Store.mu", PkgPath: store, Type: "Store", Field: "mu", Rank: 70},
+		{Name: "comp.mu", PkgPath: store, Type: "Store", Field: "comp.mu", Rank: 80},
 		// Dictionary order: Encode takes a term's stripe lock, then seqMu
 		// to hand out the sequence number; nothing under seqMu takes a
 		// stripe lock.
@@ -87,13 +85,17 @@ func DefaultCheckers(modPath string) []Checker {
 			// Store probe and insert paths the joins hammer.
 			{Pkg: store, Recv: "Store", Name: "Add"},
 			{Pkg: store, Recv: "Store", Name: "AddBatch"},
-			{Pkg: store, Recv: "Store", Name: "addGroup"},
+			{Pkg: store, Recv: "Store", Name: "apply"},
 			{Pkg: store, Recv: "Store", Name: "Contains"},
 			{Pkg: store, Recv: "Store", Name: "ContainsBatch"},
 			{Pkg: store, Recv: "Store", Name: "ObjectsAppend"},
 			{Pkg: store, Recv: "Store", Name: "SubjectsAppend"},
-			{Pkg: store, Recv: "Store", Name: "removeGroup"},
-			{Pkg: store, Recv: "partition", Name: "appendRun"},
+			{Pkg: store, Recv: "View", Name: "next"},
+			{Pkg: store, Name: "stageChange"},
+			{Pkg: store, Recv: "View", Name: "list"},
+			{Pkg: store, Recv: "View", Name: "Contains"},
+			{Pkg: store, Recv: "View", Name: "ObjectsAppend"},
+			{Pkg: store, Recv: "View", Name: "SubjectsAppend"},
 			{Pkg: store, Name: "groupByPredicate"},
 			{Pkg: store, Name: "live"},
 			// WAL append.

@@ -92,9 +92,11 @@ type Query struct {
 	NaiveOrder bool
 }
 
-// Source is the triple access a query evaluation needs. Both the live
-// *store.Store and a frozen *store.View implement it, so the same
-// executor serves ad-hoc queries and snapshot-isolated read sessions.
+// Source is the triple access a query evaluation needs. A frozen
+// *store.View (one immutable root of the store) implements it, and so
+// does the live *store.Store, each of whose reads reads its current
+// root: the same executor serves ad-hoc queries and snapshot-isolated
+// read sessions.
 type Source interface {
 	// PredicateStats reports the predicate's pair count and upper bounds
 	// on its distinct subject and object counts — the cardinalities the

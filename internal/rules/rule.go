@@ -27,9 +27,11 @@ import (
 const AnyPredicate = rdf.Any
 
 // Source is the read face a rule joins against: the pattern-indexed
-// probes of the vertically partitioned store. Both the live *store.Store
-// and a frozen *store.View satisfy it, so the same rule code runs on the
-// hot inference path and against frozen snapshots.
+// probes of the vertically partitioned store. A frozen *store.View is
+// one immutable root of the store, and every read of the live
+// *store.Store is the same read of its current root; both satisfy
+// Source, so the same rule code runs on the hot inference path and
+// against frozen snapshots.
 //
 // Each question has one form. An extent probe is sorted and appends
 // into a caller-owned dst, so a join reuses one scratch buffer across

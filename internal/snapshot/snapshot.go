@@ -53,8 +53,10 @@ type TermSource interface {
 }
 
 // TripleSource is the store side of a snapshot: predicate-grouped
-// iteration with stable per-predicate counts. Satisfied by *store.Store
-// (quiescent) and *store.View (concurrent-safe frozen view).
+// iteration with stable per-predicate counts. A *store.View is one
+// immutable root of the store, consistent under concurrent writers; a
+// *store.Store reads its current root at each call, so it must be
+// quiescent across the count and iteration passes.
 type TripleSource interface {
 	Predicates() []rdf.ID
 	PredicateLen(p rdf.ID) int

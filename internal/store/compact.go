@@ -32,11 +32,11 @@ func SetCompactTestHook(f func()) {
 // no more than twice the pairs of the largest run already in the
 // window (see mergeWindow). Runs of similar size thus merge fanIn at a
 // time into a run about fanIn times larger, like the digits of a
-// base-fanIn counter: a partition holds about (fanIn-1)·log_fanIn(n)
+// base-fanIn counter: a predicate holds about (fanIn-1)·log_fanIn(n)
 // runs, each pair is rewritten about log_fanIn(n) times, and the tiny
 // runs of a trickle are absorbed by the first tier. A small run stranded
 // behind a larger one joins the next window that reaches it. maxRuns is
-// the hard bound: a writer that finds its partition at maxRuns runs (the
+// the hard bound: a writer that finds a predicate at maxRuns runs (the
 // compactor off, retired or behind) merges it down itself before
 // appending.
 const (
@@ -71,20 +71,20 @@ func mergeDue(runs []*run) bool {
 	return len(runs) >= fanIn && len(runs)-windowAt(runs, len(runs)) >= fanIn
 }
 
-// enqueueCompact hands a partition to the background compactor. The
-// queued flag dedups enqueues; the worker goroutine is spawned lazily
-// and exits when the queue drains, so idle stores own no goroutine.
-// Safe to call while holding stripe/partition locks: it only touches
-// the queue mutex, which is a leaf in the lock order.
-func (st *Store) enqueueCompact(pred rdf.ID, p *partition) {
+// enqueueCompact hands predicate p to the background compactor, unless
+// it is already queued. The worker goroutine is spawned lazily and exits
+// when the queue drains, so idle stores own no goroutine. comp.mu is a
+// leaf in the lock order.
+func (st *Store) enqueueCompact(p rdf.ID) {
 	if !st.autoCompact.Load() {
 		return
 	}
-	if p.queued.Swap(true) {
+	st.comp.mu.Lock()
+	if slices.Contains(st.comp.queue, p) {
+		st.comp.mu.Unlock()
 		return
 	}
-	st.comp.mu.Lock()
-	st.comp.queue = append(st.comp.queue, pred)
+	st.comp.queue = append(st.comp.queue, p)
 	spawn := !st.comp.running
 	if spawn {
 		st.comp.running = true
@@ -120,10 +120,9 @@ func (st *Store) compactLoop() {
 			return
 		}
 		st.comp.mu.Lock()
-		if active {
-			// The in-flight partition was dequeued with queued still
-			// true (compactPredicate re-arms it only mid-pass): put it
-			// back at the front or no one will ever compact it again.
+		if active && !slices.Contains(st.comp.queue, cur) {
+			// The in-flight predicate was dequeued: put it back at the
+			// front, or no write may ever enqueue it again.
 			st.comp.queue = append([]rdf.ID{cur}, st.comp.queue...)
 		}
 		st.comp.panics++
@@ -162,17 +161,13 @@ func (st *Store) compactLoop() {
 	}
 }
 
-// compactPredicate merges the partition's due windows until none is
-// left.
+// compactPredicate is one background pass: it merges the predicate's
+// due windows until none is left.
 func (st *Store) compactPredicate(pred rdf.ID) {
 	if h := testHookCompact.Load(); h != nil {
 		(*h)()
 	}
-	str := st.stripeFor(pred)
-	str.mu.RLock()
-	p := str.parts[pred]
-	str.mu.RUnlock()
-	if p == nil {
+	if st.root().list(pred) == nil {
 		return
 	}
 	// Compaction runs on a background goroutine with no request to
@@ -182,39 +177,33 @@ func (st *Store) compactPredicate(pred rdf.ID) {
 	sp := trace.StartRoot("compact.predicate")
 	sp.SetInt("predicate", int64(pred))
 	defer sp.End()
-	// Re-arm before working: a write landing mid-compaction may
-	// legitimately need to re-enqueue the partition.
-	p.queued.Store(false)
-	st.compactPartition(p, false)
+	st.mergePredicate(pred, false)
 }
 
-// mergeDown is the writers' bound: it merges the partition's due
-// windows and, should it still hold more than maxRuns/2 runs, all of
-// them.
-func (st *Store) mergeDown(p *partition) {
-	st.compactPartition(p, false)
-	if len(p.cur.Load().get()) > maxRuns/2 {
-		st.compactPartition(p, true)
+// mergeDown is the writers' bound: it merges the predicate's due windows
+// and, should it still hold more than maxRuns/2 runs, all of them.
+func (st *Store) mergeDown(p rdf.ID) {
+	st.mergePredicate(p, false)
+	if len(st.root().list(p).get()) > maxRuns/2 {
+		st.mergePredicate(p, true)
 	}
 }
 
-// compactPartition merges the partition's due windows until none is
-// left, or with all set its whole run list into one run. Merges
-// serialize on workMu, which is what lets the merge itself — the
-// expensive part — run outside the partition lock: writers only append,
-// so the merged window is still in place when the result is swapped in.
-func (st *Store) compactPartition(p *partition, all bool) {
+// mergePredicate merges predicate p's due windows until none is left, or
+// with all set its whole run list into one run. Merges serialize on
+// workMu, which is what lets the merge itself — the expensive part — run
+// outside Store.mu: writers only append, so the merged window is still
+// in place when the result is swapped in.
+func (st *Store) mergePredicate(p rdf.ID, all bool) {
 	st.workMu.Lock()
 	defer st.workMu.Unlock()
 	for {
-		p.mu.Lock()
-		rl := p.cur.Load()
+		rl := st.root().list(p)
 		runs := rl.get()
 		i, j, ok := 0, len(runs), len(runs) > 1
 		if !all {
 			i, j, ok = mergeWindow(runs)
 		}
-		p.mu.Unlock()
 		if !ok {
 			return
 		}
@@ -224,7 +213,7 @@ func (st *Store) compactPartition(p *partition, all bool) {
 		}
 		window := runs[i:j]
 		merged := mergeRange(window) // off-lock; workMu pins the window
-		p.swap(rl, runs, i, j, merged)
+		st.swap(p, rl, runs, i, j, merged)
 		if m := st.metrics.Load(); m != nil {
 			m.MergeSeconds.ObserveSince(t0)
 		}
@@ -241,17 +230,18 @@ func (st *Store) compactPartition(p *partition, all bool) {
 	}
 }
 
-// swap replaces the window runs[i:j] of rl by merged. The partition's
-// current runList is rl, or rl's runs plus the runs appended since (or
-// empty, once drained); both get the merged list, so views frozen since
-// the partition's last write read the merged runs too.
-func (p *partition) swap(rl *runList, runs []*run, i, j int, merged []*run) {
+// swap replaces the window runs[i:j] of rl, predicate p's runList when
+// the merge began, by merged. p's current runList is rl, or rl's runs
+// plus the runs appended since (or another list, once drained); both get
+// the merged list, so views frozen since p's last write read the merged
+// runs too.
+func (st *Store) swap(p rdf.ID, rl *runList, runs []*run, i, j int, merged []*run) {
 	splice := func(runs []*run) []*run {
 		return slices.Concat(runs[:i], merged, runs[j:])
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	cur := p.cur.Load()
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	cur := st.root().list(p)
 	if now := cur.get(); cur != rl && len(now) >= len(runs) && slices.Equal(now[:len(runs)], runs) {
 		next := splice(now)
 		cur.runs.Store(&next)
@@ -268,24 +258,15 @@ func (p *partition) swap(rl *runList, runs []*run, i, j int, merged []*run) {
 
 // SetAutoCompact enables or disables the background compactor (enabled
 // by default). With it off the store merges runs only when Compact is
-// called or a writer finds its partition at maxRuns runs — a
+// called or a writer finds a predicate at maxRuns runs — a
 // deterministic layout for tests.
 func (st *Store) SetAutoCompact(on bool) { st.autoCompact.Store(on) }
 
-// Compact synchronously merges each partition down to a single run,
-// cancelling every delete marker against its add — the fully compacted
-// state where probes are one span lookup.
+// Compact synchronously merges each predicate's runs down to a single
+// run, cancelling every delete marker against its add — the fully
+// compacted state where probes are one span lookup.
 func (st *Store) Compact() {
-	for i := range st.stripes {
-		str := &st.stripes[i]
-		str.mu.RLock()
-		parts := make([]*partition, 0, len(str.parts))
-		for _, p := range str.parts {
-			parts = append(parts, p)
-		}
-		str.mu.RUnlock()
-		for _, p := range parts {
-			st.compactPartition(p, true)
-		}
+	for _, p := range st.root().preds {
+		st.mergePredicate(p, true)
 	}
 }

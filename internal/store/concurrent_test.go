@@ -84,7 +84,7 @@ func TestAppendReaders(t *testing.T) {
 	}
 }
 
-// TestConcurrentShardedStoreStress hammers the sharded store from many
+// TestConcurrentShardedStoreStress hammers the store from many
 // goroutines mixing Add, AddBatch, Remove, Contains, ContainsBatch,
 // Match, Objects/Subjects and full iteration. Run with -race; the test
 // asserts only invariants that hold under any interleaving.
@@ -93,7 +93,7 @@ func TestConcurrentShardedStoreStress(t *testing.T) {
 	const (
 		goroutines = 8
 		rounds     = 300
-		preds      = 17 // spread across stripes, with collisions
+		preds      = 17 // writers collide on shared predicates
 	)
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
@@ -184,7 +184,7 @@ func TestConcurrentShardedStoreStress(t *testing.T) {
 
 // TestConcurrentAddBatchDisjoint checks that parallel batch ingestion of
 // disjoint slices lands exactly once each, with no lost or phantom
-// updates across stripe boundaries.
+// updates across predicates.
 func TestConcurrentAddBatchDisjoint(t *testing.T) {
 	st := New()
 	const workers = 8
@@ -208,24 +208,6 @@ func TestConcurrentAddBatchDisjoint(t *testing.T) {
 	wg.Wait()
 	if st.Len() != workers*perWorker {
 		t.Fatalf("Len = %d, want %d", st.Len(), workers*perWorker)
-	}
-}
-
-// TestStripeDistribution is a sanity check that consecutive predicate IDs
-// do not all land in one stripe (the Fibonacci spread works).
-func TestStripeDistribution(t *testing.T) {
-	st := New()
-	seen := map[*stripe]int{}
-	for p := 1; p <= 64; p++ {
-		seen[st.stripeFor(rdf.ID(p))]++
-	}
-	if len(seen) < 16 {
-		t.Fatalf("64 consecutive predicates landed in only %d stripes", len(seen))
-	}
-	for s, n := range seen {
-		if n > 16 {
-			t.Fatalf("stripe %p got %d of 64 predicates", s, n)
-		}
 	}
 }
 

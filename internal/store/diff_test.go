@@ -73,29 +73,23 @@ func checkReader(r reader, model map[rdf.Triple]bool) error {
 }
 
 // compacted returns what st reads as after Compact, without compacting
-// it: each partition's run list merged in one window, as Compact merges
-// it, behind a View.
+// it: a copy of its root with each predicate's run list merged in one
+// window, as Compact merges it.
 func compacted(st *Store) *View {
-	v := &View{parts: map[rdf.ID]*runList{}}
-	for _, p := range st.Predicates() {
-		rl := st.list(p)
-		if rl == nil {
-			continue
+	v := *st.root()
+	v.lists = slices.Clone(v.lists)
+	for i, rl := range v.lists {
+		if runs := rl.get(); len(runs) > 1 {
+			v.lists[i] = newRunList(mergeRange(runs), rl.n)
 		}
-		runs := rl.get()
-		if len(runs) > 1 {
-			runs = mergeRange(runs)
-		}
-		v.parts[p] = newRunList(runs, rl.n)
-		v.preds = append(v.preds, p)
-		v.size += rl.n
 	}
-	return v
+	return &v
 }
 
 // TestStoreDifferential runs seeded random schedules of Add, AddBatch,
-// RemoveAll, Freeze/Release, Compact and due-window merges, half of
-// them with the background compactor merging concurrently, and after
+// RemoveAll, Freeze/Release, Compact, due-window merges and a Freeze
+// racing a batch (which must see all of the batch or none of it), half
+// of them with the background compactor merging concurrently, and after
 // every step compares Contains, ObjectsAppend, SubjectsAppend,
 // ForEachWithPredicate, Len and PredicateLen with a plain map: on the
 // live store, on every open view (against the map as it was when the
@@ -145,7 +139,7 @@ func runDifferential(t *testing.T, seed int64, steps int) {
 		t.Fatalf("seed %d, step %d: %s: %v", seed, step, what, err)
 	}
 	for step := 0; step < steps; step++ {
-		switch op := rng.Intn(20); {
+		switch op := rng.Intn(21); {
 		case op < 4:
 			x := triple()
 			if got := st.Add(x); got == model[x] {
@@ -191,8 +185,34 @@ func runDifferential(t *testing.T, seed int64, steps int) {
 			}
 		case op < 18:
 			st.Compact()
-		default:
+		case op < 20:
 			mergeDueWindows(st)
+		default:
+			b, del := batch(), rng.Intn(2) == 0
+			before := maps.Clone(model)
+			for _, x := range b {
+				if del {
+					delete(model, x)
+				} else {
+					model[x] = true
+				}
+			}
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				if del {
+					st.RemoveAll(b)
+				} else {
+					st.AddBatch(b)
+				}
+			}()
+			v := st.Freeze()
+			<-done
+			if checkReader(v, before) != nil {
+				if err := checkReader(v, model); err != nil {
+					fail(step, "freeze racing a batch: neither before nor after it", err)
+				}
+			}
 		}
 		if err := checkReader(st, model); err != nil {
 			fail(step, "live store", err)
@@ -251,7 +271,7 @@ func TestCompactReachesFrozenViews(t *testing.T) {
 		if len(runs) != 1 || before[runs[0]] || runs[0].del {
 			t.Fatalf("predicate %d: the view reads %d runs after Compact, want the one merged add run", p, len(runs))
 		}
-		if live := st.list(p).get(); !slices.Equal(runs, live) {
+		if live := st.root().list(p).get(); !slices.Equal(runs, live) {
 			t.Fatalf("predicate %d: the view and the store read different runs after Compact", p)
 		}
 	}

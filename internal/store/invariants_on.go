@@ -26,7 +26,7 @@ const invariantsEnabled = true
 // the runs a merge produced — whose placement is what can break it.
 func checkRunList(runs []*run, n int, fresh ...*run) {
 	if len(runs) > maxRuns {
-		panic(fmt.Sprintf("store invariant: %d runs in a partition, bound %d", len(runs), maxRuns))
+		panic(fmt.Sprintf("store invariant: %d runs under one predicate, bound %d", len(runs), maxRuns))
 	}
 	live := 0
 	for i, r := range runs {

@@ -29,7 +29,7 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 // to call at any time; nil detaches.
 func (st *Store) SetMetrics(m *Metrics) { st.metrics.Store(m) }
 
-// CompactionBacklog returns how many partitions are queued for
+// CompactionBacklog returns how many predicates are queued for
 // background compaction — the live compaction-debt gauge.
 func (st *Store) CompactionBacklog() int {
 	st.comp.mu.Lock()
@@ -40,7 +40,7 @@ func (st *Store) CompactionBacklog() int {
 // CompactionErr returns the sticky error recorded if a background
 // compaction pass ever panicked. The store keeps serving (the panic is
 // contained to the worker goroutine), but merging then falls to the
-// writers, which merge a partition down themselves at the run bound —
+// writers, which merge a predicate down themselves at the run bound —
 // the serving layer surfaces this as a degraded health state.
 func (st *Store) CompactionErr() error {
 	st.comp.mu.Lock()

@@ -48,10 +48,10 @@ func TestRemovePrunesIndexes(t *testing.T) {
 	st.Add(tr(1, 2, 3))
 	st.Remove(tr(1, 2, 3))
 	if st.PredicateLen(2) != 0 {
-		t.Fatal("partition not drained")
+		t.Fatal("predicate not drained")
 	}
-	if len(st.Predicates()) != 0 {
-		t.Fatal("empty partition not pruned")
+	if st.root().list(2) != nil || len(st.Predicates()) != 0 {
+		t.Fatal("drained predicate still in the root")
 	}
 	// Both directions of the index must be clean.
 	if st.ObjectsAppend(nil, 2, 1) != nil || st.SubjectsAppend(nil, 2, 3) != nil {

@@ -8,7 +8,7 @@ import (
 	"repro/internal/rdf"
 )
 
-// run is an immutable, sorted segment of one partition's pairs. AddBatch
+// run is an immutable, sorted segment of one predicate's pairs. AddBatch
 // appends the fresh pairs of each batch as an add run, Remove appends
 // the removed pairs as a delete-marker run (del set), and the compactor
 // merges adjacent runs (see compact.go). A run is never modified after
@@ -198,13 +198,13 @@ func (r *run) forEach(f func(s, o rdf.ID) bool) bool {
 	return true
 }
 
-// mergeRange merges adjacent runs of a partition into at most two: an
+// mergeRange merges adjacent runs of a predicate into at most two: an
 // add run and a marker run. Without markers the inputs are pairwise
 // disjoint (a pair is added again only after a marker), so the result
 // is mergeRuns' linear union. With markers, a pair's occurrences in the
 // range alternate add and marker, oldest first: an even count cancels
 // out, and an odd count leaves one occurrence of the kind of its oldest
-// (which its newest shares). A range that starts at the partition's
+// (which its newest shares). A range that starts at the predicate's
 // oldest run holds every marker's add, so there every marker cancels.
 func mergeRange(rs []*run) []*run {
 	if !slices.ContainsFunc(rs, func(r *run) bool { return r.del }) {

@@ -155,16 +155,10 @@ func TestCompactionEquivalenceProperty(t *testing.T) {
 }
 
 // mergeDueWindows runs the background compactor's pass over every
-// partition, synchronously: it merges each due window.
+// predicate of the root, synchronously: it merges each due window.
 func mergeDueWindows(st *Store) {
-	for i := range st.stripes {
-		str := &st.stripes[i]
-		str.mu.RLock()
-		parts := slices.Collect(maps.Values(str.parts))
-		str.mu.RUnlock()
-		for _, p := range parts {
-			st.compactPartition(p, false)
-		}
+	for _, p := range st.root().preds {
+		st.mergePredicate(p, false)
 	}
 }
 
@@ -551,7 +545,7 @@ func TestPredicateStatsExactAfterCompact(t *testing.T) {
 		}
 	}
 	st.Compact()
-	runs := st.list(p).get()
+	runs := st.root().list(p).get()
 	if len(runs) != 1 || runs[0].bySub.off != nil || runs[0].byObj.off == nil {
 		t.Fatalf("want one run with subjects in pair form and objects in CSR form, got %d runs", len(runs))
 	}

@@ -7,42 +7,38 @@
 // access patterns of RDFS/OWL rule bodies (walk a predicate's extent, or
 // probe by (predicate, subject) / (predicate, object)).
 //
-// A partition is a list of immutable sorted runs (see runs.go), oldest
-// first, in the sorted-array style of Inferray. Every batch is a run:
-// AddBatch groups a batch by predicate, sorts each group once, drops
-// in-batch repeats and pairs already live, and appends the fresh pairs
-// as an add run; Remove and RemoveAll append the removed pairs as a
-// delete-marker run. A pair's occurrences therefore alternate add,
+// A predicate's pairs are a list of immutable sorted runs (see runs.go),
+// oldest first, in the sorted-array style of Inferray. Every batch is a
+// run: AddBatch groups a batch by predicate, sorts each group once,
+// drops in-batch repeats and pairs already live, and appends the fresh
+// pairs as an add run; Remove and RemoveAll append the removed pairs as
+// a delete-marker run. A pair's occurrences therefore alternate add,
 // marker, add, … from oldest to newest, and it is live when its newest
 // occurrence is an add. A background compactor merges adjacent runs in
 // size tiers (see compact.go), cancelling a pair against its marker, so
-// a partition holds O(log n) runs and tiny trickle runs are absorbed by
+// a predicate holds O(log n) runs and tiny trickle runs are absorbed by
 // the first tier. Probes binary search each run; ObjectsAppend and
 // SubjectsAppend append ascending results into a caller-owned buffer
 // (the contract the query executor's galloping intersection relies on).
 //
-// A partition's current contents are one runList: its runs and its live
-// pair count. A write installs a new runList; a merge, which changes no
-// logical content, swaps the runs of the runList in place. Readers load
-// the runList and read it without locks, so Store and View reads are one
-// implementation over a run list: Freeze captures each partition's
-// runList, and views frozen since a partition's last write share it with
-// the partition, merged runs included.
+// The whole store is one immutable root (a View): the sorted table of
+// predicates with their runLists, the live triple count and the version.
+// The Store holds an atomic pointer to the current root. A write groups
+// and sorts its batch, drops what it would not change and builds its
+// runs outside any lock, against the root it loaded; under Store.mu it
+// redoes that only for a predicate another writer changed meanwhile,
+// and publishes one new root, so a batch becomes visible whole.
+// Predicates it did not touch keep their runList, and a predicate it
+// drained is left out. A merge, which changes no logical
+// content, swaps the runs of a runList in place. Freeze is one atomic
+// load, and every Store read is the same read of the current root, so
+// views frozen since a predicate's last write share its runList, merged
+// runs included. Iteration callbacks run over the captured immutable
+// runs, so they may freely read — or even mutate — the store.
 //
-// Concurrency uses two levels of lock striping: the predicate→partition
-// map is sharded across numStripes stripes (selected by a hash of the
-// predicate ID), each guarded by its own RWMutex, and each partition
-// carries a mutex serializing its writers. Adders hold the stripe's read
-// lock while they append; Remove holds its write lock, so pruning a
-// drained partition cannot race an adder holding a stale *partition.
-// Merges serialize on Store.workMu and run off the partition lock.
-// Iteration callbacks run over the captured immutable runs, so they may
-// freely read — or even mutate — the store.
-//
-// The cross-package lock order (workMu before stripe before partition
-// locks, with predMu and the compaction-queue mutex as leaves) is
-// catalogued in INVARIANTS.md and enforced by cmd/slidervet's lockorder
-// checker.
+// The cross-package lock order (workMu before Store.mu, with the
+// compaction-queue mutex as a leaf) is catalogued in INVARIANTS.md and
+// enforced by cmd/slidervet's lockorder checker.
 package store
 
 import (
@@ -54,25 +50,7 @@ import (
 	"repro/internal/rdf"
 )
 
-// stripeBits sets the number of lock stripes the predicate map is
-// sharded across: numStripes = 2^stripeBits.
-const (
-	stripeBits = 6
-	numStripes = 1 << stripeBits
-)
-
-// partition holds all triples sharing one predicate: the current
-// runList, replaced by every write under mu. Readers load cur without
-// locking.
-type partition struct {
-	mu  sync.Mutex // serializes writers: appends and merge swaps
-	cur atomic.Pointer[runList]
-
-	// queued dedups background-compactor enqueues for this partition.
-	queued atomic.Bool
-}
-
-// runList is a partition's contents at one point in time: its runs,
+// runList is one predicate's contents at one point in time: its runs,
 // oldest first, and its live pair count n. n never changes; runs changes
 // only when a merge swaps in an equivalent list (the slice is replaced
 // wholesale, never patched), so a reader's loaded slice stays valid.
@@ -87,7 +65,7 @@ func newRunList(runs []*run, n int) *runList {
 	return rl
 }
 
-// get returns the list's runs; nil for a nil list (no partition).
+// get returns the list's runs; nil for a nil list (no pairs).
 func (rl *runList) get() []*run {
 	if rl == nil {
 		return nil
@@ -101,12 +79,6 @@ func (rl *runList) len() int {
 		return 0
 	}
 	return rl.n
-}
-
-func newPartition() *partition {
-	p := &partition{}
-	p.cur.Store(newRunList(nil, 0))
-	return p
 }
 
 // live reports whether (s,o) is live in runs: its newest occurrence is
@@ -284,29 +256,14 @@ func groupByPredicate(ts []rdf.Triple) (groups []group) {
 	return groups
 }
 
-// stripe is one shard of the predicate→partition map.
-type stripe struct {
-	mu    sync.RWMutex
-	parts map[rdf.ID]*partition
-}
-
 // Store is a concurrent, duplicate-free, vertically partitioned triple
 // store. The zero value is not usable; call New.
 type Store struct {
-	stripes [numStripes]stripe
-	size    atomic.Int64
-
-	// version counts content mutations (monotonic; bumped at least once
-	// per mutating call that changed anything). Readers use it as a
-	// cheap "has the store moved since I looked" check — the serving
-	// layer's shared-view cache keys its freshness on it.
-	version atomic.Uint64
-
-	// predMu guards preds, the sorted registry of predicates with a
-	// partition. Maintained incrementally at partition create/prune so
-	// Predicates() is a copy, not a collect-and-sort per call.
-	predMu sync.RWMutex
-	preds  []rdf.ID
+	// cur is the current root. Every write that changes content
+	// publishes a new one under mu, which also serializes the merges'
+	// run-list swaps; readers only load cur.
+	cur atomic.Pointer[View]
+	mu  sync.Mutex
 
 	// Background compaction state (see compact.go). autoCompact gates
 	// the background worker; workMu serializes all merges; the c*
@@ -314,7 +271,7 @@ type Store struct {
 	autoCompact atomic.Bool
 	comp        struct {
 		mu       sync.Mutex
-		queue    []rdf.ID
+		queue    []rdf.ID // predicates due a merge, each at most once
 		running  bool
 		panics   int       // consecutive worker panics; reset by a clean pass
 		err      error     // sticky error once the restart budget is spent
@@ -333,92 +290,35 @@ type Store struct {
 // New returns an empty store with background compaction enabled.
 func New() *Store {
 	st := &Store{}
-	for i := range st.stripes {
-		st.stripes[i].parts = make(map[rdf.ID]*partition, 8)
-	}
+	st.cur.Store(&View{})
 	st.autoCompact.Store(true)
 	return st
 }
 
-// stripeFor selects the stripe owning predicate p. Predicate IDs are
-// dense per kind (with the kind in the top bits), so a Fibonacci spread
-// of the raw value distributes consecutive IDs across stripes.
-func (st *Store) stripeFor(p rdf.ID) *stripe {
-	h := uint64(p) * 0x9E3779B97F4A7C15
-	return &st.stripes[h>>(64-stripeBits)]
-}
+// root returns the current root.
+func (st *Store) root() *View { return st.cur.Load() }
 
 // Version returns the store's mutation counter. It advances on every
-// call that changed content; two equal readings with no mutation in
-// flight mean the store's contents are unchanged between them.
-func (st *Store) Version() uint64 { return st.version.Load() }
-
-// registerPred adds p to the sorted predicate registry. Called at
-// partition creation; predMu is a leaf lock, so calling under stripe
-// locks is safe.
-func (st *Store) registerPred(p rdf.ID) {
-	st.predMu.Lock()
-	if i, found := slices.BinarySearch(st.preds, p); !found {
-		st.preds = slices.Insert(st.preds, i, p)
-	}
-	st.predMu.Unlock()
-}
-
-// unregisterPred removes p from the predicate registry. Called when a
-// drained partition is pruned.
-func (st *Store) unregisterPred(p rdf.ID) {
-	st.predMu.Lock()
-	if i, found := slices.BinarySearch(st.preds, p); found {
-		st.preds = slices.Delete(st.preds, i, i+1)
-	}
-	st.predMu.Unlock()
-}
-
-// list returns predicate p's current runList (nil when absent).
-func (st *Store) list(p rdf.ID) *runList {
-	s := st.stripeFor(p)
-	s.mu.RLock()
-	part := s.parts[p]
-	s.mu.RUnlock()
-	if part == nil {
-		return nil
-	}
-	return part.cur.Load()
-}
-
-// appendRun installs a runList of runs plus r holding n live pairs.
-// Callers hold the partition lock.
-func (p *partition) appendRun(runs []*run, r *run, n int) []*run {
-	next := make([]*run, len(runs)+1)
-	copy(next, runs)
-	next[len(runs)] = r
-	p.cur.Store(newRunList(next, n))
-	if invariantsEnabled {
-		checkRunList(next, n, r)
-	}
-	return next
-}
+// call that changed content, so two equal readings mean the store's
+// contents are unchanged between them.
+func (st *Store) Version() uint64 { return st.root().version }
 
 // Add inserts a triple and reports whether it was new: a one-pair
 // batch, which the first merge tier absorbs.
 func (st *Store) Add(t rdf.Triple) bool {
-	return len(st.addGroup(t.P, []uint64{pairKey(t.S, t.O)})) == 1
+	return st.apply([]group{{p: t.P, keys: []uint64{pairKey(t.S, t.O)}}}, false) == 1
 }
 
 // AddBatch inserts all triples and returns those that were new, once
 // each, grouped by predicate in first-seen order and in (subject,
 // object) order within a predicate. Each predicate's share of the batch
-// becomes one add run, taking the partition lock once.
+// becomes one add run, and the batch becomes visible whole.
 func (st *Store) AddBatch(ts []rdf.Triple) []rdf.Triple {
 	if len(ts) == 0 {
 		return nil
 	}
 	groups := groupByPredicate(ts)
-	n := 0
-	for g := range groups {
-		groups[g].keys = st.addGroup(groups[g].p, groups[g].keys)
-		n += len(groups[g].keys)
-	}
+	n := st.apply(groups, false)
 	if n == 0 {
 		return nil
 	}
@@ -432,146 +332,184 @@ func (st *Store) AddBatch(ts []rdf.Triple) []rdf.Triple {
 	return out
 }
 
-// addGroup appends the pair keys of ks (ascending, no repeats, sharing
-// predicate p) that are not live as one add run and returns them; ks's
-// backing array is reused.
-func (st *Store) addGroup(p rdf.ID, ks []uint64) []uint64 {
-	s := st.stripeFor(p)
-	var part *partition
-	for {
-		s.mu.RLock()
-		if part = s.parts[p]; part == nil {
-			s.mu.RUnlock()
-			s.mu.Lock()
-			if s.parts[p] == nil {
-				s.parts[p] = newPartition()
-				st.registerPred(p)
-			}
-			s.mu.Unlock()
-			continue
-		}
-		part.mu.Lock()
-		if len(part.cur.Load().get()) < maxRuns {
-			break
-		}
-		part.mu.Unlock()
-		s.mu.RUnlock()
-		st.mergeDown(part)
-	}
-	rl := part.cur.Load()
-	runs := rl.get()
-	fresh := ks[:0]
-	for _, k := range ks {
-		if sub, obj := unpack(k); !live(runs, sub, obj) {
-			fresh = append(fresh, k)
-		}
-	}
-	due := false
-	if n := len(fresh); n > 0 {
-		runs = part.appendRun(runs, buildRun(fresh, false), rl.n+n)
-		// size is updated before the locks are released so it can never
-		// lag behind a Clear that sums partition counts under the locks.
-		st.size.Add(int64(n))
-		st.version.Add(1)
-		due = mergeDue(runs)
-	}
-	part.mu.Unlock()
-	s.mu.RUnlock()
-	if due {
-		st.enqueueCompact(p, part)
-	}
-	return fresh
-}
-
 // Remove deletes a triple and reports whether it was present.
 func (st *Store) Remove(t rdf.Triple) bool {
-	return st.removeGroup(t.P, []uint64{pairKey(t.S, t.O)}) == 1
+	return st.apply([]group{{p: t.P, keys: []uint64{pairKey(t.S, t.O)}}}, true) == 1
 }
 
 // RemoveAll deletes all given triples, returning how many were present.
-// Each predicate's share becomes one delete-marker run.
+// Each predicate's share becomes one delete-marker run, and the batch
+// becomes visible whole.
 func (st *Store) RemoveAll(ts []rdf.Triple) int {
 	if len(ts) == 0 {
 		return 0
 	}
-	n := 0
-	groups := groupByPredicate(ts)
-	for _, g := range groups {
-		n += st.removeGroup(g.p, g.keys)
-	}
-	return n
+	return st.apply(groupByPredicate(ts), true)
 }
 
-// removeGroup appends the live pair keys of ks (ascending, no repeats,
-// sharing predicate p) as one marker run and returns how many there
-// were. A partition drained by it is pruned instead; views keep the
-// runList they captured. removeGroup takes the stripe's write lock, so
-// the prune cannot race an adder.
-func (st *Store) removeGroup(p rdf.ID, ks []uint64) int {
-	s := st.stripeFor(p)
-	var part *partition
-	for {
-		s.mu.Lock()
-		if part = s.parts[p]; part == nil {
-			s.mu.Unlock()
-			return 0
+// change is one group's share of a write, staged against from, the
+// runList of predicate p it read: the group's keys the write changes
+// (those not live for an add, those live for a removal), the run they
+// become and the live pair count left. rl, p's next runList, is set at
+// publication; it stays nil when the write drains p.
+type change struct {
+	p    rdf.ID
+	from *runList
+	kept []uint64
+	run  *run
+	left int
+	rl   *runList
+}
+
+// stageChange stages keys (ascending, no repeats, sharing predicate p)
+// against from: the kept keys become one run.
+func stageChange(p rdf.ID, from *runList, keys []uint64, del bool) change {
+	runs := from.get()
+	c := change{p: p, from: from}
+	for i, k := range keys {
+		if s, o := unpack(k); live(runs, s, o) == del {
+			if c.kept == nil {
+				c.kept = make([]uint64, 0, len(keys)-i)
+			}
+			c.kept = append(c.kept, k)
 		}
-		part.mu.Lock()
-		if len(part.cur.Load().get()) < maxRuns {
+	}
+	c.left = from.len() + len(c.kept)
+	if del {
+		c.left = from.len() - len(c.kept)
+	}
+	if len(c.kept) > 0 && c.left > 0 {
+		c.run = buildRun(c.kept, del)
+	}
+	return c
+}
+
+// apply publishes one batch's groups — adds, or removals with del set —
+// as one new root and returns how many pairs it changed, leaving each
+// group's keys filtered to them. Each group is staged against the
+// current root outside mu: its kept pairs are found and built into a
+// run there. Under mu a group is published as staged when its
+// predicate's runList is still the one it read, and staged again
+// otherwise; its run is appended to that runList's runs as they are
+// then, so a merge swapped in meanwhile is kept. A predicate at maxRuns
+// runs is merged down first, outside mu, since workMu ranks outside it.
+func (st *Store) apply(groups []group, del bool) int {
+	var base *View
+	for {
+		base = st.root()
+		full := slices.IndexFunc(groups, func(g group) bool { return len(base.list(g.p).get()) >= maxRuns })
+		if full < 0 {
 			break
 		}
-		part.mu.Unlock()
-		s.mu.Unlock()
-		st.mergeDown(part)
+		st.mergeDown(groups[full].p)
 	}
-	rl := part.cur.Load()
-	runs := rl.get()
-	dead := ks[:0]
-	for _, k := range ks {
-		if sub, obj := unpack(k); live(runs, sub, obj) {
-			dead = append(dead, k)
+	changes := make([]change, len(groups))
+	for g, gr := range groups {
+		changes[g] = stageChange(gr.p, base.list(gr.p), gr.keys, del)
+	}
+	var cur *View
+	for {
+		st.mu.Lock()
+		cur = st.root()
+		full := -1
+		for g := range changes {
+			c := &changes[g]
+			if rl := cur.list(c.p); rl != c.from {
+				if len(rl.get()) >= maxRuns {
+					full = g
+					break
+				}
+				*c = stageChange(c.p, rl, groups[g].keys, del)
+			}
+		}
+		if full < 0 {
+			break
+		}
+		st.mu.Unlock()
+		st.mergeDown(changes[full].p)
+	}
+	n := 0
+	var due []rdf.ID
+	for g := range changes {
+		c := &changes[g]
+		groups[g].keys = c.kept
+		n += len(c.kept)
+		if c.run == nil {
+			continue
+		}
+		next := append(slices.Clip(c.from.get()), c.run)
+		if invariantsEnabled {
+			checkRunList(next, c.left, c.run)
+		}
+		c.rl = newRunList(next, c.left)
+		if mergeDue(next) {
+			due = append(due, c.p)
 		}
 	}
-	n := len(dead)
-	due := false
-	switch {
-	case n == 0:
-	case n == rl.n:
-		part.cur.Store(newRunList(nil, 0))
-		delete(s.parts, p)
-		st.unregisterPred(p)
-	default:
-		runs = part.appendRun(runs, buildRun(dead, true), rl.n-n)
-		due = mergeDue(runs)
-	}
 	if n > 0 {
-		st.size.Add(int64(-n))
-		st.version.Add(1)
+		delta := n
+		if del {
+			delta = -n
+		}
+		st.cur.Store(cur.next(changes, delta))
 	}
-	part.mu.Unlock()
-	s.mu.Unlock()
-	if due {
-		st.enqueueCompact(p, part)
+	st.mu.Unlock()
+	for _, p := range due {
+		st.enqueueCompact(p)
 	}
 	return n
 }
 
-// Contains reports whether the exact triple is present.
-func (st *Store) Contains(t rdf.Triple) bool {
-	return live(st.list(t.P).get(), t.S, t.O)
+// next returns the root that follows v once changes are applied and the
+// live count has moved by delta: a changed predicate takes its new
+// runList, a drained one is left out, a new one is inserted in order,
+// and a change that kept no key changes nothing. The predicate table is
+// shared with v unless its predicates change.
+func (v *View) next(changes []change, delta int) *View {
+	nv := &View{preds: v.preds, lists: slices.Clone(v.lists), size: v.size + delta, version: v.version + 1}
+	shared := true
+	for _, c := range changes {
+		if len(c.kept) == 0 {
+			continue
+		}
+		i, ok := slices.BinarySearch(nv.preds, c.p)
+		if ok && c.rl != nil {
+			nv.lists[i] = c.rl
+			continue
+		}
+		if shared {
+			nv.preds, shared = slices.Clone(nv.preds), false
+		}
+		if ok {
+			nv.preds, nv.lists = slices.Delete(nv.preds, i, i+1), slices.Delete(nv.lists, i, i+1)
+		} else {
+			nv.preds, nv.lists = slices.Insert(nv.preds, i, c.p), slices.Insert(nv.lists, i, c.rl)
+		}
+	}
+	return nv
 }
 
+// Freeze returns a view of the store's current contents: the current
+// root, one atomic load. Every batch is published whole, so a view holds
+// each batch entirely or not at all.
+func (st *Store) Freeze() *View { return st.root() }
+
+// Contains reports whether the exact triple is present.
+func (st *Store) Contains(t rdf.Triple) bool { return st.root().Contains(t) }
+
 // ContainsBatch reports, for each input triple, whether it is present.
+// All answers come from one root.
 func (st *Store) ContainsBatch(ts []rdf.Triple) []bool {
 	if len(ts) == 0 {
 		return nil
 	}
+	v := st.root()
 	out := make([]bool, len(ts))
 	var p rdf.ID
 	var runs []*run
 	for i, t := range ts {
 		if i == 0 || t.P != p {
-			p, runs = t.P, st.list(t.P).get()
+			p, runs = t.P, v.list(t.P).get()
 		}
 		out[i] = live(runs, t.S, t.O)
 	}
@@ -579,35 +517,21 @@ func (st *Store) ContainsBatch(ts []rdf.Triple) []bool {
 }
 
 // Len returns the number of distinct triples.
-func (st *Store) Len() int {
-	return int(st.size.Load())
-}
+func (st *Store) Len() int { return st.root().Len() }
 
 // PredicateLen returns the number of triples with the given predicate.
-func (st *Store) PredicateLen(p rdf.ID) int { return st.list(p).len() }
+func (st *Store) PredicateLen(p rdf.ID) int { return st.root().PredicateLen(p) }
 
-// PredicateStats returns the live pair count of predicate p's partition
-// and upper bounds on its distinct subject and object counts — the
-// per-partition cardinalities the query planner's selectivity estimates
-// divide by (see keyCounts).
+// PredicateStats returns the live pair count of predicate p and upper
+// bounds on its distinct subject and object counts — the per-predicate
+// cardinalities the query planner's selectivity estimates divide by (see
+// keyCounts).
 func (st *Store) PredicateStats(p rdf.ID) (triples, subjects, objects int) {
-	return predicateStats(st.list(p))
+	return st.root().PredicateStats(p)
 }
 
-func predicateStats(rl *runList) (triples, subjects, objects int) {
-	subjects, objects = keyCounts(rl.get())
-	return rl.len(), subjects, objects
-}
-
-// Predicates returns all predicates present, in ascending ID order. The
-// registry is maintained sorted at partition create/prune, so this is a
-// copy, not a per-call sort.
-func (st *Store) Predicates() []rdf.ID {
-	st.predMu.RLock()
-	out := slices.Clone(st.preds)
-	st.predMu.RUnlock()
-	return out
-}
+// Predicates returns all predicates present, in ascending ID order.
+func (st *Store) Predicates() []rdf.ID { return st.root().Predicates() }
 
 // ObjectsAppend appends the objects o such that (s, p, o) is present to
 // dst and returns the extended slice. The appended segment is in
@@ -615,29 +539,28 @@ func (st *Store) Predicates() []rdf.ID {
 // Reusing dst across calls lets hot rule joins avoid a fresh allocation
 // per probe.
 func (st *Store) ObjectsAppend(dst []rdf.ID, p, s rdf.ID) []rdf.ID {
-	return objectsAppend(st.list(p).get(), dst, s)
+	return st.root().ObjectsAppend(dst, p, s)
 }
 
 // SubjectsAppend appends the subjects s such that (s, p, o) is present to
 // dst and returns the extended slice. The appended segment is in
 // ascending ID order.
 func (st *Store) SubjectsAppend(dst []rdf.ID, p, o rdf.ID) []rdf.ID {
-	return subjectsAppend(st.list(p).get(), dst, o)
+	return st.root().SubjectsAppend(dst, p, o)
 }
 
-// ForEachWithPredicate calls f for every (s, o) pair in the predicate's
-// partition until f returns false. f walks the partition's runs as they
-// were when the call began, so it sees a consistent snapshot of the
-// partition and may freely read or mutate the store (mutations are not
+// ForEachWithPredicate calls f for every (s, o) pair of the predicate
+// until f returns false. f walks the pairs as they were when the call
+// began, so it may freely read or mutate the store (mutations are not
 // reflected in the ongoing iteration).
 func (st *Store) ForEachWithPredicate(p rdf.ID, f func(s, o rdf.ID) bool) {
-	forEachLive(st.list(p).get(), f)
+	st.root().ForEachWithPredicate(p, f)
 }
 
-// ForEach calls f for every triple until f returns false, grouped by
-// predicate in ascending predicate order; each predicate's pairs are
-// the partition's as its walk began.
-func (st *Store) ForEach(f func(rdf.Triple) bool) { forEachTriple(st, f) }
+// ForEach calls f for every triple, as the store was when the call
+// began, until f returns false, grouped by predicate in ascending
+// predicate order.
+func (st *Store) ForEach(f func(rdf.Triple) bool) { st.root().ForEach(f) }
 
 // Match returns all triples matching the pattern, where rdf.Any acts as a
 // wildcard in any position. The result is a copy.
@@ -654,38 +577,18 @@ func (st *Store) Match(pattern rdf.Triple) []rdf.Triple {
 // wildcards) to f until f returns false. It is the streaming face of
 // Match and the Store half of the query engine's Source interface.
 func (st *Store) MatchEach(pattern rdf.Triple, f func(rdf.Triple) bool) {
-	matchEach(st, pattern, f)
+	st.root().MatchEach(pattern, f)
 }
 
 // Snapshot returns a copy of every triple in the store.
 func (st *Store) Snapshot() []rdf.Triple {
-	out := make([]rdf.Triple, 0, st.size.Load())
-	st.ForEach(func(t rdf.Triple) bool {
+	v := st.root()
+	out := make([]rdf.Triple, 0, v.size)
+	v.ForEach(func(t rdf.Triple) bool {
 		out = append(out, t)
 		return true
 	})
 	return out
-}
-
-// Clear removes all triples. Open views keep their contents.
-func (st *Store) Clear() {
-	st.version.Add(1)
-	for i := range st.stripes {
-		s := &st.stripes[i]
-		s.mu.Lock()
-		removed := 0
-		for _, part := range s.parts {
-			part.mu.Lock()
-			removed += part.cur.Load().n
-			part.mu.Unlock()
-		}
-		s.parts = make(map[rdf.ID]*partition, 8)
-		s.mu.Unlock()
-		st.size.Add(int64(-removed))
-	}
-	st.predMu.Lock()
-	st.preds = nil
-	st.predMu.Unlock()
 }
 
 // CompactionStats counts the background compactor's work since the
@@ -703,14 +606,14 @@ type CompactionStats struct {
 type Stats struct {
 	Triples    int
 	Predicates int
-	// MaxPartition is the size of the largest predicate partition.
+	// MaxPartition is the pair count of the largest predicate.
 	MaxPartition int
 
-	// Runs is the total run count across all partitions, add and
+	// Runs is the total run count across all predicates, add and
 	// delete-marker runs alike. RunPairs counts the pairs of add runs
 	// and Tombstones those of marker runs: each marker cancels one older
 	// add, so live pairs = RunPairs - Tombstones. OverlayPairs counts
-	// the pairs in runs not yet merged into their partition's oldest.
+	// the pairs in runs not yet merged into their predicate's oldest.
 	Runs         int
 	RunPairs     int
 	OverlayPairs int
@@ -719,30 +622,24 @@ type Stats struct {
 	Compaction CompactionStats
 }
 
-// Stats returns current statistics.
+// Stats returns current statistics, read from one root.
 func (st *Store) Stats() Stats {
-	s := Stats{Triples: int(st.size.Load())}
-	for i := range st.stripes {
-		str := &st.stripes[i]
-		str.mu.RLock()
-		s.Predicates += len(str.parts)
-		for _, part := range str.parts {
-			rl := part.cur.Load()
-			s.MaxPartition = max(s.MaxPartition, rl.n)
-			runs := rl.get()
-			s.Runs += len(runs)
-			for k, r := range runs {
-				if r.del {
-					s.Tombstones += r.pairs
-				} else {
-					s.RunPairs += r.pairs
-				}
-				if k > 0 {
-					s.OverlayPairs += r.pairs
-				}
+	v := st.root()
+	s := Stats{Triples: v.size, Predicates: len(v.preds)}
+	for _, rl := range v.lists {
+		s.MaxPartition = max(s.MaxPartition, rl.n)
+		runs := rl.get()
+		s.Runs += len(runs)
+		for k, r := range runs {
+			if r.del {
+				s.Tombstones += r.pairs
+			} else {
+				s.RunPairs += r.pairs
+			}
+			if k > 0 {
+				s.OverlayPairs += r.pairs
 			}
 		}
-		str.mu.RUnlock()
 	}
 	s.Compaction = CompactionStats{
 		Merges:      st.cMerges.Load(),
@@ -752,40 +649,19 @@ func (st *Store) Stats() Stats {
 	return s
 }
 
-// View is a consistent point-in-time view of the store, created by
-// Freeze: each partition's runList as it was at the freeze. Runs are
-// immutable and a write installs a new runList, so a view answers from
-// its freeze-time contents without locks while writers keep running;
-// a merge swaps the runs of the runList it rewrote, so views frozen
-// since a partition's last write read the merged runs and the runs they
-// replaced can be collected. Any number of views may be open.
+// View is the store's whole contents at one point in time — a root: the
+// sorted table of predicates with their runLists, the live triple count
+// and the store version. A published root never changes, except that a
+// merge swaps the runs of a runList for an equivalent list; so a view
+// answers from its contents without locks while writers keep publishing,
+// and views frozen since a predicate's last write read its merged runs
+// (the runs they replaced can be collected). Any number of views may be
+// open.
 type View struct {
-	parts map[rdf.ID]*runList
-	preds []rdf.ID
-	size  int
-}
-
-// Freeze captures a view of the store's current contents, O(partitions).
-// The caller must ensure no mutation is in flight during the call itself
-// (mutations strictly before or after are fine, and may continue
-// immediately after Freeze returns): a mutation racing the freeze lands
-// on an unspecified side of the boundary.
-func (st *Store) Freeze() *View {
-	v := &View{parts: make(map[rdf.ID]*runList)}
-	for i := range st.stripes {
-		s := &st.stripes[i]
-		s.mu.RLock()
-		for p, part := range s.parts {
-			if rl := part.cur.Load(); rl.n > 0 {
-				v.parts[p] = rl
-				v.preds = append(v.preds, p)
-				v.size += rl.n
-			}
-		}
-		s.mu.RUnlock()
-	}
-	slices.Sort(v.preds)
-	return v
+	preds   []rdf.ID   // ascending
+	lists   []*runList // lists[i] holds preds[i]'s pairs; never empty
+	size    int
+	version uint64
 }
 
 // Release ends the view. A view holds no lock and no writer waits on
@@ -793,73 +669,46 @@ func (st *Store) Freeze() *View {
 // idempotent.
 func (v *View) Release() {}
 
-func (v *View) list(p rdf.ID) *runList { return v.parts[p] }
+// list returns predicate p's runList; nil when p has no pairs.
+func (v *View) list(p rdf.ID) *runList {
+	if i, ok := slices.BinarySearch(v.preds, p); ok {
+		return v.lists[i]
+	}
+	return nil
+}
+
+// Version returns the store version the view holds: the store's Version
+// when it was frozen.
+func (v *View) Version() uint64 { return v.version }
 
 // Len returns the number of triples in the view.
 func (v *View) Len() int { return v.size }
 
-// Predicates returns the predicates present at freeze time, in
-// ascending ID order.
+// Predicates returns the view's predicates in ascending ID order.
 func (v *View) Predicates() []rdf.ID { return slices.Clone(v.preds) }
 
-// PredicateLen returns the number of triples with the given predicate
-// at freeze time.
+// PredicateLen returns the number of triples with the given predicate.
 func (v *View) PredicateLen(p rdf.ID) int { return v.list(p).len() }
 
-// PredicateStats returns the freeze-time pair count of predicate p plus
-// upper bounds on its distinct subject/object counts — the same
-// planning-grade cardinalities Store.PredicateStats reports.
+// PredicateStats returns the pair count of predicate p plus upper bounds
+// on its distinct subject and object counts (see keyCounts).
 func (v *View) PredicateStats(p rdf.ID) (triples, subjects, objects int) {
-	return predicateStats(v.list(p))
+	rl := v.list(p)
+	subjects, objects = keyCounts(rl.get())
+	return rl.len(), subjects, objects
 }
 
-// ForEachWithPredicate calls f for every freeze-time (s, o) pair of the
-// predicate until f returns false.
+// ForEachWithPredicate calls f for every (s, o) pair of the predicate, in
+// (subject, object) order, until f returns false.
 func (v *View) ForEachWithPredicate(p rdf.ID, f func(s, o rdf.ID) bool) {
 	forEachLive(v.list(p).get(), f)
 }
 
-// ForEach calls f for every freeze-time triple until f returns false,
-// grouped by predicate in ascending predicate order.
-func (v *View) ForEach(f func(rdf.Triple) bool) { forEachTriple(v, f) }
-
-// Contains reports whether the triple was present at freeze time.
-func (v *View) Contains(t rdf.Triple) bool {
-	return live(v.list(t.P).get(), t.S, t.O)
-}
-
-// MatchEach streams every freeze-time triple matching the pattern
-// (rdf.Any wildcards) to f until f returns false. It is the View half of
-// the query engine's Source interface.
-func (v *View) MatchEach(pattern rdf.Triple, f func(rdf.Triple) bool) {
-	matchEach(v, pattern, f)
-}
-
-// ObjectsAppend appends the freeze-time objects o with (s, p, o) present
-// to dst and returns the extended slice, in ascending ID order — the
-// same sorted contract and cost as the live probe, so rule joins (and
-// the backward support checks of suspect-local retraction) run against
-// a frozen view at live-probe cost.
-func (v *View) ObjectsAppend(dst []rdf.ID, p, s rdf.ID) []rdf.ID {
-	return objectsAppend(v.list(p).get(), dst, s)
-}
-
-// SubjectsAppend appends the freeze-time subjects s with (s, p, o)
-// present to dst and returns the extended slice, in ascending ID order.
-func (v *View) SubjectsAppend(dst []rdf.ID, p, o rdf.ID) []rdf.ID {
-	return subjectsAppend(v.list(p).get(), dst, o)
-}
-
-// lister is what the shared read paths need of a Store or a View.
-type lister interface {
-	list(p rdf.ID) *runList
-	Predicates() []rdf.ID
-}
-
-// forEachTriple streams every triple of src, predicate by predicate.
-func forEachTriple(src lister, f func(rdf.Triple) bool) {
-	for _, p := range src.Predicates() {
-		if !forEachLive(src.list(p).get(), func(s, o rdf.ID) bool {
+// ForEach calls f for every triple until f returns false, grouped by
+// predicate in ascending predicate order.
+func (v *View) ForEach(f func(rdf.Triple) bool) {
+	for i, p := range v.preds {
+		if !forEachLive(v.lists[i].get(), func(s, o rdf.ID) bool {
 			return f(rdf.Triple{S: s, P: p, O: o})
 		}) {
 			return
@@ -867,17 +716,38 @@ func forEachTriple(src lister, f func(rdf.Triple) bool) {
 	}
 }
 
-// matchEach streams the triples of src matching the pattern.
-func matchEach(src lister, pattern rdf.Triple, f func(rdf.Triple) bool) {
-	if pattern.P == rdf.Any {
-		for _, p := range src.Predicates() {
-			if !matchPredicate(src.list(p).get(), p, pattern.S, pattern.O, f) {
-				return
-			}
-		}
+// Contains reports whether the triple is present in the view.
+func (v *View) Contains(t rdf.Triple) bool {
+	return live(v.list(t.P).get(), t.S, t.O)
+}
+
+// MatchEach streams every triple of the view matching the pattern
+// (rdf.Any wildcards) to f until f returns false — the query engine's
+// Source read for a pattern.
+func (v *View) MatchEach(pattern rdf.Triple, f func(rdf.Triple) bool) {
+	if pattern.P != rdf.Any {
+		matchPredicate(v.list(pattern.P).get(), pattern.P, pattern.S, pattern.O, f)
 		return
 	}
-	matchPredicate(src.list(pattern.P).get(), pattern.P, pattern.S, pattern.O, f)
+	for i, p := range v.preds {
+		if !matchPredicate(v.lists[i].get(), p, pattern.S, pattern.O, f) {
+			return
+		}
+	}
+}
+
+// ObjectsAppend appends the objects o with (s, p, o) present to dst and
+// returns the extended slice, in ascending ID order — so rule joins (and
+// the backward support checks of suspect-local retraction) run against a
+// frozen view at live-probe cost.
+func (v *View) ObjectsAppend(dst []rdf.ID, p, s rdf.ID) []rdf.ID {
+	return objectsAppend(v.list(p).get(), dst, s)
+}
+
+// SubjectsAppend appends the subjects s with (s, p, o) present to dst
+// and returns the extended slice, in ascending ID order.
+func (v *View) SubjectsAppend(dst []rdf.ID, p, o rdf.ID) []rdf.ID {
+	return subjectsAppend(v.list(p).get(), dst, o)
 }
 
 // matchPredicate streams the matches within one predicate's runs,

@@ -187,18 +187,6 @@ func TestSnapshotIsACopy(t *testing.T) {
 	}
 }
 
-func TestClear(t *testing.T) {
-	st := New()
-	st.Add(tr(1, 2, 3))
-	st.Clear()
-	if st.Len() != 0 || st.Contains(tr(1, 2, 3)) {
-		t.Fatal("Clear did not empty the store")
-	}
-	if !st.Add(tr(1, 2, 3)) {
-		t.Fatal("Add after Clear should report fresh")
-	}
-}
-
 func TestStats(t *testing.T) {
 	st := New()
 	st.Add(tr(1, 5, 2))

@@ -118,7 +118,7 @@ func TestViewReleaseRestoresNormalOperation(t *testing.T) {
 	v.Release()
 	v.Release() // idempotent
 
-	// The drained partition was swept at Release.
+	// The drained predicate is absent from the root.
 	if got := st.Predicates(); len(got) != 1 || got[0] != 2 {
 		t.Fatalf("Predicates after Release = %v, want [2]", got)
 	}
@@ -272,7 +272,7 @@ func TestMarkerRunsCancelAndResurrect(t *testing.T) {
 	shape := func(msg string, runs, markers int) {
 		t.Helper()
 		got, dels := 0, 0
-		for _, r := range st.list(p).get() {
+		for _, r := range st.root().list(p).get() {
 			got++
 			if r.del {
 				dels++
@@ -556,4 +556,60 @@ func TestViewWalkReachesWidestID(t *testing.T) {
 		return len(got) <= len(want) // a wrapped cursor walks again
 	})
 	sameTriples(t, got, want, "walk over a run ending at the widest ID")
+}
+
+// TestFreezeSeesWholeBatch checks that a batch becomes visible whole:
+// one goroutine adds and removes batches that each hold, for every
+// subject they touch, one pair on each of three predicates, while
+// another freezes in a loop. Every view must hold all three triples of
+// a subject or none of them.
+func TestFreezeSeesWholeBatch(t *testing.T) {
+	const batches, perBatch, window = 3000, 2, 8
+	preds := []rdf.ID{1, 2, 3}
+	batch := func(i rdf.ID) []rdf.Triple {
+		var b []rdf.Triple
+		for s := i * perBatch; s < (i+1)*perBatch; s++ {
+			for _, p := range preds {
+				b = append(b, rdf.T(s, p, s+1))
+			}
+		}
+		return b
+	}
+	st := New()
+	done := make(chan struct{})
+	defer func() { <-done }() // a failing check still waits for the writer
+	go func() {
+		defer close(done)
+		for i := rdf.ID(0); i < batches; i++ {
+			st.AddBatch(batch(i))
+			if i >= window {
+				st.RemoveAll(batch(i - window))
+			}
+		}
+	}()
+	for freezes := 0; ; freezes++ {
+		select {
+		case <-done:
+			if freezes == 0 {
+				t.Fatal("no freeze ran beside the writer")
+			}
+			return
+		default:
+		}
+		v := st.Freeze()
+		n := v.PredicateLen(preds[0])
+		for _, p := range preds[1:] {
+			if m := v.PredicateLen(p); m != n {
+				t.Fatalf("freeze %d: predicate %d holds %d pairs, predicate %d holds %d: a batch is visible in part", freezes, preds[0], n, p, m)
+			}
+		}
+		v.ForEachWithPredicate(preds[0], func(s, o rdf.ID) bool {
+			for _, p := range preds[1:] {
+				if !v.Contains(rdf.T(s, p, o)) {
+					t.Fatalf("freeze %d: (%d, %d, %d) is visible without (%d, %d, %d)", freezes, s, preds[0], o, s, p, o)
+				}
+			}
+			return true
+		})
+	}
 }

@@ -509,11 +509,11 @@ func (r *Reasoner) Retract(ctx context.Context, sts ...Statement) (RetractStats,
 		// Phase A: freeze a consistent closure, then run the read-only
 		// suspect analysis against it while ingest continues.
 		prepStart := time.Now()
-		sv, storeV, explicitV, err := r.freezeClosure(ctx)
+		sv, explicitV, err := r.freezeClosure(ctx)
 		if err != nil {
 			return RetractStats{}, err
 		}
-		pass, err = maintenance.Prepare(ctx, sv, storeV, explicitV, r.frag.rules, r.explicit, toDelete)
+		pass, err = maintenance.Prepare(ctx, sv, sv.Version(), explicitV, r.frag.rules, r.explicit, toDelete)
 		if err != nil {
 			return RetractStats{}, err
 		}

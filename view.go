@@ -5,9 +5,9 @@
 // base — the closure of every batch acknowledged before the snapshot was
 // taken — and answers queries against it no matter how far the live
 // store has moved on. Writers never wait on a running query: a store
-// view holds the immutable run lists it captured (internal/store) and
-// writers append new runs, so an open session costs writers nothing; it
-// only keeps the runs it holds from being collected. A snapshot is plain
+// view is one immutable root of the store (internal/store) and writers
+// publish new roots, so an open session costs writers nothing; it only
+// keeps the runs it holds from being collected. A snapshot is plain
 // data: nothing counts its readers, and it is freed by the garbage
 // collector once neither the cache slot nor any session points at it.
 //
@@ -43,9 +43,8 @@ const DefaultViewMaxAge = 100 * time.Millisecond
 // sharedView is one store snapshot handed out to (and shared by) read
 // sessions, cached in Reasoner.viewCur.
 type sharedView struct {
-	sv      *store.View
-	version uint64 // store version at freeze
-	born    time.Time
+	sv   *store.View // its Version is the store version at freeze
+	born time.Time
 }
 
 // View is a read session: a consistent snapshot of the materialised
@@ -89,8 +88,8 @@ func (r *Reasoner) viewAtLeast(ctx context.Context, need uint64) (*View, error) 
 	for {
 		r.viewMu.Lock()
 		cur, flight := r.viewCur, r.viewFlight
-		if cur != nil && cur.version >= need &&
-			(cur.version == r.store.Version() || time.Since(cur.born) < r.viewMaxAge || flight != nil) {
+		if cur != nil && cur.sv.Version() >= need &&
+			(cur.sv.Version() == r.store.Version() || time.Since(cur.born) < r.viewMaxAge || flight != nil) {
 			r.viewMu.Unlock()
 			return &View{r: r, shared: cur}, nil
 		}
@@ -129,16 +128,17 @@ func (r *Reasoner) refreshView(ctx context.Context) (*View, error) {
 	// the capture (typically a query request's) — the quiesce-and-freeze
 	// is the serving layer's main tail-latency source.
 	_, sp := trace.Start(ctx, "view.refresh")
-	sv, version, _, err := r.freezeClosure(ctx)
+	sv, _, err := r.freezeClosure(ctx)
 	if err != nil {
 		sp.Error(err.Error())
 		sp.End()
 		return nil, err
 	}
+	version := sv.Version()
 	sp.SetInt("version", int64(version))
 	sp.End()
 	r.obs.viewRefresh.ObserveSince(t0)
-	ns := &sharedView{sv: sv, version: version, born: time.Now()}
+	ns := &sharedView{sv: sv, born: time.Now()}
 	r.viewMu.Lock()
 	r.viewCur = ns
 	r.viewMu.Unlock()
@@ -148,32 +148,31 @@ func (r *Reasoner) refreshView(ctx context.Context) (*View, error) {
 	return &View{r: r, shared: ns}, nil
 }
 
-// freezeClosure quiesces inference and captures a copy-on-write view of
-// the materialised store — the closure of every batch acknowledged
-// before the freeze — along with the version stamps of the store and
-// the explicit set at that instant. The exclusive window is O(1) beyond
-// the quiescence drain; a pre-drain without the lock bounds what the
-// locked drain still has to absorb (under sustained ingest the engine
-// is never spontaneously quiescent, and only the locked drain, with
-// writers excluded, is guaranteed to terminate). Shared lock
-// choreography for read-session refresh and the retraction pass's
-// frozen phase A.
-func (r *Reasoner) freezeClosure(ctx context.Context) (*store.View, uint64, uint64, error) {
+// freezeClosure quiesces inference and captures a view of the
+// materialised store — the closure of every batch acknowledged before
+// the freeze, stamped with the store version it holds (View.Version) —
+// along with the explicit set's version at that instant. The exclusive
+// window is O(1) beyond the quiescence drain; a pre-drain without the
+// lock bounds what the locked drain still has to absorb (under
+// sustained ingest the engine is never spontaneously quiescent, and
+// only the locked drain, with writers excluded, is guaranteed to
+// terminate). Shared lock choreography for read-session refresh and the
+// retraction pass's frozen phase A.
+func (r *Reasoner) freezeClosure(ctx context.Context) (*store.View, uint64, error) {
 	predrain, cancel := context.WithTimeout(ctx, time.Second)
 	r.engine.Wait(predrain)
 	cancel()
 	r.markMu.Lock()
 	defer r.markMu.Unlock()
 	if err := r.engine.Wait(ctx); err != nil {
-		return nil, 0, 0, err
+		return nil, 0, err
 	}
 	sv := r.store.Freeze()
-	storeVersion := r.store.Version()
 	var explicitVersion uint64
 	if r.explicit != nil {
 		explicitVersion = r.explicit.Version()
 	}
-	return sv, storeVersion, explicitVersion, nil
+	return sv, explicitVersion, nil
 }
 
 // Close ends the session. It is a no-op, kept for callers that scope

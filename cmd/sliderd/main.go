@@ -1,6 +1,6 @@
 // Command sliderd is the Slider serving daemon: it opens (or creates) a
-// durable knowledge base and serves it over HTTP — batch ingest with
-// write coalescing, snapshot-isolated streamed queries, retraction,
+// durable knowledge base and serves it over HTTP — group-committed batch
+// ingest, snapshot-isolated streamed queries, retraction,
 // health and stats (see internal/server for the API).
 //
 // Usage:

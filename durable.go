@@ -60,13 +60,6 @@ type durability struct {
 	logger          *slog.Logger
 	diskMinFree     int64 // read-only floor in free bytes; 0 disables
 
-	// mu serializes log appends with their engine handoff, and excludes
-	// both while a checkpoint *marks* its cut of the store — the brief
-	// first phase of the two-phase checkpoint. The O(store) stream phase
-	// runs without it, so writers never wait on checkpoint I/O. It is
-	// taken before explicitMu wherever both are held.
-	mu sync.Mutex
-
 	// health is the degradation state machine (see degraded.go): which
 	// faults refuse writes, and the recovery loop's progress.
 	health healthState
@@ -75,7 +68,7 @@ type durability struct {
 	stopMon chan struct{}
 
 	// errMu guards the fields below on their own so read-only paths
-	// (Wait, Err) never block behind ingest holding mu.
+	// (Wait, Err) never block behind a writer holding Reasoner.writeMu.
 	errMu sync.Mutex
 	err   error // terminal close-path failure; poisons further writes
 	// bgErr is the latest background-checkpoint failure — the serving
@@ -95,12 +88,15 @@ type durability struct {
 	// ckptDone is non-nil exactly while a checkpoint is in flight
 	// (marking or streaming) and is closed when it ends; it is THE
 	// in-flight indicator, reset to nil on completion so stale channels
-	// never leak into later bookkeeping. Guarded by mu.
+	// never leak into later bookkeeping. Guarded by Reasoner.writeMu,
+	// which also excludes writers while a checkpoint *marks* its cut of
+	// the store; the O(store) stream phase runs without it, so writers
+	// never wait on checkpoint I/O.
 	ckptDone chan struct{}
 	// closeAbandoned is set when Close gave up waiting for an in-flight
 	// checkpoint: ownership of the log (and the directory lock) passes
 	// to the checkpoint goroutine, which closes it when it finishes.
-	// Guarded by mu.
+	// Guarded by Reasoner.writeMu.
 	closeAbandoned bool
 }
 
@@ -224,16 +220,13 @@ func (r *Reasoner) replayLog(l *wal.Log) error {
 		}
 		switch rec.Op {
 		case wal.OpAssert:
-			r.applyAssert(ctx, rec.Triples)
+			r.applyAssert([]*pendingBatch{{ctx: ctx, ts: rec.Triples}}, rec.Triples)
 		case wal.OpRetract:
 			// DRed needs a quiescent store, as in Retract.
 			if err := r.engine.Wait(ctx); err != nil {
 				return err
 			}
-			r.explicitMu.Lock()
-			_, err := maintenance.Retract(ctx, r.store, r.frag.rules, r.explicit, rec.Triples)
-			r.explicitMu.Unlock()
-			if err != nil {
+			if _, err := maintenance.Retract(ctx, r.store, r.frag.rules, r.explicit, rec.Triples); err != nil {
 				return err
 			}
 		}
@@ -243,7 +236,7 @@ func (r *Reasoner) replayLog(l *wal.Log) error {
 }
 
 // termDelta collects the dictionary terms registered since the previous
-// call, advancing the high-water marks. Called with d.mu held, so deltas
+// call, advancing the high-water marks. Called with writeMu held, so deltas
 // land in the log in registration order and replay reproduces identical
 // IDs. A term encoded by a not-yet-logged concurrent batch may ride
 // along with an earlier record — harmless, replay just registers it
@@ -275,7 +268,7 @@ func (d *durability) termDelta(dict *rdf.Dictionary) []wal.TermEntry {
 // record's term delta was never logged (the log backs the frame out),
 // so those definitions must ride along with the next successful record
 // — leaving the marks advanced would make replay meet triple IDs whose
-// terms are in no record. Both called with d.mu held.
+// terms are in no record. Both called with writeMu held.
 func (d *durability) termMarks() (iris, blanks, literals int) {
 	return d.hwIRIs, d.hwBlanks, d.hwLiterals
 }
@@ -314,26 +307,26 @@ func (r *Reasoner) Checkpoint(ctx context.Context) error {
 	}
 	d := r.dur
 	for {
-		d.mu.Lock()
+		r.writeMu.Lock()
 		done := d.ckptDone
 		if done == nil {
 			break
 		}
-		d.mu.Unlock()
+		r.writeMu.Unlock()
 		select {
 		case <-done:
 		case <-ctx.Done():
 			return ctx.Err()
 		}
 	}
-	// d.mu held, no checkpoint in flight: arm one and run it here.
+	// writeMu held, no checkpoint in flight: arm one and run it here.
 	done := make(chan struct{})
 	d.ckptDone = done
-	d.mu.Unlock()
+	r.writeMu.Unlock()
 	return r.runCheckpoint(ctx, done)
 }
 
-// markCheckpointLocked is the mark phase, with d.mu held: drain
+// markCheckpointLocked is the mark phase, with writeMu held: drain
 // inference (the store is then exactly the closure of every logged
 // record), seal the live log segment, and freeze copy-on-write views of
 // the store, the explicit set and the logged dictionary prefix. O(1)
@@ -370,7 +363,7 @@ func (r *Reasoner) markCheckpointLocked(ctx context.Context) (*ckptCapture, erro
 
 // streamCheckpoint is the stream phase: serialise the capture's frozen
 // views to the checkpoint files and commit the manifest, all without
-// d.mu — ingest, retraction and queries proceed concurrently, appending
+// writeMu — ingest, retraction and queries proceed concurrently, appending
 // runs the frozen views do not hold. Failures poison the reasoner
 // (surfaced via Err).
 func (r *Reasoner) streamCheckpoint(cap *ckptCapture) error {
@@ -402,7 +395,7 @@ func (r *Reasoner) streamCheckpoint(cap *ckptCapture) error {
 }
 
 // runCheckpoint executes one armed checkpoint end to end: mark under
-// d.mu, stream lock-free, then clear the in-flight marker — and, if a
+// writeMu, stream lock-free, then clear the in-flight marker — and, if a
 // Close abandoned the reasoner mid-checkpoint, close the log on its
 // behalf so the segment descriptor and directory lock are not leaked.
 // done must be the channel installed as d.ckptDone.
@@ -415,16 +408,16 @@ func (r *Reasoner) runCheckpoint(ctx context.Context, done chan struct{}) error 
 	predrain, cancel := context.WithTimeout(ctx, 10*time.Second)
 	r.engine.Wait(predrain)
 	cancel()
-	d.mu.Lock()
+	r.writeMu.Lock()
 	cap, err := r.markCheckpointLocked(ctx)
-	d.mu.Unlock()
+	r.writeMu.Unlock()
 	if err == nil {
 		err = r.streamCheckpoint(cap)
 	}
-	d.mu.Lock()
+	r.writeMu.Lock()
 	d.ckptDone = nil
 	abandoned := d.closeAbandoned
-	d.mu.Unlock()
+	r.writeMu.Unlock()
 	if abandoned {
 		if cerr := d.log.Close(); cerr != nil {
 			d.setErr(cerr)
@@ -435,8 +428,8 @@ func (r *Reasoner) runCheckpoint(ctx context.Context, done chan struct{}) error 
 }
 
 // maybeCheckpointLocked starts a background checkpoint when the live log
-// volume passes the threshold. Called with d.mu held; the checkpoint
-// goroutine re-acquires d.mu only for its brief mark phase, so the
+// volume passes the threshold. Called with writeMu held; the checkpoint
+// goroutine re-acquires writeMu only for its brief mark phase, so the
 // triggering Add returns first and subsequent writers pause for O(1),
 // not for the O(store) snapshot write.
 func (r *Reasoner) maybeCheckpointLocked() {
@@ -533,30 +526,30 @@ func (r *Reasoner) closeDurable(ctx context.Context) error {
 	// wedged forever. The log on disk stays consistent either way and
 	// the next Open recovers normally.
 	for {
-		d.mu.Lock()
+		r.writeMu.Lock()
 		done := d.ckptDone
 		if done == nil {
 			break
 		}
-		d.mu.Unlock()
+		r.writeMu.Unlock()
 		select {
 		case <-done:
 		case <-ctx.Done():
-			d.mu.Lock()
+			r.writeMu.Lock()
 			if d.ckptDone != nil {
 				d.closeAbandoned = true
-				d.mu.Unlock()
+				r.writeMu.Unlock()
 				return ctx.Err()
 			}
 			// The checkpoint ended between the deadline firing and the
 			// re-lock: fall through and close normally (the expired ctx
 			// will surface from engine.Close below).
-			d.mu.Unlock()
+			r.writeMu.Unlock()
 		}
 	}
-	// d.mu held; no checkpoint in flight, and none can start (arming
-	// happens under d.mu).
-	defer d.mu.Unlock()
+	// writeMu held; no checkpoint in flight, and none can start (arming
+	// happens under writeMu).
+	defer r.writeMu.Unlock()
 	err := r.engine.Close(ctx)
 	if err == nil {
 		err = r.engine.Err()
@@ -564,7 +557,7 @@ func (r *Reasoner) closeDurable(ctx context.Context) error {
 	// Checkpoint only if the log holds records the current checkpoint
 	// does not cover: a read-only session (or one whose background
 	// checkpoint just ran) would otherwise rewrite the whole store on
-	// every exit. The two-phase capture runs inline here — d.mu stays
+	// every exit. The two-phase capture runs inline here — writeMu stays
 	// held, which is fine: the engine is closed, nothing writes. A
 	// retried Close after an abandoned one skips it: the checkpoint
 	// goroutine already closed the log on our behalf, and attempting a

@@ -27,8 +27,8 @@ func stressFact(prefix string, i int) Statement {
 
 // ckptInFlight reports whether a checkpoint is marking or streaming.
 func ckptInFlight(r *Reasoner) bool {
-	r.dur.mu.Lock()
-	defer r.dur.mu.Unlock()
+	r.writeMu.Lock()
+	defer r.writeMu.Unlock()
 	return r.dur.ckptDone != nil
 }
 
@@ -273,9 +273,9 @@ func TestCloseAbandonedCheckpointClosesLog(t *testing.T) {
 	// does, but don't run it yet — the Close below must find it pending.
 	d := r.dur
 	done := make(chan struct{})
-	d.mu.Lock()
+	r.writeMu.Lock()
 	d.ckptDone = done
-	d.mu.Unlock()
+	r.writeMu.Unlock()
 
 	expired, cancel := context.WithCancel(ctx)
 	cancel()
@@ -372,9 +372,9 @@ func TestCheckpointInFlightBookkeeping(t *testing.T) {
 		if err := r.Checkpoint(ctx); err != nil {
 			t.Fatalf("checkpoint %d: %v", i, err)
 		}
-		r.dur.mu.Lock()
+		r.writeMu.Lock()
 		stale := r.dur.ckptDone
-		r.dur.mu.Unlock()
+		r.writeMu.Unlock()
 		if stale != nil {
 			t.Fatalf("ckptDone still set after checkpoint %d completed", i)
 		}

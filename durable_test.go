@@ -2,11 +2,13 @@ package slider
 
 import (
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
+	"time"
 )
 
 // closureSet renders the materialised store as a sorted set of decoded
@@ -297,4 +299,87 @@ func TestNewWithDurability(t *testing.T) {
 	}()
 	bad := dir + "/MANIFEST.json/nope" // parent is a file, MkdirAll must fail
 	New(RhoDF, WithDurability(bad))
+}
+
+// queuedBatches counts the batches waiting for the writer lock.
+func queuedBatches(r *Reasoner) int {
+	n := 0
+	for b := r.pending.Load(); b != nil; b = b.next {
+		n++
+	}
+	return n
+}
+
+// TestConcurrentAssertsShareOneAppend pins group commit for library
+// callers: while the writer lock is held, K concurrent AddBatch calls on
+// a durable reasoner all queue, and the first to take the lock logs
+// every one of them in a single write-ahead-log append. Each caller
+// still gets its own fresh count, and a reopen holds the union.
+func TestConcurrentAssertsShareOneAppend(t *testing.T) {
+	const k = 8
+	dir := t.TempDir()
+	ctx := context.Background()
+	r, err := Open(dir, RhoDF, WithWorkers(2), WithCheckpointEvery(-1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	schema := NewStatement(ex("Cat"), IRI(SubClassOf), ex("Animal"))
+	mustAdd(t, r, schema)
+	appends := r.Metrics().GetCounter("slider_wal_appends_total")
+	before := appends.Load()
+	member := func(i, j int) Term { return ex(fmt.Sprintf("c%d_%d", i, j)) }
+
+	type result struct{ i, fresh int }
+	results := make(chan result, k)
+	r.writeMu.Lock()
+	for i := 0; i < k; i++ {
+		go func() {
+			// Caller i asserts i+1 new statements and one already known.
+			sts := []Statement{schema}
+			for j := 0; j <= i; j++ {
+				sts = append(sts, NewStatement(member(i, j), IRI(Type), ex("Cat")))
+			}
+			n, err := r.AddBatch(sts)
+			if err != nil {
+				t.Error(err)
+			}
+			results <- result{i, n}
+		}()
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for queuedBatches(r) < k {
+		if time.Now().After(deadline) {
+			r.writeMu.Unlock()
+			t.Fatalf("only %d of %d batches queued", queuedBatches(r), k)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	r.writeMu.Unlock()
+	for range k {
+		if res := <-results; res.fresh != res.i+1 {
+			t.Fatalf("caller %d: fresh = %d, want %d", res.i, res.fresh, res.i+1)
+		}
+	}
+	if got := appends.Load() - before; got != 1 {
+		t.Fatalf("%d concurrent batches took %d WAL appends, want 1", k, got)
+	}
+	if err := r.Close(ctx); err != nil {
+		t.Fatal(err)
+	}
+
+	r2, err := Open(dir, RhoDF, WithWorkers(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r2.Close(ctx)
+	if err := r2.Wait(ctx); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < k; i++ {
+		for j := 0; j <= i; j++ {
+			if !r2.Contains(NewStatement(member(i, j), IRI(Type), ex("Animal"))) {
+				t.Fatalf("reopened knowledge base lacks caller %d's statement %d", i, j)
+			}
+		}
+	}
 }

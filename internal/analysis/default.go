@@ -14,14 +14,11 @@ func DefaultCheckers(modPath string) []Checker {
 
 	lockorder := &LockOrder{Classes: []LockClass{
 		// Facade order (slider.go): retractMu is taken before every
-		// other lock a retraction uses; the durability mutex before
-		// markMu; markMu before explicitMu.
+		// other lock a retraction uses, then the one writer lock.
 		{Name: "retractMu", PkgPath: modPath, Type: "Reasoner", Field: "retractMu", Rank: 10},
-		{Name: "durability.mu", PkgPath: modPath, Type: "durability", Field: "mu", Rank: 20},
-		{Name: "markMu", PkgPath: modPath, Type: "Reasoner", Field: "markMu", Rank: 30},
-		{Name: "explicitMu", PkgPath: modPath, Type: "Reasoner", Field: "explicitMu", Rank: 40},
-		// The WAL's log mutex nests under the facade locks (Append is
-		// called with markMu and the durability mutex held).
+		{Name: "writeMu", PkgPath: modPath, Type: "Reasoner", Field: "writeMu", Rank: 20},
+		// The WAL's log mutex nests under the writer lock (Append is
+		// called with writeMu held).
 		{Name: "wal.Log.mu", PkgPath: wal, Type: "Log", Field: "mu", Rank: 50},
 		// Store order: workMu serializes run merges and is taken before
 		// Store.mu, which serializes root publication and merge swaps;
@@ -61,9 +58,10 @@ func DefaultCheckers(modPath string) []Checker {
 		StringerKey: rdf + ".Term",
 		Hot: []HotFunc{
 			// Facade ingest.
-			{Pkg: modPath, Recv: "Reasoner", Name: "AddTriple"},
 			{Pkg: modPath, Recv: "Reasoner", Name: "AddTriples"},
 			{Pkg: modPath, Recv: "Reasoner", Name: "addTriples"},
+			{Pkg: modPath, Recv: "Reasoner", Name: "drainLocked"},
+			{Pkg: modPath, Recv: "Reasoner", Name: "logAssertLocked"},
 			{Pkg: modPath, Recv: "Reasoner", Name: "applyAssert"},
 			// Engine routing, buffering and join execution.
 			{Pkg: reasoner, Recv: "Engine", Name: "Add"},

@@ -16,7 +16,7 @@ import (
 // tracked: two Stores' stripe locks are one class, and re-acquiring a
 // held class is not reported.
 type LockClass struct {
-	Name    string // short name used in messages, e.g. "markMu"
+	Name    string // short name used in messages, e.g. "writeMu"
 	PkgPath string // package declaring the owner type
 	Type    string // owner type name, e.g. "Reasoner"
 	Field   string // field path from the owner, e.g. "mu" or "comp.mu"

@@ -295,11 +295,12 @@ func restore(stop func() error, alive *masked, ruleset []rules.Rule,
 // cancelling it leaves the knowledge base untouched.
 //
 // frozen must be a consistent (quiescent-at-freeze) view of the closure;
-// storeVersion and explicitVersion are the version stamps of the live
-// store and the explicit set captured at the freeze. explicit is read
-// live (racing asserts only add axioms; Apply re-validates). The ruleset
-// must pass rules.AllSupport.
-func Prepare(ctx context.Context, frozen rules.Source, storeVersion, explicitVersion uint64,
+// the store version the pass is keyed to is the one it holds
+// (View.Version), and explicitVersion is the explicit set's version
+// captured at the same freeze. explicit is read live (racing asserts
+// only add axioms; Apply re-validates). The ruleset must pass
+// rules.AllSupport.
+func Prepare(ctx context.Context, frozen *store.View, explicitVersion uint64,
 	ruleset []rules.Rule, explicit *store.Store, toDelete []rdf.Triple) (*Pass, error) {
 
 	if explicit == nil {
@@ -309,7 +310,7 @@ func Prepare(ctx context.Context, frozen rules.Source, storeVersion, explicitVer
 		ruleset:         ruleset,
 		toDelete:        toDelete,
 		seedSet:         make(tripleSet, len(toDelete)),
-		storeVersion:    storeVersion,
+		storeVersion:    frozen.Version(),
 		explicitVersion: explicitVersion,
 	}
 	var seeds []rdf.Triple
@@ -508,7 +509,7 @@ func Retract(ctx context.Context, st *store.Store, ruleset []rules.Rule,
 		err error
 	)
 	if rules.AllSupport(ruleset) {
-		p, err = Prepare(ctx, st, st.Version(), explicitVersion(explicit), ruleset, explicit, toDelete)
+		p, err = Prepare(ctx, st.Freeze(), explicitVersion(explicit), ruleset, explicit, toDelete)
 	} else {
 		p, err = PrepareFull(ctx, st, ruleset, explicit, toDelete)
 	}

@@ -149,8 +149,7 @@ func TestTwoPhaseRetractWithMidPassMutation(t *testing.T) {
 
 		// Phase A against a frozen view, exactly as the reasoner runs it.
 		sv := st.Freeze()
-		pass, err := Prepare(context.Background(), sv, st.Version(), explicit.Version(),
-			ruleset, explicit, toDelete)
+		pass, err := Prepare(context.Background(), sv, explicit.Version(), ruleset, explicit, toDelete)
 		if err != nil {
 			sv.Release()
 			t.Fatal(err)

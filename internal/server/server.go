@@ -1,8 +1,8 @@
 // Package server is Slider's production HTTP serving subsystem: batch
-// ingest with write coalescing, snapshot-isolated streamed queries, and
-// incremental retraction over a single shared Reasoner.
+// ingest, snapshot-isolated streamed queries, and incremental retraction
+// over a single shared Reasoner.
 //
-//	POST /v1/insert   N-Triples (or Turtle) body → merged AddBatch
+//	POST /v1/insert   N-Triples (or Turtle) body → AddBatch
 //	POST /v1/query    SPARQL-like SELECT → streamed NDJSON bindings
 //	POST /v1/retract  N-Triples body → delete-and-rederive
 //	GET  /healthz     liveness + sticky-failure surface
@@ -13,19 +13,21 @@
 // Queries execute against a read session (Reasoner.View): every answer
 // is computed over one consistent snapshot — the closure of an
 // acknowledged prefix of the writes — and a long scan never blocks
-// writers. Inserts are coalesced: concurrent requests merge into shared
-// AddBatch calls (one WAL append, one routing pass per flush). Admission
-// control bounds in-flight requests, answering 503 when the server is
-// overloaded or draining; Drain stops admission and waits for the tail.
+// writers. Each insert is one AddBatch call; the reasoner's writer lock
+// group-commits concurrent ones (one WAL append and fsync per drain, see
+// Reasoner.AddBatch). Admission control bounds in-flight requests,
+// answering 503 when the server is overloaded or draining; Drain stops
+// admission and waits for the tail.
 //
 // Every request is timed into the reasoner's metrics registry
 // (slider_http_request_seconds{route=...}) and logged through the
-// configured slog.Logger with method, route, status, duration and — for
-// coalesced inserts — the flight it rode on. Each request is also a
-// trace span (internal/trace): an incoming W3C traceparent header is
-// adopted as the trace id, the response carries the request's own
-// traceparent, and slow or failed requests land in the flight recorder
-// at /debug/traces. POST /v1/query additionally accepts ?explain=1,
+// configured slog.Logger with method, route, status and duration. Each
+// request is also a trace root (internal/trace), and an insert's batch —
+// WAL append, store insertion, routing and the asynchronous inference
+// and visibility tails — is recorded under it. An incoming W3C
+// traceparent header is adopted as the trace id, the response carries
+// the request's own traceparent, and slow or failed requests land in
+// the flight recorder at /debug/traces. POST /v1/query additionally accepts ?explain=1,
 // which appends an explain record (join order, per-pattern estimated
 // vs actual rows, stage timings) to the NDJSON stream after the
 // binding rows and before the done trailer.
@@ -83,8 +85,7 @@ type Config struct {
 	// final apply window is uninterruptible.
 	RetractTimeout time.Duration
 	// Logger receives one structured line per request (method, route,
-	// status, duration, and the coalesced flight id for inserts).
-	// Default: discard.
+	// status, duration). Default: discard.
 	Logger *slog.Logger
 }
 
@@ -120,11 +121,10 @@ func (c *Config) withDefaults() {
 // Server serves one Reasoner over HTTP. Create with New, mount as an
 // http.Handler, and call Drain before closing the reasoner.
 type Server struct {
-	r    *slider.Reasoner
-	cfg  Config
-	mux  *http.ServeMux
-	coal *coalescer
-	reg  *obs.Registry
+	r   *slider.Reasoner
+	cfg Config
+	mux *http.ServeMux
+	reg *obs.Registry
 
 	inflight chan struct{}
 	querySem chan struct{}
@@ -151,7 +151,6 @@ func New(r *slider.Reasoner, cfg Config) *Server {
 	s := &Server{
 		r:        r,
 		cfg:      cfg,
-		coal:     newCoalescer(r, reg),
 		reg:      reg,
 		inflight: make(chan struct{}, cfg.MaxInflight),
 		querySem: make(chan struct{}, cfg.QueryConcurrency),
@@ -181,19 +180,6 @@ func New(r *slider.Reasoner, cfg Config) *Server {
 	mux.HandleFunc("GET /debug/traces", s.instrument("traces", s.handleTraces))
 	s.mux = mux
 	return s
-}
-
-// reqScope is per-request context handlers annotate for the access log
-// — currently just the coalesced-flight id an insert rode on.
-type reqScope struct {
-	flightID uint64
-}
-
-type scopeKey struct{}
-
-func scopeOf(r *http.Request) *reqScope {
-	sc, _ := r.Context().Value(scopeKey{}).(*reqScope)
-	return sc
 }
 
 // statusRecorder captures the response status for metrics and logging.
@@ -226,13 +212,11 @@ func (s *Server) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
 	const respHelp = "HTTP responses by route and status code."
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
-		sc := &reqScope{}
-		ctx := context.WithValue(r.Context(), scopeKey{}, sc)
 		// Every request is a trace root. An incoming W3C traceparent is
 		// adopted (the request joins the caller's trace id); the response
 		// always carries this request's own traceparent so clients can
 		// fish the flight recorder for it.
-		ctx, sp := trace.StartRequest(ctx, "http."+route, r.Header.Get("traceparent"))
+		ctx, sp := trace.StartRequest(r.Context(), "http."+route, r.Header.Get("traceparent"))
 		r = r.WithContext(ctx)
 		sr := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
 		if tp := sp.Traceparent(); tp != "" {
@@ -240,11 +224,6 @@ func (s *Server) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
 		}
 		h(sr, r)
 		sp.SetInt("status", int64(sr.status))
-		if sc.flightID != 0 {
-			// The coalesced flight is a separate trace root (it merges
-			// requests); the shared id is the join key between the two.
-			sp.SetInt("flight", int64(sc.flightID))
-		}
 		if sr.status >= 500 {
 			sp.Error(http.StatusText(sr.status))
 		}
@@ -253,16 +232,11 @@ func (s *Server) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
 		hist.ObserveDuration(dur)
 		s.reg.Counter(respName, respHelp,
 			"route", route, "code", strconv.Itoa(sr.status)).Inc()
-		attrs := []any{
+		s.cfg.Logger.Info("request",
 			"method", r.Method,
 			"route", route,
 			"status", sr.status,
-			"dur_ms", float64(dur.Microseconds()) / 1000,
-		}
-		if sc.flightID != 0 {
-			attrs = append(attrs, "flight", sc.flightID)
-		}
-		s.cfg.Logger.Info("request", attrs...)
+			"dur_ms", float64(dur.Microseconds())/1000)
 	}
 }
 
@@ -380,29 +354,25 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 	psp.SetInt("statements", int64(len(sts)))
 	psp.End()
 	if len(sts) == 0 {
-		writeJSON(w, http.StatusOK, map[string]any{"statements": 0, "merged_requests": 0})
+		writeJSON(w, http.StatusOK, map[string]any{"statements": 0})
 		return
 	}
-	// Validate here so one request's bad data cannot fail the merged
-	// flight it rides on.
+	// Validate here so bad data is the client's 400, not an ingest 500.
 	for _, st := range sts {
 		if !st.Valid() {
 			httpError(w, http.StatusBadRequest, "invalid statement %v", st)
 			return
 		}
 	}
-	// Refuse before joining a flight: while the reasoner is read-only
-	// every flight would fail anyway, and the pre-check answers with the
-	// live backoff instead of making the client discover it the hard way.
+	// Refuse before queueing for the writer: while the reasoner is
+	// read-only every write fails anyway, and the pre-check answers with
+	// the live backoff instead of making the client discover it the hard
+	// way.
 	if h := s.r.Health(); h.ReadOnly {
 		s.refuseReadOnly(w, h)
 		return
 	}
-	_, merged, flightID, err := s.coal.submit(sts)
-	if sc := scopeOf(r); sc != nil {
-		sc.flightID = flightID
-	}
-	if err != nil {
+	if _, err := s.r.AddBatchCtx(r.Context(), sts); err != nil {
 		if errors.Is(err, slider.ErrDegraded) {
 			s.refuseReadOnly(w, s.r.Health())
 			return
@@ -411,10 +381,7 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.nInserted.Add(int64(len(sts)))
-	writeJSON(w, http.StatusOK, map[string]any{
-		"statements":      len(sts),
-		"merged_requests": merged,
-	})
+	writeJSON(w, http.StatusOK, map[string]any{"statements": len(sts)})
 }
 
 // queryRequest is the optional JSON form of a query body; a plain-text
@@ -664,8 +631,8 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 			"requests":             s.nRequests.Load(),
 			"rejected":             s.nRejected.Load(),
 			"inserted_statements":  s.nInserted.Load(),
-			"insert_flushes":       s.coal.flushes.Load(),
-			"coalesced_requests":   s.coal.coalesced.Load(),
+			"insert_flushes":       s.reg.GetCounter("slider_ingest_flushes_total").Load(),
+			"coalesced_requests":   s.reg.GetCounter("slider_ingest_coalesced_batches_total").Load(),
 			"queries":              s.nQueries.Load(),
 			"query_rows":           s.nRows.Load(),
 			"retracted_statements": s.nRetracted.Load(),

@@ -7,11 +7,16 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"runtime"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	slider "repro"
+	"repro/internal/vfs"
 )
 
 const exNS = "http://example.org/"
@@ -247,15 +252,7 @@ func TestStats(t *testing.T) {
 	_, ts, _ := newTestServer(t, Config{})
 	post(t, ts.URL+"/v1/insert", "", ntLine("a", typeIRI(), "T"))
 	queryRows(t, ts.URL, `SELECT ?x WHERE { ?x a <http://example.org/T> . }`)
-	resp, err := http.Get(ts.URL + "/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var st map[string]any
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		t.Fatal(err)
-	}
+	st := getStats(t, ts.URL)
 	srv := st["server"].(map[string]any)
 	if srv["requests"].(float64) < 2 || srv["inserted_statements"].(float64) != 1 || srv["queries"].(float64) != 1 {
 		t.Fatalf("stats: %v", srv)
@@ -265,55 +262,111 @@ func TestStats(t *testing.T) {
 	}
 }
 
-// TestCoalescing pins the group-commit behaviour deterministically: with
-// the flusher marked busy, two concurrent submissions join the same
-// flight and are acknowledged by one AddBatch.
-func TestCoalescing(t *testing.T) {
-	r := slider.New(slider.RhoDF)
-	defer r.Close(context.Background())
-	c := newCoalescer(r, r.Metrics())
-	c.mu.Lock()
-	c.running = true // pretend a flush is in progress
-	c.mu.Unlock()
+// gateFS holds the next file Sync once armed, so a test can keep a
+// durable reasoner's writer lock held mid-append.
+type gateFS struct {
+	vfs.FS
+	armed   atomic.Bool
+	entered chan struct{}
+	release chan struct{}
+}
 
-	type res struct {
-		merged int
-		err    error
+func (g *gateFS) OpenFile(name string, flag int, perm os.FileMode) (vfs.File, error) {
+	f, err := g.FS.OpenFile(name, flag, perm)
+	if err != nil {
+		return nil, err
 	}
-	results := make(chan res, 2)
-	submit := func(name string) {
-		_, merged, _, err := c.submit([]slider.Statement{slider.NewStatement(
-			slider.IRI(exNS+name), slider.IRI(typeIRI()), slider.IRI(exNS+"T"))})
-		results <- res{merged, err}
+	return gateFile{f, g}, nil
+}
+
+type gateFile struct {
+	vfs.File
+	g *gateFS
+}
+
+func (f gateFile) Sync() error {
+	if f.g.armed.CompareAndSwap(true, false) {
+		f.g.entered <- struct{}{}
+		<-f.g.release
 	}
-	go submit("a")
-	go submit("b")
-	// Wait until both riders joined the pending flight, then run the
-	// flusher loop.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		c.mu.Lock()
-		n := 0
-		if c.next != nil {
-			n = c.next.reqs
+	return f.File.Sync()
+}
+
+// queuedWriters counts goroutines parked on a reasoner's writer lock
+// inside its ingest funnel: batches already queued for the next drain.
+func queuedWriters() int {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	n := 0
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		if strings.Contains(g, "sync.(*Mutex).Lock") && strings.Contains(g, "(*Reasoner).addTriples") {
+			n++
 		}
-		c.mu.Unlock()
-		if n == 2 {
-			break
+	}
+	return n
+}
+
+// TestCoalescing pins group commit over HTTP deterministically: while one
+// insert holds the writer lock in its fsync, two more queue behind it,
+// and the holder that takes the lock next logs and applies both in one
+// drain — one WAL append for the pair, read back through /stats.
+func TestCoalescing(t *testing.T) {
+	g := &gateFS{FS: vfs.OS, entered: make(chan struct{}), release: make(chan struct{})}
+	_, ts, r := newTestServer(t, Config{}, slider.WithDurability(t.TempDir()),
+		slider.WithVFS(g), slider.WithFsync(), slider.WithCheckpointEvery(-1))
+	insert := func(name string, done chan<- int) {
+		resp, err := http.Post(ts.URL+"/v1/insert", "", strings.NewReader(ntLine(name, typeIRI(), "T")))
+		if err != nil {
+			t.Error(err)
+			done <- 0
+			return
 		}
+		resp.Body.Close()
+		done <- resp.StatusCode
+	}
+	// Released on every path: a failing test must not leave insert a
+	// holding the writer lock while cleanup closes the reasoner.
+	release := sync.OnceFunc(func() { close(g.release) })
+	t.Cleanup(release)
+	done := make(chan int, 3)
+	g.armed.Store(true)
+	go insert("a", done)
+	<-g.entered // a holds the writer lock, inside its fsync
+	go insert("b", done)
+	go insert("c", done)
+	deadline := time.Now().Add(10 * time.Second)
+	for queuedWriters() < 2 {
 		if time.Now().After(deadline) {
-			t.Fatal("riders never joined the flight")
+			t.Fatal("b and c never queued for the writer lock")
 		}
 		time.Sleep(time.Millisecond)
 	}
-	go c.run()
-	for i := 0; i < 2; i++ {
-		r := <-results
-		if r.err != nil || r.merged != 2 {
-			t.Fatalf("rider %d: merged=%d err=%v", i, r.merged, r.err)
+	release()
+	for i := 0; i < 3; i++ {
+		if code := <-done; code != http.StatusOK {
+			t.Fatalf("insert status %d", code)
 		}
 	}
-	if c.flushes.Load() != 1 || c.coalesced.Load() != 2 {
-		t.Fatalf("flushes=%d coalesced=%d, want 1/2", c.flushes.Load(), c.coalesced.Load())
+	srv := getStats(t, ts.URL)["server"].(map[string]any)
+	if srv["insert_flushes"].(float64) != 2 || srv["coalesced_requests"].(float64) != 2 {
+		t.Fatalf("insert_flushes=%v coalesced_requests=%v, want 2/2", srv["insert_flushes"], srv["coalesced_requests"])
 	}
+	if n := r.Metrics().GetCounter("slider_wal_appends_total").Load(); n != 2 {
+		t.Fatalf("slider_wal_appends_total = %d, want 2 (a alone, then b and c together)", n)
+	}
+}
+
+// getStats fetches and decodes /stats.
+func getStats(t *testing.T, url string) map[string]any {
+	t.Helper()
+	resp, err := http.Get(url + "/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var st map[string]any
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	return st
 }

@@ -172,13 +172,14 @@ func TestServerStressConsistency(t *testing.T) {
 }
 
 // TestServerStressCoalesces checks that sustained concurrent ingest
-// actually exercises the write-coalescing path: with many clients
-// inserting at once, at least one flush must have merged requests.
+// actually exercises group commit: with many clients inserting at once,
+// at least one of the reasoner's ingest drains must have run more than
+// one request's batch.
 func TestServerStressCoalesces(t *testing.T) {
 	if testing.Short() {
 		t.Skip("stress test")
 	}
-	s, ts, _ := newTestServer(t, Config{MaxInflight: 128})
+	_, ts, r := newTestServer(t, Config{MaxInflight: 128})
 	const clients, perClient = 16, 30
 	var wg sync.WaitGroup
 	for c := 0; c < clients; c++ {
@@ -195,7 +196,9 @@ func TestServerStressCoalesces(t *testing.T) {
 		}(c)
 	}
 	wg.Wait()
-	flushes, coalesced := s.coal.flushes.Load(), s.coal.coalesced.Load()
+	reg := r.Metrics()
+	flushes := reg.GetCounter("slider_ingest_flushes_total").Load()
+	coalesced := reg.GetCounter("slider_ingest_coalesced_batches_total").Load()
 	if flushes == 0 {
 		t.Fatal("no flushes recorded")
 	}

@@ -12,7 +12,7 @@ import (
 	"repro/internal/trace"
 )
 
-// waitTrace polls until cond sees the trace state it wants — flight
+// waitTrace polls until cond sees the trace state it wants — insert
 // traces complete asynchronously (inference quiescence and view
 // visibility settle on the lifecycle watcher's grain).
 func waitTrace(t *testing.T, cond func() bool) {
@@ -111,11 +111,11 @@ func TestDebugTracesEndpoint(t *testing.T) {
 		t.Fatalf("query trailer %v", trailer)
 	}
 
-	// The flight root completes asynchronously (quiescence + view
+	// The insert trace completes asynchronously (quiescence + view
 	// visibility); wait for it before scraping the endpoint.
 	waitTrace(t, func() bool {
 		for _, tr := range trace.Default.Snapshot(false).Traces {
-			if tr.Name == "ingest.flight" {
+			if tr.Name == "http.insert" {
 				return true
 			}
 		}
@@ -146,9 +146,8 @@ func TestDebugTracesEndpoint(t *testing.T) {
 	for _, tr := range snap.Traces {
 		names[tr.Name] = true
 	}
-	// Mixed traffic must have produced both a flight root and request
-	// roots for the HTTP routes.
-	for _, want := range []string{"ingest.flight", "http.insert", "http.query"} {
+	// Mixed traffic must have produced request roots for both routes.
+	for _, want := range []string{"http.insert", "http.query"} {
 		if !names[want] {
 			t.Fatalf("no %q root retained; got %v", want, names)
 		}
@@ -189,11 +188,11 @@ func TestTraceparentAdoptedAndEmitted(t *testing.T) {
 	})
 }
 
-// TestFlightTraceHasPipelineChildren drives a durable-less ingest and
-// asserts the flight root carries the span tree the issue promises:
-// store/routing children and the async lifecycle tails, all sharing
-// the root's trace id.
-func TestFlightTraceHasPipelineChildren(t *testing.T) {
+// TestInsertTraceHasPipelineChildren drives a durable-less ingest and
+// asserts the request's own trace carries the write path's span tree:
+// the batch, its store/routing children and the async lifecycle tails,
+// all sharing the request's trace id.
+func TestInsertTraceHasPipelineChildren(t *testing.T) {
 	withZeroThresholdTracer(t)
 	_, ts, _ := newTestServer(t, Config{})
 
@@ -204,12 +203,12 @@ func TestFlightTraceHasPipelineChildren(t *testing.T) {
 	// A query forces a view refresh, which settles view.visible.
 	queryRows(t, ts.URL, "SELECT ?s WHERE { ?s a <"+exNS+"Animal> . }")
 
-	var flight *trace.TraceJSON
+	var insert *trace.TraceJSON
 	waitTrace(t, func() bool {
 		snap := trace.Default.Snapshot(false)
 		for i := range snap.Traces {
-			if snap.Traces[i].Name == "ingest.flight" {
-				flight = &snap.Traces[i]
+			if snap.Traces[i].Name == "http.insert" {
+				insert = &snap.Traces[i]
 				return true
 			}
 		}
@@ -223,10 +222,10 @@ func TestFlightTraceHasPipelineChildren(t *testing.T) {
 		}
 	}
 	seen := map[string]bool{}
-	walk(flight.Root, seen)
-	for _, want := range []string{"ingest.flight", "ingest.batch", "store.addbatch", "engine.route", "infer.rounds", "view.visible"} {
+	walk(insert.Root, seen)
+	for _, want := range []string{"http.insert", "insert.parse", "ingest.batch", "store.addbatch", "engine.route", "infer.rounds", "view.visible"} {
 		if !seen[want] {
-			t.Fatalf("flight trace lacks %q; spans seen: %v", want, seen)
+			t.Fatalf("insert trace lacks %q; spans seen: %v", want, seen)
 		}
 	}
 }

@@ -168,7 +168,7 @@ func Start(ctx context.Context, name string, attrs ...Attr) (context.Context, *S
 }
 
 // StartRoot opens a context-free root span — for background work
-// (compaction passes, coalesced ingest flights) that is its own trace.
+// (compaction passes, say) that is its own trace.
 func StartRoot(name string, attrs ...Attr) *Span {
 	if disabled.Load() {
 		return nil

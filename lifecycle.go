@@ -105,8 +105,8 @@ func (lc *lifecycle) sweep(f func(*flightTail)) {
 // the just-installed view's version. Called by refreshView after the
 // install, with no reasoner locks held, so the precise install moment
 // is what the spans record. Nothing else has to watch for visibility:
-// track runs under the mark gate's read side, so every freeze that
-// includes the batch comes after its tail is registered.
+// track runs under the writer lock, as every freeze does, so every
+// freeze that includes the batch comes after its tail is registered.
 func (lc *lifecycle) notifyView(version uint64) {
 	if !trace.Enabled() {
 		return

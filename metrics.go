@@ -57,13 +57,19 @@ func (r *Reasoner) Metrics() *obs.Registry { return r.obs.reg }
 type rmetrics struct {
 	reg *obs.Registry
 
-	// Ingest: one observation per applyAssert batch — the synchronous
-	// part of ingestion (store insertion plus routing; rule execution
-	// is asynchronous and shows up in the engine bridges instead).
+	// Ingest: one observation per batch applyAssert hands over — the
+	// synchronous part of ingestion (store insertion plus routing; rule
+	// execution is asynchronous and shows up in the engine bridges
+	// instead).
 	ingestSeconds *obs.Histogram
 	ingestBatch   *obs.Histogram
 	ingestBatches *obs.Counter
 	ingestTriples *obs.Counter
+	// Group commit: drains run by a writer-lock holder (one WAL append
+	// each on a durable reasoner), and batches that shared their drain
+	// with at least one other.
+	ingestFlushes   *obs.Counter
+	ingestCoalesced *obs.Counter
 
 	// Checkpoint phases: mark (writers paused), stream (lock-free
 	// serialisation), commit (manifest rename + prune).
@@ -103,6 +109,10 @@ func newRMetrics(reg *obs.Registry) *rmetrics {
 			"Ingested batches."),
 		ingestTriples: reg.Counter("slider_ingest_triples_total",
 			"Triples handed to the engine (new and duplicate)."),
+		ingestFlushes: reg.Counter("slider_ingest_flushes_total",
+			"Ingest drains run by the writer-lock holder (one WAL append each on a durable reasoner)."),
+		ingestCoalesced: reg.Counter("slider_ingest_coalesced_batches_total",
+			"Ingested batches that shared their drain with at least one other."),
 		ckptMark:   reg.Histogram(ckptName, ckptHelp, nil, "phase", "mark"),
 		ckptStream: reg.Histogram(ckptName, ckptHelp, nil, "phase", "stream"),
 		ckptCommit: reg.Histogram(ckptName, ckptHelp, nil, "phase", "commit"),

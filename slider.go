@@ -30,10 +30,13 @@ package slider
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/maintenance"
@@ -175,21 +178,24 @@ type Reasoner struct {
 	// retraction support is enabled (WithRetraction or durability); nil
 	// otherwise. It is a second triple store rather than a plain set so
 	// durable reasoners can freeze a consistent view of it for the
-	// checkpoint's explicit sidecar while asserts keep landing.
-	// explicitMu serializes its mutators — in particular it holds
-	// delete-and-rederive (Retract) exclusive against concurrent asserts.
-	explicitMu sync.Mutex
-	explicit   *store.Store
+	// checkpoint's explicit sidecar while asserts keep landing. Its
+	// mutators run under writeMu, or at open before the reasoner is
+	// shared; readers need no lock (the store synchronizes itself).
+	explicit *store.Store
 
-	// markMu gates mutation against snapshot capture for read sessions:
-	// every assert/retract path holds the read side while it hands data
-	// to the engine (or runs DRed), and View's refresh takes the write
-	// side — with the engine quiesced — so a freeze never splits a batch
-	// and every read session sees a closed, consistent prefix. It is
-	// taken after d.mu and before explicitMu wherever several are held
-	// (the full order is catalogued in INVARIANTS.md and enforced by
-	// cmd/slidervet).
-	markMu sync.RWMutex
+	// writeMu is the one writer lock. Its holder alone hands batches to
+	// the engine, appends to the write-ahead log, marks a checkpoint,
+	// freezes a closure (read-session refresh, retraction phase A) or
+	// applies a retraction — so log order is apply order, a freeze never
+	// splits a batch, and every read session sees a closed, consistent
+	// prefix. Ingest combines under it (see addTriples): callers queue on
+	// pending, and whoever takes the lock runs every queued batch. Taken
+	// after retractMu and before every other ranked lock (the full order
+	// is catalogued in INVARIANTS.md and enforced by cmd/slidervet).
+	writeMu sync.Mutex
+	// pending is the lock-free stack of batches waiting for writeMu,
+	// newest first.
+	pending atomic.Pointer[pendingBatch]
 
 	// Shared read-session state (see view.go). viewMu guards the cached
 	// current view and viewFlight, which is non-nil while a caller is
@@ -205,10 +211,9 @@ type Reasoner struct {
 	// pass uses.
 	retractMu sync.Mutex
 	// lastRetract holds the statistics of the most recent completed
-	// retraction pass, for LastRetract and the serving layer's /stats.
-	lastRetractMu  sync.Mutex
-	lastRetract    RetractStats
-	hasLastRetract bool
+	// retraction pass, for LastRetract and the serving layer's /stats;
+	// nil until one completes.
+	lastRetract atomic.Pointer[RetractStats]
 
 	// dur is the write-ahead-log state of a durable reasoner (Open or
 	// WithDurability); nil for in-memory reasoners. See durable.go.
@@ -325,30 +330,8 @@ func (r *Reasoner) Add(st Statement) (bool, error) {
 	if !st.Valid() {
 		return false, fmt.Errorf("slider: invalid statement %v", st)
 	}
-	t := r.dict.EncodeStatement(st)
-	if r.dur != nil {
-		n, err := r.addTriples(context.Background(), []rdf.Triple{t})
-		return n > 0, err
-	}
-	return r.AddTriple(t), nil
-}
-
-// AddTriple streams one already-encoded triple (IDs must come from this
-// reasoner's Dictionary).
-func (r *Reasoner) AddTriple(t Triple) bool {
-	if r.dur != nil {
-		n, _ := r.addTriples(context.Background(), []rdf.Triple{t})
-		return n > 0
-	}
-	r.markMu.RLock()
-	defer r.markMu.RUnlock()
-	fresh := r.engine.Add(t)
-	if r.explicit != nil {
-		r.explicitMu.Lock()
-		r.explicit.Add(t)
-		r.explicitMu.Unlock()
-	}
-	return fresh
+	n, err := r.addTriples(context.Background(), []rdf.Triple{r.dict.EncodeStatement(st)})
+	return n > 0, err
 }
 
 // AddBatch streams a batch of statements into the reasoner and returns
@@ -356,15 +339,18 @@ func (r *Reasoner) AddTriple(t Triple) bool {
 // ingest path: one grouped store insertion and one routing pass, instead
 // of per-statement lock traffic — markedly faster for bulk loads, and the
 // path LoadNTriples and LoadTurtle use. If any statement is invalid RDF
-// an error is returned and nothing is added.
+// an error is returned and nothing is added. Concurrent calls are
+// group-committed: whichever caller holds the writer lock runs every
+// batch queued behind it, so on a durable reasoner they share one log
+// append and fsync, while each caller still gets its own fresh count.
 func (r *Reasoner) AddBatch(sts []Statement) (int, error) {
 	return r.AddBatchCtx(context.Background(), sts)
 }
 
 // AddBatchCtx is AddBatch carrying trace context: when ctx holds a
-// span (the serving layer's coalesced-flight root, say), the batch's
-// whole flight — WAL append and fsync, store insertion, rule routing,
-// then asynchronously inference quiescence and view visibility — is
+// span (the serving layer's request, say), the batch's whole flight —
+// WAL append and fsync, store insertion, rule routing, then
+// asynchronously inference quiescence and view visibility — is
 // recorded as child spans of it.
 func (r *Reasoner) AddBatchCtx(ctx context.Context, sts []Statement) (int, error) {
 	for _, st := range sts {
@@ -388,65 +374,158 @@ func (r *Reasoner) AddTriples(ts []Triple) int {
 	return n
 }
 
-// addTriples is the single ingest funnel: on durable reasoners it
-// appends the batch (and the dictionary delta naming it) to the
-// write-ahead log before the engine sees it, so an acknowledged batch is
-// recoverable. The log append and engine handoff happen under one lock —
-// replay order is exactly application order.
+// pendingBatch is one caller's batch queued for the writer lock. The
+// holder that runs it fills fresh and err and sets done, all under
+// writeMu, where the caller reads them back.
+type pendingBatch struct {
+	ctx   context.Context
+	ts    []rdf.Triple
+	next  *pendingBatch // queued just before this one
+	done  bool
+	fresh int
+	err   error
+}
+
+// addTriples is the single ingest funnel, and it combines: the caller
+// pushes its batch onto the pending stack (one atomic push) and takes
+// writeMu; unless an earlier holder already ran the batch, it runs every
+// queued batch itself (drainLocked). Concurrent writers therefore share
+// one lock hand-off — and, on a durable reasoner, one write-ahead-log
+// append and fsync — per drain: group commit for every caller.
 func (r *Reasoner) addTriples(ctx context.Context, ts []rdf.Triple) (int, error) {
 	ctx, sp := trace.Start(ctx, "ingest.batch")
 	sp.SetInt("triples", int64(len(ts)))
 	defer sp.End()
-	if r.dur == nil || len(ts) == 0 {
-		return r.applyAssert(ctx, ts), nil
+	if len(ts) == 0 {
+		return 0, nil
 	}
-	r.dur.mu.Lock()
-	defer r.dur.mu.Unlock()
-	if err := r.dur.getErr(); err != nil {
-		sp.Error(err.Error())
-		return 0, err
+	b := &pendingBatch{ctx: ctx, ts: ts}
+	for {
+		b.next = r.pending.Load()
+		if r.pending.CompareAndSwap(b.next, b) {
+			break
+		}
 	}
-	hwI, hwB, hwL := r.dur.termMarks()
-	rec := wal.Record{Op: wal.OpAssert, Terms: r.dur.termDelta(r.dict), Triples: ts}
-	if err := r.dur.log.AppendCtx(ctx, rec); err != nil {
-		r.dur.rewindTerms(hwI, hwB, hwL)
-		err = r.dur.writeFault(err)
-		sp.Error(err.Error())
-		return 0, err
+	r.writeMu.Lock()
+	if !b.done {
+		r.drainLocked(ctx)
 	}
-	n := r.applyAssert(ctx, ts)
-	r.maybeCheckpointLocked()
-	return n, nil
+	r.writeMu.Unlock()
+	if b.err != nil {
+		sp.Error(b.err.Error())
+	}
+	return b.fresh, b.err
 }
 
-// applyAssert hands a batch to the engine and tracks explicit triples.
-// Every asserted triple becomes an axiom — even one the engine already
-// derived: whether a statement was inferred first is a race against
-// asynchronous inference, and axiom-hood must not depend on timing
-// (replay after a crash would reproduce a different interleaving and
-// hence a different explicit set).
-func (r *Reasoner) applyAssert(ctx context.Context, ts []rdf.Triple) int {
-	t0 := obs.NowIfEnabled()
-	r.markMu.RLock()
-	defer r.markMu.RUnlock()
-	fresh := r.engine.AddBatchCtx(ctx, ts)
-	if r.explicit != nil && len(ts) > 0 {
-		r.explicitMu.Lock()
-		r.explicit.AddBatch(ts)
-		r.explicitMu.Unlock()
+// drainLocked runs every queued batch in arrival order, with writeMu
+// held. A durable reasoner checks its write refusal once and logs the
+// batches as one record — one term delta, one fsync — before the engine
+// sees any of them, so an acknowledged batch is recoverable and replay
+// order is application order; a failed append fails them all. ctx (the
+// draining caller's) carries the append's span.
+func (r *Reasoner) drainLocked(ctx context.Context) {
+	var batches []*pendingBatch
+	for b := r.pending.Swap(nil); b != nil; b = b.next {
+		batches = append(batches, b)
 	}
+	slices.Reverse(batches)
+	r.obs.ingestFlushes.Inc()
+	if len(batches) > 1 {
+		r.obs.ingestCoalesced.Add(int64(len(batches)))
+	}
+	var all []rdf.Triple
+	if r.dur != nil || r.explicit != nil {
+		all = concat(batches)
+	}
+	if r.dur != nil {
+		err := r.logAssertLocked(ctx, all)
+		if errors.Is(err, wal.ErrRejected) && len(batches) > 1 {
+			// A rejection (a wildcard ID, an oversized record) is one
+			// caller's problem: log the batches one by one so that only
+			// the offender fails.
+			err = nil
+			kept := batches[:0]
+			for _, b := range batches {
+				if b.err = r.logAssertLocked(b.ctx, b.ts); b.err != nil {
+					b.done = true
+				} else {
+					kept = append(kept, b)
+				}
+			}
+			batches, all = kept, concat(kept)
+		}
+		if err != nil {
+			for _, b := range batches {
+				b.done, b.err = true, err
+			}
+			return
+		}
+	}
+	r.applyAssert(batches, all)
+	if r.dur != nil {
+		r.maybeCheckpointLocked()
+	}
+}
+
+// concat returns the batches' triples as one slice.
+func concat(batches []*pendingBatch) []rdf.Triple {
+	if len(batches) == 1 {
+		return batches[0].ts
+	}
+	n := 0
+	for _, b := range batches {
+		n += len(b.ts)
+	}
+	all := make([]rdf.Triple, 0, n)
+	for _, b := range batches {
+		all = append(all, b.ts...)
+	}
+	return all
+}
+
+// logAssertLocked appends one assert record to the write-ahead log,
+// with writeMu held, and classifies a failure (see writeFault).
+func (r *Reasoner) logAssertLocked(ctx context.Context, ts []rdf.Triple) error {
+	d := r.dur
+	if err := d.getErr(); err != nil {
+		return err
+	}
+	hwI, hwB, hwL := d.termMarks()
+	if err := d.log.AppendCtx(ctx, wal.Record{Op: wal.OpAssert, Terms: d.termDelta(r.dict), Triples: ts}); err != nil {
+		d.rewindTerms(hwI, hwB, hwL)
+		return d.writeFault(err)
+	}
+	return nil
+}
+
+// applyAssert hands each batch to the engine in order — every caller
+// keeps its own fresh count and its own span tree, and its asynchronous
+// tail (inference rounds still running, the view refresh that will make
+// the batch visible) goes to the lifecycle watcher as children of the
+// batch's span — then tracks all, the batches' concatenation, as
+// explicit. Every asserted triple becomes an axiom, even one the engine
+// already derived: whether a statement was inferred first is a race
+// against asynchronous inference, and axiom-hood must not depend on
+// timing (replay after a crash would reproduce a different interleaving
+// and hence a different explicit set). Called with writeMu held, or by
+// replay before the reasoner is shared.
+func (r *Reasoner) applyAssert(batches []*pendingBatch, all []rdf.Triple) {
 	m := r.obs
-	m.ingestSeconds.ObserveSince(t0)
-	m.ingestBatch.Observe(float64(len(ts)))
-	m.ingestBatches.Inc()
-	m.ingestTriples.Add(int64(len(ts)))
-	// Hand the asynchronous tail — inference rounds still running, the
-	// view refresh that will make this batch visible — to the lifecycle
-	// watcher, as children of the batch's span.
-	if sp := trace.FromContext(ctx); sp != nil {
-		r.lc.track(sp, r.store.Version())
+	for _, b := range batches {
+		t0 := obs.NowIfEnabled()
+		b.fresh = len(r.engine.AddBatchCtx(b.ctx, b.ts))
+		b.done = true
+		m.ingestSeconds.ObserveSince(t0)
+		m.ingestBatch.Observe(float64(len(b.ts)))
+		m.ingestBatches.Inc()
+		m.ingestTriples.Add(int64(len(b.ts)))
+		if sp := trace.FromContext(b.ctx); sp != nil {
+			r.lc.track(sp, r.store.Version())
+		}
 	}
-	return len(fresh)
+	if r.explicit != nil && len(all) > 0 {
+		r.explicit.AddBatch(all)
+	}
 }
 
 // RetractStats reports what a Retract call did.
@@ -466,7 +545,7 @@ type RetractStats = maintenance.Stats
 // ingest continues: overdeletion from the retracted triples, then a
 // targeted backward support check per suspect ("does any rule derive
 // you from premises outside the suspect set?") with forward propagation
-// seeded only by restored suspects. Phase B re-takes the mark gate for
+// seeded only by restored suspects. Phase B takes the writer lock for
 // a short exclusive validate-and-apply window: suspects are re-checked
 // against whatever landed mid-pass, the final dead set is removed, and
 // writers resume. Cancelling ctx during phase A (or before phase B's
@@ -513,7 +592,7 @@ func (r *Reasoner) Retract(ctx context.Context, sts ...Statement) (RetractStats,
 		if err != nil {
 			return RetractStats{}, err
 		}
-		pass, err = maintenance.Prepare(ctx, sv, sv.Version(), explicitV, r.frag.rules, r.explicit, toDelete)
+		pass, err = maintenance.Prepare(ctx, sv, explicitV, r.frag.rules, r.explicit, toDelete)
 		if err != nil {
 			return RetractStats{}, err
 		}
@@ -521,24 +600,17 @@ func (r *Reasoner) Retract(ctx context.Context, sts ...Statement) (RetractStats,
 		r.obs.retractPrepare.ObserveDuration(time.Since(prepStart))
 	}
 
-	// Phase B: the exclusive validate-and-apply window. Writers are
-	// excluded (d.mu keeps durable appends out of the log, the mark
-	// gate's write side keeps engine handoffs out of the store), the
-	// engine drains, and — durable only — the retraction is logged.
-	// From the log append on, the pass is uninterruptible: Pass.Apply
-	// takes no context, performs no I/O and cannot fail, so the live
-	// state never diverges from what replay would reconstruct. Lock
-	// order matches addTriples/applyAssert: d.mu, then markMu, then
-	// explicitMu.
-	if r.dur != nil {
-		r.dur.mu.Lock()
-		defer r.dur.mu.Unlock()
-		if err := r.dur.getErr(); err != nil {
-			return RetractStats{}, err
-		}
+	// Phase B: the exclusive validate-and-apply window. The writer lock
+	// keeps every other writer out of the log and the store, the engine
+	// drains, and — durable only — the retraction is logged. From the log
+	// append on, the pass is uninterruptible: Pass.Apply takes no
+	// context, performs no I/O and cannot fail, so the live state never
+	// diverges from what replay would reconstruct.
+	r.writeMu.Lock()
+	defer r.writeMu.Unlock()
+	if err := r.durErr(); err != nil {
+		return RetractStats{}, err
 	}
-	r.markMu.Lock()
-	defer r.markMu.Unlock()
 	exStart := time.Now()
 	if err := r.engine.Wait(ctx); err != nil {
 		return RetractStats{}, err
@@ -564,17 +636,13 @@ func (r *Reasoner) Retract(ctx context.Context, sts ...Statement) (RetractStats,
 			return RetractStats{}, r.dur.writeFault(err)
 		}
 	}
-	r.explicitMu.Lock()
-	defer r.explicitMu.Unlock()
 	stats := pass.Apply(r.store, r.explicit)
 	exclusive := time.Since(exStart)
 	stats.ExclusiveMicros = exclusive.Microseconds()
 	stats.PrepareMicros = prepareMicros
 	r.obs.retractApply.ObserveDuration(exclusive)
 	r.obs.retractTotal.Inc()
-	r.lastRetractMu.Lock()
-	r.lastRetract, r.hasLastRetract = stats, true
-	r.lastRetractMu.Unlock()
+	r.lastRetract.Store(&stats)
 	return stats, nil
 }
 
@@ -582,9 +650,10 @@ func (r *Reasoner) Retract(ctx context.Context, sts ...Statement) (RetractStats,
 // retraction pass, and whether any has completed — the numbers behind
 // the serving layer's /stats retraction block.
 func (r *Reasoner) LastRetract() (RetractStats, bool) {
-	r.lastRetractMu.Lock()
-	defer r.lastRetractMu.Unlock()
-	return r.lastRetract, r.hasLastRetract
+	if st := r.lastRetract.Load(); st != nil {
+		return *st, true
+	}
+	return RetractStats{}, false
 }
 
 // loadChunkSize is how many parsed statements the loaders accumulate
@@ -723,19 +792,13 @@ func (r *Reasoner) Stats() Stats { return r.engine.Stats() }
 func (r *Reasoner) StoreStats() StoreStats { return r.store.Stats() }
 
 // Statements calls f for every triple in the store, decoded to Terms,
-// until f returns false. The order is unspecified.
+// until f returns false. It walks one root of the store — a consistent
+// snapshot, whatever is written meanwhile — in unspecified order.
 func (r *Reasoner) Statements(f func(Statement) bool) {
-	// Snapshot first: decoding takes the dictionary lock, and holding
-	// the store's read lock across user code would be hostile.
-	for _, t := range r.store.Snapshot() {
+	r.store.Freeze().ForEach(func(t Triple) bool {
 		st, ok := r.dict.DecodeTriple(t)
-		if !ok {
-			continue
-		}
-		if !f(st) {
-			return
-		}
-	}
+		return !ok || f(st)
+	})
 }
 
 // Query returns all statements matching a pattern where zero-value Terms

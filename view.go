@@ -12,8 +12,8 @@
 // collector once neither the cache slot nor any session points at it.
 //
 // Capturing a fresh snapshot does require a safe point: the engine is
-// drained and the mark gate (Reasoner.markMu) briefly excludes writers,
-// exactly like a checkpoint's mark phase. To keep that cost off the
+// drained under the writer lock (Reasoner.writeMu), which briefly
+// excludes writers, exactly like a checkpoint's mark phase. To keep that cost off the
 // query path, sessions share snapshots: View() reuses the current one
 // when the store has not changed — or changed less than ViewMaxAge ago —
 // and only quiesces when the snapshot is both stale and old. Under a
@@ -162,8 +162,8 @@ func (r *Reasoner) freezeClosure(ctx context.Context) (*store.View, uint64, erro
 	predrain, cancel := context.WithTimeout(ctx, time.Second)
 	r.engine.Wait(predrain)
 	cancel()
-	r.markMu.Lock()
-	defer r.markMu.Unlock()
+	r.writeMu.Lock()
+	defer r.writeMu.Unlock()
 	if err := r.engine.Wait(ctx); err != nil {
 		return nil, 0, err
 	}

@@ -236,10 +236,11 @@ func TestViewConcurrentWithIngest(t *testing.T) {
 }
 
 // TestViewReadYourWrites pins the always-current contract: under a
-// negative max age a writer finds its acknowledged batch — inferences
-// included — in the first session it opens, every time, however many
-// other callers are opening sessions (and so running refreshes that
-// froze before the batch) beside it.
+// negative max age each writer finds its acknowledged batch —
+// inferences included — in the first session it opens, every time,
+// however many other writers are committing beside it and however many
+// callers are opening sessions (and so running refreshes that froze
+// before the batch).
 func TestViewReadYourWrites(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
@@ -268,21 +269,35 @@ func TestViewReadYourWrites(t *testing.T) {
 			}
 		}()
 	}
-	for i := 0; i < 300; i++ {
-		m := ex(fmt.Sprintf("m%d", i))
-		if _, err := r.AddBatch([]Statement{NewStatement(m, IRI(Type), ex("C0"))}); err != nil {
-			t.Fatal(err)
-		}
-		v, err := r.View(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ok := v.Contains(NewStatement(m, IRI(Type), ex("C1")))
-		v.Close()
-		if !ok {
-			t.Fatalf("batch %d: its inferred triple is not in the first session opened after the ack", i)
-		}
+	// Several writers at once, so batches are group-committed: a batch
+	// another caller's drain ran must be visible to its own caller too.
+	const writers, perWriter = 4, 75
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perWriter; i++ {
+				m := ex(fmt.Sprintf("m%d_%d", w, i))
+				if _, err := r.AddBatch([]Statement{NewStatement(m, IRI(Type), ex("C0"))}); err != nil {
+					t.Error(err)
+					return
+				}
+				v, err := r.View(ctx)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				ok := v.Contains(NewStatement(m, IRI(Type), ex("C1")))
+				v.Close()
+				if !ok {
+					t.Errorf("writer %d batch %d: its inferred triple is not in the first session opened after the ack", w, i)
+					return
+				}
+			}
+		}()
 	}
+	wg.Wait()
 	close(stop)
 	readers.Wait()
 }

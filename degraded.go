@@ -356,13 +356,7 @@ func (r *Reasoner) Health() Health {
 		}
 	}
 	if err := r.BackgroundErr(); err != nil {
-		h := Health{Status: HealthDegraded, Cause: err.Error()}
-		if since := r.store.CompactionErrSince(); !since.IsZero() {
-			h.Since = since
-		} else if r.explicit != nil {
-			h.Since = r.explicit.CompactionErrSince()
-		}
-		return h
+		return Health{Status: HealthDegraded, Cause: err.Error(), Since: r.store.CompactionErrSince()}
 	}
 	return Health{Status: HealthOK}
 }

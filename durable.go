@@ -16,7 +16,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"iter"
 	"log/slog"
 	"sync"
 	"time"
@@ -102,7 +101,7 @@ type durability struct {
 
 // openDurable builds a durable Reasoner from an option-parsed config.
 func openDurable(frag Fragment, cfg config) (*Reasoner, error) {
-	cfg.retraction = true // replayed retract records need the explicit set
+	cfg.retraction = true // a durable reasoner logs and replays retractions
 	// The registry outlives any single subsystem, so create it first:
 	// the log registers its instruments here, newReasoner threads the
 	// same registry through the store, engine bridges and facade.
@@ -153,8 +152,7 @@ func openDurable(frag Fragment, cfg config) (*Reasoner, error) {
 	}
 	dict := rdf.NewDictionary()
 	st := store.New()
-	var explicitSeed []rdf.Triple
-	snapRC, expRC, hasCkpt, err := l.OpenCheckpoint()
+	snapRC, hasCkpt, err := l.OpenCheckpoint()
 	if err != nil {
 		l.Close()
 		return nil, err
@@ -162,17 +160,12 @@ func openDurable(frag Fragment, cfg config) (*Reasoner, error) {
 	if hasCkpt {
 		dict, st, err = snapshot.Load(snapRC)
 		snapRC.Close()
-		if err == nil {
-			explicitSeed, err = wal.ReadExplicit(expRC)
-		}
-		expRC.Close()
 		if err != nil {
 			l.Close()
 			return nil, fmt.Errorf("slider: loading checkpoint: %w", err)
 		}
 	}
 	r := newReasoner(frag, dict, st, cfg)
-	r.explicit.AddBatch(explicitSeed)
 	if err := r.replayLog(l); err != nil {
 		r.engine.Close(context.Background())
 		l.Close()
@@ -220,13 +213,13 @@ func (r *Reasoner) replayLog(l *wal.Log) error {
 		}
 		switch rec.Op {
 		case wal.OpAssert:
-			r.applyAssert([]*pendingBatch{{ctx: ctx, ts: rec.Triples}}, rec.Triples)
+			r.applyAssert([]*pendingBatch{{ctx: ctx, ts: rec.Triples}})
 		case wal.OpRetract:
 			// DRed needs a quiescent store, as in Retract.
 			if err := r.engine.Wait(ctx); err != nil {
 				return err
 			}
-			if _, err := maintenance.Retract(ctx, r.store, r.frag.rules, r.explicit, rec.Triples); err != nil {
+			if _, err := maintenance.Retract(ctx, r.store, r.frag.rules, rec.Triples); err != nil {
 				return err
 			}
 		}
@@ -283,16 +276,15 @@ func (d *durability) rewindTerms(iris, blanks, literals int) {
 // while ingest continues; the stream phase serialises them to disk with
 // no lock held.
 type ckptCapture struct {
-	mark     wal.CheckpointMark
-	store    *store.View
-	explicit *store.View
-	dict     *rdf.DictView
+	mark  wal.CheckpointMark
+	store *store.View
+	dict  *rdf.DictView
 }
 
-// Checkpoint writes the materialised store, the dictionary and the
-// explicit triple set to the knowledge base's directory, then prunes the
-// log segments the checkpoint covers. Recovery after a checkpoint loads
-// it instantly instead of replaying the log.
+// Checkpoint writes the materialised store, which marks its explicit
+// triples, and the dictionary to the knowledge base's directory, then
+// prunes the log segments the checkpoint covers. Recovery after a
+// checkpoint loads it instantly instead of replaying the log.
 //
 // The capture is two-phase: a brief mark (drain inference, seal the log
 // segment, freeze copy-on-write views — writers pause O(1), not
@@ -329,8 +321,8 @@ func (r *Reasoner) Checkpoint(ctx context.Context) error {
 // markCheckpointLocked is the mark phase, with writeMu held: drain
 // inference (the store is then exactly the closure of every logged
 // record), seal the live log segment, and freeze copy-on-write views of
-// the store, the explicit set and the logged dictionary prefix. O(1)
-// work beyond the quiescence wait — the pause writers can observe.
+// the store and the logged dictionary prefix. O(1) work beyond the
+// quiescence wait — the pause writers can observe.
 func (r *Reasoner) markCheckpointLocked(ctx context.Context) (*ckptCapture, error) {
 	d := r.dur
 	t0 := obs.NowIfEnabled()
@@ -354,27 +346,22 @@ func (r *Reasoner) markCheckpointLocked(ctx context.Context) (*ckptCapture, erro
 	// triples are their closure) can reference. Terms registered later
 	// ride along with the post-mark record that first logs them.
 	return &ckptCapture{
-		mark:     mark,
-		store:    r.store.Freeze(),
-		explicit: r.explicit.Freeze(),
-		dict:     r.dict.ViewAt(d.hwIRIs, d.hwBlanks, d.hwLiterals),
+		mark:  mark,
+		store: r.store.Freeze(),
+		dict:  r.dict.ViewAt(d.hwIRIs, d.hwBlanks, d.hwLiterals),
 	}, nil
 }
 
 // streamCheckpoint is the stream phase: serialise the capture's frozen
-// views to the checkpoint files and commit the manifest, all without
+// views to the checkpoint file and commit the manifest, all without
 // writeMu — ingest, retraction and queries proceed concurrently, appending
 // runs the frozen views do not hold. Failures poison the reasoner
 // (surfaced via Err).
 func (r *Reasoner) streamCheckpoint(cap *ckptCapture) error {
 	d := r.dur
 	t0 := obs.NowIfEnabled()
-	err := d.log.WriteCheckpointPayloads(cap.mark,
-		func(w io.Writer) error { return snapshot.SaveFrom(w, cap.dict, cap.store) },
-		func(w io.Writer) error {
-			return wal.WriteExplicitSeq(w, cap.explicit.Len(), iter.Seq[rdf.Triple](cap.explicit.ForEach))
-		},
-	)
+	err := d.log.WriteCheckpointPayload(cap.mark,
+		func(w io.Writer) error { return snapshot.SaveFrom(w, cap.dict, cap.store) })
 	if err == nil {
 		r.obs.ckptStream.ObserveSince(t0)
 		c0 := obs.NowIfEnabled()

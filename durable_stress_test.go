@@ -429,12 +429,11 @@ func TestMidStreamCrashRecovery(t *testing.T) {
 			},
 		},
 		{
-			// Killed after both payloads were renamed into place but
+			// Killed after the payload was renamed into place but
 			// before the manifest committed the generation.
 			name: "payloads-uncommitted",
 			debris: map[string]string{
-				"checkpoint-00000001.slkb":     "complete but never committed",
-				"checkpoint-00000001.explicit": "ditto",
+				"checkpoint-00000001.slkb": "complete but never committed",
 			},
 		},
 		{
@@ -445,7 +444,6 @@ func TestMidStreamCrashRecovery(t *testing.T) {
 			checkpoint: true,
 			debris: map[string]string{
 				"checkpoint-00000002.slkb.tmp": "next generation, never committed",
-				"checkpoint-00000002.explicit": "ditto",
 			},
 		},
 	}

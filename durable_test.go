@@ -9,6 +9,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/trace"
 )
 
 // closureSet renders the materialised store as a sorted set of decoded
@@ -119,7 +121,7 @@ func TestDurableRetractSurvivesRestart(t *testing.T) {
 	if r2.Contains(NewStatement(ex("felix"), IRI(Type), ex("Cat"))) {
 		t.Fatal("retracted explicit triple came back")
 	}
-	// The recovered explicit set still supports further retraction.
+	// The recovered explicit bits still support further retraction.
 	if _, err := r2.Retract(ctx, NewStatement(ex("Pet"), IRI(SubClassOf), ex("Animal"))); err != nil {
 		t.Fatal(err)
 	}
@@ -317,6 +319,10 @@ func queuedBatches(r *Reasoner) int {
 // still gets its own fresh count, and a reopen holds the union.
 func TestConcurrentAssertsShareOneAppend(t *testing.T) {
 	const k = 8
+	old := trace.Default
+	trace.Default = trace.New()
+	trace.Default.SetSlowThreshold(0) // retain every batch's trace
+	t.Cleanup(func() { trace.Default = old })
 	dir := t.TempDir()
 	ctx := context.Background()
 	r, err := Open(dir, RhoDF, WithWorkers(2), WithCheckpointEvery(-1))
@@ -365,6 +371,22 @@ func TestConcurrentAssertsShareOneAppend(t *testing.T) {
 	}
 	if err := r.Close(ctx); err != nil {
 		t.Fatal(err)
+	}
+	// Every rider's ingest.batch trace shows the shared drain, and
+	// exactly one of them ran it.
+	riders, drainers := 0, 0
+	for _, tr := range trace.Default.Snapshot(false).Traces {
+		if a := tr.Root.Attrs; tr.Name == "ingest.batch" && fmt.Sprint(a["wal.batches"]) == fmt.Sprint(k) {
+			riders++
+			if a["wal.drained_by_self"] == "true" {
+				drainers++
+			} else if a["wal.drained_by_self"] != "false" {
+				t.Fatalf("ingest.batch span has wal.drained_by_self %v, want true or false", a["wal.drained_by_self"])
+			}
+		}
+	}
+	if riders != k || drainers != 1 {
+		t.Fatalf("%d ingest.batch traces record a drain of %d batches, %d of them as the drainer; want %d and 1", riders, k, drainers, k)
 	}
 
 	r2, err := Open(dir, RhoDF, WithWorkers(2))

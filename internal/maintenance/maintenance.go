@@ -15,6 +15,11 @@
 //  3. Rederive — suspects with an alternative derivation grounded in the
 //     surviving explicit triples reappear, everything else stays gone.
 //
+// Which triples are explicit is read from the store under analysis
+// (store.View.Explicit): the store keeps one bit per pair, set by
+// AssertBatch, so a frozen view answers membership and explicitness from
+// the same instant.
+//
 // The classic formulation of step 3 re-runs semi-naive inference over the
 // whole surviving store — O(store) work, and the last O(store) writer
 // stall in the system when run under the ingest lock. This package
@@ -37,10 +42,11 @@
 //     landed mid-pass (if anything did, it re-runs the suspect-local
 //     analysis on the live store, seeded by the prepared dead set plus
 //     the actual retraction seeds — still O(affected), not O(store)),
-//     then removes the final dead set and the retracted explicit
-//     triples. Apply never blocks on I/O, takes no context, and cannot
-//     fail: once entered, it runs to completion, so a caller that logged
-//     the retraction beforehand never ends up half-applied.
+//     then removes the final dead set and demotes the retracted
+//     explicit triples that keep an alternative derivation. Apply never
+//     blocks on I/O, takes no context, and cannot fail: once entered,
+//     it runs to completion, so a caller that logged the retraction
+//     beforehand never ends up half-applied.
 //
 // Step 1 over-approximates, so every triple outside the suspect set has a
 // derivation avoiding every suspect; the support fixpoint restores
@@ -56,7 +62,6 @@ package maintenance
 
 import (
 	"context"
-	"fmt"
 
 	"repro/internal/rdf"
 	"repro/internal/rules"
@@ -65,8 +70,9 @@ import (
 
 // Stats reports what a retraction did.
 type Stats struct {
-	// Retracted counts explicit triples actually removed (present and
-	// explicit).
+	// Retracted counts the requested triples that were explicit and no
+	// longer are: removed, or demoted to inferred when an alternative
+	// derivation keeps them.
 	Retracted int
 	// Suspects counts the triples the overdelete phases marked as
 	// potentially losing their last derivation (including the validate
@@ -175,10 +181,10 @@ type Pass struct {
 
 	full bool // no support faces: Apply re-derives from the full store
 
-	// Version stamps of the store and the explicit set at freeze time;
-	// Apply skips validation when both still match (nothing landed
-	// mid-pass).
-	storeVersion, explicitVersion uint64
+	// storeVersion is the store version at freeze time; Apply skips
+	// validation when it still matches (nothing landed, and nothing was
+	// asserted, mid-pass).
+	storeVersion uint64
 }
 
 // overdelete computes the suspect closure over src: seeds plus every
@@ -289,39 +295,32 @@ func restore(stop func() error, alive *masked, ruleset []rules.Rule,
 
 // Prepare runs the read-only analysis of a suspect-local retraction
 // against a frozen view of the materialised store: overdelete seeded by
-// the requested triples, then the backward-support/forward-propagation
-// fixpoint that decides which suspects keep an alternative derivation.
-// Ingest may continue concurrently — Prepare mutates nothing, and
-// cancelling it leaves the knowledge base untouched.
+// the requested triples that are explicit in it, then the
+// backward-support/forward-propagation fixpoint that decides which
+// suspects keep an alternative derivation. Ingest may continue
+// concurrently — Prepare mutates nothing, and cancelling it leaves the
+// knowledge base untouched.
 //
 // frozen must be a consistent (quiescent-at-freeze) view of the closure;
 // the store version the pass is keyed to is the one it holds
-// (View.Version), and explicitVersion is the explicit set's version
-// captured at the same freeze. explicit is read live (racing asserts
-// only add axioms; Apply re-validates). The ruleset must pass
-// rules.AllSupport.
-func Prepare(ctx context.Context, frozen *store.View, explicitVersion uint64,
-	ruleset []rules.Rule, explicit *store.Store, toDelete []rdf.Triple) (*Pass, error) {
-
-	if explicit == nil {
-		return nil, fmt.Errorf("maintenance: nil explicit set")
-	}
+// (View.Version), and the view answers explicitness as of the same
+// instant. The ruleset must pass rules.AllSupport.
+func Prepare(ctx context.Context, frozen *store.View, ruleset []rules.Rule, toDelete []rdf.Triple) (*Pass, error) {
 	p := &Pass{
-		ruleset:         ruleset,
-		toDelete:        toDelete,
-		seedSet:         make(tripleSet, len(toDelete)),
-		storeVersion:    frozen.Version(),
-		explicitVersion: explicitVersion,
+		ruleset:      ruleset,
+		toDelete:     toDelete,
+		seedSet:      make(tripleSet, len(toDelete)),
+		storeVersion: frozen.Version(),
 	}
 	var seeds []rdf.Triple
 	for _, t := range toDelete {
-		if !p.seedSet.has(t) && explicit.Contains(t) && frozen.Contains(t) {
+		if !p.seedSet.has(t) && frozen.Explicit(t) {
 			p.seedSet[t] = struct{}{}
 			seeds = append(seeds, t)
 		}
 	}
 	isAxiom := func(t rdf.Triple) bool {
-		return !p.seedSet.has(t) && explicit.Contains(t)
+		return !p.seedSet.has(t) && frozen.Explicit(t)
 	}
 	var stamp frozenStamp
 	if invariantsEnabled {
@@ -358,12 +357,7 @@ func Prepare(ctx context.Context, frozen *store.View, explicitVersion uint64,
 // surviving store. The caller must hold the store exclusive and
 // quiescent from before PrepareFull through Apply. Cancelling PrepareFull
 // leaves the knowledge base untouched.
-func PrepareFull(ctx context.Context, st *store.Store, ruleset []rules.Rule,
-	explicit *store.Store, toDelete []rdf.Triple) (*Pass, error) {
-
-	if explicit == nil {
-		return nil, fmt.Errorf("maintenance: nil explicit set")
-	}
+func PrepareFull(ctx context.Context, st *store.Store, ruleset []rules.Rule, toDelete []rdf.Triple) (*Pass, error) {
 	p := &Pass{
 		ruleset:  ruleset,
 		toDelete: toDelete,
@@ -372,13 +366,13 @@ func PrepareFull(ctx context.Context, st *store.Store, ruleset []rules.Rule,
 	}
 	var seeds []rdf.Triple
 	for _, t := range toDelete {
-		if !p.seedSet.has(t) && explicit.Contains(t) {
+		if !p.seedSet.has(t) && st.Explicit(t) {
 			p.seedSet[t] = struct{}{}
 			seeds = append(seeds, t)
 		}
 	}
 	isAxiom := func(t rdf.Triple) bool {
-		return !p.seedSet.has(t) && explicit.Contains(t)
+		return !p.seedSet.has(t) && st.Explicit(t)
 	}
 	suspects, rounds, err := overdelete(ctx.Err, st, ruleset, isAxiom, seeds, nil)
 	if err != nil {
@@ -392,16 +386,17 @@ func PrepareFull(ctx context.Context, st *store.Store, ruleset []rules.Rule,
 
 // Apply finishes the retraction against the quiescent live store: it
 // validates the prepared dead set against anything that landed after the
-// freeze, removes the final dead set from the store and the retracted
-// triples from the explicit set. The caller must hold the store
-// exclusive (no concurrent inference or ingest) for the duration.
+// freeze, removes the final dead set from the store and demotes the
+// retracted triples that survive it to inferred ones. The caller must
+// hold the store exclusive (no concurrent inference or ingest) for the
+// duration.
 //
 // Apply is deliberately uninterruptible — its whole call graph is
 // context-free (enforced by slidervet's exclusivewindow checker),
 // performs no I/O and cannot fail — so a write-ahead-logged retraction
 // is always fully applied once this is called and the logged state
 // never diverges from the live one.
-func (p *Pass) Apply(st *store.Store, explicit *store.Store) Stats {
+func (p *Pass) Apply(st *store.Store) Stats {
 	stats := Stats{TwoPhase: !p.full, Rounds: p.rounds, Suspects: len(p.prepared)}
 
 	// The seeds as they stand now: toDelete triples that are explicit in
@@ -410,7 +405,7 @@ func (p *Pass) Apply(st *store.Store, explicit *store.Store) Stats {
 	seedSet := make(tripleSet, len(p.toDelete))
 	var seeds []rdf.Triple
 	for _, t := range p.toDelete {
-		if !seedSet.has(t) && explicit.Contains(t) {
+		if !seedSet.has(t) && st.Explicit(t) {
 			seedSet[t] = struct{}{}
 			seeds = append(seeds, t)
 		}
@@ -420,7 +415,7 @@ func (p *Pass) Apply(st *store.Store, explicit *store.Store) Stats {
 	switch {
 	case p.full:
 		// Classic DRed: every suspect dies now, rederivation resurrects.
-	case st.Version() == p.storeVersion && explicit.Version() == p.explicitVersion:
+	case st.Version() == p.storeVersion:
 		// Fast path: nothing landed between the freeze and this window —
 		// the frozen analysis is exact.
 	default:
@@ -430,7 +425,7 @@ func (p *Pass) Apply(st *store.Store, explicit *store.Store) Stats {
 		// analysis on the live store, seeded by the actual seeds and
 		// forced by the prepared dead set — O(affected), not O(store).
 		isAxiom := func(t rdf.Triple) bool {
-			return !seedSet.has(t) && explicit.Contains(t)
+			return !seedSet.has(t) && st.Explicit(t)
 		}
 		suspects, rounds, _ := overdelete(nil, st, p.ruleset, isAxiom, seeds, dead)
 		stats.Rounds += rounds
@@ -449,11 +444,11 @@ func (p *Pass) Apply(st *store.Store, explicit *store.Store) Stats {
 		stats.Rounds += rounds
 	}
 
-	// Point of no return: remove the retracted explicit triples and the
-	// dead suspects.
-	// Each RemoveAll appends one delete-marker run per predicate.
-	stats.Retracted = explicit.RemoveAll(seeds)
-	var deadSeeds, deadRest []rdf.Triple
+	// Point of no return: remove the dead suspects, the dead seeds among
+	// them, and demote the seeds that survive. Each write appends its
+	// runs per predicate.
+	stats.Retracted = len(seeds)
+	var deadSeeds, deadRest, kept []rdf.Triple
 	for t := range dead {
 		if seedSet.has(t) {
 			deadSeeds = append(deadSeeds, t)
@@ -461,8 +456,14 @@ func (p *Pass) Apply(st *store.Store, explicit *store.Store) Stats {
 			deadRest = append(deadRest, t)
 		}
 	}
+	for _, t := range seeds {
+		if !dead.has(t) {
+			kept = append(kept, t)
+		}
+	}
 	st.RemoveAll(deadSeeds)
 	stats.Overdeleted = st.RemoveAll(deadRest)
+	st.Demote(kept)
 
 	if p.full {
 		// Classic rederive: semi-naive from the whole surviving store.
@@ -493,36 +494,25 @@ func (p *Pass) Apply(st *store.Store, explicit *store.Store) Stats {
 // wrapper over Prepare/Apply (suspect-local when every rule has a
 // backward support face, classic full rederivation otherwise) used by
 // write-ahead-log replay, tests, and callers without a concurrent-ingest
-// phase to overlap with. explicit must hold the reasoner's current
-// explicit (asserted, non-inferred) triples as a second triple store;
-// Retract mutates it, removing the retracted ones.
+// phase to overlap with. A triple is explicit when st says so
+// (store.Store.Explicit); the others in toDelete are left alone.
 //
 // The store must be quiescent (no concurrent inference) for the duration
 // of the call. Cancellation via ctx is honoured only during the
 // read-only analysis: once the mutation phase starts it runs to
 // completion, so an error return always means "nothing changed".
-func Retract(ctx context.Context, st *store.Store, ruleset []rules.Rule,
-	explicit *store.Store, toDelete []rdf.Triple) (Stats, error) {
-
+func Retract(ctx context.Context, st *store.Store, ruleset []rules.Rule, toDelete []rdf.Triple) (Stats, error) {
 	var (
 		p   *Pass
 		err error
 	)
 	if rules.AllSupport(ruleset) {
-		p, err = Prepare(ctx, st.Freeze(), explicitVersion(explicit), ruleset, explicit, toDelete)
+		p, err = Prepare(ctx, st.Freeze(), ruleset, toDelete)
 	} else {
-		p, err = PrepareFull(ctx, st, ruleset, explicit, toDelete)
+		p, err = PrepareFull(ctx, st, ruleset, toDelete)
 	}
 	if err != nil {
 		return Stats{}, err
 	}
-	return p.Apply(st, explicit), nil
-}
-
-// explicitVersion tolerates the nil explicit set Prepare rejects anyway.
-func explicitVersion(explicit *store.Store) uint64 {
-	if explicit == nil {
-		return 0
-	}
-	return explicit.Version()
+	return p.Apply(st), nil
 }

@@ -25,16 +25,27 @@ const (
 func sc(s, o rdf.ID) rdf.Triple { return rdf.T(s, rdf.IDSubClassOf, o) }
 func ty(s, o rdf.ID) rdf.Triple { return rdf.T(s, rdf.IDType, o) }
 
-// materialize builds a closed store plus explicit set from input.
-func materialize(t *testing.T, ruleset []rules.Rule, input []rdf.Triple) (*store.Store, *store.Store) {
+// materialize builds a closed store from input, with input explicit.
+func materialize(t *testing.T, ruleset []rules.Rule, input []rdf.Triple) *store.Store {
 	t.Helper()
 	st := store.New()
 	if _, err := baseline.New(st, ruleset, baseline.SemiNaive).Materialize(context.Background(), input); err != nil {
 		t.Fatal(err)
 	}
-	explicit := store.New()
-	explicit.AddBatch(input)
-	return st, explicit
+	st.AssertBatch(input)
+	return st
+}
+
+// explicitCount returns how many of st's triples are explicit.
+func explicitCount(st *store.Store) int {
+	n := 0
+	st.ForEach(func(t rdf.Triple) bool {
+		if st.Explicit(t) {
+			n++
+		}
+		return true
+	})
+	return n
 }
 
 // assertClosureOf checks st equals the from-scratch closure of input.
@@ -57,8 +68,8 @@ func assertClosureOf(t *testing.T, st *store.Store, ruleset []rules.Rule, input 
 
 func TestRetractLeafEdge(t *testing.T) {
 	input := []rdf.Triple{sc(a, b), sc(b, c), sc(c, d)}
-	st, explicit := materialize(t, rules.RhoDF(), input)
-	stats, err := Retract(context.Background(), st, rules.RhoDF(), explicit, []rdf.Triple{sc(c, d)})
+	st := materialize(t, rules.RhoDF(), input)
+	stats, err := Retract(context.Background(), st, rules.RhoDF(), []rdf.Triple{sc(c, d)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,8 +92,8 @@ func TestRetractWithAlternativeDerivation(t *testing.T) {
 	// Two paths from a to c: via b and via e. Deleting the b-path must
 	// keep (a sc c), which is rederivable via e.
 	input := []rdf.Triple{sc(a, b), sc(b, c), sc(a, e), sc(e, c)}
-	st, explicit := materialize(t, rules.RhoDF(), input)
-	stats, err := Retract(context.Background(), st, rules.RhoDF(), explicit, []rdf.Triple{sc(a, b)})
+	st := materialize(t, rules.RhoDF(), input)
+	stats, err := Retract(context.Background(), st, rules.RhoDF(), []rdf.Triple{sc(a, b)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,8 +108,8 @@ func TestRetractWithAlternativeDerivation(t *testing.T) {
 
 func TestRetractInstanceTyping(t *testing.T) {
 	input := []rdf.Triple{sc(a, b), ty(x, a)}
-	st, explicit := materialize(t, rules.RhoDF(), input)
-	if _, err := Retract(context.Background(), st, rules.RhoDF(), explicit, []rdf.Triple{ty(x, a)}); err != nil {
+	st := materialize(t, rules.RhoDF(), input)
+	if _, err := Retract(context.Background(), st, rules.RhoDF(), []rdf.Triple{ty(x, a)}); err != nil {
 		t.Fatal(err)
 	}
 	if st.Contains(ty(x, b)) || st.Contains(ty(x, a)) {
@@ -111,23 +122,23 @@ func TestRetractExplicitTripleAlsoDerivable(t *testing.T) {
 	// (a sc c) is explicit AND derivable via b. Retracting it removes
 	// the assertion, but rederivation restores the triple.
 	input := []rdf.Triple{sc(a, b), sc(b, c), sc(a, c)}
-	st, explicit := materialize(t, rules.RhoDF(), input)
-	if _, err := Retract(context.Background(), st, rules.RhoDF(), explicit, []rdf.Triple{sc(a, c)}); err != nil {
+	st := materialize(t, rules.RhoDF(), input)
+	if _, err := Retract(context.Background(), st, rules.RhoDF(), []rdf.Triple{sc(a, c)}); err != nil {
 		t.Fatal(err)
 	}
 	if !st.Contains(sc(a, c)) {
 		t.Fatal("(a sc c) should be rederived from the chain")
 	}
-	if explicit.Contains(sc(a, c)) {
-		t.Fatal("explicit set not updated")
+	if st.Explicit(sc(a, c)) {
+		t.Fatal("(a sc c) is still explicit: the retraction did not demote it")
 	}
 	assertClosureOf(t, st, rules.RhoDF(), []rdf.Triple{sc(a, b), sc(b, c)})
 }
 
 func TestRetractUnknownTripleIsNoop(t *testing.T) {
 	input := []rdf.Triple{sc(a, b)}
-	st, explicit := materialize(t, rules.RhoDF(), input)
-	stats, err := Retract(context.Background(), st, rules.RhoDF(), explicit, []rdf.Triple{sc(c, d), sc(a, b)})
+	st := materialize(t, rules.RhoDF(), input)
+	stats, err := Retract(context.Background(), st, rules.RhoDF(), []rdf.Triple{sc(c, d), sc(a, b)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,8 +147,8 @@ func TestRetractUnknownTripleIsNoop(t *testing.T) {
 	}
 	// Retracting an inferred (non-explicit) triple is also a no-op.
 	input2 := []rdf.Triple{sc(a, b), sc(b, c)}
-	st2, explicit2 := materialize(t, rules.RhoDF(), input2)
-	stats, err = Retract(context.Background(), st2, rules.RhoDF(), explicit2, []rdf.Triple{sc(a, c)})
+	st2 := materialize(t, rules.RhoDF(), input2)
+	stats, err = Retract(context.Background(), st2, rules.RhoDF(), []rdf.Triple{sc(a, c)})
 	if err != nil || stats.Retracted != 0 {
 		t.Fatalf("retracting inferred triple: %+v, %v", stats, err)
 	}
@@ -148,21 +159,15 @@ func TestRetractUnknownTripleIsNoop(t *testing.T) {
 
 func TestRetractEverything(t *testing.T) {
 	input := []rdf.Triple{sc(a, b), sc(b, c), ty(x, a)}
-	st, explicit := materialize(t, rules.RhoDF(), input)
-	if _, err := Retract(context.Background(), st, rules.RhoDF(), explicit, input); err != nil {
+	st := materialize(t, rules.RhoDF(), input)
+	if _, err := Retract(context.Background(), st, rules.RhoDF(), input); err != nil {
 		t.Fatal(err)
 	}
 	if st.Len() != 0 {
 		t.Fatalf("store not empty after total retraction: %d triples %v", st.Len(), st.Snapshot())
 	}
-	if explicit.Len() != 0 {
-		t.Fatal("explicit set not emptied")
-	}
-}
-
-func TestRetractNilExplicit(t *testing.T) {
-	if _, err := Retract(context.Background(), store.New(), rules.RhoDF(), nil, nil); err == nil {
-		t.Fatal("nil explicit set accepted")
+	if n := explicitCount(st); n != 0 {
+		t.Fatalf("%d triples still explicit", n)
 	}
 }
 
@@ -172,10 +177,10 @@ func TestRetractContextCancellation(t *testing.T) {
 	for i := 0; i < 300; i++ {
 		input = append(input, sc(rdf.FirstCustomID+rdf.ID(i), rdf.FirstCustomID+rdf.ID(i+1)))
 	}
-	st, explicit := materialize(t, rules.RhoDF(), input)
+	st := materialize(t, rules.RhoDF(), input)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := Retract(ctx, st, rules.RhoDF(), explicit, input[:1]); err == nil {
+	if _, err := Retract(ctx, st, rules.RhoDF(), input[:1]); err == nil {
 		t.Fatal("cancelled context ignored")
 	}
 }
@@ -202,7 +207,7 @@ func TestRetractEqualsRebuildProperty(t *testing.T) {
 				input = append(input, tr)
 			}
 		}
-		st, explicit := materialize(t, rules.RhoDF(), input)
+		st := materialize(t, rules.RhoDF(), input)
 		// Retract a random subset.
 		var toDelete, survivors []rdf.Triple
 		for _, tr := range input {
@@ -212,7 +217,7 @@ func TestRetractEqualsRebuildProperty(t *testing.T) {
 				survivors = append(survivors, tr)
 			}
 		}
-		if _, err := Retract(context.Background(), st, rules.RhoDF(), explicit, toDelete); err != nil {
+		if _, err := Retract(context.Background(), st, rules.RhoDF(), toDelete); err != nil {
 			return false
 		}
 		want, _, err := baseline.Closure(context.Background(), rules.RhoDF(), survivors)
@@ -244,11 +249,11 @@ func TestRetractCycleSupport(t *testing.T) {
 	// derivable; retracting one explicit edge must not leave orphaned
 	// self-supporting triples.
 	input := []rdf.Triple{sc(a, b), sc(b, a)}
-	st, explicit := materialize(t, rules.RhoDF(), input)
+	st := materialize(t, rules.RhoDF(), input)
 	if !st.Contains(sc(a, a)) {
 		t.Fatal("precondition: cycle closure missing")
 	}
-	if _, err := Retract(context.Background(), st, rules.RhoDF(), explicit, []rdf.Triple{sc(b, a)}); err != nil {
+	if _, err := Retract(context.Background(), st, rules.RhoDF(), []rdf.Triple{sc(b, a)}); err != nil {
 		t.Fatal(err)
 	}
 	assertClosureOf(t, st, rules.RhoDF(), []rdf.Triple{sc(a, b)})
@@ -265,10 +270,10 @@ func TestRetractFromLongChain(t *testing.T) {
 	for i := 0; i < n; i++ {
 		input = append(input, sc(rdf.FirstCustomID+rdf.ID(i), rdf.FirstCustomID+rdf.ID(i+1)))
 	}
-	st, explicit := materialize(t, rules.RhoDF(), input)
+	st := materialize(t, rules.RhoDF(), input)
 	// Cut the chain in the middle.
 	mid := input[n/2]
-	stats, err := Retract(context.Background(), st, rules.RhoDF(), explicit, []rdf.Triple{mid})
+	stats, err := Retract(context.Background(), st, rules.RhoDF(), []rdf.Triple{mid})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -103,7 +103,7 @@ func TestSuspectLocalRetractEqualsRebuildAllFragments(t *testing.T) {
 			for seed := int64(0); seed < 80; seed++ {
 				rng := rand.New(rand.NewSource(seed))
 				input := randomOntology(rng, tc.owl)
-				st, explicit := materialize(t, tc.ruleset, input)
+				st := materialize(t, tc.ruleset, input)
 				var toDelete, survivors []rdf.Triple
 				for _, tr := range input {
 					if rng.Intn(3) == 0 {
@@ -112,7 +112,7 @@ func TestSuspectLocalRetractEqualsRebuildAllFragments(t *testing.T) {
 						survivors = append(survivors, tr)
 					}
 				}
-				stats, err := Retract(context.Background(), st, tc.ruleset, explicit, toDelete)
+				stats, err := Retract(context.Background(), st, tc.ruleset, toDelete)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -136,7 +136,7 @@ func TestTwoPhaseRetractWithMidPassMutation(t *testing.T) {
 	for seed := int64(0); seed < 120; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		input := randomOntology(rng, false)
-		st, explicit := materialize(t, ruleset, input)
+		st := materialize(t, ruleset, input)
 
 		var toDelete, survivors []rdf.Triple
 		for _, tr := range input {
@@ -149,7 +149,7 @@ func TestTwoPhaseRetractWithMidPassMutation(t *testing.T) {
 
 		// Phase A against a frozen view, exactly as the reasoner runs it.
 		sv := st.Freeze()
-		pass, err := Prepare(context.Background(), sv, explicit.Version(), ruleset, explicit, toDelete)
+		pass, err := Prepare(context.Background(), sv, ruleset, toDelete)
 		if err != nil {
 			sv.Release()
 			t.Fatal(err)
@@ -167,14 +167,13 @@ func TestTwoPhaseRetractWithMidPassMutation(t *testing.T) {
 		if rng.Intn(2) == 0 {
 			mid = append(mid, input[rng.Intn(len(input))])
 		}
-		st.AddBatch(mid)
-		explicit.AddBatch(mid)
+		st.AssertBatch(mid)
 		if _, err := baseline.New(st, ruleset, baseline.SemiNaive).Close(context.Background()); err != nil {
 			sv.Release()
 			t.Fatal(err)
 		}
 
-		stats := pass.Apply(st, explicit)
+		stats := pass.Apply(st)
 		sv.Release()
 		if !stats.TwoPhase {
 			t.Fatal("suspect-local path not taken")
@@ -213,17 +212,17 @@ func TestRetractFullMatchesSuspectLocal(t *testing.T) {
 				toDelete = append(toDelete, tr)
 			}
 		}
-		stA, expA := materialize(t, ruleset, input)
-		stB, expB := materialize(t, ruleset, input)
-		sA, err := Retract(context.Background(), stA, ruleset, expA, toDelete)
+		stA := materialize(t, ruleset, input)
+		stB := materialize(t, ruleset, input)
+		sA, err := Retract(context.Background(), stA, ruleset, toDelete)
 		if err != nil {
 			t.Fatal(err)
 		}
-		pB, err := PrepareFull(context.Background(), stB, ruleset, expB, toDelete)
+		pB, err := PrepareFull(context.Background(), stB, ruleset, toDelete)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sB := pB.Apply(stB, expB)
+		sB := pB.Apply(stB)
 		if !sA.TwoPhase || sB.TwoPhase {
 			t.Fatalf("paths mixed up: %+v / %+v", sA, sB)
 		}
@@ -239,8 +238,8 @@ func TestRetractFullMatchesSuspectLocal(t *testing.T) {
 			}
 			return true
 		})
-		if expA.Len() != expB.Len() {
-			t.Fatalf("seed %d: explicit sets diverge: %d vs %d", seed, expA.Len(), expB.Len())
+		if nA, nB := explicitCount(stA), explicitCount(stB); nA != nB {
+			t.Fatalf("seed %d: explicit triples diverge: %d vs %d", seed, nA, nB)
 		}
 	}
 }
@@ -253,20 +252,20 @@ func TestRetractCancelLeavesStoreUntouched(t *testing.T) {
 	for i := 0; i < 300; i++ {
 		input = append(input, sc(rdf.FirstCustomID+rdf.ID(i), rdf.FirstCustomID+rdf.ID(i+1)))
 	}
-	st, explicit := materialize(t, rules.RhoDF(), input)
+	st := materialize(t, rules.RhoDF(), input)
 	before := st.Len()
-	explicitBefore := explicit.Len()
+	explicitBefore := explicitCount(st)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := Retract(ctx, st, rules.RhoDF(), explicit, input[:1]); err == nil {
+	if _, err := Retract(ctx, st, rules.RhoDF(), input[:1]); err == nil {
 		t.Fatal("cancelled context ignored")
 	}
-	if st.Len() != before || explicit.Len() != explicitBefore {
+	if st.Len() != before || explicitCount(st) != explicitBefore {
 		t.Fatalf("cancelled retraction mutated state: store %d→%d, explicit %d→%d",
-			before, st.Len(), explicitBefore, explicit.Len())
+			before, st.Len(), explicitBefore, explicitCount(st))
 	}
 	// The same pass, uncancelled, still works.
-	if _, err := Retract(context.Background(), st, rules.RhoDF(), explicit, input[:1]); err != nil {
+	if _, err := Retract(context.Background(), st, rules.RhoDF(), input[:1]); err != nil {
 		t.Fatal(err)
 	}
 }

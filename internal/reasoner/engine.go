@@ -113,18 +113,6 @@ func New(st *store.Store, ruleset []rules.Rule, cfg Config) *Engine {
 	return e
 }
 
-// recordProvenance notes the origin of a fresh triple.
-func (e *Engine) recordProvenance(t rdf.Triple, origin string) {
-	if e.provenance == nil {
-		return
-	}
-	e.provMu.Lock()
-	if _, dup := e.provenance[t]; !dup {
-		e.provenance[t] = origin
-	}
-	e.provMu.Unlock()
-}
-
 // recordProvenanceBatch notes the origin of a batch of fresh triples
 // under one lock acquisition.
 func (e *Engine) recordProvenanceBatch(ts []rdf.Triple, origin string) {
@@ -164,31 +152,17 @@ func (e *Engine) Graph() *rules.DependencyGraph { return e.graph }
 // managers can feed the engine in parallel. Adding to a closed engine
 // returns false.
 func (e *Engine) Add(t rdf.Triple) bool {
-	if e.closed.Load() {
-		return false
-	}
-	// Store first, then route: this ordering guarantees that whenever a
-	// rule instance runs, the store contains every triple of its delta,
-	// so delta⋈store joins subsume delta⋈delta (see package rules).
-	if !e.store.Add(t) {
-		e.dupInput.Add(1)
-		return false
-	}
-	e.input.Add(1)
-	e.recordProvenance(t, ProvenanceExplicit)
-	if obs := e.cfg.Observer; obs != nil {
-		obs.OnInput(t)
-	}
-	e.route(t)
-	return true
+	return len(e.AddBatch([]rdf.Triple{t})) == 1
 }
 
 // AddBatch streams a batch of explicit triples and returns those that
-// were new, grouped by predicate (see store.Store.AddBatch). Unlike a loop over Add, the whole batch takes
-// one store insertion (grouped by predicate partition), one routing pass
-// that buckets triples per destination module, and one buffer-lock
-// acquisition per module — the batch-first ingest path. AddBatch is safe
-// for concurrent use; adding to a closed engine is a no-op.
+// were new, grouped by predicate (see store.Store.AssertBatch, which
+// also marks a triple already inferred as explicit). The whole batch
+// takes one store insertion (grouped by predicate partition), one
+// routing pass that buckets triples per destination module, and one
+// buffer-lock acquisition per module — the batch-first ingest path.
+// AddBatch is safe for concurrent use; adding to a closed engine is a
+// no-op.
 func (e *Engine) AddBatch(ts []rdf.Triple) []rdf.Triple {
 	return e.AddBatchCtx(context.Background(), ts)
 }
@@ -201,10 +175,11 @@ func (e *Engine) AddBatchCtx(ctx context.Context, ts []rdf.Triple) []rdf.Triple 
 		return nil
 	}
 	sp := trace.FromContext(ctx)
-	// Store first, then route — same invariant as Add: the store holds
-	// every triple of a delta before any instance consumes it.
+	// Store first, then route: this ordering guarantees that whenever a
+	// rule instance runs, the store contains every triple of its delta,
+	// so delta⋈store joins subsume delta⋈delta (see package rules).
 	st := sp.Child("store.addbatch")
-	fresh := e.store.AddBatch(ts)
+	fresh := e.store.AssertBatch(ts)
 	st.SetInt("fresh", int64(len(fresh)))
 	st.End()
 	if dup := len(ts) - len(fresh); dup > 0 {

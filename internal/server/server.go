@@ -357,13 +357,6 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, map[string]any{"statements": 0})
 		return
 	}
-	// Validate here so bad data is the client's 400, not an ingest 500.
-	for _, st := range sts {
-		if !st.Valid() {
-			httpError(w, http.StatusBadRequest, "invalid statement %v", st)
-			return
-		}
-	}
 	// Refuse before queueing for the writer: while the reasoner is
 	// read-only every write fails anyway, and the pre-check answers with
 	// the live backoff instead of making the client discover it the hard
@@ -373,11 +366,15 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if _, err := s.r.AddBatchCtx(r.Context(), sts); err != nil {
-		if errors.Is(err, slider.ErrDegraded) {
+		switch {
+		case errors.Is(err, slider.ErrInvalidStatement):
+			// Bad data is the client's 400, not an ingest 500.
+			httpError(w, http.StatusBadRequest, "%v", err)
+		case errors.Is(err, slider.ErrDegraded):
 			s.refuseReadOnly(w, s.r.Health())
-			return
+		default:
+			httpError(w, http.StatusInternalServerError, "ingest: %v", err)
 		}
-		httpError(w, http.StatusInternalServerError, "ingest: %v", err)
 		return
 	}
 	s.nInserted.Add(int64(len(sts)))

@@ -27,7 +27,8 @@ func resave(t testing.TB, dict *rdf.Dictionary, st *store.Store) []byte {
 //
 //   - Load never panics, whatever the bytes are.
 //   - A snapshot Load accepts re-saves to bytes that Load accepts with
-//     the same terms and triples, and that re-save to themselves. The
+//     the same terms and triples, each as explicit as before, and that
+//     re-save to themselves. The
 //     re-save is compared with its own reload, not with the input: an
 //     accepted snapshot may list its pairs in any order, not only in
 //     the canonical (subject, object) order a view writes.
@@ -40,8 +41,13 @@ func FuzzSnapshotLoad(f *testing.F) {
 	f.Add(valid[:len(valid)-3])                                  // truncated
 	f.Add([]byte("SLKB\x01"))                                    // format version 1 header
 	f.Add(rawSnapshot(1, [4]uint64{2<<62 | 1, 1, 1, 2<<62 | 1})) // version 1, 64-bit IDs
+	f.Add(rawSnapshot(2, [4]uint64{x, 1, 1, 1}))                 // version 2, no explicit bit
 	f.Add(rawSnapshot(Version, [4]uint64{x, 1, 1, 1<<32 | 5}))   // a 33-bit ID
 	f.Add(rawSnapshot(Version, [4]uint64{x, 1, 3<<30 | 5, 1}))   // a kind-11 ID
+	f.Add(rawSnapshot(Version, [4]uint64{x, 1, 1<<31 | 1, 1}))   // a subject whose shift needs 33 bits
+	explicit := rawSnapshot(Version, [4]uint64{x, 1, 1, 1})
+	explicit[len(explicit)-2] |= 1 // the subject's explicit bit
+	f.Add(explicit)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dict, st, err := Load(bytes.NewReader(data))
@@ -62,6 +68,9 @@ func FuzzSnapshotLoad(f *testing.F) {
 		st.ForEach(func(tr rdf.Triple) bool {
 			if !st2.Contains(tr) {
 				t.Fatalf("reload lost %v", tr)
+			}
+			if st2.Explicit(tr) != st.Explicit(tr) {
+				t.Fatalf("reload turned %v from explicit %v to %v", tr, st.Explicit(tr), st2.Explicit(tr))
 			}
 			return true
 		})

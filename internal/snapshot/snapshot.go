@@ -10,10 +10,13 @@
 //	            (strings as varint length + bytes; terms appear in
 //	            sequence order per kind so IDs reload identically)
 //	triples:    predicate-grouped: #groups, then per group the predicate
-//	            ID, #pairs, and the (subject, object) ID pairs
+//	            ID, #pairs, and the pairs: subject ID shifted left by
+//	            one with the explicit bit below it, then object ID
 //
 // IDs are the 32-bit rdf.ID values, preserved exactly, so snapshots
-// interoperate with code that stored IDs elsewhere.
+// interoperate with code that stored IDs elsewhere. The explicit bit
+// says the triple was asserted rather than inferred, so a reloaded
+// knowledge base can still retract it.
 package snapshot
 
 import (
@@ -29,11 +32,13 @@ import (
 
 var magic = [4]byte{'S', 'L', 'K', 'B'}
 
-// Version of the snapshot format.
-const Version = 2
+// Version of the snapshot format. Version 1 wrote 64-bit IDs; version 2
+// carried no explicit bit.
+const Version = 3
 
-// loadChunk bounds the batches Load inserts a predicate group in: each
-// becomes one store run, and the store merges them in size tiers.
+// loadChunk bounds the batches Load inserts a predicate group in — one
+// of its explicit triples, one of its inferred ones: each becomes one
+// store run, and the store merges them in size tiers.
 const loadChunk = 1 << 16
 
 // ErrBadSnapshot reports a malformed or truncated snapshot.
@@ -53,21 +58,18 @@ type TermSource interface {
 }
 
 // TripleSource is the store side of a snapshot: predicate-grouped
-// iteration with stable per-predicate counts. A *store.View is one
-// immutable root of the store, consistent under concurrent writers; a
-// *store.Store reads its current root at each call, so it must be
-// quiescent across the count and iteration passes.
+// iteration, with each pair's explicitness, and stable per-predicate
+// counts. A *store.View is one immutable root of the store, consistent
+// under concurrent writers.
 type TripleSource interface {
 	Predicates() []rdf.ID
 	PredicateLen(p rdf.ID) int
-	ForEachWithPredicate(p rdf.ID, f func(s, o rdf.ID) bool)
+	ForEachPair(p rdf.ID, f func(s, o rdf.ID, explicit bool) bool)
 }
 
-// Save writes the dictionary and store to w. The store must not change
-// between the per-predicate count and iteration passes — use SaveFrom
-// with store/dictionary views to snapshot while writers keep going.
+// Save writes the dictionary and the store's current contents to w.
 func Save(w io.Writer, dict *rdf.Dictionary, st *store.Store) error {
-	return SaveFrom(w, dict, st)
+	return SaveFrom(w, dict, st.Freeze())
 }
 
 // SaveFrom writes a snapshot from arbitrary term and triple sources.
@@ -161,8 +163,12 @@ func saveTriples(w *bufio.Writer, st TripleSource) error {
 			return err
 		}
 		var werr error
-		st.ForEachWithPredicate(p, func(s, o rdf.ID) bool {
-			if werr = putUvarint(w, uint64(s)); werr != nil {
+		st.ForEachPair(p, func(s, o rdf.ID, explicit bool) bool {
+			x := uint64(s) << 1
+			if explicit {
+				x |= 1
+			}
+			if werr = putUvarint(w, x); werr != nil {
 				return false
 			}
 			if werr = putUvarint(w, uint64(o)); werr != nil {
@@ -178,8 +184,9 @@ func saveTriples(w *bufio.Writer, st TripleSource) error {
 }
 
 // Load reads a snapshot from r, returning a freshly populated dictionary
-// and store. It refuses any other format version, such as version 1's
-// 64-bit IDs, and any ID that names no term.
+// and store, whose explicit triples are explicit again. It refuses any
+// other format version, such as version 2, which carried no explicit
+// bit, and any ID that names no term.
 func Load(r io.Reader) (*rdf.Dictionary, *store.Store, error) {
 	br := bufio.NewReader(r)
 	var hdr [5]byte
@@ -225,6 +232,11 @@ func getID(br *bufio.Reader, what string) (rdf.ID, error) {
 	if err != nil {
 		return 0, fmt.Errorf("%w: truncated %s", ErrBadSnapshot, what)
 	}
+	return checkID(x, what)
+}
+
+// checkID converts x to an ID as getID does.
+func checkID(x uint64, what string) (rdf.ID, error) {
 	id, ok := rdf.IDFromUint64(x)
 	if !ok || id == rdf.Any {
 		return 0, fmt.Errorf("%w: %s ID %#x out of range", ErrBadSnapshot, what, x)
@@ -278,7 +290,8 @@ func loadTriples(br *bufio.Reader) (*store.Store, error) {
 		return nil, fmt.Errorf("%w: truncated triple section", ErrBadSnapshot)
 	}
 	st := store.New()
-	chunk := make([]rdf.Triple, 0, loadChunk)
+	asserted := make([]rdf.Triple, 0, loadChunk)
+	inferred := make([]rdf.Triple, 0, loadChunk)
 	for g := uint64(0); g < groups; g++ {
 		p, err := getID(br, "predicate")
 		if err != nil {
@@ -289,7 +302,11 @@ func loadTriples(br *bufio.Reader) (*store.Store, error) {
 			return nil, fmt.Errorf("%w: truncated group size", ErrBadSnapshot)
 		}
 		for i := uint64(0); i < n; i++ {
-			s, err := getID(br, "subject")
+			x, err := binary.ReadUvarint(br)
+			if err != nil {
+				return nil, fmt.Errorf("%w: truncated subject", ErrBadSnapshot)
+			}
+			s, err := checkID(x>>1, "subject")
 			if err != nil {
 				return nil, err
 			}
@@ -297,13 +314,19 @@ func loadTriples(br *bufio.Reader) (*store.Store, error) {
 			if err != nil {
 				return nil, err
 			}
-			if chunk = append(chunk, rdf.T(s, p, o)); len(chunk) == loadChunk {
-				st.AddBatch(chunk)
-				chunk = chunk[:0]
+			if x&1 == 0 {
+				if inferred = append(inferred, rdf.T(s, p, o)); len(inferred) == loadChunk {
+					st.AddBatch(inferred)
+					inferred = inferred[:0]
+				}
+			} else if asserted = append(asserted, rdf.T(s, p, o)); len(asserted) == loadChunk {
+				st.AssertBatch(asserted)
+				asserted = asserted[:0]
 			}
 		}
-		st.AddBatch(chunk)
-		chunk = chunk[:0]
+		st.AddBatch(inferred)
+		st.AssertBatch(asserted)
+		inferred, asserted = inferred[:0], asserted[:0]
 	}
 	return st, nil
 }

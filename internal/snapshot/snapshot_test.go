@@ -14,7 +14,8 @@ import (
 	"repro/internal/store"
 )
 
-// build populates a dictionary and store with a mixed knowledge base.
+// build populates a dictionary and store with a mixed knowledge base,
+// about a third of it explicit.
 func build(n int, seed int64) (*rdf.Dictionary, *store.Store) {
 	rng := rand.New(rand.NewSource(seed))
 	dict := rdf.NewDictionary()
@@ -33,7 +34,11 @@ func build(n int, seed int64) (*rdf.Dictionary, *store.Store) {
 		default:
 			o = dict.Encode(rdf.NewIRI(fmt.Sprintf("http://e/o%d", rng.Intn(n/2+1))))
 		}
-		st.Add(rdf.T(s, p, o))
+		if t := rdf.T(s, p, o); rng.Intn(3) == 0 {
+			st.AssertBatch([]rdf.Triple{t})
+		} else {
+			st.Add(t)
+		}
 	}
 	return dict, st
 }
@@ -54,11 +59,18 @@ func TestRoundTrip(t *testing.T) {
 	if st2.Len() != st.Len() {
 		t.Fatalf("store size %d, want %d", st2.Len(), st.Len())
 	}
-	// Every triple present with identical IDs, and decodable to the same
-	// statements.
+	// Every triple present with identical IDs and explicitness, and
+	// decodable to the same statements.
+	explicit := 0
 	st.ForEach(func(tr rdf.Triple) bool {
 		if !st2.Contains(tr) {
 			t.Fatalf("loaded store missing %v", tr)
+		}
+		if st2.Explicit(tr) != st.Explicit(tr) {
+			t.Fatalf("%v loaded with Explicit %v, saved with %v", tr, st2.Explicit(tr), st.Explicit(tr))
+		}
+		if st.Explicit(tr) {
+			explicit++
 		}
 		orig, ok1 := dict.DecodeTriple(tr)
 		back, ok2 := dict2.DecodeTriple(tr)
@@ -67,6 +79,44 @@ func TestRoundTrip(t *testing.T) {
 		}
 		return true
 	})
+	if explicit == 0 || explicit == st.Len() {
+		t.Fatalf("%d of %d triples explicit: the round trip does not test the bit", explicit, st.Len())
+	}
+}
+
+// TestRoundTripKeepsFlips saves a store whose explicitness changed after
+// the first write — an inferred triple promoted by an assert, an
+// explicit one demoted — from the store and from a view frozen before a
+// later write, and checks both reload with every bit as saved.
+func TestRoundTripKeepsFlips(t *testing.T) {
+	dict := rdf.NewDictionary()
+	id := func(s string) rdf.ID { return dict.Encode(rdf.NewIRI("http://e/" + s)) }
+	a, b, c, d := rdf.T(id("a"), rdf.IDType, id("C")), rdf.T(id("b"), rdf.IDType, id("C")), rdf.T(id("c"), rdf.IDType, id("C")), rdf.T(id("d"), rdf.IDType, id("C"))
+	st := store.New()
+	st.AddBatch([]rdf.Triple{a, b})
+	st.AssertBatch([]rdf.Triple{b, c, d}) // promotes b
+	st.Demote([]rdf.Triple{c})
+	v := st.Freeze()
+	st.Demote([]rdf.Triple{d})
+	for name, save := range map[string]func(*bytes.Buffer) error{
+		"view":  func(buf *bytes.Buffer) error { return SaveFrom(buf, dict, v) },
+		"store": func(buf *bytes.Buffer) error { return Save(buf, dict, st) },
+	} {
+		want := map[rdf.Triple]bool{a: false, b: true, c: false, d: name == "view"}
+		var buf bytes.Buffer
+		if err := save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		_, back, err := Load(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for tr, explicit := range want {
+			if !back.Contains(tr) || back.Explicit(tr) != explicit {
+				t.Errorf("%s: %v reloads present %v, explicit %v; want explicit %v", name, tr, back.Contains(tr), back.Explicit(tr), explicit)
+			}
+		}
+	}
 }
 
 func TestRoundTripEmpty(t *testing.T) {
@@ -129,8 +179,14 @@ var notTerm = []uint64{1<<32 | 5, 2<<62 | 9, 1<<64 - 1, 3<<30 | 5}
 
 // rawSnapshot hand-builds a snapshot of format version v from raw
 // integers: one IRI term "x" with ID ids[0], then one triple group of
-// predicate ids[1] holding the pair (ids[2], ids[3]).
+// predicate ids[1] holding the inferred pair (ids[2], ids[3]). From
+// version 3 the subject is written shifted left by one, above the
+// explicit bit; a subject too wide to shift is written as it is, which
+// decodes to an ID as far out of range.
 func rawSnapshot(v byte, ids [4]uint64) []byte {
+	if v >= 3 && ids[2] < 1<<63 {
+		ids[2] <<= 1
+	}
 	b := binary.AppendUvarint(append(magic[:], v, 1, byte(rdf.TermIRI)), ids[0])
 	b = append(b, 1, 'x', 0, 0, 1)
 	for i, x := range ids[1:] {
@@ -166,10 +222,26 @@ func TestLoadRejectsOutOfRangeIDs(t *testing.T) {
 // 64-bit IDs, is refused with an error saying so, not decoded.
 func TestLoadRefusesVersion1(t *testing.T) {
 	_, _, err := Load(bytes.NewReader(rawSnapshot(1, [4]uint64{2<<62 | 1, 1, 1, 2<<62 | 1})))
+	checkRefusal(t, err, "version 1")
+}
+
+// TestLoadRefusesVersion2 checks that a version-2 snapshot, which
+// carried no explicit bit, is refused with an error saying so: loading
+// it would make every triple inferred, and none retractable.
+func TestLoadRefusesVersion2(t *testing.T) {
+	valid := [4]uint64{uint64(rdf.NewDictionary().EncodeIRI("x")), uint64(rdf.IDType), 1, uint64(rdf.IDClass)}
+	_, _, err := Load(bytes.NewReader(rawSnapshot(2, valid)))
+	checkRefusal(t, err, "version 2")
+}
+
+// checkRefusal fails unless err is ErrBadSnapshot naming the version
+// and telling the reader to export and reload the data.
+func checkRefusal(t *testing.T, err error, version string) {
+	t.Helper()
 	if !errors.Is(err, ErrBadSnapshot) {
 		t.Fatalf("Load = %v, want ErrBadSnapshot", err)
 	}
-	for _, s := range []string{"version 1", "export", "reload"} {
+	for _, s := range []string{version, "export", "reload"} {
 		if !strings.Contains(err.Error(), s) {
 			t.Fatalf("error %q does not mention %q", err, s)
 		}
@@ -210,7 +282,7 @@ func TestRoundTripProperty(t *testing.T) {
 		}
 		ok := true
 		st.ForEach(func(tr rdf.Triple) bool {
-			if !st2.Contains(tr) {
+			if !st2.Contains(tr) || st2.Explicit(tr) != st.Explicit(tr) {
 				ok = false
 				return false
 			}

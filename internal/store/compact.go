@@ -212,7 +212,7 @@ func (st *Store) mergePredicate(p rdf.ID, all bool) {
 			t0 = obs.NowIfEnabled()
 		}
 		window := runs[i:j]
-		merged := mergeRange(window) // off-lock; workMu pins the window
+		merged := mergeRange(runs[:i], window) // off-lock; workMu pins the window
 		st.swap(p, rl, runs, i, j, merged)
 		if m := st.metrics.Load(); m != nil {
 			m.MergeSeconds.ObserveSince(t0)

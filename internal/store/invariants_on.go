@@ -64,13 +64,27 @@ func checkRunList(runs []*run, n int, fresh ...*run) {
 // directions: the (key, value) pairs strictly ascending, the distinct
 // key count right, and the form well formed — in CSR form strictly
 // ascending keys and offsets bracketed by 0 and the pair count with no
-// empty spans, in pair form one key per value. The keys are the run's only index — objectsOf and
-// subjectsOf binary search them — so ascending keys are what makes a
-// probe find its span (and the only span). Runs are immutable after
-// publication, so passing here once means the shape holds forever.
+// empty spans, in pair form one key per value — and its explicit
+// bitmap, when it has one, sized to the pairs of an add run. The keys
+// are the run's only index — objectsOf and subjectsOf binary search
+// them — so ascending keys are what makes a probe find its span (and the
+// only span). Runs are immutable after publication, so passing here
+// once means the shape holds forever.
 func checkRun(r *run) {
 	checkDirection(r, "subject", &r.bySub)
 	checkDirection(r, "object", &r.byObj)
+	if r.expl == nil {
+		return
+	}
+	if r.del {
+		panic("store invariant: a marker run carries an explicit bitmap")
+	}
+	if len(r.expl) != (r.pairs+63)>>6 {
+		panic(fmt.Sprintf("store invariant: explicit bitmap of %d words for %d pairs", len(r.expl), r.pairs))
+	}
+	if r.pairs&63 != 0 && r.expl[len(r.expl)-1]>>(r.pairs&63) != 0 {
+		panic(fmt.Sprintf("store invariant: explicit bitmap has bits past its %d pairs", r.pairs))
+	}
 }
 
 func checkDirection(r *run, dir string, d *direction) {

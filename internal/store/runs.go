@@ -22,11 +22,36 @@ import (
 // galloping join intersection and the checkpoint stream want.
 // Every array holds the 32-bit IDs themselves, so readers copy spans
 // straight into the caller's buffer.
+//
+// An add run also says which of its pairs were asserted rather than
+// inferred: expl holds one bit per pair, bit i for the pair at position i
+// of bySub.vals. It is nil when no pair of the run is explicit, and
+// always nil in a marker run.
 type run struct {
 	pairs int
 	del   bool      // a delete-marker run: each pair cancels an older add
 	bySub direction // subject keys, object values
 	byObj direction // object keys, subject values
+	expl  bitmap
+}
+
+// bitmap is a set of positions, one bit each. A nil bitmap is empty; a
+// non-nil one is sized to its run's pair count.
+type bitmap []uint64
+
+func newBitmap(n int) bitmap { return make(bitmap, (n+63)>>6) }
+
+func (b bitmap) has(i int) bool { return b != nil && b[i>>6]&(1<<(i&63)) != 0 }
+
+func (b bitmap) set(i int) { b[i>>6] |= 1 << (i & 63) }
+
+// setAt records bit i of a bitmap being built for n positions,
+// allocating it on the first bit set.
+func (b *bitmap) setAt(i, n int) {
+	if *b == nil {
+		*b = newBitmap(n)
+	}
+	b.set(i)
 }
 
 // direction is one side of a run's index: values grouped by key, keys
@@ -104,6 +129,14 @@ func (d *direction) spanAt(i int) (span []rdf.ID, next int) {
 	return d.vals[i:hi], hi
 }
 
+// start returns where the span of the key at index i begins in vals.
+func (d *direction) start(i int) int {
+	if d.off != nil {
+		return int(d.off[i])
+	}
+	return i
+}
+
 // span returns key k's values (nil when k is absent): a lower-bound
 // search, then spanAt. IDs are handed out densely in first-seen order,
 // so a run built from one batch spans a narrow key range, and a key
@@ -119,6 +152,21 @@ func (d *direction) span(k rdf.ID) []rdf.ID {
 	return nil
 }
 
+// find returns the position in vals of value v under key k, and whether
+// the pair is present.
+func (d *direction) find(k, v rdf.ID) (int, bool) {
+	if len(d.keys) == 0 || k < d.keys[0] || k > d.keys[len(d.keys)-1] {
+		return 0, false
+	}
+	i, ok := slices.BinarySearch(d.keys, k)
+	if !ok {
+		return 0, false
+	}
+	span, _ := d.spanAt(i)
+	j, ok := slices.BinarySearch(span, v)
+	return d.start(i) + j, ok
+}
+
 // pairKey packs a pair as one key whose integer order is (subject,
 // object) order, so batches and merges sort plain integers.
 func pairKey(s, o rdf.ID) uint64 { return uint64(s)<<32 | uint64(o) }
@@ -127,17 +175,18 @@ func pairKey(s, o rdf.ID) uint64 { return uint64(s)<<32 | uint64(o) }
 func unpack(k uint64) (s, o rdf.ID) { return rdf.ID(k >> 32), rdf.ID(k) }
 
 // buildRun assembles an add run, or a marker run when del is set, from
-// ascending pair keys with no duplicates. The object direction is built
-// from a flipped copy sorted by (object, subject); total cost
-// O(n log n) with small constants.
-func buildRun(ks []uint64, del bool) *run {
+// ascending pair keys with no duplicates; expl marks the explicit keys
+// by index (nil for none). The object direction is built from a flipped
+// copy sorted by (object, subject); total cost O(n log n) with small
+// constants.
+func buildRun(ks []uint64, del bool, expl bitmap) *run {
 	flipped := make([]uint64, len(ks))
 	for i, k := range ks {
 		s, o := unpack(k)
 		flipped[i] = pairKey(o, s)
 	}
 	slices.Sort(flipped)
-	r := &run{pairs: len(ks), del: del, bySub: directionOf(ks), byObj: directionOf(flipped)}
+	r := &run{pairs: len(ks), del: del, bySub: directionOf(ks), byObj: directionOf(flipped), expl: expl}
 	if invariantsEnabled {
 		checkRun(r)
 	}
@@ -177,7 +226,7 @@ func (r *run) subjectsOf(o rdf.ID) []rdf.ID { return r.byObj.span(o) }
 // contains reports pair membership: a binary search for the subject's
 // key, then one of its object span.
 func (r *run) contains(s, o rdf.ID) bool {
-	_, found := slices.BinarySearch(r.objectsOf(s), o)
+	_, found := r.bySub.find(s, o)
 	return found
 }
 
@@ -198,21 +247,31 @@ func (r *run) forEach(f func(s, o rdf.ID) bool) bool {
 	return true
 }
 
-// mergeRange merges adjacent runs of a predicate into at most two: an
-// add run and a marker run. Without markers the inputs are pairwise
-// disjoint (a pair is added again only after a marker), so the result
-// is mergeRuns' linear union. With markers, a pair's occurrences in the
-// range alternate add and marker, oldest first: an even count cancels
-// out, and an odd count leaves one occurrence of the kind of its oldest
-// (which its newest shares). A range that starts at the predicate's
-// oldest run holds every marker's add, so there every marker cancels.
-func mergeRange(rs []*run) []*run {
+// mergeRange merges the adjacent runs rs of a predicate, whose older
+// runs are older, into at most two: a marker run, then an add run.
+// Without markers the inputs are pairwise disjoint (a pair is added again
+// only after a marker), so the result is mergeRuns' linear union. With
+// markers, a pair's occurrences in the range alternate add and marker,
+// oldest first, and the kinds of its oldest and newest decide:
+//
+//   - add … add: one add, carrying the newest add's explicit bit;
+//   - marker … marker: one marker;
+//   - add … marker: nothing — the pair is dead before and after;
+//   - marker … add: nothing, as the pair is live before and after —
+//     unless the newest add's bit differs from that of the add in older
+//     it replaces (a promotion or a demotion), in which case it stays a
+//     marker, then an add.
+//
+// A range that starts at the predicate's oldest run (older empty) holds
+// every marker's add, so there every marker cancels.
+func mergeRange(older, rs []*run) []*run {
 	if !slices.ContainsFunc(rs, func(r *run) bool { return r.del }) {
 		return []*run{mergeRuns(rs)}
 	}
 	type occ struct {
-		key uint64
-		k   int // the run's position in rs: occurrences sort oldest first
+		key  uint64
+		k    int32 // the run's position in rs: occurrences sort oldest first
+		expl bool
 	}
 	total := 0
 	for _, r := range rs {
@@ -220,8 +279,10 @@ func mergeRange(rs []*run) []*run {
 	}
 	occs := make([]occ, 0, total)
 	for k, r := range rs {
+		i := 0
 		r.forEach(func(s, o rdf.ID) bool {
-			occs = append(occs, occ{pairKey(s, o), k})
+			occs = append(occs, occ{pairKey(s, o), int32(k), r.expl.has(i)})
+			i++
 			return true
 		})
 	}
@@ -232,33 +293,50 @@ func mergeRange(rs []*run) []*run {
 		return cmp.Compare(a.k, b.k)
 	})
 	var adds, dels []uint64
+	var expl bitmap
+	add := func(key uint64, explicit bool) {
+		if explicit {
+			expl.setAt(len(adds), len(occs))
+		}
+		adds = append(adds, key)
+	}
 	for i := 0; i < len(occs); {
 		j := i + 1
 		for j < len(occs) && occs[j].key == occs[i].key {
 			j++
 		}
-		if (j-i)%2 == 1 {
-			if rs[occs[i].k].del {
-				dels = append(dels, occs[i].key)
-			} else {
-				adds = append(adds, occs[i].key)
+		first, last := occs[i], occs[j-1]
+		switch fromDel, toDel := rs[first.k].del, rs[last.k].del; {
+		case !fromDel && !toDel:
+			add(first.key, last.expl)
+		case fromDel && toDel:
+			dels = append(dels, first.key)
+		case fromDel:
+			s, o := unpack(first.key)
+			if _, was := stateIn(older, s, o); was != last.expl {
+				dels = append(dels, first.key)
+				add(first.key, last.expl)
 			}
 		}
 		i = j
 	}
 	var out []*run
-	if len(adds) > 0 {
-		out = append(out, buildRun(adds, false))
-	}
 	if len(dels) > 0 {
-		out = append(out, buildRun(dels, true))
+		out = append(out, buildRun(dels, true, nil))
+	}
+	if len(adds) > 0 {
+		if expl != nil {
+			expl = slices.Clone(expl[:(len(adds)+63)>>6])
+		}
+		out = append(out, buildRun(adds, false, expl))
 	}
 	return out
 }
 
 // mergeRuns unions pairwise disjoint add runs into one. Each is already
 // sorted in both directions, so the union is two linear k-way span
-// merges — no comparison sort, no pair materialisation.
+// merges — no comparison sort, no pair materialisation — and, when any
+// run has explicit pairs, one linear pass per such run for their bits.
 func mergeRuns(rs []*run) *run {
 	total := 0
 	subs := make([]*direction, len(rs))
@@ -268,6 +346,9 @@ func mergeRuns(rs []*run) *run {
 		subs[i], objs[i] = &r.bySub, &r.byObj
 	}
 	out := &run{pairs: total, bySub: mergeDirection(subs, total), byObj: mergeDirection(objs, total)}
+	if slices.ContainsFunc(rs, func(r *run) bool { return r.expl != nil }) {
+		out.expl = mergedBits(&out.bySub, rs)
+	}
 	if invariantsEnabled {
 		checkRun(out)
 	}
@@ -337,6 +418,43 @@ func mergeDirection(ds []*direction, total int) direction {
 		d.endSpan(k)
 	}
 	return d
+}
+
+// mergedBits returns the explicit bitmap of merged, the subject
+// direction mergeRuns built from rs: each run's explicit pairs, at their
+// positions in merged. A run and merged both hold their keys ascending,
+// so each run with a bitmap costs one pass over merged's keys; a value
+// is at its own offset in a key's span that only its run contributed
+// to, and found by search in one the runs share.
+func mergedBits(merged *direction, rs []*run) bitmap {
+	var bits bitmap
+	for _, r := range rs {
+		if r.expl == nil {
+			continue
+		}
+		d, mi := &r.bySub, 0
+		for i := 0; i < len(d.keys); {
+			k, at := d.keys[i], d.start(i)
+			var span []rdf.ID
+			span, i = d.spanAt(i)
+			mspan, next := merged.spanAt(mi)
+			for merged.keys[mi] != k {
+				mi = next
+				mspan, next = merged.spanAt(mi)
+			}
+			mat := merged.start(mi)
+			for j, v := range span {
+				if !r.expl.has(at + j) {
+					continue
+				}
+				if len(mspan) > len(span) {
+					j, _ = slices.BinarySearch(mspan, v)
+				}
+				bits.setAt(mat+j, len(merged.vals))
+			}
+		}
+	}
+	return bits
 }
 
 // appendMergedSorted appends the two-way merge of sorted a and b to dst.

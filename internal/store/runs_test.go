@@ -29,7 +29,7 @@ func runOf(ps []pair, del bool) *run {
 	for i, pr := range ps {
 		ks[i] = pairKey(pr.s, pr.o)
 	}
-	return buildRun(ks, del)
+	return buildRun(ks, del, nil)
 }
 
 // sortedSetEq reports whether got is ascending, duplicate-free and equal
@@ -405,14 +405,14 @@ func checkMarkerList(t testing.TB, name string, ins []*run, seed int64) {
 	for k := 1; k < len(runs); k++ {
 		for _, w := range [][2]int{{k, len(runs)}, {0, k + 1}} {
 			i, j := w[0], w[1]
-			merged := slices.Concat(runs[:i], mergeRange(runs[i:j]), runs[j:])
+			merged := slices.Concat(runs[:i], mergeRange(runs[:i], runs[i:j]), runs[j:])
 			checkListReads(t, fmt.Sprintf("%s/merge[%d:%d]", name, i, j), merged, all, want)
 			if i == 0 && j == len(runs) && len(merged) > 1 {
 				t.Fatalf("%s: a full merge left %d runs", name, len(merged))
 			}
 		}
 	}
-	if full := mergeRange(runs); len(full) == 1 {
+	if full := mergeRange(nil, runs); len(full) == 1 {
 		checkRunProbes(t, name+"/full", full[0], want)
 	}
 }
@@ -516,7 +516,7 @@ func TestRunArraysExactLength(t *testing.T) {
 			runs := map[string]*run{
 				"buildRun": runOf(ps, false),
 				"merge":    mergeRuns([]*run{runOf(parts[0], false), runOf(parts[1], false), runOf(parts[2], false)}),
-				"markers":  mergeRange([]*run{runOf(ps, false), runOf(parts[1], true)})[0],
+				"markers":  mergeRange(nil, []*run{runOf(ps, false), runOf(parts[1], true)})[0],
 			}
 			for how, r := range runs {
 				for dir, d := range map[string]*direction{"subject": &r.bySub, "object": &r.byObj} {

@@ -21,6 +21,15 @@
 // SubjectsAppend append ascending results into a caller-owned buffer
 // (the contract the query executor's galloping intersection relies on).
 //
+// The store also knows which triples were asserted rather than inferred,
+// which is all delete-and-rederive needs: each add run carries one bit
+// per pair, and a live pair is explicit when the bit of its newest add is
+// set. AssertBatch adds with the bit set, and promotes a live inferred
+// pair as a marker plus a re-add with the bit; Demote re-adds a live
+// explicit pair without it. So a flip keeps the add/marker alternation,
+// and a merge keeps a flipped pair's marker and re-add unless its window
+// starts at the oldest run.
+//
 // The whole store is one immutable root (a View): the sorted table of
 // predicates with their runLists, the live triple count and the version.
 // The Store holds an atomic pointer to the current root. A write groups
@@ -84,12 +93,19 @@ func (rl *runList) len() int {
 // live reports whether (s,o) is live in runs: its newest occurrence is
 // in an add run.
 func live(runs []*run, s, o rdf.ID) bool {
+	isLive, _ := stateIn(runs, s, o)
+	return isLive
+}
+
+// stateIn reports whether (s,o) is live in runs, and whether it is
+// explicit: its newest occurrence is in an add run, with its bit set.
+func stateIn(runs []*run, s, o rdf.ID) (isLive, explicit bool) {
 	for i := len(runs) - 1; i >= 0; i-- {
-		if runs[i].contains(s, o) {
-			return !runs[i].del
+		if pos, ok := runs[i].bySub.find(s, o); ok {
+			return !runs[i].del, runs[i].expl.has(pos)
 		}
 	}
-	return false
+	return false, false
 }
 
 // objectsAppend appends subject s's live objects in runs to dst in
@@ -186,6 +202,73 @@ func forEachLive(runs []*run, f func(s, o rdf.ID) bool) bool {
 		}
 		for _, o := range settle(objs, 0, spans) {
 			if !f(s, o) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// forEachPair is forEachLive also reporting each pair's explicit bit: a
+// subject in one run streams its span with the run's bits, and one in
+// several has its objects settled as forEachLive settles them, each
+// taking the bit of its newest add.
+func forEachPair(runs []*run, f func(s, o rdf.ID, explicit bool) bool) bool {
+	type cursor struct {
+		r *run
+		i int // where the next key starts in r.bySub.keys
+	}
+	cur := make([]cursor, 0, len(runs))
+	for _, r := range runs {
+		if len(r.bySub.keys) > 0 {
+			cur = append(cur, cursor{r: r})
+		}
+	}
+	var spans [][]rdf.ID
+	var from []cursor // each span's run, and where it starts in r.bySub.vals
+	var objs []rdf.ID
+	for len(cur) > 0 {
+		s := cur[0].r.bySub.keys[cur[0].i]
+		for _, c := range cur[1:] {
+			s = min(s, c.r.bySub.keys[c.i])
+		}
+		spans, from = spans[:0], from[:0]
+		for ci := 0; ci < len(cur); ci++ {
+			c := &cur[ci]
+			d := &c.r.bySub
+			if d.keys[c.i] != s {
+				continue
+			}
+			from = append(from, cursor{r: c.r, i: d.start(c.i)})
+			var span []rdf.ID
+			span, c.i = d.spanAt(c.i)
+			spans = append(spans, span)
+			if c.i == len(d.keys) {
+				cur = slices.Delete(cur, ci, ci+1)
+				ci--
+			}
+		}
+		if len(spans) == 1 { // an add: a marker's subject is in its add's run too
+			for j, o := range spans[0] {
+				if !f(s, o, from[0].r.expl.has(from[0].i+j)) {
+					return false
+				}
+			}
+			continue
+		}
+		objs = objs[:0]
+		for _, span := range spans {
+			objs = append(objs, span...)
+		}
+		for _, o := range settle(objs, 0, len(spans)) {
+			explicit := false
+			for k := len(from) - 1; k >= 0; k-- {
+				if j, ok := slices.BinarySearch(spans[k], o); ok {
+					explicit = from[k].r.expl.has(from[k].i + j)
+					break
+				}
+			}
+			if !f(s, o, explicit) {
 				return false
 			}
 		}
@@ -303,22 +386,41 @@ func (st *Store) root() *View { return st.cur.Load() }
 // contents are unchanged between them.
 func (st *Store) Version() uint64 { return st.root().version }
 
-// Add inserts a triple and reports whether it was new: a one-pair
-// batch, which the first merge tier absorbs.
+// op is what a write does to each pair of its batch.
+type op uint8
+
+const (
+	opAdd    op = iota // add the pairs not live, inferred
+	opAssert           // add the pairs not live, explicit; promote the live inferred ones
+	opRemove           // remove the live pairs
+	opDemote           // demote the live explicit pairs to inferred
+)
+
+// Add inserts a triple as inferred and reports whether it was new: a
+// one-pair batch, which the first merge tier absorbs.
 func (st *Store) Add(t rdf.Triple) bool {
-	return st.apply([]group{{p: t.P, keys: []uint64{pairKey(t.S, t.O)}}}, false) == 1
+	return st.apply([]group{{p: t.P, keys: []uint64{pairKey(t.S, t.O)}}}, opAdd) == 1
 }
 
-// AddBatch inserts all triples and returns those that were new, once
-// each, grouped by predicate in first-seen order and in (subject,
-// object) order within a predicate. Each predicate's share of the batch
-// becomes one add run, and the batch becomes visible whole.
-func (st *Store) AddBatch(ts []rdf.Triple) []rdf.Triple {
+// AddBatch inserts all triples as inferred and returns those that were
+// new, once each, grouped by predicate in first-seen order and in
+// (subject, object) order within a predicate. Each predicate's share of
+// the batch becomes one add run, and the batch becomes visible whole.
+func (st *Store) AddBatch(ts []rdf.Triple) []rdf.Triple { return st.insert(ts, opAdd) }
+
+// AssertBatch inserts all triples as explicit and returns those that
+// were new, as AddBatch does. A triple already live as inferred is
+// promoted in the same publication — a marker run, then an add run with
+// its bit set — and is not returned; one already explicit is left alone.
+func (st *Store) AssertBatch(ts []rdf.Triple) []rdf.Triple { return st.insert(ts, opAssert) }
+
+// insert is AddBatch and AssertBatch.
+func (st *Store) insert(ts []rdf.Triple, how op) []rdf.Triple {
 	if len(ts) == 0 {
 		return nil
 	}
 	groups := groupByPredicate(ts)
-	n := st.apply(groups, false)
+	n := st.apply(groups, how)
 	if n == 0 {
 		return nil
 	}
@@ -334,7 +436,7 @@ func (st *Store) AddBatch(ts []rdf.Triple) []rdf.Triple {
 
 // Remove deletes a triple and reports whether it was present.
 func (st *Store) Remove(t rdf.Triple) bool {
-	return st.apply([]group{{p: t.P, keys: []uint64{pairKey(t.S, t.O)}}}, true) == 1
+	return st.apply([]group{{p: t.P, keys: []uint64{pairKey(t.S, t.O)}}}, opRemove) == 1
 }
 
 // RemoveAll deletes all given triples, returning how many were present.
@@ -344,111 +446,161 @@ func (st *Store) RemoveAll(ts []rdf.Triple) int {
 	if len(ts) == 0 {
 		return 0
 	}
-	return st.apply(groupByPredicate(ts), true)
+	return st.apply(groupByPredicate(ts), opRemove)
+}
+
+// Demote turns every given triple that is live and explicit into an
+// inferred one, which stays live — a marker run, then an add run without
+// the bit — and returns how many it demoted.
+func (st *Store) Demote(ts []rdf.Triple) int {
+	if len(ts) == 0 {
+		return 0
+	}
+	return st.apply(groupByPredicate(ts), opDemote)
 }
 
 // change is one group's share of a write, staged against from, the
-// runList of predicate p it read: the group's keys the write changes
-// (those not live for an add, those live for a removal), the run they
-// become and the live pair count left. rl, p's next runList, is set at
-// publication; it stays nil when the write drains p.
+// runList of predicate p it read: the group's keys whose liveness the
+// write changes (those not live for an add, those live for a removal),
+// those live pairs whose explicit bit it flips, the runs they become and
+// the live pair count left. rl, p's next runList, is set at publication;
+// it stays nil when the write drains p.
 type change struct {
-	p    rdf.ID
-	from *runList
-	kept []uint64
-	run  *run
-	left int
-	rl   *runList
+	p       rdf.ID
+	from    *runList
+	kept    []uint64
+	flipped []uint64
+	runs    []*run
+	left    int
+	rl      *runList
 }
 
+// changed reports whether the change alters p at all.
+func (c *change) changed() bool { return len(c.kept)+len(c.flipped) > 0 }
+
 // stageChange stages keys (ascending, no repeats, sharing predicate p)
-// against from: the kept keys become one run.
-func stageChange(p rdf.ID, from *runList, keys []uint64, del bool) change {
+// against from. A removal's kept keys become one marker run, an add's
+// one add run. A flip re-adds a live pair with the other bit behind a
+// marker: an assert's promoted keys form a marker run and join its kept
+// keys in one add run with every bit set; a demotion's form a marker run
+// and an add run with none.
+func stageChange(p rdf.ID, from *runList, keys []uint64, how op) change {
 	runs := from.get()
 	c := change{p: p, from: from}
 	for i, k := range keys {
-		if s, o := unpack(k); live(runs, s, o) == del {
+		s, o := unpack(k)
+		isLive, explicit := stateIn(runs, s, o)
+		switch {
+		case how == opRemove && isLive, (how == opAdd || how == opAssert) && !isLive:
 			if c.kept == nil {
 				c.kept = make([]uint64, 0, len(keys)-i)
 			}
 			c.kept = append(c.kept, k)
+		case how == opAssert && isLive && !explicit, how == opDemote && explicit:
+			c.flipped = append(c.flipped, k)
 		}
 	}
 	c.left = from.len() + len(c.kept)
-	if del {
+	if how == opRemove {
 		c.left = from.len() - len(c.kept)
 	}
-	if len(c.kept) > 0 && c.left > 0 {
-		c.run = buildRun(c.kept, del)
+	if !c.changed() || c.left == 0 {
+		return c
+	}
+	if len(c.flipped) > 0 {
+		c.runs = append(c.runs, buildRun(c.flipped, true, nil))
+	}
+	switch how {
+	case opAdd:
+		c.runs = append(c.runs, buildRun(c.kept, false, nil))
+	case opRemove:
+		c.runs = append(c.runs, buildRun(c.kept, true, nil))
+	case opDemote:
+		c.runs = append(c.runs, buildRun(c.flipped, false, nil))
+	case opAssert:
+		adds := c.kept
+		if len(c.flipped) > 0 {
+			adds = slices.Concat(c.kept, c.flipped)
+			slices.Sort(adds)
+		}
+		expl := newBitmap(len(adds))
+		for i := range adds {
+			expl.set(i)
+		}
+		c.runs = append(c.runs, buildRun(adds, false, expl))
 	}
 	return c
 }
 
-// apply publishes one batch's groups — adds, or removals with del set —
-// as one new root and returns how many pairs it changed, leaving each
-// group's keys filtered to them. Each group is staged against the
-// current root outside mu: its kept pairs are found and built into a
-// run there. Under mu a group is published as staged when its
-// predicate's runList is still the one it read, and staged again
-// otherwise; its run is appended to that runList's runs as they are
-// then, so a merge swapped in meanwhile is kept. A predicate at maxRuns
-// runs is merged down first, outside mu, since workMu ranks outside it.
-func (st *Store) apply(groups []group, del bool) int {
+// apply publishes one batch's groups, written as how says, as one new
+// root and returns how many pairs it added, removed or (for a demotion)
+// demoted, leaving each group's keys filtered to those it added or
+// removed. Each group is staged against the current root outside mu:
+// its pairs are found and built into runs there. Under mu a group is
+// published as staged when its predicate's runList is still the one it
+// read, and staged again otherwise; its runs are appended to that
+// runList's runs as they are then, so a merge swapped in meanwhile is
+// kept. A write appends up to two runs, so a predicate within one of
+// maxRuns is merged down first, outside mu, since workMu ranks outside
+// it.
+func (st *Store) apply(groups []group, how op) int {
+	full := func(rl *runList) bool { return len(rl.get()) >= maxRuns-1 }
 	var base *View
 	for {
 		base = st.root()
-		full := slices.IndexFunc(groups, func(g group) bool { return len(base.list(g.p).get()) >= maxRuns })
-		if full < 0 {
+		i := slices.IndexFunc(groups, func(g group) bool { return full(base.list(g.p)) })
+		if i < 0 {
 			break
 		}
-		st.mergeDown(groups[full].p)
+		st.mergeDown(groups[i].p)
 	}
 	changes := make([]change, len(groups))
 	for g, gr := range groups {
-		changes[g] = stageChange(gr.p, base.list(gr.p), gr.keys, del)
+		changes[g] = stageChange(gr.p, base.list(gr.p), gr.keys, how)
 	}
 	var cur *View
 	for {
 		st.mu.Lock()
 		cur = st.root()
-		full := -1
+		merge := -1
 		for g := range changes {
 			c := &changes[g]
 			if rl := cur.list(c.p); rl != c.from {
-				if len(rl.get()) >= maxRuns {
-					full = g
+				if full(rl) {
+					merge = g
 					break
 				}
-				*c = stageChange(c.p, rl, groups[g].keys, del)
+				*c = stageChange(c.p, rl, groups[g].keys, how)
 			}
 		}
-		if full < 0 {
+		if merge < 0 {
 			break
 		}
 		st.mu.Unlock()
-		st.mergeDown(changes[full].p)
+		st.mergeDown(changes[merge].p)
 	}
-	n := 0
+	n, flipped := 0, 0
 	var due []rdf.ID
 	for g := range changes {
 		c := &changes[g]
 		groups[g].keys = c.kept
 		n += len(c.kept)
-		if c.run == nil {
+		flipped += len(c.flipped)
+		if len(c.runs) == 0 {
 			continue
 		}
-		next := append(slices.Clip(c.from.get()), c.run)
+		next := slices.Concat(c.from.get(), c.runs)
 		if invariantsEnabled {
-			checkRunList(next, c.left, c.run)
+			checkRunList(next, c.left, c.runs...)
 		}
 		c.rl = newRunList(next, c.left)
 		if mergeDue(next) {
 			due = append(due, c.p)
 		}
 	}
-	if n > 0 {
+	if n+flipped > 0 {
 		delta := n
-		if del {
+		if how == opRemove {
 			delta = -n
 		}
 		st.cur.Store(cur.next(changes, delta))
@@ -456,6 +608,9 @@ func (st *Store) apply(groups []group, del bool) int {
 	st.mu.Unlock()
 	for _, p := range due {
 		st.enqueueCompact(p)
+	}
+	if how == opDemote {
+		return flipped
 	}
 	return n
 }
@@ -469,7 +624,7 @@ func (v *View) next(changes []change, delta int) *View {
 	nv := &View{preds: v.preds, lists: slices.Clone(v.lists), size: v.size + delta, version: v.version + 1}
 	shared := true
 	for _, c := range changes {
-		if len(c.kept) == 0 {
+		if !c.changed() {
 			continue
 		}
 		i, ok := slices.BinarySearch(nv.preds, c.p)
@@ -496,6 +651,10 @@ func (st *Store) Freeze() *View { return st.root() }
 
 // Contains reports whether the exact triple is present.
 func (st *Store) Contains(t rdf.Triple) bool { return st.root().Contains(t) }
+
+// Explicit reports whether the triple is present as an explicit one (see
+// View.Explicit).
+func (st *Store) Explicit(t rdf.Triple) bool { return st.root().Explicit(t) }
 
 // ContainsBatch reports, for each input triple, whether it is present.
 // All answers come from one root.
@@ -719,6 +878,21 @@ func (v *View) ForEach(f func(rdf.Triple) bool) {
 // Contains reports whether the triple is present in the view.
 func (v *View) Contains(t rdf.Triple) bool {
 	return live(v.list(t.P).get(), t.S, t.O)
+}
+
+// Explicit reports whether the triple is present in the view as an
+// explicit one: asserted with AssertBatch, and neither removed nor
+// demoted since.
+func (v *View) Explicit(t rdf.Triple) bool {
+	_, explicit := stateIn(v.list(t.P).get(), t.S, t.O)
+	return explicit
+}
+
+// ForEachPair calls f for every (s, o) pair of the predicate, in
+// (subject, object) order, with whether the pair is explicit, until f
+// returns false.
+func (v *View) ForEachPair(p rdf.ID, f func(s, o rdf.ID, explicit bool) bool) {
+	forEachPair(v.list(p).get(), f)
 }
 
 // MatchEach streams every triple of the view matching the pattern

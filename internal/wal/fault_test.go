@@ -106,7 +106,7 @@ func junkPayload(w io.Writer) error {
 
 // TestEveryRenameFaultMatrix injects a one-shot rename failure at every
 // rename a fixed append-checkpoint-append workload performs (checkpoint
-// snapshot install, explicit-set install, manifest commit) and asserts:
+// snapshot install, manifest commit) and asserts:
 // a failed checkpoint is retryable after Recover, the manifest commit
 // point keeps replay exactly consistent with what was acknowledged, and
 // no acknowledged record is lost whichever rename died.
@@ -114,9 +114,9 @@ func TestEveryRenameFaultMatrix(t *testing.T) {
 	const preRecords, postRecords = 5, 3
 	// A committed checkpoint covers the pre-records; replay then yields
 	// only the post-records. Every rename position in the checkpoint
-	// (snapshot, explicit, manifest) must preserve that contract after a
+	// (snapshot, manifest) must preserve that contract after a
 	// recover-and-retry.
-	const checkpointRenames = 3
+	const checkpointRenames = 2
 	for k := 1; k <= checkpointRenames; k++ {
 		t.Run(fmt.Sprintf("rename%d", k), func(t *testing.T) {
 			dir := t.TempDir()
@@ -135,7 +135,7 @@ func TestEveryRenameFaultMatrix(t *testing.T) {
 				acked = append(acked, rec)
 			}
 			ffs.FailRename(k, nil)
-			if err := l.WriteCheckpoint(junkPayload, junkPayload); err == nil {
+			if err := l.WriteCheckpoint(junkPayload); err == nil {
 				t.Fatalf("checkpoint with rename fault %d unexpectedly committed", k)
 			}
 			// The records are still acknowledged and must still replay if
@@ -143,7 +143,7 @@ func TestEveryRenameFaultMatrix(t *testing.T) {
 			if err := l.Recover(); err != nil {
 				t.Fatalf("Recover after rename fault: %v", err)
 			}
-			if err := l.WriteCheckpoint(junkPayload, junkPayload); err != nil {
+			if err := l.WriteCheckpoint(junkPayload); err != nil {
 				t.Fatalf("checkpoint retry: %v", err)
 			}
 			var post []Record

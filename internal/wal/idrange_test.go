@@ -1,7 +1,6 @@
 package wal
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
@@ -106,38 +105,5 @@ func TestOutOfRangeIDsRejected(t *testing.T) {
 	defer l.Close()
 	if recs, _ := replayAll(t, l); len(recs) != 2 {
 		t.Fatalf("replayed %d records, want the 2 before the out-of-range one", len(recs))
-	}
-}
-
-// rawExplicit encodes an explicit-set sidecar of format version v
-// holding one triple of raw integers.
-func rawExplicit(v byte, tr [3]uint64) []byte {
-	b := append(explicitMagic[:], v, 1)
-	for _, x := range tr {
-		b = appendUvarint(b, x)
-	}
-	return binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b))
-}
-
-func TestReadExplicitRejectsOutOfRangeID(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteExplicit(&buf, []rdf.Triple{rdf.T(1, 2, 3), rdf.T(4, 5, kind11)}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadExplicit(&buf); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("ReadExplicit = %v, want ErrCorrupt", err)
-	}
-	valid := [3]uint64{validIDs[1], validIDs[2], validIDs[3]}
-	if _, err := ReadExplicit(bytes.NewReader(rawExplicit(Version, valid))); err != nil {
-		t.Fatalf("ReadExplicit on valid raw IDs: %v", err)
-	}
-	for _, x := range notTerm {
-		for pos := range valid {
-			tr := valid
-			tr[pos] = x
-			if ts, err := ReadExplicit(bytes.NewReader(rawExplicit(Version, tr))); !errors.Is(err, ErrCorrupt) {
-				t.Errorf("ReadExplicit with %#x at position %d = %v, %v; want ErrCorrupt", x, pos, ts, err)
-			}
-		}
 	}
 }

@@ -28,14 +28,13 @@ func TestTwoPhaseCheckpointCoversMarkOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Appends land while the payloads stream.
+	// Appends land while the payload streams.
 	if err := l.Append(testRecord(100)); err != nil {
 		t.Fatal(err)
 	}
 	snap := []byte("view-at-mark")
-	err = l.WriteCheckpointPayloads(m,
+	err = l.WriteCheckpointPayload(m,
 		func(w io.Writer) error { _, err := w.Write(snap); return err },
-		func(w io.Writer) error { return WriteExplicit(w, nil) },
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -58,14 +57,13 @@ func TestTwoPhaseCheckpointCoversMarkOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l2.Close()
-	s, e, ok, err := l2.OpenCheckpoint()
+	s, ok, err := l2.OpenCheckpoint()
 	if err != nil || !ok {
 		t.Fatalf("OpenCheckpoint: ok=%v err=%v", ok, err)
 	}
 	var buf bytes.Buffer
 	buf.ReadFrom(s)
 	s.Close()
-	e.Close()
 	if !bytes.Equal(buf.Bytes(), snap) {
 		t.Fatalf("snapshot payload = %q, want %q", buf.Bytes(), snap)
 	}
@@ -93,9 +91,8 @@ func TestTwoPhaseCheckpointNoTailIsClean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = l.WriteCheckpointPayloads(m,
+	err = l.WriteCheckpointPayload(m,
 		func(w io.Writer) error { _, err := w.Write([]byte("x")); return err },
-		func(w io.Writer) error { return WriteExplicit(w, nil) },
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -126,9 +123,8 @@ func TestAbortCheckpointRemovesPayloads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = l.WriteCheckpointPayloads(m,
+	err = l.WriteCheckpointPayload(m,
 		func(w io.Writer) error { _, err := w.Write([]byte("doomed")); return err },
-		func(w io.Writer) error { return WriteExplicit(w, nil) },
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -146,7 +142,6 @@ func TestAbortCheckpointRemovesPayloads(t *testing.T) {
 	// The log keeps working: the next checkpoint reuses the generation.
 	err = l.WriteCheckpoint(
 		func(w io.Writer) error { _, err := w.Write([]byte("second try")); return err },
-		func(w io.Writer) error { return WriteExplicit(w, nil) },
 	)
 	if err != nil {
 		t.Fatalf("checkpoint after abort: %v", err)
@@ -177,7 +172,6 @@ func TestCommitStaleMarkRefused(t *testing.T) {
 	// one in flight at a time — but the log must still defend itself).
 	err = l.WriteCheckpoint(
 		func(w io.Writer) error { _, err := w.Write([]byte("winner")); return err },
-		func(w io.Writer) error { return WriteExplicit(w, nil) },
 	)
 	if err != nil {
 		t.Fatal(err)

@@ -12,9 +12,8 @@
 //	segment-00000002.wal        ... the highest-numbered segment is the
 //	                            one being appended to
 //	checkpoint-00000001.slkb    snapshot of the materialised store
-//	                            (internal/snapshot format)
-//	checkpoint-00000001.explicit the explicit (asserted) triple set at
-//	                            the same instant, for restartable DRed
+//	                            (internal/snapshot format), which marks
+//	                            the explicit triples, for restartable DRed
 //
 // A checkpoint covers every segment that was closed before it was
 // taken; covered segments are deleted once the manifest commits the new
@@ -47,13 +46,14 @@ import (
 // Segment header: magic plus a format version byte.
 var segmentMagic = [4]byte{'S', 'L', 'W', 'L'}
 
-// Version of the on-disk log format, shared by the segments, the
-// manifest and the checkpoint's explicit-set sidecar. Version 1 wrote
-// 64-bit IDs; version 2 writes the 32-bit rdf.ID as it is.
-const Version = 2
+// Version of the on-disk log format, shared by the segments and the
+// manifest. Version 1 wrote 64-bit IDs; version 2 wrote the explicit
+// triple set in a checkpoint sidecar, which version 3 folds into the
+// snapshot.
+const Version = 3
 
 // unsupportedVersion is the error for a file of format version v, not
-// Version. Version-1 data is refused, not converted.
+// Version. Older data is refused, not converted.
 func unsupportedVersion(what string, v int) error {
 	return fmt.Errorf("%w: %s is format version %d, not %d: export the data to N-Triples with the release that wrote it and reload it", ErrCorrupt, what, v, Version)
 }
@@ -64,7 +64,6 @@ const (
 	segmentSuffix = ".wal"
 	ckptPrefix    = "checkpoint-"
 	ckptSnapshot  = ".slkb"
-	ckptExplicit  = ".explicit"
 )
 
 // ErrCorrupt reports a log whose surviving prefix could not be
@@ -162,19 +161,16 @@ func Open(dir string, opts Options) (*Log, error) {
 	return l, nil
 }
 
-// statCheckpoint sums the on-disk size of a checkpoint generation's
-// files (0 for generation 0 or missing files).
+// statCheckpoint returns the on-disk size of a checkpoint generation's
+// snapshot (0 for generation 0 or a missing file).
 func (l *Log) statCheckpoint(gen int) int64 {
 	if gen == 0 {
 		return 0
 	}
-	var total int64
-	for _, name := range []string{checkpointSnapshotName(gen), checkpointExplicitName(gen)} {
-		if fi, err := l.fs.Stat(filepath.Join(l.dir, name)); err == nil {
-			total += fi.Size()
-		}
+	if fi, err := l.fs.Stat(filepath.Join(l.dir, checkpointSnapshotName(gen))); err == nil {
+		return fi.Size()
 	}
-	return total
+	return 0
 }
 
 // Dir returns the log's root directory.
@@ -321,8 +317,7 @@ func isCheckpointName(name string) bool {
 }
 
 func checkpointGen(name string) (int, bool) {
-	ext := filepath.Ext(name)
-	if ext != ckptSnapshot && ext != ckptExplicit {
+	if filepath.Ext(name) != ckptSnapshot {
 		return 0, false
 	}
 	var gen int
@@ -332,10 +327,6 @@ func checkpointGen(name string) (int, bool) {
 
 func checkpointSnapshotName(gen int) string {
 	return fmt.Sprintf("%s%08d%s", ckptPrefix, gen, ckptSnapshot)
-}
-
-func checkpointExplicitName(gen int) string {
-	return fmt.Sprintf("%s%08d%s", ckptPrefix, gen, ckptExplicit)
 }
 
 // liveSegments lists the live segment indices in ascending order.
@@ -702,30 +693,25 @@ func (l *Log) HasCheckpoint() bool {
 	return l.man.Checkpoint != 0
 }
 
-// OpenCheckpoint opens the current checkpoint's snapshot and explicit-set
-// files for reading. ok is false when no checkpoint exists.
-func (l *Log) OpenCheckpoint() (snap, explicit io.ReadCloser, ok bool, err error) {
+// OpenCheckpoint opens the current checkpoint's snapshot for reading. ok
+// is false when no checkpoint exists.
+func (l *Log) OpenCheckpoint() (snap io.ReadCloser, ok bool, err error) {
 	l.mu.Lock()
 	gen := l.man.Checkpoint
 	l.mu.Unlock()
 	if gen == 0 {
-		return nil, nil, false, nil
+		return nil, false, nil
 	}
 	s, err := l.fs.Open(filepath.Join(l.dir, checkpointSnapshotName(gen)))
 	if err != nil {
-		return nil, nil, false, err
+		return nil, false, err
 	}
-	e, err := l.fs.Open(filepath.Join(l.dir, checkpointExplicitName(gen)))
-	if err != nil {
-		s.Close()
-		return nil, nil, false, err
-	}
-	return s, e, true, nil
+	return s, true, nil
 }
 
 // CheckpointMark identifies the log position a two-phase checkpoint
 // covers: everything appended before BeginCheckpoint returned. It is
-// the handle threaded through WriteCheckpointPayloads and
+// the handle threaded through WriteCheckpointPayload and
 // CommitCheckpoint/AbortCheckpoint.
 type CheckpointMark struct {
 	gen       int    // generation the checkpoint installs as
@@ -739,7 +725,7 @@ func (m CheckpointMark) Gen() int { return m.gen }
 // BeginCheckpoint opens a two-phase checkpoint: it rolls the live
 // segment — an O(1) close-and-create, the only part that excludes
 // appends — and returns a mark covering every record appended so far.
-// The caller then streams the payloads (WriteCheckpointPayloads) while
+// The caller then streams the payload (WriteCheckpointPayload) while
 // appends continue into the fresh segment, and finally installs the
 // manifest with CommitCheckpoint. Only one checkpoint may be in flight
 // at a time; that is the caller's responsibility.
@@ -762,13 +748,13 @@ func (l *Log) BeginCheckpoint() (CheckpointMark, error) {
 	}, nil
 }
 
-// WriteCheckpointPayloads streams the snapshot and explicit-set payloads
-// for the mark to their generation-named files (write-to-temp, fsync,
-// rename). It runs without the log's lock: the files are invisible to
-// recovery until CommitCheckpoint installs the manifest, and concurrent
-// appends proceed against the post-mark live segment. The payloads must
-// reflect exactly the records the mark covers.
-func (l *Log) WriteCheckpointPayloads(m CheckpointMark, writeSnapshot, writeExplicit func(io.Writer) error) error {
+// WriteCheckpointPayload streams the snapshot for the mark to its
+// generation-named file (write-to-temp, fsync, rename). It runs without
+// the log's lock: the file is invisible to recovery until
+// CommitCheckpoint installs the manifest, and concurrent appends proceed
+// against the post-mark live segment. The payload must reflect exactly
+// the records the mark covers.
+func (l *Log) WriteCheckpointPayload(m CheckpointMark, writeSnapshot func(io.Writer) error) error {
 	l.mu.Lock()
 	closed := l.closed
 	l.mu.Unlock()
@@ -778,16 +764,13 @@ func (l *Log) WriteCheckpointPayloads(m CheckpointMark, writeSnapshot, writeExpl
 	if err := writeCheckpointFile(l.fs, filepath.Join(l.dir, checkpointSnapshotName(m.gen)), writeSnapshot); err != nil {
 		return err
 	}
-	if err := writeCheckpointFile(l.fs, filepath.Join(l.dir, checkpointExplicitName(m.gen)), writeExplicit); err != nil {
-		return err
-	}
 	l.fs.SyncDir(l.dir)
 	return nil
 }
 
 // CommitCheckpoint makes the mark's checkpoint the recovery point: it
 // commits the manifest referencing the new generation, then prunes the
-// covered segments and the previous generation's files. Records appended
+// covered segments and the previous generation's snapshot. Records appended
 // after the mark stay in the live segments and remain replayable — the
 // checkpoint covers the log up to the mark, not up to the install.
 func (l *Log) CommitCheckpoint(m CheckpointMark) error {
@@ -842,12 +825,11 @@ func (l *Log) CommitCheckpoint(m CheckpointMark) error {
 	}
 	if oldGen != 0 {
 		l.fs.Remove(filepath.Join(l.dir, checkpointSnapshotName(oldGen)))
-		l.fs.Remove(filepath.Join(l.dir, checkpointExplicitName(oldGen)))
 	}
 	return nil
 }
 
-// AbortCheckpoint discards the payload files of a checkpoint that will
+// AbortCheckpoint discards the payload file of a checkpoint that will
 // not be committed (stream failure, shutdown). Best-effort: anything it
 // misses is unreferenced by the manifest and swept by the next Open.
 func (l *Log) AbortCheckpoint(m CheckpointMark) {
@@ -858,21 +840,20 @@ func (l *Log) AbortCheckpoint(m CheckpointMark) {
 		return
 	}
 	l.fs.Remove(filepath.Join(l.dir, checkpointSnapshotName(m.gen)))
-	l.fs.Remove(filepath.Join(l.dir, checkpointExplicitName(m.gen)))
 }
 
 // WriteCheckpoint atomically installs a new checkpoint covering every
 // record appended so far, composing the two-phase primitives
-// back-to-back. The caller must guarantee the payloads reflect at least
+// back-to-back. The caller must guarantee the payload reflects at least
 // every record acknowledged before the call and that no appends land
 // between the mark and the payload capture (in practice: the store is
 // quiescent and appends are blocked).
-func (l *Log) WriteCheckpoint(writeSnapshot, writeExplicit func(io.Writer) error) error {
+func (l *Log) WriteCheckpoint(writeSnapshot func(io.Writer) error) error {
 	m, err := l.BeginCheckpoint()
 	if err != nil {
 		return err
 	}
-	if err := l.WriteCheckpointPayloads(m, writeSnapshot, writeExplicit); err != nil {
+	if err := l.WriteCheckpointPayload(m, writeSnapshot); err != nil {
 		l.AbortCheckpoint(m)
 		return err
 	}

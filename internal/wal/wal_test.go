@@ -142,7 +142,6 @@ func TestCheckpointPrunesSegments(t *testing.T) {
 	snap := []byte("snapshot-payload")
 	err = l.WriteCheckpoint(
 		func(w io.Writer) error { _, err := w.Write(snap); return err },
-		func(w io.Writer) error { return WriteExplicit(w, nil) },
 	)
 	if err != nil {
 		t.Fatalf("WriteCheckpoint: %v", err)
@@ -166,7 +165,7 @@ func TestCheckpointPrunesSegments(t *testing.T) {
 	if !l2.HasCheckpoint() {
 		t.Fatal("checkpoint not found after reopen")
 	}
-	s, e, ok, err := l2.OpenCheckpoint()
+	s, ok, err := l2.OpenCheckpoint()
 	if err != nil || !ok {
 		t.Fatalf("OpenCheckpoint: ok=%v err=%v", ok, err)
 	}
@@ -176,43 +175,9 @@ func TestCheckpointPrunesSegments(t *testing.T) {
 	if !bytes.Equal(buf.Bytes(), snap) {
 		t.Fatalf("snapshot payload corrupted: %q", buf.Bytes())
 	}
-	ts, err := ReadExplicit(e)
-	e.Close()
-	if err != nil || len(ts) != 0 {
-		t.Fatalf("ReadExplicit: %v %v", ts, err)
-	}
 	got, _ := replayAll(t, l2)
 	if len(got) != 2 {
 		t.Fatalf("tail replay has %d records, want 2 (checkpointed records must be pruned)", len(got))
-	}
-}
-
-func TestExplicitRoundTrip(t *testing.T) {
-	ts := []rdf.Triple{
-		rdf.T(1, 2, 3),
-		rdf.T(rdf.ID(1<<30|7), rdf.IDType, rdf.ID(2<<30|9)),
-	}
-	var buf bytes.Buffer
-	if err := WriteExplicit(&buf, ts); err != nil {
-		t.Fatal(err)
-	}
-	raw := append([]byte(nil), buf.Bytes()...)
-	got, err := ReadExplicit(bytes.NewReader(raw))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, ts) {
-		t.Fatalf("round trip: got %v want %v", got, ts)
-	}
-	// Flip one byte anywhere: must error, never panic.
-	for i := range raw {
-		mutated := append([]byte(nil), raw...)
-		mutated[i] ^= 0x40
-		if _, err := ReadExplicit(bytes.NewReader(mutated)); err == nil {
-			// A flip in the length byte region could still checksum-fail;
-			// any successful parse here means the CRC did not cover i.
-			t.Fatalf("corruption at byte %d went undetected", i)
-		}
 	}
 }
 
@@ -401,7 +366,6 @@ func TestCheckpointBytesTracked(t *testing.T) {
 	}
 	err = l.WriteCheckpoint(
 		func(w io.Writer) error { _, err := w.Write(make([]byte, 1000)); return err },
-		func(w io.Writer) error { return WriteExplicit(w, nil) },
 	)
 	if err != nil {
 		t.Fatal(err)

@@ -208,11 +208,6 @@ func (r *Reasoner) BackgroundErr() error {
 	if err := r.store.CompactionErr(); err != nil {
 		return err
 	}
-	if r.explicit != nil {
-		if err := r.explicit.CompactionErr(); err != nil {
-			return err
-		}
-	}
 	if r.dur != nil {
 		return r.dur.getBgErr()
 	}

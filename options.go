@@ -65,9 +65,9 @@ func WithObserver(o Observer) Option {
 	return func(c *config) { c.observer = o }
 }
 
-// WithRetraction enables incremental deletion (Reasoner.Retract). The
-// reasoner then tracks which triples were explicitly asserted, costing
-// one set entry per explicit triple.
+// WithRetraction enables incremental deletion (Reasoner.Retract). It
+// costs nothing until Retract is called: every reasoner's store keeps
+// one bit per triple saying whether it was asserted.
 func WithRetraction() Option {
 	return func(c *config) { c.retraction = true }
 }
@@ -93,8 +93,9 @@ func WithViewMaxAge(d time.Duration) Option {
 // log before it reaches the engine, the materialised store is
 // checkpointed in the background, and reopening the same directory
 // (Open, or New with this option) replays snapshot plus log tail.
-// Durability implies WithRetraction: the explicit triple set is tracked
-// and checkpointed so delete-and-rederive survives restarts.
+// Durability implies WithRetraction: retractions are logged, and the
+// checkpoint keeps which triples were asserted, so delete-and-rederive
+// survives restarts.
 //
 // Open is the error-returning constructor; New panics if the directory
 // cannot be opened or replayed.

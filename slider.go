@@ -35,6 +35,7 @@ import (
 	"io"
 	"slices"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -174,14 +175,10 @@ type Reasoner struct {
 	engine *reasoner.Engine
 	frag   Fragment
 
-	// explicit tracks every asserted triple (the retraction axioms) when
-	// retraction support is enabled (WithRetraction or durability); nil
-	// otherwise. It is a second triple store rather than a plain set so
-	// durable reasoners can freeze a consistent view of it for the
-	// checkpoint's explicit sidecar while asserts keep landing. Its
-	// mutators run under writeMu, or at open before the reasoner is
-	// shared; readers need no lock (the store synchronizes itself).
-	explicit *store.Store
+	// retraction enables Retract (WithRetraction, or durability). Which
+	// triples were asserted — the retraction axioms — the store records
+	// itself, one bit per pair, whatever the option.
+	retraction bool
 
 	// writeMu is the one writer lock. Its holder alone hands batches to
 	// the engine, appends to the write-ahead log, marks a checkpoint,
@@ -249,9 +246,10 @@ func New(frag Fragment, opts ...Option) *Reasoner {
 
 // LoadSnapshot builds a Reasoner whose dictionary and store are restored
 // from a snapshot previously written by Reasoner.Snapshot. The restored
-// triples act as background knowledge: they join with new streamed data
-// but are not re-inferred from (a snapshot of a materialised store is
-// already closed).
+// triples are not re-inferred from (a snapshot of a materialised store
+// is already closed) but join with new streamed data, and each keeps
+// whether it was asserted or inferred: with WithRetraction, an asserted
+// one can be retracted as if it had been added to this reasoner.
 func LoadSnapshot(frag Fragment, rd io.Reader, opts ...Option) (*Reasoner, error) {
 	dict, st, err := snapshot.Load(rd)
 	if err != nil {
@@ -275,10 +273,6 @@ func (r *Reasoner) Snapshot(w io.Writer) error {
 }
 
 func newReasoner(frag Fragment, dict *rdf.Dictionary, st *store.Store, cfg config) *Reasoner {
-	var explicit *store.Store
-	if cfg.retraction {
-		explicit = store.New()
-	}
 	maxAge := cfg.viewMaxAge
 	if maxAge == 0 {
 		maxAge = DefaultViewMaxAge
@@ -290,8 +284,8 @@ func newReasoner(frag Fragment, dict *rdf.Dictionary, st *store.Store, cfg confi
 	st.SetMetrics(store.NewMetrics(reg))
 	r := &Reasoner{
 		dict:       dict,
-		explicit:   explicit,
 		store:      st,
+		retraction: cfg.retraction,
 		viewMaxAge: maxAge,
 		engine: reasoner.New(st, frag.rules, reasoner.Config{
 			BufferSize:      cfg.bufferSize,
@@ -322,13 +316,17 @@ func (r *Reasoner) Store() *Store { return r.store }
 // Graph returns the rules dependency graph built at initialisation.
 func (r *Reasoner) Graph() *DependencyGraph { return r.engine.Graph() }
 
+// ErrInvalidStatement is wrapped by the error Add and AddBatch return
+// for a statement that is not valid RDF.
+var ErrInvalidStatement = errors.New("slider: invalid statement")
+
 // Add streams one statement into the reasoner. It returns true if the
-// statement was new, and an error if it is not valid RDF (or, on a
-// durable reasoner, if the write-ahead log rejected it). Add is safe for
-// concurrent use.
+// statement was new, and an error if it is not valid RDF (wrapping
+// ErrInvalidStatement) or, on a durable reasoner, if the write-ahead log
+// rejected it. Add is safe for concurrent use.
 func (r *Reasoner) Add(st Statement) (bool, error) {
 	if !st.Valid() {
-		return false, fmt.Errorf("slider: invalid statement %v", st)
+		return false, fmt.Errorf("%w %v", ErrInvalidStatement, st)
 	}
 	n, err := r.addTriples(context.Background(), []rdf.Triple{r.dict.EncodeStatement(st)})
 	return n > 0, err
@@ -339,10 +337,11 @@ func (r *Reasoner) Add(st Statement) (bool, error) {
 // ingest path: one grouped store insertion and one routing pass, instead
 // of per-statement lock traffic — markedly faster for bulk loads, and the
 // path LoadNTriples and LoadTurtle use. If any statement is invalid RDF
-// an error is returned and nothing is added. Concurrent calls are
-// group-committed: whichever caller holds the writer lock runs every
-// batch queued behind it, so on a durable reasoner they share one log
-// append and fsync, while each caller still gets its own fresh count.
+// an error wrapping ErrInvalidStatement is returned and nothing is
+// added. Concurrent calls are group-committed: whichever caller holds
+// the writer lock runs every batch queued behind it, so on a durable
+// reasoner they share one log append and fsync, while each caller still
+// gets its own fresh count.
 func (r *Reasoner) AddBatch(sts []Statement) (int, error) {
 	return r.AddBatchCtx(context.Background(), sts)
 }
@@ -355,7 +354,7 @@ func (r *Reasoner) AddBatch(sts []Statement) (int, error) {
 func (r *Reasoner) AddBatchCtx(ctx context.Context, sts []Statement) (int, error) {
 	for _, st := range sts {
 		if !st.Valid() {
-			return 0, fmt.Errorf("slider: invalid statement %v", st)
+			return 0, fmt.Errorf("%w %v", ErrInvalidStatement, st)
 		}
 	}
 	ts := make([]rdf.Triple, len(sts))
@@ -408,7 +407,7 @@ func (r *Reasoner) addTriples(ctx context.Context, ts []rdf.Triple) (int, error)
 	}
 	r.writeMu.Lock()
 	if !b.done {
-		r.drainLocked(ctx)
+		r.drainLocked(b)
 	}
 	r.writeMu.Unlock()
 	if b.err != nil {
@@ -418,12 +417,16 @@ func (r *Reasoner) addTriples(ctx context.Context, ts []rdf.Triple) (int, error)
 }
 
 // drainLocked runs every queued batch in arrival order, with writeMu
-// held. A durable reasoner checks its write refusal once and logs the
-// batches as one record — one term delta, one fsync — before the engine
-// sees any of them, so an acknowledged batch is recoverable and replay
-// order is application order; a failed append fails them all. ctx (the
-// draining caller's) carries the append's span.
-func (r *Reasoner) drainLocked(ctx context.Context) {
+// held; self is the draining caller's own. A durable reasoner checks its
+// write refusal once and logs the batches as one record — one term
+// delta, one fsync — before the engine sees any of them, so an
+// acknowledged batch is recoverable and replay order is application
+// order; a failed append fails them all. self's context carries the
+// append's span, and every batch's span records how many batches shared
+// the drain (wal.batches) and whether its own caller ran it
+// (wal.drained_by_self), so each rider's trace shows the group commit
+// its acknowledgement waited on.
+func (r *Reasoner) drainLocked(self *pendingBatch) {
 	var batches []*pendingBatch
 	for b := r.pending.Swap(nil); b != nil; b = b.next {
 		batches = append(batches, b)
@@ -433,12 +436,13 @@ func (r *Reasoner) drainLocked(ctx context.Context) {
 	if len(batches) > 1 {
 		r.obs.ingestCoalesced.Add(int64(len(batches)))
 	}
-	var all []rdf.Triple
-	if r.dur != nil || r.explicit != nil {
-		all = concat(batches)
-	}
 	if r.dur != nil {
-		err := r.logAssertLocked(ctx, all)
+		for _, b := range batches {
+			sp := trace.FromContext(b.ctx)
+			sp.SetInt("wal.batches", int64(len(batches)))
+			sp.SetStr("wal.drained_by_self", strconv.FormatBool(b == self))
+		}
+		err := r.logAssertLocked(self.ctx, concat(batches))
 		if errors.Is(err, wal.ErrRejected) && len(batches) > 1 {
 			// A rejection (a wildcard ID, an oversized record) is one
 			// caller's problem: log the batches one by one so that only
@@ -452,7 +456,7 @@ func (r *Reasoner) drainLocked(ctx context.Context) {
 					kept = append(kept, b)
 				}
 			}
-			batches, all = kept, concat(kept)
+			batches = kept
 		}
 		if err != nil {
 			for _, b := range batches {
@@ -461,7 +465,7 @@ func (r *Reasoner) drainLocked(ctx context.Context) {
 			return
 		}
 	}
-	r.applyAssert(batches, all)
+	r.applyAssert(batches)
 	if r.dur != nil {
 		r.maybeCheckpointLocked()
 	}
@@ -502,14 +506,14 @@ func (r *Reasoner) logAssertLocked(ctx context.Context, ts []rdf.Triple) error {
 // keeps its own fresh count and its own span tree, and its asynchronous
 // tail (inference rounds still running, the view refresh that will make
 // the batch visible) goes to the lifecycle watcher as children of the
-// batch's span — then tracks all, the batches' concatenation, as
-// explicit. Every asserted triple becomes an axiom, even one the engine
-// already derived: whether a statement was inferred first is a race
-// against asynchronous inference, and axiom-hood must not depend on
-// timing (replay after a crash would reproduce a different interleaving
-// and hence a different explicit set). Called with writeMu held, or by
-// replay before the reasoner is shared.
-func (r *Reasoner) applyAssert(batches []*pendingBatch, all []rdf.Triple) {
+// batch's span. The engine stores each batch as explicit, so every
+// asserted triple becomes an axiom, even one the engine already derived:
+// whether a statement was inferred first is a race against asynchronous
+// inference, and axiom-hood must not depend on timing (replay after a
+// crash would reproduce a different interleaving and hence a different
+// set of axioms). Called with writeMu held, or by replay before the
+// reasoner is shared.
+func (r *Reasoner) applyAssert(batches []*pendingBatch) {
 	m := r.obs
 	for _, b := range batches {
 		t0 := obs.NowIfEnabled()
@@ -523,9 +527,6 @@ func (r *Reasoner) applyAssert(batches []*pendingBatch, all []rdf.Triple) {
 			r.lc.track(sp, r.store.Version())
 		}
 	}
-	if r.explicit != nil && len(all) > 0 {
-		r.explicit.AddBatch(all)
-	}
 }
 
 // RetractStats reports what a Retract call did.
@@ -534,9 +535,11 @@ type RetractStats = maintenance.Stats
 // Retract removes explicit statements and incrementally maintains the
 // materialisation using delete-and-rederive (DRed): consequences that
 // lose their last derivation disappear; consequences with alternative
-// derivations survive. Requires WithRetraction (durable reasoners always
-// track explicit triples). On a durable reasoner the deletion batch is
-// logged before it is applied, so the retraction survives a restart.
+// derivations survive; a retracted statement that is still derivable
+// stays, as an inferred one. Statements that were never asserted are
+// ignored. Requires WithRetraction (durable reasoners always allow it).
+// On a durable reasoner the deletion batch is logged before it is
+// applied, so the retraction survives a restart.
 //
 // The pass is two-phase, and its cost to concurrent writers is bounded
 // by the suspect set, not the store. Phase A freezes a copy-on-write
@@ -558,7 +561,7 @@ type RetractStats = maintenance.Stats
 // delete-and-rederive runs inside the exclusive window and rederives
 // from the full surviving store.
 func (r *Reasoner) Retract(ctx context.Context, sts ...Statement) (RetractStats, error) {
-	if r.explicit == nil {
+	if !r.retraction {
 		return RetractStats{}, fmt.Errorf("slider: retraction not enabled (use WithRetraction)")
 	}
 	var toDelete []rdf.Triple
@@ -588,11 +591,11 @@ func (r *Reasoner) Retract(ctx context.Context, sts ...Statement) (RetractStats,
 		// Phase A: freeze a consistent closure, then run the read-only
 		// suspect analysis against it while ingest continues.
 		prepStart := time.Now()
-		sv, explicitV, err := r.freezeClosure(ctx)
+		sv, err := r.freezeClosure(ctx)
 		if err != nil {
 			return RetractStats{}, err
 		}
-		pass, err = maintenance.Prepare(ctx, sv, explicitV, r.frag.rules, r.explicit, toDelete)
+		pass, err = maintenance.Prepare(ctx, sv, r.frag.rules, toDelete)
 		if err != nil {
 			return RetractStats{}, err
 		}
@@ -620,7 +623,7 @@ func (r *Reasoner) Retract(ctx context.Context, sts ...Statement) (RetractStats,
 		// inside the exclusive window, so cancellation still leaves the
 		// store intact; the O(store) rederive follows in Apply.
 		var err error
-		pass, err = maintenance.PrepareFull(ctx, r.store, r.frag.rules, r.explicit, toDelete)
+		pass, err = maintenance.PrepareFull(ctx, r.store, r.frag.rules, toDelete)
 		if err != nil {
 			return RetractStats{}, err
 		}
@@ -636,7 +639,7 @@ func (r *Reasoner) Retract(ctx context.Context, sts ...Statement) (RetractStats,
 			return RetractStats{}, r.dur.writeFault(err)
 		}
 	}
-	stats := pass.Apply(r.store, r.explicit)
+	stats := pass.Apply(r.store)
 	exclusive := time.Since(exStart)
 	stats.ExclusiveMicros = exclusive.Microseconds()
 	stats.PrepareMicros = prepareMicros

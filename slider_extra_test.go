@@ -3,6 +3,7 @@ package slider
 import (
 	"bytes"
 	"context"
+	"errors"
 	"strings"
 	"testing"
 )
@@ -44,6 +45,63 @@ func TestSelectOverInferredKnowledge(t *testing.T) {
 	// Parse errors surface.
 	if _, err := r.Select(`SELECT bogus`); err == nil {
 		t.Fatal("bad query accepted")
+	}
+}
+
+// TestLoadSnapshotKeepsExplicitness reloads a snapshot with retraction
+// enabled and retracts through it: the reloaded reasoner must know which
+// statements were asserted, so retracting one removes it with its
+// consequences, while retracting a statement that was only inferred
+// does nothing.
+func TestLoadSnapshotKeepsExplicitness(t *testing.T) {
+	ctx := context.Background()
+	r := New(RDFS, WithRetraction())
+	asserted := NewStatement(ex("a"), IRI(Type), ex("C"))
+	mustAdd(t, r, NewStatement(ex("C"), IRI(SubClassOf), ex("D")))
+	mustAdd(t, r, asserted)
+	if err := r.Wait(ctx); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := r.Snapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Close(ctx); err != nil {
+		t.Fatal(err)
+	}
+
+	r2, err := LoadSnapshot(RDFS, &buf, WithRetraction())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r2.Close(ctx)
+	inferred := NewStatement(ex("a"), IRI(Type), ex("D"))
+	if st, err := r2.Retract(ctx, inferred); err != nil || st.Retracted != 0 || !r2.Contains(inferred) {
+		t.Fatalf("retracting an inferred statement after reload: %+v, %v, still present %v", st, err, r2.Contains(inferred))
+	}
+	st, err := r2.Retract(ctx, asserted)
+	if err != nil || st.Retracted != 1 {
+		t.Fatalf("retracting an asserted statement after reload: %+v, %v", st, err)
+	}
+	if r2.Contains(asserted) || r2.Contains(inferred) {
+		t.Fatalf("after the retraction: asserted present %v, its consequence present %v", r2.Contains(asserted), r2.Contains(inferred))
+	}
+}
+
+// TestInvalidStatementIsErrInvalidStatement checks that Add and AddBatch
+// refuse a statement that is not valid RDF with an error wrapping
+// ErrInvalidStatement — what the serving layer maps to 400 — and that
+// the refused batch adds nothing.
+func TestInvalidStatementIsErrInvalidStatement(t *testing.T) {
+	r := New(RhoDF)
+	defer r.Close(context.Background())
+	bad := NewStatement(Literal("x"), IRI(Type), ex("C"))
+	if _, err := r.Add(bad); !errors.Is(err, ErrInvalidStatement) {
+		t.Fatalf("Add = %v, want ErrInvalidStatement", err)
+	}
+	n, err := r.AddBatch([]Statement{NewStatement(ex("a"), IRI(Type), ex("C")), bad})
+	if !errors.Is(err, ErrInvalidStatement) || n != 0 || r.Len() != 0 {
+		t.Fatalf("AddBatch = %d, %v with %d triples stored; want ErrInvalidStatement and nothing added", n, err, r.Len())
 	}
 }
 

@@ -19,7 +19,27 @@ import (
 // and that every file is byte-identical afterwards: the refusal comes
 // before replay, which would cut a segment of another version as torn.
 func TestOpenRefusesVersion1Directory(t *testing.T) {
-	src := filepath.Join("testdata", "v1kb")
+	checkOpenRefusesDirectory(t, "v1kb", "version 1")
+}
+
+// TestOpenRefusesVersion2Directory does the same for a knowledge base of
+// format version 2 (testdata/v2kb: a checkpoint whose explicit triples
+// sit in a sidecar file beside a snapshot without explicit bits, and a
+// segment with an assert and a retract record after it). Loading it
+// would make every checkpointed triple inferred, so none could be
+// retracted; the refusal must also leave the sidecar, which the current
+// format no longer names, in place.
+func TestOpenRefusesVersion2Directory(t *testing.T) {
+	checkOpenRefusesDirectory(t, "v2kb", "version 2")
+}
+
+// checkOpenRefusesDirectory copies the fixture testdata/<fixture> — a
+// manifest, a segment and two checkpoint files — to a fresh directory,
+// and checks that Open refuses it with ErrCorrupt naming the version and
+// leaves every file as it was, creating none but the lock.
+func checkOpenRefusesDirectory(t *testing.T, fixture, version string) {
+	t.Helper()
+	src := filepath.Join("testdata", fixture)
 	entries, err := os.ReadDir(src)
 	if err != nil {
 		t.Fatal(err)
@@ -43,10 +63,10 @@ func TestOpenRefusesVersion1Directory(t *testing.T) {
 	r, err := Open(dir, RDFS, WithWorkers(1))
 	if err == nil {
 		r.Close(context.Background())
-		t.Fatal("Open accepted a version-1 knowledge base")
+		t.Fatalf("Open accepted a %s knowledge base", version)
 	}
-	if !errors.Is(err, wal.ErrCorrupt) || !strings.Contains(err.Error(), "version 1") {
-		t.Fatalf("Open = %v, want ErrCorrupt naming version 1", err)
+	if !errors.Is(err, wal.ErrCorrupt) || !strings.Contains(err.Error(), version) {
+		t.Fatalf("Open = %v, want ErrCorrupt naming %s", err, version)
 	}
 	after, err := os.ReadDir(dir)
 	if err != nil {

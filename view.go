@@ -128,7 +128,7 @@ func (r *Reasoner) refreshView(ctx context.Context) (*View, error) {
 	// the capture (typically a query request's) — the quiesce-and-freeze
 	// is the serving layer's main tail-latency source.
 	_, sp := trace.Start(ctx, "view.refresh")
-	sv, _, err := r.freezeClosure(ctx)
+	sv, err := r.freezeClosure(ctx)
 	if err != nil {
 		sp.Error(err.Error())
 		sp.End()
@@ -150,29 +150,24 @@ func (r *Reasoner) refreshView(ctx context.Context) (*View, error) {
 
 // freezeClosure quiesces inference and captures a view of the
 // materialised store — the closure of every batch acknowledged before
-// the freeze, stamped with the store version it holds (View.Version) —
-// along with the explicit set's version at that instant. The exclusive
+// the freeze, stamped with the store version it holds (View.Version),
+// which also says which of its triples are explicit. The exclusive
 // window is O(1) beyond the quiescence drain; a pre-drain without the
 // lock bounds what the locked drain still has to absorb (under
 // sustained ingest the engine is never spontaneously quiescent, and
 // only the locked drain, with writers excluded, is guaranteed to
 // terminate). Shared lock choreography for read-session refresh and the
 // retraction pass's frozen phase A.
-func (r *Reasoner) freezeClosure(ctx context.Context) (*store.View, uint64, error) {
+func (r *Reasoner) freezeClosure(ctx context.Context) (*store.View, error) {
 	predrain, cancel := context.WithTimeout(ctx, time.Second)
 	r.engine.Wait(predrain)
 	cancel()
 	r.writeMu.Lock()
 	defer r.writeMu.Unlock()
 	if err := r.engine.Wait(ctx); err != nil {
-		return nil, 0, err
+		return nil, err
 	}
-	sv := r.store.Freeze()
-	var explicitVersion uint64
-	if r.explicit != nil {
-		explicitVersion = r.explicit.Version()
-	}
-	return sv, explicitVersion, nil
+	return r.store.Freeze(), nil
 }
 
 // Close ends the session. It is a no-op, kept for callers that scope

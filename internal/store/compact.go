@@ -36,9 +36,10 @@ func SetCompactTestHook(f func()) {
 // runs, each pair is rewritten about log_fanIn(n) times, and the tiny
 // runs of a trickle are absorbed by the first tier. A small run stranded
 // behind a larger one joins the next window that reaches it. maxRuns is
-// the hard bound: a writer that finds a predicate at maxRuns runs (the
+// the hard bound: a writer that would take a predicate past it (the
 // compactor off, retired or behind) merges it down itself before
-// appending.
+// appending — at maxRuns runs for an add or a removal, and at maxRuns-1
+// for a promotion or demotion, which appends a marker run and an add run.
 const (
 	fanIn   = 4
 	maxRuns = 64
@@ -258,7 +259,7 @@ func (st *Store) swap(p rdf.ID, rl *runList, runs []*run, i, j int, merged []*ru
 
 // SetAutoCompact enables or disables the background compactor (enabled
 // by default). With it off the store merges runs only when Compact is
-// called or a writer finds a predicate at maxRuns runs — a
+// called or a write would take a predicate past maxRuns runs — a
 // deterministic layout for tests.
 func (st *Store) SetAutoCompact(on bool) { st.autoCompact.Store(on) }
 

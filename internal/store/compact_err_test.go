@@ -55,3 +55,45 @@ func TestCompactionPanicIsSticky(t *testing.T) {
 		t.Fatal("CompactionErr cleared by later writes; must be sticky")
 	}
 }
+
+// TestWritersMergeDownAtTheBound: with the compactor off, a write merges
+// a predicate down itself only when it would otherwise take it past
+// maxRuns runs — an add at maxRuns, a promotion (a marker run and an add
+// run) at maxRuns-1.
+func TestWritersMergeDownAtTheBound(t *testing.T) {
+	fill := func(n int) *Store {
+		st := New()
+		st.SetAutoCompact(false)
+		for i := 0; i < n; i++ {
+			st.Add(rdf.T(rdf.ID(i+10), 1, 2))
+		}
+		if runs := st.Stats().Runs; runs != n {
+			t.Fatalf("%d one-pair adds made %d runs: a writer merged before the bound", n, runs)
+		}
+		return st
+	}
+
+	st := fill(maxRuns)
+	st.Add(rdf.T(1_000_000, 1, 2))
+	if runs := st.Stats().Runs; runs > maxRuns {
+		t.Fatalf("an add at %d runs left %d runs", maxRuns, runs)
+	}
+
+	st = fill(maxRuns - 1)
+	promoted := rdf.T(10, 1, 2)
+	if fresh := st.AssertBatch([]rdf.Triple{promoted}); len(fresh) != 0 {
+		t.Fatalf("promotion returned %v as fresh", fresh)
+	}
+	if runs := st.Stats().Runs; runs > maxRuns {
+		t.Fatalf("a promotion at %d runs left %d runs", maxRuns-1, runs)
+	}
+	if !st.Explicit(promoted) || st.Len() != maxRuns-1 {
+		t.Fatalf("after the promotion: Explicit = %v, Len = %d", st.Explicit(promoted), st.Len())
+	}
+	if st.Demote([]rdf.Triple{promoted}) != 1 || st.Explicit(promoted) || !st.Contains(promoted) {
+		t.Fatal("demotion after the merge-down did not leave the pair live and inferred")
+	}
+	if runs := st.Stats().Runs; runs > maxRuns {
+		t.Fatalf("a demotion left %d runs", runs)
+	}
+}

@@ -161,58 +161,21 @@ func settle(dst []rdf.ID, start, spans int) []rdf.ID {
 }
 
 // forEachLive calls f for every live pair in runs in (subject, object)
-// order until f returns false, reporting whether it ran to completion.
-// A single run streams verbatim; several are merged subject by subject,
-// each subject's objects settled as objectsAppend settles them.
+// order until f returns false, reporting whether it ran to completion: a
+// single run streams verbatim, several are walked by forEachPair.
 func forEachLive(runs []*run, f func(s, o rdf.ID) bool) bool {
 	if len(runs) == 1 {
 		return runs[0].forEach(f)
 	}
-	type cursor struct {
-		d *direction
-		i int // where the next key starts in d.keys
-	}
-	cur := make([]cursor, 0, len(runs))
-	for _, r := range runs {
-		if len(r.bySub.keys) > 0 {
-			cur = append(cur, cursor{d: &r.bySub})
-		}
-	}
-	var objs []rdf.ID
-	for len(cur) > 0 {
-		s := cur[0].d.keys[cur[0].i]
-		for _, c := range cur[1:] {
-			s = min(s, c.d.keys[c.i])
-		}
-		objs = objs[:0]
-		spans := 0
-		for ci := 0; ci < len(cur); ci++ {
-			c := &cur[ci]
-			if c.d.keys[c.i] != s {
-				continue
-			}
-			var span []rdf.ID
-			span, c.i = c.d.spanAt(c.i)
-			objs = append(objs, span...)
-			spans++
-			if c.i == len(c.d.keys) {
-				cur = slices.Delete(cur, ci, ci+1)
-				ci--
-			}
-		}
-		for _, o := range settle(objs, 0, spans) {
-			if !f(s, o) {
-				return false
-			}
-		}
-	}
-	return true
+	return forEachPair(runs, func(s, o rdf.ID, _ bool) bool { return f(s, o) })
 }
 
-// forEachPair is forEachLive also reporting each pair's explicit bit: a
-// subject in one run streams its span with the run's bits, and one in
-// several has its objects settled as forEachLive settles them, each
-// taking the bit of its newest add.
+// forEachPair calls f for every live pair in runs in (subject, object)
+// order, with its explicit bit, until f returns false, reporting whether
+// it ran to completion. The runs are merged subject by subject: a subject
+// in one run streams its span with the run's bits, and one in several has
+// its objects settled as objectsAppend settles them, each taking the bit
+// of its newest add.
 func forEachPair(runs []*run, f func(s, o rdf.ID, explicit bool) bool) bool {
 	type cursor struct {
 		r *run
@@ -540,11 +503,16 @@ func stageChange(p rdf.ID, from *runList, keys []uint64, how op) change {
 // published as staged when its predicate's runList is still the one it
 // read, and staged again otherwise; its runs are appended to that
 // runList's runs as they are then, so a merge swapped in meanwhile is
-// kept. A write appends up to two runs, so a predicate within one of
-// maxRuns is merged down first, outside mu, since workMu ranks outside
-// it.
+// kept. A predicate the write would take past maxRuns runs is merged
+// down first, outside mu, since workMu ranks outside it: one at maxRuns
+// for an add or a removal, which appends one run, and one within a run of
+// it for a flip, which may append two.
 func (st *Store) apply(groups []group, how op) int {
-	full := func(rl *runList) bool { return len(rl.get()) >= maxRuns-1 }
+	limit := maxRuns
+	if how == opAssert || how == opDemote {
+		limit = maxRuns - 1
+	}
+	full := func(rl *runList) bool { return len(rl.get()) >= limit }
 	var base *View
 	for {
 		base = st.root()

@@ -80,7 +80,6 @@ func main() {
 		fatal(err)
 	}
 	opts := []slider.Option{
-		slider.WithRetraction(),
 		slider.WithViewMaxAge(*viewMaxAge),
 		slider.WithLogger(logger),
 	}

@@ -30,8 +30,8 @@ func materialisedClosure(r *Reasoner) map[string]bool {
 func TestClosureInvariantUnderCompaction(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	newPair := func() (*Reasoner, *Reasoner) {
-		lsm := New(RhoDF, WithRetraction())
-		flat := New(RhoDF, WithRetraction())
+		lsm := New(RhoDF)
+		flat := New(RhoDF)
 		flat.Store().SetAutoCompact(false)
 		return lsm, flat
 	}

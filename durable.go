@@ -101,7 +101,6 @@ type durability struct {
 
 // openDurable builds a durable Reasoner from an option-parsed config.
 func openDurable(frag Fragment, cfg config) (*Reasoner, error) {
-	cfg.retraction = true // a durable reasoner logs and replays retractions
 	// The registry outlives any single subsystem, so create it first:
 	// the log registers its instruments here, newReasoner threads the
 	// same registry through the store, engine bridges and facade.
@@ -205,11 +204,8 @@ func openDurable(frag Fragment, cfg config) (*Reasoner, error) {
 func (r *Reasoner) replayLog(l *wal.Log) error {
 	ctx := context.Background()
 	_, err := l.Replay(func(rec wal.Record) error {
-		for _, te := range rec.Terms {
-			if got := r.dict.Encode(te.Term); got != te.ID {
-				return fmt.Errorf("slider: wal replay: term %v resolved to ID %d, log recorded %d",
-					te.Term, uint64(got), uint64(te.ID))
-			}
+		if err := rec.RegisterTerms(r.dict); err != nil {
+			return fmt.Errorf("slider: wal replay: %w", err)
 		}
 		switch rec.Op {
 		case wal.OpAssert:

@@ -105,7 +105,7 @@ func TestCrashRecoveryTruncatedSegment(t *testing.T) {
 	// computed by an in-memory reasoner that never crashed.
 	expected := make([][]string, len(ops)+1)
 	for k := 0; k <= len(ops); k++ {
-		mem := New(RhoDF, WithWorkers(2), WithRetraction())
+		mem := New(RhoDF, WithWorkers(2))
 		for _, op := range ops[:k] {
 			op.apply(t, mem)
 		}

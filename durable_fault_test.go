@@ -173,7 +173,7 @@ func prefixClosures(t *testing.T, ops []crashOp) [][]string {
 	ctx := context.Background()
 	expected := make([][]string, len(ops)+1)
 	for k := 0; k <= len(ops); k++ {
-		mem := New(RhoDF, WithWorkers(2), WithRetraction())
+		mem := New(RhoDF, WithWorkers(2))
 		for _, op := range ops[:k] {
 			if err := applyOp(ctx, mem, op); err != nil {
 				t.Fatal(err)

@@ -217,7 +217,7 @@ func TestCheckpointStreamingStress(t *testing.T) {
 	// The reference: an in-memory reasoner fed the acknowledged closure —
 	// all asserted statements minus the retracted pool entries. Retracted
 	// subjects are never re-asserted, so the result is interleaving-free.
-	mem := New(RhoDF, WithWorkers(4), WithRetraction())
+	mem := New(RhoDF, WithWorkers(4))
 	all := append(append([]Statement{}, acked...), hammered...)
 	for i := 0; i < len(all); i += 512 {
 		if _, err := mem.AddBatch(all[i:min(i+512, len(all))]); err != nil {

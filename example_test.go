@@ -82,7 +82,7 @@ func ExampleReasoner_Select() {
 // disappear with their last supporting premise.
 func ExampleReasoner_Retract() {
 	ctx := context.Background()
-	r := slider.New(slider.RhoDF, slider.WithRetraction())
+	r := slider.New(slider.RhoDF)
 	defer r.Close(ctx)
 	cat := slider.NewStatement(slider.IRI("http://e/felix"), slider.IRI(slider.Type), slider.IRI("http://e/Cat"))
 	r.Add(slider.NewStatement(slider.IRI("http://e/Cat"), slider.IRI(slider.SubClassOf), slider.IRI("http://e/Animal")))

@@ -20,7 +20,7 @@ const ns = "http://example.org/traffic/"
 func iri(n string) slider.Term { return slider.IRI(ns + n) }
 
 func main() {
-	r := slider.New(slider.RhoDF, slider.WithRetraction(), slider.WithBufferSize(4))
+	r := slider.New(slider.RhoDF, slider.WithBufferSize(4))
 	defer r.Close(context.Background())
 	ctx := context.Background()
 

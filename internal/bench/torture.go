@@ -314,7 +314,7 @@ func runTortureSchedule(ctx context.Context, seed int64, cfg TortureConfig) (Tor
 	sched.AckedOps = len(acked)
 	ops := append([]tortureOp(nil), acked...)
 	mu.Unlock()
-	mem := slider.New(slider.RhoDF, slider.WithRetraction(), slider.WithWorkers(2))
+	mem := slider.New(slider.RhoDF, slider.WithWorkers(2))
 	for _, op := range ops {
 		var err error
 		if op.retract {

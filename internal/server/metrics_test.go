@@ -118,7 +118,7 @@ func scrape(t *testing.T, url string) (samples map[string]float64, types map[str
 // monotonicity across scrapes.
 func TestMetricsScrape(t *testing.T) {
 	r, err := slider.Open(t.TempDir(), slider.RhoDF,
-		slider.WithRetraction(), slider.WithViewMaxAge(-1))
+		slider.WithViewMaxAge(-1))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -511,11 +511,7 @@ func (s *Server) handleRetract(w http.ResponseWriter, r *http.Request) {
 			s.refuseReadOnly(w, s.r.Health())
 			return
 		}
-		code := http.StatusInternalServerError
-		if strings.Contains(err.Error(), "retraction not enabled") {
-			code = http.StatusNotImplemented
-		}
-		httpError(w, code, "retract: %v", err)
+		httpError(w, http.StatusInternalServerError, "retract: %v", err)
 		return
 	}
 	s.nRetracted.Add(int64(stats.Retracted))

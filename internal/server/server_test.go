@@ -33,7 +33,7 @@ func typeIRI() string { return slider.Type }
 // writes immediately) behind an httptest server.
 func newTestServer(t *testing.T, cfg Config, opts ...slider.Option) (*Server, *httptest.Server, *slider.Reasoner) {
 	t.Helper()
-	opts = append([]slider.Option{slider.WithRetraction(), slider.WithViewMaxAge(-1)}, opts...)
+	opts = append([]slider.Option{slider.WithViewMaxAge(-1)}, opts...)
 	r := slider.New(slider.RhoDF, opts...)
 	s := New(r, cfg)
 	ts := httptest.NewServer(s)
@@ -172,16 +172,21 @@ func TestBadInputs(t *testing.T) {
 	}
 }
 
-func TestRetractNotEnabled(t *testing.T) {
-	r := slider.New(slider.RhoDF) // no retraction
+// TestRetractWithoutOption retracts over HTTP on a reasoner built with
+// no option at all: every reasoner can retract.
+func TestRetractWithoutOption(t *testing.T) {
+	r := slider.New(slider.RhoDF, slider.WithViewMaxAge(-1))
 	s := New(r, Config{})
 	ts := httptest.NewServer(s)
 	defer ts.Close()
 	defer r.Close(context.Background())
-	resp, _ := post(t, ts.URL+"/v1/retract", "application/n-triples",
-		ntLine("x", typeIRI(), "T"))
-	if resp.StatusCode != http.StatusNotImplemented {
-		t.Fatalf("retract without retraction: status %d, want 501", resp.StatusCode)
+	line := ntLine("x", typeIRI(), "T")
+	if resp, b := post(t, ts.URL+"/v1/insert", "", line); resp.StatusCode != http.StatusOK {
+		t.Fatalf("insert: %d %s", resp.StatusCode, b)
+	}
+	resp, b := post(t, ts.URL+"/v1/retract", "application/n-triples", line)
+	if resp.StatusCode != http.StatusOK || !strings.Contains(b, `"retracted":1`) {
+		t.Fatalf("retract: status %d, body %s; want 200 with one retracted", resp.StatusCode, b)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/rdf"
 	"repro/internal/store"
+	"repro/internal/wal"
 )
 
 // resave writes a loaded knowledge base back out through a frozen view,
@@ -36,18 +37,17 @@ func resave(t testing.TB, dict *rdf.Dictionary, st *store.Store) []byte {
 func FuzzSnapshotLoad(f *testing.F) {
 	dict, st := build(40, 1)
 	valid := resave(f, dict, st)
-	x := uint64(rdf.NewDictionary().EncodeIRI("x")) // rawSnapshot's one term
 	f.Add(valid)
-	f.Add(valid[:len(valid)-3])                                  // truncated
-	f.Add([]byte("SLKB\x01"))                                    // format version 1 header
-	f.Add(rawSnapshot(1, [4]uint64{2<<62 | 1, 1, 1, 2<<62 | 1})) // version 1, 64-bit IDs
-	f.Add(rawSnapshot(2, [4]uint64{x, 1, 1, 1}))                 // version 2, no explicit bit
-	f.Add(rawSnapshot(Version, [4]uint64{x, 1, 1, 1<<32 | 5}))   // a 33-bit ID
-	f.Add(rawSnapshot(Version, [4]uint64{x, 1, 3<<30 | 5, 1}))   // a kind-11 ID
-	f.Add(rawSnapshot(Version, [4]uint64{x, 1, 1<<31 | 1, 1}))   // a subject whose shift needs 33 bits
-	explicit := rawSnapshot(Version, [4]uint64{x, 1, 1, 1})
-	explicit[len(explicit)-2] |= 1 // the subject's explicit bit
-	f.Add(explicit)
+	f.Add(valid[:len(valid)-3])                                                           // truncated
+	f.Add([]byte("SLKB\x01"))                                                             // format version 1 header
+	f.Add(rawSnapshot(1, wal.OpInfer, [4]uint64{2<<62 | 1, 1, 1, 2<<62 | 1}))             // version 1, 64-bit IDs
+	f.Add(rawSnapshot(2, wal.OpInfer, validIDs))                                          // version 2, no explicit bit
+	f.Add(rawSnapshot(wal.Version, wal.OpInfer, [4]uint64{validIDs[0], 1, 1, 1<<32 | 5})) // a 33-bit ID
+	f.Add(rawSnapshot(wal.Version, wal.OpInfer, [4]uint64{validIDs[0], 1, 3<<30 | 5, 1})) // a kind-11 ID
+	f.Add(rawSnapshot(wal.Version, wal.OpRetract, validIDs))                              // a retract record
+	f.Add(rawSnapshot(wal.Version, wal.OpAssert, validIDs))                               // an explicit triple
+	f.Add(v3Snapshot(f))                                                                  // version 3, its own codec
+	f.Add(append(append([]byte(nil), valid...), valid[headerLen:]...))                    // every record twice
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dict, st, err := Load(bytes.NewReader(data))

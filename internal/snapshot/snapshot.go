@@ -1,22 +1,21 @@
 // Package snapshot persists a reasoner's knowledge base — the dictionary
-// and the (materialised) triple store — in a compact binary format, so a
-// closed ontology can be reloaded instantly as background knowledge
-// instead of being re-parsed and re-inferred.
+// and the (materialised) triple store — so a closed ontology can be
+// reloaded instantly instead of being re-parsed and re-inferred.
 //
-// Format (little-endian, varint-coded):
+// A snapshot is written in the write-ahead log's own CRC-checked frames
+// (internal/wal), under the log's format version:
 //
-//	magic "SLKB" | version u8
-//	dictionary: count, then per term: kind u8, value, lang, datatype
-//	            (strings as varint length + bytes; terms appear in
-//	            sequence order per kind so IDs reload identically)
-//	triples:    predicate-grouped: #groups, then per group the predicate
-//	            ID, #pairs, and the pairs: subject ID shifted left by
-//	            one with the explicit bit below it, then object ID
+//	magic "SLKB" | version u8 | #terms u64 | #triples u64 (little-endian)
+//	term records:   OpAssert records carrying only terms, in
+//	                kind-then-sequence order so IDs reload identically
+//	triple records: per predicate, OpAssert records of its explicit
+//	                triples and OpInfer records of its inferred ones,
+//	                at most recordTriples triples each
 //
 // IDs are the 32-bit rdf.ID values, preserved exactly, so snapshots
-// interoperate with code that stored IDs elsewhere. The explicit bit
-// says the triple was asserted rather than inferred, so a reloaded
-// knowledge base can still retract it.
+// interoperate with code that stored IDs elsewhere. An explicit triple
+// was asserted rather than inferred, so a reloaded knowledge base can
+// still retract it.
 package snapshot
 
 import (
@@ -28,18 +27,21 @@ import (
 
 	"repro/internal/rdf"
 	"repro/internal/store"
+	"repro/internal/wal"
 )
 
 var magic = [4]byte{'S', 'L', 'K', 'B'}
 
-// Version of the snapshot format. Version 1 wrote 64-bit IDs; version 2
-// carried no explicit bit.
-const Version = 3
+// headerLen is the magic, the version byte and the two totals.
+const headerLen = len(magic) + 1 + 8 + 8
 
-// loadChunk bounds the batches Load inserts a predicate group in — one
-// of its explicit triples, one of its inferred ones: each becomes one
-// store run, and the store merges them in size tiers.
-const loadChunk = 1 << 16
+// recordTriples bounds the triples of one record. Load inserts each
+// record as one batch, and so one store run; the store merges them in
+// size tiers.
+const recordTriples = 1 << 16
+
+// recordTermBytes bounds the term strings of one term record.
+const recordTermBytes = 1 << 20
 
 // ErrBadSnapshot reports a malformed or truncated snapshot.
 var ErrBadSnapshot = errors.New("snapshot: malformed snapshot")
@@ -72,6 +74,26 @@ func Save(w io.Writer, dict *rdf.Dictionary, st *store.Store) error {
 	return SaveFrom(w, dict, st.Freeze())
 }
 
+// frameWriter writes records to w as frames, keeping the first error.
+type frameWriter struct {
+	w     io.Writer
+	buf   []byte
+	err   error
+	terms int
+	pairs int
+}
+
+func (fw *frameWriter) write(rec wal.Record) {
+	if fw.err != nil || len(rec.Terms)+len(rec.Triples) == 0 {
+		return
+	}
+	var frame []byte
+	frame, fw.buf = wal.EncodeFrame(fw.buf, rec)
+	_, fw.err = fw.w.Write(frame)
+	fw.terms += len(rec.Terms)
+	fw.pairs += len(rec.Triples)
+}
+
 // SaveFrom writes a snapshot from arbitrary term and triple sources.
 // Streaming from a store.View and an rdf.DictView captures a consistent
 // knowledge base while the live structures continue to take writes.
@@ -82,251 +104,112 @@ func SaveFrom(w io.Writer, dict TermSource, st TripleSource) error {
 	if d, ok := dict.(*rdf.Dictionary); ok {
 		dict = d.ViewAt(d.KindCounts())
 	}
-	bw := bufio.NewWriter(w)
-	if _, err := bw.Write(magic[:]); err != nil {
-		return err
-	}
-	if err := bw.WriteByte(Version); err != nil {
-		return err
-	}
-	if err := saveDictionary(bw, dict); err != nil {
-		return err
-	}
-	if err := saveTriples(bw, st); err != nil {
-		return err
-	}
-	return bw.Flush()
-}
-
-func putUvarint(w *bufio.Writer, v uint64) error {
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(buf[:], v)
-	_, err := w.Write(buf[:n])
-	return err
-}
-
-func putString(w *bufio.Writer, s string) error {
-	if err := putUvarint(w, uint64(len(s))); err != nil {
-		return err
-	}
-	_, err := w.WriteString(s)
-	return err
-}
-
-// saveDictionary walks IDs in sequence order per kind so that re-encoding
-// on load reproduces identical IDs. Terms stream straight to the writer.
-func saveDictionary(w *bufio.Writer, dict TermSource) error {
-	n := dict.Len()
-	if err := putUvarint(w, uint64(n)); err != nil {
-		return err
-	}
-	written := 0
-	var werr error
-	dict.ForEach(func(id rdf.ID, t rdf.Term) bool {
-		if werr = w.WriteByte(byte(t.Kind)); werr != nil {
-			return false
-		}
-		if werr = putUvarint(w, uint64(id)); werr != nil {
-			return false
-		}
-		if werr = putString(w, t.Value); werr != nil {
-			return false
-		}
-		if werr = putString(w, t.Lang); werr != nil {
-			return false
-		}
-		if werr = putString(w, t.Datatype); werr != nil {
-			return false
-		}
-		written++
-		return true
-	})
-	if werr != nil {
-		return werr
-	}
-	if written != n {
-		return fmt.Errorf("snapshot: dictionary yielded %d terms, source declared %d", written, n)
-	}
-	return nil
-}
-
-func saveTriples(w *bufio.Writer, st TripleSource) error {
 	preds := st.Predicates()
-	if err := putUvarint(w, uint64(len(preds))); err != nil {
-		return err
-	}
+	nTerms, nTriples := dict.Len(), 0
 	for _, p := range preds {
-		if err := putUvarint(w, uint64(p)); err != nil {
-			return err
+		nTriples += st.PredicateLen(p)
+	}
+	hdr := append(magic[:], wal.Version)
+	hdr = binary.LittleEndian.AppendUint64(hdr, uint64(nTerms))
+	hdr = binary.LittleEndian.AppendUint64(hdr, uint64(nTriples))
+	fw := &frameWriter{w: w}
+	if _, fw.err = w.Write(hdr); fw.err != nil {
+		return fw.err
+	}
+
+	terms := wal.Record{Op: wal.OpAssert}
+	size := 0
+	dict.ForEach(func(id rdf.ID, t rdf.Term) bool {
+		terms.Terms = append(terms.Terms, wal.TermEntry{ID: id, Term: t})
+		if size += len(t.Value) + len(t.Lang) + len(t.Datatype); size >= recordTermBytes {
+			fw.write(terms)
+			terms.Terms, size = terms.Terms[:0], 0
 		}
-		if err := putUvarint(w, uint64(st.PredicateLen(p))); err != nil {
-			return err
-		}
-		var werr error
+		return fw.err == nil
+	})
+	fw.write(terms)
+
+	asserted := wal.Record{Op: wal.OpAssert, Triples: make([]rdf.Triple, 0, recordTriples)}
+	inferred := wal.Record{Op: wal.OpInfer, Triples: make([]rdf.Triple, 0, recordTriples)}
+	for _, p := range preds {
 		st.ForEachPair(p, func(s, o rdf.ID, explicit bool) bool {
-			x := uint64(s) << 1
+			rec := &inferred
 			if explicit {
-				x |= 1
+				rec = &asserted
 			}
-			if werr = putUvarint(w, x); werr != nil {
-				return false
+			if rec.Triples = append(rec.Triples, rdf.T(s, p, o)); len(rec.Triples) == recordTriples {
+				fw.write(*rec)
+				rec.Triples = rec.Triples[:0]
 			}
-			if werr = putUvarint(w, uint64(o)); werr != nil {
-				return false
-			}
-			return true
+			return fw.err == nil
 		})
-		if werr != nil {
-			return werr
-		}
+		fw.write(inferred)
+		fw.write(asserted)
+		inferred.Triples, asserted.Triples = inferred.Triples[:0], asserted.Triples[:0]
+	}
+	if fw.err != nil {
+		return fw.err
+	}
+	if fw.terms != nTerms || fw.pairs != nTriples {
+		return fmt.Errorf("snapshot: sources yielded %d terms and %d triples, declared %d and %d",
+			fw.terms, fw.pairs, nTerms, nTriples)
 	}
 	return nil
 }
 
 // Load reads a snapshot from r, returning a freshly populated dictionary
 // and store, whose explicit triples are explicit again. It refuses any
-// other format version, such as version 2, which carried no explicit
-// bit, and any ID that names no term.
+// other format version, a frame the log would refuse, a retract record,
+// totals that do not match the records, and bytes after the last frame.
 func Load(r io.Reader) (*rdf.Dictionary, *store.Store, error) {
 	br := bufio.NewReader(r)
-	var hdr [5]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
+	var hdr [headerLen]byte
+	if _, err := io.ReadFull(br, hdr[:len(magic)+1]); err != nil {
 		return nil, nil, fmt.Errorf("%w: missing header", ErrBadSnapshot)
 	}
-	if [4]byte{hdr[0], hdr[1], hdr[2], hdr[3]} != magic {
+	if [4]byte(hdr[:4]) != magic {
 		return nil, nil, fmt.Errorf("%w: bad magic", ErrBadSnapshot)
 	}
-	if hdr[4] != Version {
-		return nil, nil, fmt.Errorf("%w: format version %d, not %d: export the data to N-Triples with the release that wrote it and reload it", ErrBadSnapshot, hdr[4], Version)
+	if v := hdr[4]; v != wal.Version {
+		return nil, nil, fmt.Errorf("%w: format version %d, not %d: export the data to N-Triples with the release that wrote it and reload it", ErrBadSnapshot, v, wal.Version)
 	}
-	dict, err := loadDictionary(br)
-	if err != nil {
-		return nil, nil, err
+	if _, err := io.ReadFull(br, hdr[len(magic)+1:]); err != nil {
+		return nil, nil, fmt.Errorf("%w: missing header", ErrBadSnapshot)
 	}
-	st, err := loadTriples(br)
-	if err != nil {
-		return nil, nil, err
+	totals := hdr[len(magic)+1:]
+	wantTerms := binary.LittleEndian.Uint64(totals)
+	wantTriples := binary.LittleEndian.Uint64(totals[8:])
+
+	dict := rdf.NewDictionary()
+	st := store.New()
+	var terms, triples uint64
+	var buf []byte
+	for {
+		rec, grown, err := wal.ReadFrame(br, buf)
+		buf = grown
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return nil, nil, fmt.Errorf("%w: %w", ErrBadSnapshot, err)
+		}
+		if err := rec.RegisterTerms(dict); err != nil {
+			return nil, nil, fmt.Errorf("%w: %w", ErrBadSnapshot, err)
+		}
+		switch rec.Op {
+		case wal.OpAssert:
+			st.AssertBatch(rec.Triples)
+		case wal.OpInfer:
+			st.AddBatch(rec.Triples)
+		default:
+			return nil, nil, fmt.Errorf("%w: record op %d", ErrBadSnapshot, rec.Op)
+		}
+		terms += uint64(len(rec.Terms))
+		triples += uint64(len(rec.Triples))
+	}
+	if terms != wantTerms || triples != wantTriples {
+		return nil, nil, fmt.Errorf("%w: %d terms and %d triples, header says %d and %d",
+			ErrBadSnapshot, terms, triples, wantTerms, wantTriples)
 	}
 	return dict, st, nil
-}
-
-func getString(br *bufio.Reader) (string, error) {
-	n, err := binary.ReadUvarint(br)
-	if err != nil {
-		return "", fmt.Errorf("%w: truncated string", ErrBadSnapshot)
-	}
-	if n > 1<<24 {
-		return "", fmt.Errorf("%w: string too long", ErrBadSnapshot)
-	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(br, buf); err != nil {
-		return "", fmt.Errorf("%w: truncated string body", ErrBadSnapshot)
-	}
-	return string(buf), nil
-}
-
-// getID reads an ID, refusing a value that names no term: wider than an
-// ID or of kind bits 11 (rdf.IDFromUint64), or the wildcard.
-func getID(br *bufio.Reader, what string) (rdf.ID, error) {
-	x, err := binary.ReadUvarint(br)
-	if err != nil {
-		return 0, fmt.Errorf("%w: truncated %s", ErrBadSnapshot, what)
-	}
-	return checkID(x, what)
-}
-
-// checkID converts x to an ID as getID does.
-func checkID(x uint64, what string) (rdf.ID, error) {
-	id, ok := rdf.IDFromUint64(x)
-	if !ok || id == rdf.Any {
-		return 0, fmt.Errorf("%w: %s ID %#x out of range", ErrBadSnapshot, what, x)
-	}
-	return id, nil
-}
-
-func loadDictionary(br *bufio.Reader) (*rdf.Dictionary, error) {
-	count, err := binary.ReadUvarint(br)
-	if err != nil {
-		return nil, fmt.Errorf("%w: truncated dictionary", ErrBadSnapshot)
-	}
-	dict := rdf.NewDictionary()
-	for i := uint64(0); i < count; i++ {
-		kindByte, err := br.ReadByte()
-		if err != nil {
-			return nil, fmt.Errorf("%w: truncated term", ErrBadSnapshot)
-		}
-		if kindByte > byte(rdf.TermLiteral) {
-			return nil, fmt.Errorf("%w: bad term kind %d", ErrBadSnapshot, kindByte)
-		}
-		wantID, err := getID(br, "term")
-		if err != nil {
-			return nil, err
-		}
-		value, err := getString(br)
-		if err != nil {
-			return nil, err
-		}
-		lang, err := getString(br)
-		if err != nil {
-			return nil, err
-		}
-		datatype, err := getString(br)
-		if err != nil {
-			return nil, err
-		}
-		term := rdf.Term{Kind: rdf.TermKind(kindByte), Value: value, Lang: lang, Datatype: datatype}
-		got := dict.Encode(term)
-		if got != wantID {
-			return nil, fmt.Errorf("%w: term %q loaded with ID %d, snapshot says %d (out-of-order dictionary)",
-				ErrBadSnapshot, term, got, wantID)
-		}
-	}
-	return dict, nil
-}
-
-func loadTriples(br *bufio.Reader) (*store.Store, error) {
-	groups, err := binary.ReadUvarint(br)
-	if err != nil {
-		return nil, fmt.Errorf("%w: truncated triple section", ErrBadSnapshot)
-	}
-	st := store.New()
-	asserted := make([]rdf.Triple, 0, loadChunk)
-	inferred := make([]rdf.Triple, 0, loadChunk)
-	for g := uint64(0); g < groups; g++ {
-		p, err := getID(br, "predicate")
-		if err != nil {
-			return nil, err
-		}
-		n, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, fmt.Errorf("%w: truncated group size", ErrBadSnapshot)
-		}
-		for i := uint64(0); i < n; i++ {
-			x, err := binary.ReadUvarint(br)
-			if err != nil {
-				return nil, fmt.Errorf("%w: truncated subject", ErrBadSnapshot)
-			}
-			s, err := checkID(x>>1, "subject")
-			if err != nil {
-				return nil, err
-			}
-			o, err := getID(br, "object")
-			if err != nil {
-				return nil, err
-			}
-			if x&1 == 0 {
-				if inferred = append(inferred, rdf.T(s, p, o)); len(inferred) == loadChunk {
-					st.AddBatch(inferred)
-					inferred = inferred[:0]
-				}
-			} else if asserted = append(asserted, rdf.T(s, p, o)); len(asserted) == loadChunk {
-				st.AssertBatch(asserted)
-				asserted = asserted[:0]
-			}
-		}
-		st.AddBatch(inferred)
-		st.AssertBatch(asserted)
-		inferred, asserted = inferred[:0], asserted[:0]
-	}
-	return st, nil
 }

@@ -5,13 +5,17 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/rdf"
 	"repro/internal/store"
+	"repro/internal/wal"
 )
 
 // build populates a dictionary and store with a mixed knowledge base,
@@ -162,8 +166,8 @@ func TestLoadRejectsGarbage(t *testing.T) {
 		nil,
 		[]byte("x"),
 		[]byte("NOPE\x01"),
-		[]byte("SLKB\x63"),        // wrong version
-		append(magic[:], Version), // truncated after header
+		[]byte("SLKB\x63"),            // wrong version
+		append(magic[:], wal.Version), // truncated after the version
 	}
 	for i, data := range cases {
 		if _, _, err := Load(bytes.NewReader(data)); !errors.Is(err, ErrBadSnapshot) {
@@ -177,43 +181,70 @@ func TestLoadRejectsGarbage(t *testing.T) {
 // version 1 (onto IRI 9), the widest 10-byte uvarint, and kind bits 11.
 var notTerm = []uint64{1<<32 | 5, 2<<62 | 9, 1<<64 - 1, 3<<30 | 5}
 
+// validIDs are rawSnapshot's IDs naming terms: the IRI "x" as a fresh
+// dictionary encodes it, then the triple (1, rdf:type, rdfs:Class).
+var validIDs = [4]uint64{uint64(rdf.NewDictionary().EncodeIRI("x")), uint64(rdf.IDType), 1, uint64(rdf.IDClass)}
+
 // rawSnapshot hand-builds a snapshot of format version v from raw
-// integers: one IRI term "x" with ID ids[0], then one triple group of
-// predicate ids[1] holding the inferred pair (ids[2], ids[3]). From
-// version 3 the subject is written shifted left by one, above the
-// explicit bit; a subject too wide to shift is written as it is, which
-// decodes to an ID as far out of range.
-func rawSnapshot(v byte, ids [4]uint64) []byte {
-	if v >= 3 && ids[2] < 1<<63 {
-		ids[2] <<= 1
+// integers: a header counting one term and one triple, then one frame
+// with a valid CRC whose record of operation op carries the IRI term
+// "x" with ID ids[0] and the triple of predicate ids[1], subject ids[2]
+// and object ids[3].
+func rawSnapshot(v byte, op wal.Op, ids [4]uint64) []byte {
+	b := binary.LittleEndian.AppendUint64(append(magic[:], v), 1)
+	b = binary.LittleEndian.AppendUint64(b, 1)
+	payload := binary.AppendUvarint([]byte{byte(op), 1}, ids[0])
+	payload = append(payload, 1, 'x', 0, 0, 1)
+	for _, x := range []uint64{ids[2], ids[1], ids[3]} {
+		payload = binary.AppendUvarint(payload, x)
 	}
-	b := binary.AppendUvarint(append(magic[:], v, 1, byte(rdf.TermIRI)), ids[0])
-	b = append(b, 1, 'x', 0, 0, 1)
-	for i, x := range ids[1:] {
-		b = binary.AppendUvarint(b, x)
-		if i == 0 {
-			b = append(b, 1) // the group's pair count
-		}
-	}
-	return b
+	b = binary.AppendUvarint(b, uint64(len(payload)))
+	b = append(b, payload...)
+	return binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(payload))
 }
 
 // TestLoadRejectsOutOfRangeIDs puts each value that names no term in
-// the dictionary section and in each triple position. Load must report
-// corruption, not truncate the value onto another ID.
+// the term entry and in each triple position, under a valid CRC. Load
+// must report corruption, not truncate the value onto another ID.
 func TestLoadRejectsOutOfRangeIDs(t *testing.T) {
-	valid := [4]uint64{uint64(rdf.NewDictionary().EncodeIRI("x")), uint64(rdf.IDType), 1, uint64(rdf.IDClass)}
-	if _, st, err := Load(bytes.NewReader(rawSnapshot(Version, valid))); err != nil || st.Len() != 1 {
+	if _, st, err := Load(bytes.NewReader(rawSnapshot(wal.Version, wal.OpInfer, validIDs))); err != nil || st.Len() != 1 {
 		t.Fatalf("Load on valid raw IDs: %v", err)
 	}
 	for _, x := range notTerm {
 		for pos, name := range []string{"term", "predicate", "subject", "object"} {
-			ids := valid
+			ids := validIDs
 			ids[pos] = x
-			_, _, err := Load(bytes.NewReader(rawSnapshot(Version, ids)))
-			if !errors.Is(err, ErrBadSnapshot) || !strings.Contains(err.Error(), "out of range") {
+			_, _, err := Load(bytes.NewReader(rawSnapshot(wal.Version, wal.OpInfer, ids)))
+			if !errors.Is(err, ErrBadSnapshot) || !strings.Contains(err.Error(), "out-of-range") {
 				t.Errorf("%s %#x: err = %v, want ErrBadSnapshot for an out-of-range ID", name, x, err)
 			}
+		}
+	}
+}
+
+// TestLoadRefusesBadRecords checks the refusals a frame's CRC cannot
+// make: well-framed records that are not a snapshot's.
+func TestLoadRefusesBadRecords(t *testing.T) {
+	explicit := rawSnapshot(wal.Version, wal.OpAssert, validIDs)
+	if _, st, err := Load(bytes.NewReader(explicit)); err != nil || !st.Explicit(rdf.T(1, rdf.IDType, rdf.IDClass)) {
+		t.Fatalf("Load on an explicit raw triple: %v", err)
+	}
+	outOfOrder := validIDs
+	outOfOrder[0]++
+	moreTriples := append([]byte(nil), explicit...)
+	moreTriples[headerLen-8]++
+	fewerTerms := append([]byte(nil), explicit...)
+	fewerTerms[headerLen-16]--
+	for name, data := range map[string][]byte{
+		"retract record":    rawSnapshot(wal.Version, wal.OpRetract, validIDs),
+		"term out of order": rawSnapshot(wal.Version, wal.OpAssert, outOfOrder),
+		"triple total":      moreTriples,
+		"term total":        fewerTerms,
+		"trailing byte":     append(append([]byte(nil), explicit...), 0),
+		"trailing frame":    append(append([]byte(nil), explicit...), explicit[headerLen:]...),
+	} {
+		if _, _, err := Load(bytes.NewReader(data)); !errors.Is(err, ErrBadSnapshot) {
+			t.Errorf("%s: err = %v, want ErrBadSnapshot", name, err)
 		}
 	}
 }
@@ -221,7 +252,7 @@ func TestLoadRejectsOutOfRangeIDs(t *testing.T) {
 // TestLoadRefusesVersion1 checks that a version-1 snapshot, which held
 // 64-bit IDs, is refused with an error saying so, not decoded.
 func TestLoadRefusesVersion1(t *testing.T) {
-	_, _, err := Load(bytes.NewReader(rawSnapshot(1, [4]uint64{2<<62 | 1, 1, 1, 2<<62 | 1})))
+	_, _, err := Load(bytes.NewReader(rawSnapshot(1, wal.OpInfer, [4]uint64{2<<62 | 1, 1, 1, 2<<62 | 1})))
 	checkRefusal(t, err, "version 1")
 }
 
@@ -229,9 +260,26 @@ func TestLoadRefusesVersion1(t *testing.T) {
 // carried no explicit bit, is refused with an error saying so: loading
 // it would make every triple inferred, and none retractable.
 func TestLoadRefusesVersion2(t *testing.T) {
-	valid := [4]uint64{uint64(rdf.NewDictionary().EncodeIRI("x")), uint64(rdf.IDType), 1, uint64(rdf.IDClass)}
-	_, _, err := Load(bytes.NewReader(rawSnapshot(2, valid)))
+	_, _, err := Load(bytes.NewReader(rawSnapshot(2, wal.OpInfer, validIDs)))
 	checkRefusal(t, err, "version 2")
+}
+
+// TestLoadRefusesVersion3 loads the checkpoint of testdata/v3kb, a
+// snapshot that a release of format version 3 wrote with its own codec
+// and no CRC, and checks it is refused with an error saying so.
+func TestLoadRefusesVersion3(t *testing.T) {
+	_, _, err := Load(bytes.NewReader(v3Snapshot(t)))
+	checkRefusal(t, err, "version 3")
+}
+
+// v3Snapshot reads the version-3 snapshot of testdata/v3kb.
+func v3Snapshot(t testing.TB) []byte {
+	t.Helper()
+	b, err := os.ReadFile(filepath.Join("..", "..", "testdata", "v3kb", "checkpoint-00000001.slkb"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
 }
 
 // checkRefusal fails unless err is ErrBadSnapshot naming the version
@@ -248,18 +296,30 @@ func checkRefusal(t *testing.T, err error, version string) {
 	}
 }
 
-func TestLoadRejectsTruncation(t *testing.T) {
+// TestLoadRefusesEveryCorruption flips each byte of a small snapshot
+// in three ways — its low bit, its high bit, all its bits — and cuts it
+// at every length. Load must refuse every one: a flipped byte inside a
+// string once loaded "Alice" as "Mlice" without an error.
+func TestLoadRefusesEveryCorruption(t *testing.T) {
 	dict, st := build(100, 3)
 	var buf bytes.Buffer
 	if err := Save(&buf, dict, st); err != nil {
 		t.Fatal(err)
 	}
 	full := buf.Bytes()
-	// Chop the snapshot at various points; every prefix must error, not
-	// panic or silently succeed.
-	for _, cut := range []int{6, len(full) / 4, len(full) / 2, len(full) - 1} {
-		if _, _, err := Load(bytes.NewReader(full[:cut])); err == nil {
-			t.Errorf("truncation at %d accepted", cut)
+	bad := make([]byte, len(full))
+	for i := range full {
+		for _, mask := range []byte{0x01, 0x80, 0xff} {
+			copy(bad, full)
+			bad[i] ^= mask
+			if _, _, err := Load(bytes.NewReader(bad)); !errors.Is(err, ErrBadSnapshot) {
+				t.Fatalf("byte %d of %d flipped by %#x: err = %v, want ErrBadSnapshot", i, len(full), mask, err)
+			}
+		}
+	}
+	for n := range full {
+		if _, _, err := Load(bytes.NewReader(full[:n])); !errors.Is(err, ErrBadSnapshot) {
+			t.Fatalf("cut to %d of %d bytes: err = %v, want ErrBadSnapshot", n, len(full), err)
 		}
 	}
 }

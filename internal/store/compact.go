@@ -40,6 +40,15 @@ func SetCompactTestHook(f func()) {
 // compactor off, retired or behind) merges it down itself before
 // appending — at maxRuns runs for an add or a removal, and at maxRuns-1
 // for a promotion or demotion, which appends a marker run and an add run.
+//
+// A due window is enqueued for the compactor, not merged by the writer
+// that made it due, even though that writer already holds the
+// predicate. Merging on the writer path was measured (2-core guest,
+// three seeds a workload, the compactor never running): the median
+// insert-to-visible latency rose on every run, by 10 %, 77 % and 19 %
+// on a deep RDFS closure and by 34 %, 39 % and 9 % under retract
+// churn. The merge is O(window) work that blocks the next batch; the
+// compactor does it beside ingest instead.
 const (
 	fanIn   = 4
 	maxRuns = 64

@@ -35,6 +35,7 @@ func FuzzWAL(f *testing.F) {
 	wide := validIDs
 	wide[1] = 1<<64 - 1 // a 10-byte uvarint subject under a valid CRC
 	f.Add(append(append(segmentMagic[:], Version), rawFrame(rawPayload(wide))...))
+	f.Add(inferSegment()) // an inferred-triple record under a valid CRC
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()

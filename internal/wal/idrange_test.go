@@ -46,7 +46,13 @@ func rawPayload(ids [4]uint64) []byte {
 	return b
 }
 
-// rawFrame frames a payload as frameRecord does, with a valid CRC.
+// appendRecord appends rec's frame to b.
+func appendRecord(b []byte, rec Record) []byte {
+	frame, _ := EncodeFrame(nil, rec)
+	return append(b, frame...)
+}
+
+// rawFrame frames a payload as EncodeFrame does, with a valid CRC.
 func rawFrame(payload []byte) []byte {
 	b := appendUvarint(nil, uint64(len(payload)))
 	b = append(b, payload...)

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
+	"slices"
 
 	"repro/internal/rdf"
 )
@@ -25,6 +27,9 @@ const (
 	// OpRetract records a batch of explicit triples being retracted
 	// (delete-and-rederive runs over them on replay).
 	OpRetract Op = 2
+	// OpInfer records a batch of inferred triples. Only a snapshot holds
+	// it: Append refuses it, and replay treats one as a bad frame.
+	OpInfer Op = 3
 )
 
 // TermEntry is one dictionary delta: a term and the ID the dictionary
@@ -36,11 +41,25 @@ type TermEntry struct {
 }
 
 // Record is one durable unit of the log: an assert or retract batch plus
-// the dictionary entries that appeared since the previous record.
+// the dictionary entries that appeared since the previous record. A
+// snapshot is a sequence of records too (internal/snapshot).
 type Record struct {
 	Op      Op
 	Terms   []TermEntry
 	Triples []rdf.Triple
+}
+
+// RegisterTerms encodes rec's terms into dict in order and checks that
+// each gets the ID rec recorded for it, so the triples of this record
+// and of later ones name the terms they named when written.
+func (rec Record) RegisterTerms(dict *rdf.Dictionary) error {
+	for _, te := range rec.Terms {
+		if got := dict.Encode(te.Term); got != te.ID {
+			return fmt.Errorf("wal: term %v resolved to ID %d, recorded as %d",
+				te.Term, uint64(got), uint64(te.ID))
+		}
+	}
+	return nil
 }
 
 // Decoding limits. A frame larger than maxRecordLen is treated as
@@ -128,13 +147,13 @@ func encodeRecordPayload(b []byte, rec Record) []byte {
 	return b
 }
 
-// frameRecord encodes rec into a complete frame inside scratch (reused
+// EncodeFrame encodes rec into a complete frame inside scratch (reused
 // across calls, so the hot append path allocates only on growth). The
 // returned slice aliases scratch's backing array: the payload is encoded
 // after a reserved maximum-width length prefix, the minimal varint
 // length is then right-aligned into the gap, and the CRC appended — no
 // second buffer, no payload copy.
-func frameRecord(scratch []byte, rec Record) (frame, grown []byte) {
+func EncodeFrame(scratch []byte, rec Record) (frame, grown []byte) {
 	const prefix = binary.MaxVarintLen64
 	if cap(scratch) < prefix {
 		scratch = make([]byte, 0, 1024)
@@ -149,13 +168,6 @@ func frameRecord(scratch []byte, rec Record) (frame, grown []byte) {
 	binary.LittleEndian.PutUint32(crc[:], crc32.ChecksumIEEE(b[prefix:]))
 	b = append(b, crc[:]...)
 	return b[start:], b
-}
-
-// appendRecord appends the full framed encoding of rec to b (allocating
-// convenience form, used by tests; the Log's hot path uses frameRecord).
-func appendRecord(b []byte, rec Record) []byte {
-	frame, _ := frameRecord(nil, rec)
-	return append(b, frame...)
 }
 
 // byteCursor reads primitives out of a byte slice with bounds checking;
@@ -236,7 +248,7 @@ func decodeRecord(payload []byte) (Record, error) {
 	c := &byteCursor{b: payload}
 	var rec Record
 	op := Op(c.byte())
-	if op != OpAssert && op != OpRetract {
+	if op != OpAssert && op != OpRetract && op != OpInfer {
 		return rec, fmt.Errorf("wal: bad record op %d", op)
 	}
 	rec.Op = op
@@ -293,28 +305,57 @@ func decodeRecord(payload []byte) (Record, error) {
 	return rec, nil
 }
 
-// scanRecord reads one framed record starting at b[off]. It returns the
-// decoded record and the offset just past the frame, or ok=false if the
-// frame is truncated, oversized, fails its CRC, or does not decode — the
-// caller treats everything from off on as a torn tail.
-func scanRecord(b []byte, off int) (rec Record, next int, ok bool) {
-	v, n := binary.Uvarint(b[off:])
-	if n <= 0 || n != uvarintLen(v) || v > maxRecordLen {
-		return rec, off, false
+// FrameSource is what ReadFrame reads from, such as a *bufio.Reader or
+// a *bytes.Reader.
+type FrameSource interface {
+	io.Reader
+	io.ByteReader
+}
+
+// ReadFrame reads the next frame from r and decodes its record. It
+// returns io.EOF when r ends before a frame's first byte, and an error
+// for a frame that is truncated, has a non-minimal length or one over
+// maxRecordLen, fails its CRC, or carries a payload decodeRecord
+// refuses. buf is scratch for the payload, returned grown; the record
+// does not alias it. The payload is read in bounded steps, so a
+// corrupted length allocates no more than the bytes that are there.
+func ReadFrame(r FrameSource, buf []byte) (Record, []byte, error) {
+	var lenBuf [binary.MaxVarintLen64]byte
+	n := 0
+	for {
+		c, err := r.ReadByte()
+		if err != nil {
+			if err == io.EOF && n == 0 {
+				return Record{}, buf, io.EOF
+			}
+			return Record{}, buf, fmt.Errorf("wal: truncated frame length: %w", err)
+		}
+		lenBuf[n] = c
+		n++
+		if c < 0x80 || n == len(lenBuf) {
+			break
+		}
 	}
-	start := off + n
-	end := start + int(v)
-	if end+4 > len(b) {
-		return rec, off, false
+	v, m := binary.Uvarint(lenBuf[:n])
+	if m != n || m != uvarintLen(v) || v > maxRecordLen {
+		return Record{}, buf, fmt.Errorf("wal: bad frame length")
 	}
-	payload := b[start:end]
-	want := binary.LittleEndian.Uint32(b[end : end+4])
-	if crc32.ChecksumIEEE(payload) != want {
-		return rec, off, false
+	const step = 1 << 20
+	need := int(v) + 4
+	buf = buf[:0]
+	for len(buf) < need {
+		k := min(need-len(buf), step)
+		buf = slices.Grow(buf, k)
+		got, err := io.ReadFull(r, buf[len(buf):len(buf)+k])
+		buf = buf[:len(buf)+got]
+		if err != nil {
+			return Record{}, buf, fmt.Errorf("wal: truncated frame: %w", err)
+		}
+	}
+	payload := buf[:v]
+	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(buf[v:]) {
+		return Record{}, buf, fmt.Errorf("wal: frame CRC mismatch")
 	}
 	rec, err := decodeRecord(payload)
-	if err != nil {
-		return rec, off, false
-	}
-	return rec, end + 4, true
+	return rec, buf, err
 }

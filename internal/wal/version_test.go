@@ -71,3 +71,14 @@ func TestOpenRefusesVersion2(t *testing.T) {
 		"checkpoint-00000001.explicit": []byte("SLEX\x02\x00"),
 	})
 }
+
+// TestOpenRefusesVersion3 opens a directory written in format version 3,
+// whose checkpoint snapshot had its own codec without a CRC, and checks
+// that Open refuses it untouched.
+func TestOpenRefusesVersion3(t *testing.T) {
+	checkOpenRefuses(t, 3, map[string][]byte{
+		manifestName:              []byte(`{"version":3,"checkpoint":1,"first_segment":2}`),
+		segmentName(2):            append([]byte("SLWL\x03"), rawFrame(rawPayload(validIDs))...),
+		checkpointSnapshotName(1): []byte("SLKB\x03\x00\x00"),
+	})
+}

@@ -2,7 +2,11 @@
 // segmented, append-only write-ahead log of assert/retract batches —
 // varint-framed, CRC32-checked records over dictionary-encoded triples
 // plus the dictionary deltas that name them — together with periodic
-// checkpoints in the internal/snapshot format.
+// checkpoints in the internal/snapshot format. The frame codec
+// (EncodeFrame, ReadFrame) is the one durable encoding of terms and
+// triples: a snapshot is a header followed by the same frames, so the
+// log and its checkpoints share one format Version and one set of
+// length, CRC and ID checks.
 //
 // On-disk layout of a log directory:
 //
@@ -27,6 +31,7 @@
 package wal
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -46,11 +51,12 @@ import (
 // Segment header: magic plus a format version byte.
 var segmentMagic = [4]byte{'S', 'L', 'W', 'L'}
 
-// Version of the on-disk log format, shared by the segments and the
-// manifest. Version 1 wrote 64-bit IDs; version 2 wrote the explicit
-// triple set in a checkpoint sidecar, which version 3 folds into the
-// snapshot.
-const Version = 3
+// Version of the on-disk format, shared by the segments, the manifest
+// and the snapshots (internal/snapshot), which are written in the same
+// frames. Version 1 wrote 64-bit IDs; version 2 wrote the explicit
+// triple set in a checkpoint sidecar, which version 3 folded into the
+// snapshot; version 4 writes the snapshot in CRC-checked frames.
+const Version = 4
 
 // unsupportedVersion is the error for a file of format version v, not
 // Version. Older data is refused, not converted.
@@ -452,9 +458,16 @@ func (l *Log) Replay(fn func(Record) error) (ReplayStats, error) {
 			torn, off = idx, 0
 		}
 		if torn == 0 {
-			for off < len(b) {
-				rec, next, ok := scanRecord(b, off)
-				if !ok {
+			br := bytes.NewReader(b[off:])
+			for {
+				rec, buf, err := ReadFrame(br, l.buf)
+				l.buf = buf
+				if err == io.EOF {
+					break
+				}
+				// An inferred-triple record belongs in a snapshot, never
+				// in the log: one here is corruption.
+				if err != nil || rec.Op == OpInfer {
 					torn = idx
 					break
 				}
@@ -462,7 +475,7 @@ func (l *Log) Replay(fn func(Record) error) (ReplayStats, error) {
 					return stats, err
 				}
 				stats.Records++
-				off = next
+				off = len(b) - br.Len()
 			}
 		}
 		if torn == idx {
@@ -559,7 +572,7 @@ func (l *Log) append(rec Record, sp *trace.Span) error {
 		return err
 	}
 	var frame []byte
-	frame, l.buf = frameRecord(l.buf, rec)
+	frame, l.buf = EncodeFrame(l.buf, rec)
 	if int64(len(frame)) > maxRecordLen {
 		return fmt.Errorf("%w: record of %d bytes exceeds the %d-byte frame limit", ErrRejected, len(frame), maxRecordLen)
 	}

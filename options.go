@@ -16,7 +16,6 @@ type config struct {
 	workers    int
 	observer   reasoner.Observer
 	adaptive   bool
-	retraction bool
 	provenance bool
 	viewMaxAge time.Duration
 
@@ -65,11 +64,12 @@ func WithObserver(o Observer) Option {
 	return func(c *config) { c.observer = o }
 }
 
-// WithRetraction enables incremental deletion (Reasoner.Retract). It
-// costs nothing until Retract is called: every reasoner's store keeps
-// one bit per triple saying whether it was asserted.
+// WithRetraction does nothing: every reasoner can retract, because its
+// store keeps one bit per triple saying whether it was asserted. It is
+// kept so that callers written when Reasoner.Retract needed it still
+// build.
 func WithRetraction() Option {
-	return func(c *config) { c.retraction = true }
+	return func(*config) {}
 }
 
 // WithProvenance enables per-triple provenance: Reasoner.Why reports
@@ -93,9 +93,8 @@ func WithViewMaxAge(d time.Duration) Option {
 // log before it reaches the engine, the materialised store is
 // checkpointed in the background, and reopening the same directory
 // (Open, or New with this option) replays snapshot plus log tail.
-// Durability implies WithRetraction: retractions are logged, and the
-// checkpoint keeps which triples were asserted, so delete-and-rederive
-// survives restarts.
+// Retractions are logged, and the checkpoint keeps which triples were
+// asserted, so delete-and-rederive survives restarts.
 //
 // Open is the error-returning constructor; New panics if the directory
 // cannot be opened or replayed.

@@ -20,7 +20,7 @@ import (
 // derivation chain, every retracted member gone along with its chain,
 // and the schema intact.
 func TestRetractUnderConcurrentIngest(t *testing.T) {
-	r := New(RhoDF, WithRetraction(), WithBufferSize(32))
+	r := New(RhoDF, WithBufferSize(32))
 	defer r.Close(context.Background())
 	ctx := context.Background()
 
@@ -155,7 +155,7 @@ func newSymKnowsReasoner(opts ...Option) *Reasoner {
 // final closure must equal a rebuild from the surviving explicit
 // statements.
 func TestClassicRetractUnderConcurrentIngest(t *testing.T) {
-	r := newSymKnowsReasoner(WithRetraction(), WithBufferSize(32))
+	r := newSymKnowsReasoner(WithBufferSize(32))
 	defer r.Close(context.Background())
 	ctx := context.Background()
 

@@ -7,7 +7,7 @@ import (
 )
 
 func TestRetractThroughFacade(t *testing.T) {
-	r := New(RhoDF, WithRetraction())
+	r := New(RhoDF)
 	defer r.Close(context.Background())
 	mustAdd(t, r, NewStatement(ex("Cat"), IRI(SubClassOf), ex("Mammal")))
 	mustAdd(t, r, NewStatement(ex("Mammal"), IRI(SubClassOf), ex("Animal")))
@@ -50,16 +50,30 @@ func TestRetractThroughFacade(t *testing.T) {
 	}
 }
 
-func TestRetractRequiresOption(t *testing.T) {
+// TestRetractWithoutOption checks that a reasoner built without any
+// option retracts an asserted statement and its consequences: the
+// store records which triples were asserted whatever the options.
+func TestRetractWithoutOption(t *testing.T) {
 	r := New(RhoDF)
 	defer r.Close(context.Background())
-	if _, err := r.Retract(context.Background(), NewStatement(ex("a"), IRI(Type), ex("b"))); err == nil {
-		t.Fatal("Retract without WithRetraction accepted")
+	ctx := context.Background()
+	felix := NewStatement(ex("felix"), IRI(Type), ex("Cat"))
+	mustAdd(t, r, NewStatement(ex("Cat"), IRI(SubClassOf), ex("Animal")))
+	mustAdd(t, r, felix)
+	if err := r.Wait(ctx); err != nil {
+		t.Fatal(err)
+	}
+	stats, err := r.Retract(ctx, felix)
+	if err != nil || stats.Retracted != 1 {
+		t.Fatalf("Retract = %+v, %v; want 1 retracted", stats, err)
+	}
+	if r.Contains(felix) || r.Contains(NewStatement(ex("felix"), IRI(Type), ex("Animal"))) {
+		t.Fatal("the retracted statement or its consequence survived")
 	}
 }
 
 func TestRetractUnknownStatement(t *testing.T) {
-	r := New(RhoDF, WithRetraction())
+	r := New(RhoDF)
 	defer r.Close(context.Background())
 	stats, err := r.Retract(context.Background(), NewStatement(ex("never"), IRI(Type), ex("seen")))
 	if err != nil || stats.Retracted != 0 {
@@ -73,7 +87,7 @@ func TestLoadThenRetractKeepsAlternatives(t *testing.T) {
 <http://example.org/a> <` + SubClassOf + `> <http://example.org/e> .
 <http://example.org/e> <` + SubClassOf + `> <http://example.org/c> .
 `
-	r := New(RhoDF, WithRetraction())
+	r := New(RhoDF)
 	defer r.Close(context.Background())
 	if _, err := r.LoadNTriples(strings.NewReader(doc)); err != nil {
 		t.Fatal(err)

@@ -175,11 +175,6 @@ type Reasoner struct {
 	engine *reasoner.Engine
 	frag   Fragment
 
-	// retraction enables Retract (WithRetraction, or durability). Which
-	// triples were asserted — the retraction axioms — the store records
-	// itself, one bit per pair, whatever the option.
-	retraction bool
-
 	// writeMu is the one writer lock. Its holder alone hands batches to
 	// the engine, appends to the write-ahead log, marks a checkpoint,
 	// freezes a closure (read-session refresh, retraction phase A) or
@@ -248,8 +243,8 @@ func New(frag Fragment, opts ...Option) *Reasoner {
 // from a snapshot previously written by Reasoner.Snapshot. The restored
 // triples are not re-inferred from (a snapshot of a materialised store
 // is already closed) but join with new streamed data, and each keeps
-// whether it was asserted or inferred: with WithRetraction, an asserted
-// one can be retracted as if it had been added to this reasoner.
+// whether it was asserted or inferred: an asserted one can be retracted
+// as if it had been added to this reasoner.
 func LoadSnapshot(frag Fragment, rd io.Reader, opts ...Option) (*Reasoner, error) {
 	dict, st, err := snapshot.Load(rd)
 	if err != nil {
@@ -285,7 +280,6 @@ func newReasoner(frag Fragment, dict *rdf.Dictionary, st *store.Store, cfg confi
 	r := &Reasoner{
 		dict:       dict,
 		store:      st,
-		retraction: cfg.retraction,
 		viewMaxAge: maxAge,
 		engine: reasoner.New(st, frag.rules, reasoner.Config{
 			BufferSize:      cfg.bufferSize,
@@ -537,9 +531,9 @@ type RetractStats = maintenance.Stats
 // lose their last derivation disappear; consequences with alternative
 // derivations survive; a retracted statement that is still derivable
 // stays, as an inferred one. Statements that were never asserted are
-// ignored. Requires WithRetraction (durable reasoners always allow it).
-// On a durable reasoner the deletion batch is logged before it is
-// applied, so the retraction survives a restart.
+// ignored. Every reasoner can retract: its store records which triples
+// were asserted. On a durable reasoner the deletion batch is logged
+// before it is applied, so the retraction survives a restart.
 //
 // The pass is two-phase, and its cost to concurrent writers is bounded
 // by the suspect set, not the store. Phase A freezes a copy-on-write
@@ -561,9 +555,6 @@ type RetractStats = maintenance.Stats
 // delete-and-rederive runs inside the exclusive window and rederives
 // from the full surviving store.
 func (r *Reasoner) Retract(ctx context.Context, sts ...Statement) (RetractStats, error) {
-	if !r.retraction {
-		return RetractStats{}, fmt.Errorf("slider: retraction not enabled (use WithRetraction)")
-	}
 	var toDelete []rdf.Triple
 	for _, st := range sts {
 		t, ok := r.lookup(st)

@@ -45,7 +45,7 @@ func TestAddBatchRejectsInvalid(t *testing.T) {
 // TestAddBatchWithRetraction checks batch-ingested statements are tracked
 // as explicit assertions, so they can be retracted like Add'ed ones.
 func TestAddBatchWithRetraction(t *testing.T) {
-	r := New(RhoDF, WithRetraction())
+	r := New(RhoDF)
 	defer r.Close(context.Background())
 	if _, err := r.AddBatch([]Statement{
 		NewStatement(ex("Cat"), IRI(SubClassOf), ex("Mammal")),

@@ -55,7 +55,7 @@ func TestSelectOverInferredKnowledge(t *testing.T) {
 // does nothing.
 func TestLoadSnapshotKeepsExplicitness(t *testing.T) {
 	ctx := context.Background()
-	r := New(RDFS, WithRetraction())
+	r := New(RDFS)
 	asserted := NewStatement(ex("a"), IRI(Type), ex("C"))
 	mustAdd(t, r, NewStatement(ex("C"), IRI(SubClassOf), ex("D")))
 	mustAdd(t, r, asserted)
@@ -70,7 +70,7 @@ func TestLoadSnapshotKeepsExplicitness(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	r2, err := LoadSnapshot(RDFS, &buf, WithRetraction())
+	r2, err := LoadSnapshot(RDFS, &buf)
 	if err != nil {
 		t.Fatal(err)
 	}

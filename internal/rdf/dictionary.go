@@ -15,23 +15,30 @@ const (
 	// chunks double from firstChunk to chunkSize bytes; a larger record
 	// gets a chunk of its own, sized to fit it exactly.
 	dictStripes, firstChunk, chunkSize = 32, 512, 64 << 10
-	// A ref is chunk index << refOffBits | byte offset. Offsets fit: a
-	// record starts past byte 0 only in a chunk of at most chunkSize bytes.
-	refOffBits, refOffMask = 16, 1<<16 - 1
-	// A table slot is slotUsed | a 15-bit hash fingerprint << 48 | the
-	// record's stripe-local ref; 0 marks an empty slot.
-	slotUsed, slotRef = 1 << 63, 1<<48 - 1
+	// A ref is 32 bits: chunk index << refOffBits | byte offset. Offsets
+	// fit: a record starts past byte 0 only in a chunk of at most chunkSize
+	// bytes. A ref list holds global refs, whose 16-bit chunk index counts
+	// Dictionary.chunks; a table slot holds a local ref, whose 12-bit chunk
+	// index counts its stripe's chunks. So a stripe holds at most
+	// maxStripeChunks chunks, and the dictionary at most maxChunks, about
+	// 4 GiB of arena (see chunkMintable).
+	refOffBits, refOffMask     = 16, 1<<16 - 1
+	maxStripeChunks, maxChunks = 1 << 12, 1 << 16
+	// A table slot is a 4-bit hash fingerprint << slotFPShift | the
+	// record's 28-bit local ref. A stripe's chunk 0 is empty, so a live
+	// local ref is never 0, and 0 marks an empty slot.
+	slotFPShift, slotRef = 28, 1<<28 - 1
 )
 
 // dictStripe is one shard of the term→ID direction: an append-only byte
 // arena holding the shard's records and an open-addressing table over it.
 type dictStripe struct {
 	mu     sync.RWMutex
-	table  []uint64 // power-of-two length, at most ¾ full
+	table  []uint32 // power-of-two length, at most ¾ full
 	n      int      // occupied slots
 	chunks [][]byte // local refs index this; starts with an empty chunk
 	used   int      // bytes written to the last chunk
-	global uint64   // index of the last chunk in Dictionary.chunks
+	global uint32   // index of the last chunk in Dictionary.chunks
 }
 
 // Dictionary maps RDF terms to dense integer IDs and back. It plays the
@@ -45,7 +52,7 @@ type dictStripe struct {
 // and bytes. The term→ID direction is sharded across lock stripes by a
 // hash of the term (see canonTerm: terms get the same ID exactly when
 // their String renderings are equal); a stripe owns its records' arena
-// and an open-addressing table of refs, probed in place without
+// and an open-addressing table of 32-bit slots, probed in place without
 // allocating. The ID→term direction is one ref list per kind, appended
 // under seqMu in per-kind sequence order, which keeps ForEach — and so
 // snapshot round-trips — deterministic; seqMu also publishes the chunks
@@ -62,7 +69,7 @@ type Dictionary struct {
 	// term kind, and the annotation index.
 	seqMu    sync.RWMutex
 	chunks   [][]byte
-	refs     [3][]uint64 // indexed by TermKind
+	refs     [3][]uint32 // global refs, indexed by TermKind
 	annotIdx map[string]uint64
 }
 
@@ -73,7 +80,7 @@ func NewDictionary() *Dictionary {
 	d := &Dictionary{seed: maphash.MakeSeed(), annotIdx: make(map[string]uint64)}
 	d.annots.Store(new([]string))
 	for i := range d.stripes {
-		d.stripes[i].table, d.stripes[i].chunks = make([]uint64, 64), [][]byte{nil}
+		d.stripes[i].table, d.stripes[i].chunks = make([]uint32, 64), [][]byte{nil}
 	}
 	for _, t := range wellKnown {
 		d.Encode(t)
@@ -98,7 +105,7 @@ func canonTerm(t Term) Term {
 }
 
 // hash hashes t (already canonicalised). Its low bits select the stripe,
-// the bits above them the home slot, and its top 15 the fingerprint.
+// the bits above them the home slot, and its top 4 the fingerprint.
 func (d *Dictionary) hash(t Term) uint64 {
 	h := maphash.String(d.seed, t.Value)
 	h = h*31 + uint64(t.Kind)
@@ -124,7 +131,7 @@ func arenaString(b []byte) string {
 }
 
 // decode returns the term and sequence number of the record at ref.
-func decode(chunks [][]byte, annots []string, ref uint64) (Term, uint64) {
+func decode(chunks [][]byte, annots []string, ref uint32) (Term, uint64) {
 	b := chunks[ref>>refOffBits][ref&refOffMask:]
 	tag, n := binary.Uvarint(b)
 	b = b[n:]
@@ -144,7 +151,7 @@ func decode(chunks [][]byte, annots []string, ref uint64) (Term, uint64) {
 // and otherwise the empty slot t would take. Called with s.mu held.
 func (s *dictStripe) find(t Term, h uint64, annots []string) (slot int, id ID, ok bool) {
 	mask := len(s.table) - 1
-	fp := slotUsed | h>>49<<48
+	fp := fingerprint(h)
 	for i := int(h/dictStripes) & mask; ; i = (i + 1) & mask {
 		e := s.table[i]
 		if e == 0 {
@@ -158,9 +165,14 @@ func (s *dictStripe) find(t Term, h uint64, annots []string) (slot int, id ID, o
 	}
 }
 
+// fingerprint returns h's top 4 bits in a table slot's fingerprint field.
+func fingerprint(h uint64) uint32 { return uint32(h >> 60 << slotFPShift) }
+
 // Encode returns the ID for the term, assigning a fresh one on first
-// encounter. It panics rather than mint the 2^30-th term of a kind,
-// whose sequence number would spill into the kind bits.
+// encounter. It panics, before it changes any state, rather than mint the
+// 2^30-th term of a kind, whose sequence number would spill into the kind
+// bits, or add an arena chunk past chunkMintable's caps, whose index
+// would spill out of a ref.
 func (d *Dictionary) Encode(t Term) ID {
 	t = canonTerm(t)
 	h := d.hash(t)
@@ -178,31 +190,38 @@ func (d *Dictionary) Encode(t Term) ID {
 		return id
 	}
 	d.seqMu.Lock()
-	if !mintable(len(d.refs[t.Kind])) {
-		d.seqMu.Unlock()
-		panic(errTermLimit)
-	}
-	tag := uint64(t.Kind)
-	if t.Lang != "" {
-		tag |= d.annot('@', t.Lang) << 2
-	} else if t.Datatype != "" {
-		tag |= d.annot('^', t.Datatype) << 2
-	}
+	var buf [64]byte
+	key := annotKey(buf[:0], t)
+	a, fresh := d.annot(key)
 	seq := uint64(len(d.refs[t.Kind]) + 1)
 	var hdr [3 * binary.MaxVarintLen64]byte
-	rec := binary.AppendUvarint(binary.AppendUvarint(binary.AppendUvarint(hdr[:0], tag), seq), uint64(len(t.Value)))
+	rec := binary.AppendUvarint(binary.AppendUvarint(binary.AppendUvarint(hdr[:0], a<<2|uint64(t.Kind)), seq), uint64(len(t.Value)))
 	n := len(rec) + len(t.Value)
 	c := s.chunks[len(s.chunks)-1]
-	if n > len(c)-s.used {
+	full := n > len(c)-s.used
+	var err error
+	if !mintable(len(d.refs[t.Kind])) {
+		err = errTermLimit
+	} else if full && !chunkMintable(len(s.chunks), len(d.chunks)) {
+		err = errArenaLimit
+	}
+	if err != nil {
+		d.seqMu.Unlock()
+		panic(err)
+	}
+	if fresh {
+		d.intern(key)
+	}
+	if full {
 		c = make([]byte, max(n, min(2*len(c), chunkSize), firstChunk))
 		s.chunks, d.chunks = append(s.chunks, c), append(d.chunks, c)
-		s.global, s.used = uint64(len(d.chunks)-1), 0
+		s.global, s.used = uint32(len(d.chunks)-1), 0
 	}
 	copy(c[s.used:], rec)
 	copy(c[s.used+len(rec):], t.Value)
-	d.refs[t.Kind] = append(d.refs[t.Kind], s.global<<refOffBits|uint64(s.used))
+	d.refs[t.Kind] = append(d.refs[t.Kind], s.global<<refOffBits|uint32(s.used))
 	d.seqMu.Unlock()
-	s.table[slot] = slotUsed | h>>49<<48 | uint64(len(s.chunks)-1)<<refOffBits | uint64(s.used)
+	s.table[slot] = fingerprint(h) | uint32(len(s.chunks)-1)<<refOffBits | uint32(s.used)
 	s.used += n
 	if s.n++; 4*s.n > 3*len(s.table) {
 		s.grow(d)
@@ -210,35 +229,60 @@ func (d *Dictionary) Encode(t Term) ID {
 	return makeID(t.Kind, seq)
 }
 
-// errTermLimit is Encode's panic value once a kind is exhausted.
-var errTermLimit = errors.New("rdf: 2^30-1 terms of one kind is the limit of a 32-bit ID")
+// Encode's panic values: a kind is exhausted, or the arena is.
+var (
+	errTermLimit  = errors.New("rdf: 2^30-1 terms of one kind is the limit of a 32-bit ID")
+	errArenaLimit = errors.New("rdf: 65536 arena chunks, 4096 per stripe (about 4 GiB), is the limit of a 32-bit ref")
+)
 
 // mintable reports whether a kind holding n terms may mint another: the
 // new term's sequence number, n+1, must stay below 2^30.
 func mintable(n int) bool { return n+1 < 1<<kindShift }
 
-// annot returns the index, from 1, of annotation a marked by m ('@' for a
-// language tag, '^' for a datatype), interning it on first use. Called
-// with d.seqMu held.
-func (d *Dictionary) annot(m byte, a string) uint64 {
-	var buf [64]byte
-	key := append(append(buf[:0], m), a...)
-	i, ok := d.annotIdx[string(key)]
-	if !ok {
-		old := *d.annots.Load()
-		next := append(old[:len(old):len(old)], string(key))
-		d.annots.Store(&next)
-		i = uint64(len(next))
-		d.annotIdx[next[i-1]] = i
+// chunkMintable reports whether a stripe holding local chunks, in a
+// dictionary holding global chunks, may add another: the new chunk's
+// indexes, local and global, must fit a local and a global ref.
+func chunkMintable(local, global int) bool { return local < maxStripeChunks && global < maxChunks }
+
+// annotKey appends t's annotation key to buf: "@" + its language tag or
+// "^" + its datatype IRI. It returns nil for a term with neither.
+func annotKey(buf []byte, t Term) []byte {
+	switch {
+	case t.Lang != "":
+		return append(append(buf, '@'), t.Lang...)
+	case t.Datatype != "":
+		return append(append(buf, '^'), t.Datatype...)
 	}
-	return i
+	return nil
+}
+
+// annot returns the index, from 1, of the annotation key (0 for nil), and
+// whether it is not interned yet; the index is then the one intern will
+// give it. Called with d.seqMu held.
+func (d *Dictionary) annot(key []byte) (uint64, bool) {
+	if key == nil {
+		return 0, false
+	}
+	if i, ok := d.annotIdx[string(key)]; ok {
+		return i, false
+	}
+	return uint64(len(*d.annots.Load()) + 1), true
+}
+
+// intern appends the annotation key to the copy-on-write table. Called
+// with d.seqMu held.
+func (d *Dictionary) intern(key []byte) {
+	old := *d.annots.Load()
+	next := append(old[:len(old):len(old)], string(key))
+	d.annots.Store(&next)
+	d.annotIdx[next[len(next)-1]] = uint64(len(next))
 }
 
 // grow doubles s's table, rehashing every record from the arena. Called
 // with s.mu held for writing.
 func (s *dictStripe) grow(d *Dictionary) {
 	old, annots := s.table, *d.annots.Load()
-	s.table = make([]uint64, 2*len(old))
+	s.table = make([]uint32, 2*len(old))
 	for _, e := range old {
 		if e != 0 {
 			t, _ := decode(s.chunks, annots, e&slotRef)
@@ -262,11 +306,12 @@ func (d *Dictionary) Lookup(t Term) (ID, bool) {
 	return id, ok
 }
 
-// Term returns the term for an ID; its strings alias the arena.
+// Term returns the term for an ID; its strings alias the arena. An ID of
+// kind bits 11 names no term.
 func (d *Dictionary) Term(id ID) (Term, bool) {
 	v := d.view()
-	if refs, seq := v.refs[id.Kind()], id.seq(); seq != 0 && seq <= uint64(len(refs)) {
-		t, _ := decode(v.chunks, v.annots, refs[seq-1])
+	if k, seq := int(id>>kindShift), id.seq(); k < len(v.refs) && seq != 0 && seq <= uint64(len(v.refs[k])) {
+		t, _ := decode(v.chunks, v.annots, v.refs[k][seq-1])
 		return t, true
 	}
 	return Term{}, false
@@ -324,7 +369,7 @@ func (d *Dictionary) ForEachNew(iris, blanks, literals int, f func(ID, Term) boo
 type DictView struct {
 	chunks [][]byte
 	annots []string
-	refs   [3][]uint64
+	refs   [3][]uint32
 }
 
 // ViewAt returns a view of the first (iris, blanks, literals) terms per

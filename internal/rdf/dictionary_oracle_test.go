@@ -3,6 +3,7 @@ package rdf
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -254,5 +255,39 @@ func TestDictionaryConcurrentReadersAndAliasing(t *testing.T) {
 	})
 	if strings.Join(after, "\n") != strings.Join(before, "\n") {
 		t.Fatal("a view captured before the inserts reads back differently after them")
+	}
+}
+
+// TestDictionaryFingerprintCollisions builds the longest probe chain a
+// table can hold: terms that share a stripe, a home slot at the table's
+// final size and a fingerprint, so only the arena compare tells them
+// apart. Interleaved with fillers of the same stripe that double its
+// table twice, and then encoded again, they are checked against the map
+// oracle.
+func TestDictionaryFingerprintCollisions(t *testing.T) {
+	const colliding, fillers, slots = 64, 64, 256
+	d := NewDictionary()
+	key := func(h uint64) [3]uint64 {
+		return [3]uint64{h % dictStripes, h / dictStripes % slots, uint64(fingerprint(h))}
+	}
+	candidate := func(i int) Term { return oracleTerm(byte(i), 0, "c"+strconv.Itoa(i)) }
+	want := key(d.hash(candidate(0)))
+	var chain, fill []Term
+	for i := 0; len(chain) < colliding || len(fill) < fillers; i++ {
+		c := candidate(i)
+		switch k := key(d.hash(c)); {
+		case k == want && len(chain) < colliding:
+			chain = append(chain, c)
+		case k[0] == want[0] && k[1] != want[1] && len(fill) < fillers:
+			fill = append(fill, c)
+		}
+	}
+	var terms []Term
+	for i := range chain {
+		terms = append(terms, chain[i], fill[i])
+	}
+	checkOracle(t, d, append(terms, terms...))
+	if s := &d.stripes[want[0]]; len(s.table) != slots {
+		t.Fatalf("stripe table has %d slots, want %d after two doublings", len(s.table), slots)
 	}
 }

@@ -2,6 +2,8 @@ package rdf
 
 import (
 	"fmt"
+	"math/rand"
+	"strconv"
 	"sync"
 	"testing"
 )
@@ -169,4 +171,64 @@ func BenchmarkEncodeHitParallel(b *testing.B) {
 			i++
 		}
 	})
+}
+
+// benchTermCount is the number of distinct terms the spread benchmarks
+// cycle through: enough that the stripes' tables and arenas outgrow the
+// cache, so a probe pays for the memory it touches.
+const benchTermCount = 1 << 18
+
+// benchTerms returns n distinct terms shaped like BSBM's: product and
+// review IRIs, typed integer literals and language-tagged labels.
+func benchTerms(n int) []Term {
+	const ns = "http://www4.wiwiss.fu-berlin.de/bizer/bsbm/v01/instances/"
+	terms := make([]Term, n)
+	for i := range terms {
+		switch i % 4 {
+		case 0:
+			terms[i] = NewIRI(fmt.Sprintf("%sdataFromProducer%d/Product%d", ns, i/1000, i))
+		case 1:
+			terms[i] = NewIRI(fmt.Sprintf("%sdataFromRatingSite%d/Review%d", ns, i/1000, i))
+		case 2:
+			terms[i] = NewTypedLiteral(strconv.Itoa(i), IRIXSDInteger)
+		default:
+			terms[i] = NewLangLiteral(fmt.Sprintf("label of item %d", i), "en")
+		}
+	}
+	return terms
+}
+
+// BenchmarkEncodeMiss mints benchTermCount distinct terms into a fresh
+// dictionary, again and again: every Encode is a miss, and the tables
+// grow from their first size to past the cache.
+func BenchmarkEncodeMiss(b *testing.B) {
+	terms := benchTerms(benchTermCount)
+	var d *Dictionary
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%len(terms) == 0 {
+			b.StopTimer()
+			d = NewDictionary()
+			b.StartTimer()
+		}
+		d.Encode(terms[i%len(terms)])
+	}
+}
+
+// BenchmarkEncodeHitSpread re-encodes benchTermCount known terms in a
+// shuffled order, so each hit probes a table slot and an arena record
+// that are unlikely to be cached.
+func BenchmarkEncodeHitSpread(b *testing.B) {
+	terms := benchTerms(benchTermCount)
+	d := NewDictionary()
+	for _, term := range terms {
+		d.Encode(term)
+	}
+	rand.New(rand.NewSource(1)).Shuffle(len(terms), func(i, j int) { terms[i], terms[j] = terms[j], terms[i] })
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		d.Encode(terms[i%len(terms)])
+	}
 }

@@ -121,6 +121,18 @@ func TestDictionaryTermUnknown(t *testing.T) {
 	if _, ok := d.Term(makeID(TermLiteral, 1)); ok {
 		t.Fatal("literal ID with empty pool should not resolve")
 	}
+	// Kind bits 11 name no term, though their sequence number is a
+	// minted IRI's (rdf:type is IRI 1).
+	bad := kindMask | IDType
+	if term, ok := d.Term(bad); ok {
+		t.Fatalf("Term(%#x) = %v, true; kind bits 11 should not resolve", uint32(bad), term)
+	}
+	if _, ok := d.DecodeTriple(T(IDType, IDType, bad)); ok {
+		t.Fatal("DecodeTriple resolved an object of kind bits 11")
+	}
+	if got, want := d.Format(T(bad, IDType, IDType)), fmt.Sprintf("?%d", bad); !strings.HasPrefix(got, want+" ") {
+		t.Fatalf("Format = %q, want it to start with %q", got, want)
+	}
 }
 
 func TestDictionaryEncodeStatementDecodeTriple(t *testing.T) {

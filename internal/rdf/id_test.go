@@ -1,6 +1,7 @@
 package rdf
 
 import (
+	"errors"
 	"slices"
 	"testing"
 )
@@ -74,4 +75,66 @@ func TestEncodeRefusesExhaustedKind(t *testing.T) {
 			t.Fatalf("kind %v: mintable's boundary is not where the kind bits begin", k)
 		}
 	}
+}
+
+// TestEncodeRefusesArenaPastLimit pins the arena caps: chunkMintable at
+// its boundaries, and Encode there. Filling 4 GiB of arena is not
+// feasible in a test, so the stripe's or the dictionary's chunk list is
+// padded with empty chunks up to the boundary. The chunk just below a
+// cap must still round-trip through a table slot and a ref list; the
+// chunk at a cap must be refused with errArenaLimit before Encode
+// changes any state, even the annotation table.
+func TestEncodeRefusesArenaPastLimit(t *testing.T) {
+	if !chunkMintable(4095, 65535) || !chunkMintable(1, 0) {
+		t.Fatal("chunkMintable refuses a chunk whose indexes fit")
+	}
+	if chunkMintable(4096, 0) || chunkMintable(1, 65536) {
+		t.Fatal("chunkMintable allows local chunk 4096 or global chunk 65536")
+	}
+	pad := func(chunks [][]byte, n int) [][]byte {
+		for len(chunks) < n {
+			chunks = append(chunks, []byte{})
+		}
+		return chunks
+	}
+	for _, c := range []struct {
+		local, global int // chunks held before the Encode, at least
+		ok            bool
+	}{{4095, 0, true}, {4096, 0, false}, {0, 65535, true}, {0, 65536, false}} {
+		d := NewDictionary()
+		term := NewLangLiteral("past the arena", "x-limit")
+		s := &d.stripes[d.hash(term)%dictStripes]
+		// An empty last chunk is full, so the record needs a new one.
+		s.chunks = pad(append(s.chunks, []byte{}), c.local)
+		d.chunks = pad(d.chunks, c.global)
+		n, annots := d.Len(), len(*d.annots.Load())
+		id, err := tryEncode(d, term)
+		if !c.ok {
+			if !errors.Is(err, errArenaLimit) {
+				t.Fatalf("%+v: Encode = %#x, %v; want errArenaLimit", c, uint32(id), err)
+			}
+			if _, ok := d.Lookup(term); ok || d.Len() != n || len(*d.annots.Load()) != annots {
+				t.Fatalf("%+v: a refused Encode changed the dictionary", c)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("%+v: Encode: %v", c, err)
+		}
+		got, ok := d.Lookup(term)
+		back, found := d.Term(id)
+		if !ok || got != id || !found || back != term {
+			t.Fatalf("%+v: Lookup = %#x, %v; Term(%#x) = %v, %v", c, uint32(got), ok, uint32(id), back, found)
+		}
+	}
+}
+
+// tryEncode returns Encode's panic value as an error.
+func tryEncode(d *Dictionary, term Term) (id ID, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = r.(error)
+		}
+	}()
+	return d.Encode(term), nil
 }
